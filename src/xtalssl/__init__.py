@@ -3,8 +3,8 @@
 CIF structures are turned into periodic graphs, encoded by a gated
 graph-convolution network, pre-trained with a redundancy-reduction
 objective over pairs of stochastically augmented views, and fine-tuned
-for scalar property regression.  Everything runs on numpy with an
-optional numba kernel backend; training is deterministic given a seed.
+for scalar property regression.  Everything runs on numpy alone;
+training is deterministic given a seed.
 """
 
 __version__ = "0.1.0"

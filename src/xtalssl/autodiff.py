@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-
 
 class ShapeMismatch(ValueError):
     pass
@@ -96,6 +94,13 @@ class Tape:
             if out.grad is None:
                 continue
             backward_fn(out.grad)
+
+
+def _segment_sum(x: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
+    """out[index[e]] += x[e] over rows, accumulated in row order."""
+    out = np.zeros((n_rows, x.shape[1]), dtype=np.float64)
+    np.add.at(out, index, x)
+    return out
 
 
 def _maybe_record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -253,24 +258,7 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     out = Tensor(a.data[index])
 
     def backward(g):
-        _accum(a, kernels.scatter_add_rows(g, index, a.data.shape[0]))
-
-    return _maybe_record(out, (a,), backward)
-
-
-def mean_rows(a: Tensor, seg: np.ndarray, n_segments: int) -> Tensor:
-    """Segment mean: out[s] = mean of a's rows with seg == s (empty segments stay 0)."""
-    seg = np.asarray(seg, dtype=np.int64)
-    if a.data.ndim != 2 or seg.shape != (a.data.shape[0],):
-        raise ShapeMismatch("mean_rows expects (N, K) data and an (N,) segment index")
-    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
-        raise IndexOutOfRange(f"segment index outside [0, {n_segments})")
-    counts = np.bincount(seg, minlength=n_segments).astype(np.float64)
-    safe = np.where(counts > 0, counts, 1.0)
-    out = Tensor(kernels.scatter_add_rows(a.data, seg, n_segments) / safe[:, None])
-
-    def backward(g):
-        _accum(a, (g / safe[:, None])[seg])
+        _accum(a, _segment_sum(g, index, a.data.shape[0]))
 
     return _maybe_record(out, (a,), backward)
 
@@ -281,7 +269,7 @@ def scatter_add_rows(a: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
         raise ShapeMismatch("scatter_add_rows expects (N, K) data and an (N,) index")
     if index.size and (index.min() < 0 or index.max() >= n_rows):
         raise IndexOutOfRange(f"scatter index outside [0, {n_rows})")
-    out = Tensor(kernels.scatter_add_rows(a.data, index, n_rows))
+    out = Tensor(_segment_sum(a.data, index, n_rows))
 
     def backward(g):
         _accum(a, g[index])

@@ -8,8 +8,7 @@ the named convenience flags (--seed, --out-dir, ...).  Unknown keys are
 rejected, never ignored.  Every command is a pure function of (config file,
 flags, seed, input files); outputs land under out_dir.
 
-Env: CT_LOG_LEVEL in {error, info, debug} (default info); CT_BACKEND in
-{numba, numpy} selects the kernel backend (see kernels module).
+Env: CT_LOG_LEVEL in {error, info, debug} (default info).
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .geometry import NeighborList
 from .structure_io import CrystalStructure
 
@@ -74,19 +73,19 @@ class CrystalGraph:
         return self.edges.shape[0]
 
 
-def gaussian_expand(d: float, basis: GaussianBasis) -> np.ndarray:
-    """Expand one distance into K Gaussian components in (0, 1]."""
-    return kernels.gaussian_expand(np.array([d], dtype=np.float64), basis.centers, basis.var)[0]
+def gaussian_expand(dist, basis: GaussianBasis) -> np.ndarray:
+    """exp(-(d - mu_k)^2 / var) in (0, 1] for each distance: (...,) -> (..., K)."""
+    diff = np.asarray(dist, dtype=np.float64)[..., None] - basis.centers
+    return np.exp(-(diff * diff) / basis.var)
 
 
 def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = GaussianBasis()) -> CrystalGraph:
     """Graph with one node per site and one directed edge per neighbor entry."""
-    edge_feat = kernels.gaussian_expand(nl.dist, basis.centers, basis.var)
     return CrystalGraph(
         node_elem=s.atomic_numbers.copy(),
         node_mask=np.ones(s.n_sites, dtype=np.int8),
         edges=np.stack([nl.src, nl.dst], axis=1).astype(np.int64),
-        edge_feat=edge_feat,
+        edge_feat=gaussian_expand(nl.dist, basis),
         edge_mask=np.ones(nl.n_edges, dtype=np.int8),
     )
 

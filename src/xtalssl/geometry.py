@@ -14,12 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .structure_io import CrystalStructure
 
 
 class SingularLattice(ValueError):
     pass
+
+
+class DegenerateCell(ValueError):
+    pass
+
+
+# largest periodic-image block the neighbor search will enumerate; real
+# cells need a few hundred images, a nearly flat cell asks for millions
+MAX_IMAGES = 100_000
 
 
 @dataclass(frozen=True)
@@ -92,10 +100,17 @@ def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfi
     Self-images at nonzero translation count as neighbors (a one-atom
     cell still has edges); the zero-distance self pair does not.  Per
     source the nearest ``max_neighbors`` are kept, ties broken by
-    (distance, dst index, lexicographic image).
+    (distance, dst index, lexicographic image).  Raises DegenerateCell
+    when the cutoff sphere spans more than ``MAX_IMAGES`` images.
     """
     lattice = _check_lattice(s.lattice)
     n1, n2, n3 = _images_per_axis(lattice, cfg.cutoff)
+    n_images = (2 * n1 + 1) * (2 * n2 + 1) * (2 * n3 + 1)
+    if n_images > MAX_IMAGES:
+        raise DegenerateCell(
+            f"cutoff {cfg.cutoff} needs {n_images} periodic images (limit {MAX_IMAGES}); "
+            "the cell is too thin along some axis"
+        )
     g1, g2, g3 = np.meshgrid(
         np.arange(-n1, n1 + 1), np.arange(-n2, n2 + 1), np.arange(-n3, n3 + 1), indexing="ij"
     )
@@ -104,7 +119,14 @@ def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfi
 
     cart = s.frac_coords @ lattice
     image_carts = images.astype(np.float64) @ lattice
-    src, dst, img_idx, dist = kernels.neighbor_candidates(cart, image_carts, zero_index, cfg.cutoff)
+    # disp[i, j, m] = position of atom j in image m relative to atom i
+    disp = cart[None, :, None, :] + image_carts[None, None, :, :] - cart[:, None, None, :]
+    d2 = disp[..., 0] * disp[..., 0] + disp[..., 1] * disp[..., 1] + disp[..., 2] * disp[..., 2]
+    within = d2 <= cfg.cutoff * cfg.cutoff
+    sites = np.arange(s.n_sites)
+    within[sites, sites, zero_index] = False
+    src, dst, img_idx = np.nonzero(within)
+    dist = np.sqrt(d2[within])
 
     img = images[img_idx]
     order = np.lexsort((img[:, 2], img[:, 1], img[:, 0], dst, dist, src))

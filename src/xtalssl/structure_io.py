@@ -165,9 +165,12 @@ def _strip_uncertainty(token: str) -> str:
 
 def _parse_float(token: str, tag: str) -> float:
     try:
-        return float(_strip_uncertainty(token))
+        value = float(_strip_uncertainty(token))
     except ValueError:
         raise CifParseError(f"cannot parse numeric value {token!r} for {tag}") from None
+    if not math.isfinite(value):
+        raise CifParseError(f"non-finite numeric value {token!r} for {tag}")
+    return value
 
 
 def _tokenize_line(line: str) -> list[str]:
@@ -467,6 +470,14 @@ def structure_to_cif(s: CrystalStructure, name: str = "structure") -> str:
 # datasets
 
 
+def _read_cif(path: Path) -> CrystalStructure:
+    """parse_cif on a file; a CifParseError keeps its type and gains the path."""
+    try:
+        return parse_cif(path.read_text(encoding="utf-8"))
+    except CifParseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Dataset:
     """Load CIF files under ``root``; with an "id,label" CSV, attach labels.
 
@@ -480,8 +491,7 @@ def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Data
     if index_file is None:
         entries = []
         for path in sorted(root.glob("*.cif")):
-            structure = parse_cif(path.read_text(encoding="utf-8"))
-            entries.append(DatasetEntry(id=path.stem, structure=structure))
+            entries.append(DatasetEntry(id=path.stem, structure=_read_cif(path)))
         if not entries:
             raise EmptyDataset(f"no .cif files under {root}")
         return Dataset(entries=tuple(entries), kind="unlabeled")
@@ -503,14 +513,15 @@ def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Data
         try:
             label = float(label_str)
         except ValueError:
+            label = math.nan
+        if not math.isfinite(label):
             raise UnparseableLabel(
-                f"cannot parse label {label_str!r} for id {entry_id!r} on line {line_no}"
-            ) from None
+                f"label {label_str!r} for id {entry_id!r} on line {line_no} is not a finite number"
+            )
         cif_path = root / f"{entry_id}.cif"
         if not cif_path.is_file():
             raise IndexReferencesMissingFile(f"index references missing file {cif_path}")
-        structure = parse_cif(cif_path.read_text(encoding="utf-8"))
-        entries.append(DatasetEntry(id=entry_id, structure=structure, label=label))
+        entries.append(DatasetEntry(id=entry_id, structure=_read_cif(cif_path), label=label))
     if not entries:
         raise EmptyDataset(f"index file {index_file} lists no entries")
     entries.sort(key=lambda e: e.id)

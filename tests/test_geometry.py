@@ -1,8 +1,12 @@
+import time
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from xtalssl.geometry import (
+    DegenerateCell,
     NeighborConfig,
     SingularLattice,
     build_neighbor_list,
@@ -128,6 +132,23 @@ class TestBuildNeighborList:
                  for a, b, im in zip(nl.src, nl.dst, nl.image)}
         for a, b, im in edges:
             assert (b, a, (-im[0], -im[1], -im[2])) in edges
+
+    def test_thin_cell_rejected_before_enumerating_images(self):
+        # det = 2.5e-6 passes the singularity check, but the cutoff sphere
+        # would need about 1.6e8 images along c
+        s = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-7]), atomic_numbers=[11],
+                             frac_coords=[[0.0, 0.0, 0.0]])
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(DegenerateCell):
+                build_neighbor_list(s, NeighborConfig(cutoff=8.0))
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 1_000_000
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,14 @@ class TestParseCif:
         with pytest.raises(CifParseError):
             parse_cif(text)
 
+    def test_nan_fractional_coordinate_rejected(self):
+        with pytest.raises(CifParseError, match="line"):
+            parse_cif(CUBIC_NA.replace("Na1 Na 0.0 0.0 0.0", "Na1 Na nan 0.0 0.0"))
+
+    def test_inf_cell_length_rejected(self):
+        with pytest.raises(CifParseError, match="_cell_length_a"):
+            parse_cif(CUBIC_NA.replace("_cell_length_a 4.0", "_cell_length_a inf"))
+
     def test_decorated_symbols(self):
         s = parse_cif(CUBIC_NA.replace("Na1 Na ", "Na1 Na+ "))
         npt.assert_array_equal(s.atomic_numbers, [11])
@@ -215,6 +223,25 @@ class TestLoadDataset:
         index.write_text("s1,abc\n", encoding="utf-8")
         with pytest.raises(UnparseableLabel):
             load_dataset(tmp_path, index_file=index)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-Infinity"])
+    def test_non_finite_label(self, tmp_path, label):
+        _write_cifs(tmp_path, ["s1", "s2"])
+        index = tmp_path / "index.csv"
+        index.write_text(f"s1,0.5\ns2,{label}\n", encoding="utf-8")
+        with pytest.raises(UnparseableLabel, match="'s2' on line 2"):
+            load_dataset(tmp_path, index_file=index)
+
+    def test_cif_error_names_the_file(self, tmp_path):
+        _write_cifs(tmp_path, ["s1"])
+        bad = tmp_path / "s2.cif"
+        bad.write_text(CUBIC_NA.replace("Na1 Na", "Qq1 Qq"), encoding="utf-8")
+        index = tmp_path / "index.csv"
+        index.write_text("s1,0.5\ns2,1.0\n", encoding="utf-8")
+        with pytest.raises(UnknownElementSymbol, match="s2.cif: unknown element symbol"):
+            load_dataset(tmp_path, index_file=index)
+        with pytest.raises(UnknownElementSymbol, match="s2.cif"):
+            load_dataset(tmp_path)
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
