@@ -169,8 +169,6 @@ class TestForwardValues:
         a = Tensor([[1.0], [2.0], [3.0]])
         out = ad.scatter_add_rows(a, np.array([0, 0, 2]), 4)
         npt.assert_allclose(out.data, [[3.0], [0.0], [3.0], [0.0]])
-        empty = ad.scatter_add_rows(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64), 2)
-        npt.assert_array_equal(empty.data, np.zeros((2, 3)))
 
     def test_column_standardize_two_rows(self):
         out = ad.column_standardize(Tensor([[1.0], [3.0]]), eps=0.0)
