@@ -61,7 +61,7 @@ class CrystalGraph:
         if self.edge_mask.shape != (e,) or self.edge_feat.shape[0] != e:
             raise ValueError("edge arrays must agree on edge count")
         for mask in (self.node_mask, self.edge_mask):
-            if mask.size and not np.isin(mask, (0, 1)).all():
+            if not ((mask == 0) | (mask == 1)).all():
                 raise ValueError("masks must be {0,1}-valued")
 
     @property

@@ -63,7 +63,7 @@ class NeighborList:
 
 def _check_lattice(lattice: np.ndarray) -> np.ndarray:
     lattice = np.asarray(lattice, dtype=np.float64).reshape(3, 3)
-    if abs(np.linalg.det(lattice)) < 1e-12:
+    if not abs(np.linalg.det(lattice)) >= 1e-12:
         raise SingularLattice("lattice matrix is singular")
     return lattice
 

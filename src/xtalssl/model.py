@@ -3,7 +3,12 @@
 The encoder stacks gated convolutions: per edge (i -> j),
 ``z = concat(h_i, h_j, e_ij * edge_mask)``, message
 ``sigmoid(z W_f + b_f) * softplus(z W_s + b_s)``, summed into node i, with a
-residual update ``h_i' = h_i + sum``.  No batch normalization anywhere, so a
+residual update ``h_i' = h_i + sum``.  Each layer is one autodiff primitive,
+:func:`autodiff.gated_conv`: it stacks ``W_f`` and ``W_s`` side by side when
+the layer runs and evaluates ``z W`` decomposed, as
+``(h W_src)[i] + (h W_dst)[j] + e_ij W_e`` over the row blocks of the stacked
+matrix, so z itself is never built.  The checkpoint keeps ``w_f``, ``b_f``,
+``w_s`` and ``b_s`` as separate arrays.  No batch normalization anywhere, so a
 graph's encoding never depends on what it is batched with.  Readout is the
 mean over active (unmasked) nodes; a fully masked graph falls back to the
 mean over all of its nodes.
@@ -24,13 +29,11 @@ from .autodiff import (
     ShapeMismatch,
     Tensor,
     add,
-    concat,
+    gated_conv,
     gather_rows,
     matmul,
-    mul,
     scale_rows,
     scatter_add_rows,
-    sigmoid,
     softplus,
 )
 from .elements import MAX_Z
@@ -180,16 +183,9 @@ def init_params(
 def conv_layer(h: Tensor, graph: CrystalGraph, edge_feat: Tensor, conv: ConvParams) -> Tensor:
     if graph.n_edges == 0:
         return h
-    src = graph.edges[:, 0]
-    dst = graph.edges[:, 1]
-    h_src = gather_rows(h, src)
-    h_dst = gather_rows(h, dst)
-    e = scale_rows(edge_feat, graph.edge_mask.astype(np.float64))
-    z = concat([h_src, h_dst, e])
-    gate = sigmoid(add(matmul(z, conv.w_f), conv.b_f))
-    core = softplus(add(matmul(z, conv.w_s), conv.b_s))
-    agg = scatter_add_rows(mul(gate, core), src, h.data.shape[0])
-    return add(h, agg)
+    e = edge_feat.data * graph.edge_mask[:, None].astype(np.float64)
+    return gated_conv(h, graph.edges[:, 0], graph.edges[:, 1], e,
+                      conv.w_f, conv.b_f, conv.w_s, conv.b_s)
 
 
 def _readout_weights(node_mask: np.ndarray, seg: np.ndarray, n_graphs: int) -> np.ndarray:

@@ -88,7 +88,9 @@ class CrystalStructure:
             raise ValueError("structure must contain at least one site")
         if numbers.shape[0] != frac.shape[0]:
             raise ValueError("atomic_numbers and frac_coords disagree in length")
-        if np.linalg.det(lattice) <= 0:
+        if not (np.isfinite(lattice).all() and np.isfinite(frac).all()):
+            raise ValueError("lattice and fractional coordinates must be finite")
+        if not np.linalg.det(lattice) > 0:
             raise ValueError("lattice determinant (cell volume) must be positive")
         if numbers.min() < 1 or numbers.max() > MAX_Z:
             raise ValueError(f"atomic numbers must lie in [1, {MAX_Z}]")

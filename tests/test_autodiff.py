@@ -60,7 +60,7 @@ class TestTensor:
 class TestTapeMechanics:
     def test_inference_mode_records_nothing(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = ad.sigmoid(a)  # no tape active
+        out = ad.softplus(a)  # no tape active
         assert out.grad is None
         assert a.grad is None
 
@@ -141,15 +141,6 @@ class TestForwardValues:
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         npt.assert_allclose(ad.transpose(a).data, [[1.0, 3.0], [2.0, 4.0]])
 
-    def test_concat(self):
-        a, b = Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]])
-        npt.assert_allclose(ad.concat([a, b]).data, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
-
-    def test_sigmoid_stable(self):
-        out = ad.sigmoid(Tensor([[-800.0, 0.0, 800.0]])).data
-        npt.assert_allclose(out, [[0.0, 0.5, 1.0]], atol=1e-12)
-        assert np.isfinite(out).all()
-
     def test_softplus_stable(self):
         out = ad.softplus(Tensor([[-800.0, 0.0, 800.0]])).data
         npt.assert_allclose(out, [[0.0, np.log(2.0), 800.0]], atol=1e-12)
@@ -196,10 +187,6 @@ class TestShapeErrors:
     def test_mul_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ad.mul(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
-
-    def test_concat_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            ad.concat([Tensor([[1.0]]), Tensor([[1.0], [2.0]])])
 
     def test_scale_rows_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -275,18 +262,6 @@ class TestBackwardAgainstFiniteDifferences:
         self.check(lambda a: self.weighted(ad.transpose(a), w),
                    rng.normal(size=(2, 3)))
 
-    def test_concat(self):
-        rng = np.random.default_rng(8)
-        w = rng.normal(size=(2, 5))
-        self.check(lambda a, b: self.weighted(ad.concat([a, b]), w),
-                   rng.normal(size=(2, 2)), rng.normal(size=(2, 3)))
-
-    def test_sigmoid(self):
-        rng = np.random.default_rng(9)
-        w = rng.normal(size=(2, 3))
-        self.check(lambda a: self.weighted(ad.sigmoid(a), w),
-                   rng.normal(size=(2, 3)))
-
     def test_softplus(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(2, 3))
@@ -335,7 +310,7 @@ class TestGradCheck:
         p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         q = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         def loss_fn():
-            return ad.sum_all(ad.sigmoid(ad.matmul(p, q)))
+            return ad.sum_all(ad.softplus(ad.matmul(p, q)))
         assert grad_check(loss_fn, [p, q], eps=1e-5) == []
 
     def test_flags_hidden_dependence(self):
@@ -357,3 +332,122 @@ class TestGradCheck:
         before = p.data.copy()
         grad_check(lambda: ad.sum_all(ad.mul(p, p)), [p])
         npt.assert_array_equal(p.data, before)
+
+
+class TestSegmentSum:
+    def test_bitwise_equal_to_add_at(self):
+        rng = np.random.default_rng(30)
+        for n_rows, n_items, width in ((7, 40, 3), (50, 9, 5), (4, 0, 2), (3, 6, 1)):
+            x = rng.normal(size=(n_items, width))
+            # draw from half the rows only, so some rows are never hit
+            index = rng.integers(0, max(1, n_rows // 2), n_items)
+            expected = np.zeros((n_rows, width))
+            np.add.at(expected, index, x)
+            got = ad._segment_sum(x, index, n_rows)
+            assert got.shape == (n_rows, width)
+            npt.assert_array_equal(got, expected)
+            assert not got[n_rows // 2 + 1:].any()
+
+
+class TestElementwiseHelpers:
+    def test_negative_tail_keeps_relative_precision(self):
+        # Adam's steps do not scale with the gradient, so a tail that rounds
+        # to zero (as 0.5 * (1 + tanh(x / 2)) does below x = -37) changes
+        # training runs; both helpers must stay accurate relative to exp(x)
+        x = np.linspace(-700.0, -20.0, 1001)
+        ex = np.exp(x)
+        npt.assert_allclose(ad._sigmoid(x), ex / (1.0 + ex), rtol=1e-15, atol=0.0)
+        npt.assert_allclose(ad._softplus(x), np.log1p(ex), rtol=1e-15, atol=0.0)
+
+    def test_softplus_matches_logaddexp(self):
+        x = np.random.default_rng(31).normal(scale=30.0, size=10_000)
+        ref = np.logaddexp(0.0, x)
+        assert np.all(np.abs(ad._softplus(x) - ref) <= 2 * np.spacing(ref))
+
+
+def conv_case(rng, width=3, k=2):
+    """A small graph exercising every indexing path of gated_conv.
+
+    Edges are unsorted in both src and dst, (0, 2) appears twice, node 4
+    has no edges and edges 1 and 5 are masked (zeroed features).
+    """
+    src = np.array([2, 0, 3, 0, 1, 3, 2])
+    dst = np.array([1, 2, 0, 2, 3, 1, 2])
+    e = rng.normal(size=(src.size, k))
+    e[[1, 5]] = 0.0
+    z_dim = 2 * width + k
+    params = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((5, width), (z_dim, width), (width,), (z_dim, width), (width,))]
+    return src, dst, e, params
+
+
+def dense_gated_conv(h, src, dst, e, w_f, b_f, w_s, b_s):
+    """Concatenate z per edge and apply both matmuls: the unfused layer."""
+    z = np.concatenate([h[src], h[dst], e], axis=1)
+    gate = 1.0 / (1.0 + np.exp(-(z @ w_f + b_f)))
+    core = np.logaddexp(0.0, z @ w_s + b_s)
+    out = h.copy()
+    np.add.at(out, src, gate * core)
+    return out
+
+
+class TestGatedConv:
+    def test_matches_dense_layer(self):
+        rng = np.random.default_rng(40)
+        src, dst, e, params = conv_case(rng)
+        h, w_f, b_f, w_s, b_s = params
+        got = ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, b_s).data
+        expected = dense_gated_conv(h.data, src, dst, e, w_f.data, b_f.data, w_s.data, b_s.data)
+        npt.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        # the node without edges passes through unchanged
+        npt.assert_array_equal(got[4], h.data[4])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(41)
+        src, dst, e, params = conv_case(rng)
+        h, w_f, b_f, w_s, b_s = params
+        weight = Tensor(rng.normal(size=h.shape))
+
+        def loss_fn():
+            out = ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, b_s)
+            return ad.sum_all(ad.mul(out, weight))
+
+        assert grad_check(loss_fn, params, eps=1e-6) == []
+
+    def test_stable_at_extreme_preactivations(self):
+        # zero weights leave the biases as the pre-activations: each edge
+        # sends sigmoid(b_f) * softplus(b_s) = [0 * 0, 0.5 ln 2, 1 * 800]
+        width, k = 3, 2
+        h = Tensor(np.zeros((2, width)), requires_grad=True)
+        w_f = Tensor(np.zeros((2 * width + k, width)), requires_grad=True)
+        w_s = Tensor(np.zeros((2 * width + k, width)), requires_grad=True)
+        b_f = Tensor([-800.0, 0.0, 800.0], requires_grad=True)
+        b_s = Tensor([-800.0, 0.0, 800.0], requires_grad=True)
+        src, dst = np.array([0, 0, 1]), np.array([1, 0, 0])
+        e = np.ones((3, k))
+        with Tape() as tape:
+            out = ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, b_s)
+            tape.backward(ad.sum_all(out))
+        assert np.isfinite(out.data).all()
+        npt.assert_allclose(out.data[0], 2 * np.array([0.0, 0.5 * np.log(2.0), 800.0]),
+                            atol=1e-12)
+        npt.assert_allclose(out.data[1], [0.0, 0.5 * np.log(2.0), 800.0], atol=1e-12)
+        for t in (h, w_f, b_f, w_s, b_s):
+            assert np.isfinite(t.grad).all()
+        # d msg / d b_f = sigmoid'(b_f) softplus(b_s) and d msg / d b_s =
+        # sigmoid(b_f) sigmoid(b_s), summed over the three edges
+        npt.assert_allclose(b_f.grad, 3 * np.array([0.0, 0.25 * np.log(2.0), 0.0]), atol=1e-12)
+        npt.assert_allclose(b_s.grad, 3 * np.array([0.0, 0.25, 1.0]), atol=1e-12)
+
+    def test_shape_and_index_errors(self):
+        rng = np.random.default_rng(42)
+        src, dst, e, params = conv_case(rng)
+        h, w_f, b_f, w_s, b_s = params
+        with pytest.raises(ShapeMismatch):
+            ad.gated_conv(h, src, dst, e[:, :1], w_f, b_f, w_s, b_s)
+        with pytest.raises(ShapeMismatch):
+            ad.gated_conv(h, src[:-1], dst, e, w_f, b_f, w_s, b_s)
+        with pytest.raises(ShapeMismatch):
+            ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, Tensor(np.zeros(2)))
+        with pytest.raises(IndexOutOfRange):
+            ad.gated_conv(h, src, np.where(dst == 3, 5, dst), e, w_f, b_f, w_s, b_s)

@@ -42,6 +42,10 @@ class TestCoordinates:
         with pytest.raises(SingularLattice):
             frac_to_cart(bad, [0, 0, 0])
 
+    def test_nan_lattice_is_singular(self):
+        with pytest.raises(SingularLattice):
+            frac_to_cart(np.diag([4.0, 4.0, np.nan]), [0, 0, 0])
+
 
 class TestBuildNeighborList:
     def test_simple_cubic_six_edges(self):

@@ -166,6 +166,35 @@ class TestConvLayer:
             npt.assert_allclose(encode(p, g).data, manual_encode(p, g),
                                 rtol=1e-12, atol=1e-12)
 
+    def test_masked_batch_matches_manual_forward(self):
+        rng = np.random.default_rng(8)
+        cfg = ModelConfig(hidden_dim=5, n_conv=3, proj_dim=4, head_hidden=3, edge_feat_dim=41)
+        p = init_params(cfg, rng)
+        graphs = [random_graph(rng, n=int(rng.integers(1, 6))) for _ in range(3)]
+        merged, seg = merge_graphs(graphs)
+        # drop edges and nodes at random and shuffle the edge rows, so
+        # neither src nor dst is sorted
+        order = rng.permutation(merged.n_edges)
+        g = CrystalGraph(node_elem=merged.node_elem,
+                         node_mask=(rng.uniform(size=merged.n_nodes) < 0.8).astype(np.int8),
+                         edges=merged.edges[order], edge_feat=merged.edge_feat[order],
+                         edge_mask=(rng.uniform(size=merged.n_edges) < 0.7).astype(np.int8))
+        npt.assert_allclose(encode(p, g, seg=seg, n_graphs=3).data,
+                            manual_encode(p, g, seg=seg, n_graphs=3),
+                            rtol=1e-12, atol=1e-12)
+
+    def test_one_tape_record_per_conv_layer(self):
+        # guards against the layer falling back to a chain of small ops:
+        # embedding gather and mask, one record per conv, readout scale and sum
+        rng = np.random.default_rng(9)
+        cfg = ModelConfig(hidden_dim=5, n_conv=3, proj_dim=4, head_hidden=3, edge_feat_dim=41)
+        p = init_params(cfg, rng)
+        g = random_graph(rng)
+        assert g.n_edges > 0
+        with Tape() as tape:
+            encode(p, g)
+        assert len(tape._records) == cfg.n_conv + 4
+
 
 class TestMaskSemantics:
     def test_masked_edge_equals_zeroed_feature(self):

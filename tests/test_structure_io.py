@@ -82,6 +82,21 @@ class TestCrystalStructure:
         with pytest.raises(ValueError):
             CrystalStructure(lattice=np.eye(3), atomic_numbers=[101], frac_coords=[[0, 0, 0]])
 
+    def test_rejects_nan_lattice(self):
+        with pytest.raises(ValueError, match="finite"):
+            CrystalStructure(lattice=np.diag([4.0, 4.0, np.nan]), atomic_numbers=[11],
+                             frac_coords=[[0.0, 0.0, 0.0]])
+
+    def test_rejects_inf_lattice(self):
+        with pytest.raises(ValueError, match="finite"):
+            CrystalStructure(lattice=np.diag([4.0, np.inf, 4.0]), atomic_numbers=[11],
+                             frac_coords=[[0.0, 0.0, 0.0]])
+
+    def test_rejects_nan_coordinate(self):
+        with pytest.raises(ValueError, match="finite"):
+            CrystalStructure(lattice=4.0 * np.eye(3), atomic_numbers=[11, 17],
+                             frac_coords=[[0.0, 0.0, 0.0], [0.5, np.nan, 0.5]])
+
     def test_wrap_frac_is_x_minus_floor(self):
         x = np.array([[-1.75, 0.0, 2.5]])
         npt.assert_array_equal(wrap_frac(x), x - np.floor(x))
