@@ -3,7 +3,9 @@
 Every operation is a deterministic function of (input, rng state).  The
 perturbation moves atoms in cartesian space before graph construction;
 masking flips mask bits on an already-built graph and never touches
-topology or feature values.
+topology or feature values.  Both views of a structure take their
+neighbor lists from one skin candidate list (``geometry.candidate_list``),
+which gives each view exactly the list a fresh search of it would.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import CrystalGraph, GaussianBasis, build_graph, with_edge_mask, with_node_mask
-from .geometry import NeighborConfig, build_neighbor_list
+from .geometry import CandidateList, NeighborConfig, candidate_list, view_neighbor_list
 from .structure_io import CrystalStructure, wrap_frac
 
 
@@ -41,24 +43,32 @@ class AugmentConfig:
         return self.enable_perturb or self.enable_atom_mask or self.enable_edge_mask
 
 
-def random_perturb(s: CrystalStructure, rng: np.random.Generator, max_disp: float) -> CrystalStructure:
-    """Displace every site by r * u, r ~ Uniform[0, max_disp], u uniform on the sphere."""
+def _perturb(s: CrystalStructure, rng: np.random.Generator,
+             max_disp: float) -> tuple[CrystalStructure, np.ndarray]:
+    """random_perturb, and the whole-cell shift (N, 3) that wrapped each site back."""
     if max_disp < 0:
         raise ValueError("max_disp must be >= 0")
     if max_disp == 0:
-        return s
+        return s, np.zeros((s.n_sites, 3), dtype=np.int64)
     directions = rng.normal(size=(s.n_sites, 3))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms < 1e-300] = 1.0
     directions /= norms
     radii = rng.uniform(0.0, max_disp, size=(s.n_sites, 1))
     cart_disp = radii * directions
-    frac_disp = cart_disp @ np.linalg.inv(s.lattice)
-    return CrystalStructure(
+    unwrapped = s.frac_coords + cart_disp @ np.linalg.inv(s.lattice)
+    view = CrystalStructure(
         lattice=s.lattice,
         atomic_numbers=s.atomic_numbers,
-        frac_coords=wrap_frac(s.frac_coords + frac_disp),
+        frac_coords=wrap_frac(unwrapped),
     )
+    # exact whatever the displacement: a site may cross a face by a whole cell
+    return view, np.rint(unwrapped - view.frac_coords).astype(np.int64)
+
+
+def random_perturb(s: CrystalStructure, rng: np.random.Generator, max_disp: float) -> CrystalStructure:
+    """Displace every site by r * u, r ~ Uniform[0, max_disp], u uniform on the sphere."""
+    return _perturb(s, rng, max_disp)[0]
 
 
 def _mask_count(n: int, fraction: float) -> int:
@@ -91,6 +101,26 @@ def mask_edges(g: CrystalGraph, rng: np.random.Generator, fraction: float) -> Cr
     return with_edge_mask(g, mask)
 
 
+def _displacement(cfg: AugmentConfig) -> float:
+    return cfg.max_displacement if cfg.enable_perturb else 0.0
+
+
+def _augment(
+    s: CrystalStructure,
+    cfg: AugmentConfig,
+    candidates: CandidateList,
+    basis: GaussianBasis,
+    rng: np.random.Generator,
+) -> CrystalGraph:
+    view, shift = _perturb(s, rng, _displacement(cfg))
+    g = build_graph(view, view_neighbor_list(candidates, view, shift), basis)
+    if cfg.enable_atom_mask:
+        g = mask_atoms(g, rng, cfg.mask_fraction)
+    if cfg.enable_edge_mask:
+        g = mask_edges(g, rng, cfg.mask_fraction)
+    return g
+
+
 def augment_once(
     s: CrystalStructure,
     cfg: AugmentConfig,
@@ -99,14 +129,7 @@ def augment_once(
     rng: np.random.Generator,
 ) -> CrystalGraph:
     """One augmented view: perturb (pre-graph), then mask (post-graph)."""
-    if cfg.enable_perturb:
-        s = random_perturb(s, rng, cfg.max_displacement)
-    g = build_graph(s, build_neighbor_list(s, neighbor_cfg), basis)
-    if cfg.enable_atom_mask:
-        g = mask_atoms(g, rng, cfg.mask_fraction)
-    if cfg.enable_edge_mask:
-        g = mask_edges(g, rng, cfg.mask_fraction)
-    return g
+    return _augment(s, cfg, candidate_list(s, neighbor_cfg, _displacement(cfg)), basis, rng)
 
 
 def make_views(
@@ -116,9 +139,10 @@ def make_views(
     basis: GaussianBasis,
     rng: np.random.Generator,
 ) -> tuple[CrystalGraph, CrystalGraph]:
-    """Two independently augmented graphs of the same structure."""
+    """Two independently augmented graphs of the same structure, from one neighbor search."""
     if not cfg.any_enabled:
         raise NoAugmentationEnabled("at least one augmentation must be enabled")
-    view_a = augment_once(s, cfg, neighbor_cfg, basis, rng)
-    view_b = augment_once(s, cfg, neighbor_cfg, basis, rng)
+    candidates = candidate_list(s, neighbor_cfg, _displacement(cfg))
+    view_a = _augment(s, cfg, candidates, basis, rng)
+    view_b = _augment(s, cfg, candidates, basis, rng)
     return view_a, view_b

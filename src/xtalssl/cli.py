@@ -21,8 +21,8 @@ import os
 import sys
 
 from .augment import AugmentConfig
-from .featurize import GaussianBasis, build_graph, graph_to_json
-from .geometry import NeighborConfig, build_neighbor_list
+from .featurize import GaussianBasis, graph_to_json
+from .geometry import NeighborConfig
 from .loss import LossConfig
 from .model import (
     ConfigMismatch,
@@ -35,12 +35,13 @@ from .pipeline import (
     FinetuneConfig,
     PretrainConfig,
     ablation_run,
+    entry_graph,
     evaluate,
     export_embeddings,
     finetune,
     pretrain,
 )
-from .structure_io import load_dataset
+from .structure_io import atomic_open, load_dataset
 from .toydata import write_toy_dataset
 
 logger = logging.getLogger("xtalssl")
@@ -229,8 +230,8 @@ def _load_data(cfg: RunConfig):
 
 
 def _write(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    with atomic_open(path) as fh:
+        fh.write(content.encode("utf-8"))
 
 
 def _load_model_for_inference(cfg: RunConfig, need_head: bool):
@@ -250,11 +251,8 @@ def _cmd_featurize(cfg: RunConfig) -> int:
     data = _load_data(cfg)
     out_dir = _require(cfg, "out_dir")
     os.makedirs(out_dir, exist_ok=True)
-    lines = []
-    for entry in data.entries:
-        graph = build_graph(entry.structure,
-                            build_neighbor_list(entry.structure, cfg.neighbor), cfg.basis)
-        lines.append(graph_to_json(graph, id=entry.id))
+    lines = [graph_to_json(entry_graph(entry, cfg.neighbor, cfg.basis), id=entry.id)
+             for entry in data.entries]
     _write(os.path.join(out_dir, "graphs.jsonl"), "\n".join(lines) + "\n")
     logger.info("featurized %d structures", len(data.entries))
     return 0

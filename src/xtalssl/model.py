@@ -38,6 +38,7 @@ from .autodiff import (
 )
 from .elements import MAX_Z
 from .featurize import CrystalGraph
+from .structure_io import atomic_open
 
 
 class EmptyGraph(ValueError):
@@ -251,11 +252,11 @@ _CONFIG_FIELDS = ("hidden_dim", "n_conv", "proj_dim", "head_hidden", "edge_feat_
 
 
 def save_checkpoint(path, params: ModelParams, extra: dict[str, np.ndarray] | None = None) -> None:
-    """Write header + named arrays; array order is canonical, extras sorted."""
+    """Write header + named arrays atomically; array order is canonical, extras sorted."""
     arrays: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in params.named_tensors()]
     for name in sorted(extra or {}):
         arrays.append((name, np.asarray(extra[name], dtype=np.float64)))
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<5I", *(getattr(params.config, f) for f in _CONFIG_FIELDS)))

@@ -10,6 +10,7 @@ canonical report JSON so reports stay byte-identical across reruns.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -23,7 +24,7 @@ import numpy as np
 from .augment import AugmentConfig, make_views
 from .autodiff import Tape, Tensor
 from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
-from .geometry import NeighborConfig, build_neighbor_list
+from .geometry import DegenerateCell, NeighborConfig, SingularLattice, build_neighbor_list
 from .loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mae_metric, mse_loss
 from .model import (
     ModelConfig,
@@ -37,7 +38,7 @@ from .model import (
     regress,
     save_checkpoint,
 )
-from .structure_io import Dataset, EmptyDataset, SplitSpec, split_dataset
+from .structure_io import Dataset, DatasetEntry, EmptyDataset, SplitSpec, atomic_open, split_dataset
 
 logger = logging.getLogger("xtalssl")
 
@@ -178,15 +179,31 @@ def _batches(order: np.ndarray, batch: int, drop_below: int) -> list[np.ndarray]
     return [b for b in out if len(b) >= drop_below]
 
 
-def _merged_views(structures, pcfg: PretrainConfig, rng) -> tuple:
+@contextlib.contextmanager
+def _naming(entry_id: str):
+    """Re-raise a cell that the neighbor search rejects with the entry's id in front."""
+    try:
+        yield
+    except (DegenerateCell, SingularLattice) as exc:
+        raise type(exc)(f"entry {entry_id!r}: {exc}") from None
+
+
+def entry_graph(entry: DatasetEntry, neighbor: NeighborConfig, basis: GaussianBasis) -> CrystalGraph:
+    """The crystal graph of one dataset entry; a rejected cell names the entry."""
+    with _naming(entry.id):
+        return build_graph(entry.structure, build_neighbor_list(entry.structure, neighbor), basis)
+
+
+def _merged_views(entries, pcfg: PretrainConfig, rng) -> tuple:
     views_a, views_b = [], []
-    for s in structures:
-        ga, gb = make_views(s, pcfg.augment, pcfg.neighbor, pcfg.basis, rng)
+    for e in entries:
+        with _naming(e.id):
+            ga, gb = make_views(e.structure, pcfg.augment, pcfg.neighbor, pcfg.basis, rng)
         views_a.append(ga)
         views_b.append(gb)
     merged_a, seg_a = merge_graphs(views_a)
     merged_b, seg_b = merge_graphs(views_b)
-    return merged_a, seg_a, merged_b, seg_b, len(structures)
+    return merged_a, seg_a, merged_b, seg_b, len(entries)
 
 
 def _bt_batch_loss(params, pcfg, merged_a, seg_a, merged_b, seg_b, n):
@@ -215,7 +232,6 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     n_val = int(np.floor(pcfg.val_fraction * n))
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
-    structures = [e.structure for e in data.entries]
 
     params = init_params(mcfg, rng_for(pcfg.seed, _INIT), with_projector=True, with_head=False)
     adam = Adam(params.trainable(), pcfg.lr)
@@ -234,7 +250,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
             params.zero_grad()
             with Tape() as tape:
                 loss = _bt_batch_loss(params, pcfg,
-                                      *_merged_views([structures[i] for i in batch_idx],
+                                      *_merged_views([data.entries[i] for i in batch_idx],
                                                      pcfg, augment_rng))
                 tape.backward(loss)
             adam.step()
@@ -250,7 +266,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
             val_losses = []
             for batch_idx in _batches(val_idx, pcfg.batch, drop_below=2):
                 loss = _bt_batch_loss(params, pcfg,
-                                      *_merged_views([structures[i] for i in batch_idx],
+                                      *_merged_views([data.entries[i] for i in batch_idx],
                                                      pcfg, val_rng))
                 val_losses.append(float(loss.data))
             if val_losses:
@@ -297,8 +313,7 @@ class FinetuneResult:
 
 
 def _graphs_for(entries, neighbor: NeighborConfig, basis: GaussianBasis) -> list[CrystalGraph]:
-    return [build_graph(e.structure, build_neighbor_list(e.structure, neighbor), basis)
-            for e in entries]
+    return [entry_graph(e, neighbor, basis) for e in entries]
 
 
 def _predict_std(params: ModelParams, graphs: list[CrystalGraph], batch: int) -> np.ndarray:
@@ -427,8 +442,7 @@ def export_embeddings(params: ModelParams, data: Dataset,
         ["label"] if data.kind == "labeled" else [])
     lines = [",".join(header)]
     for entry in sorted(data.entries, key=lambda e: e.id):
-        g = build_graph(entry.structure, build_neighbor_list(entry.structure, neighbor), basis)
-        z = encode(params, g).data[0]
+        z = encode(params, entry_graph(entry, neighbor, basis)).data[0]
         row = [entry.id] + [repr(float(v)) for v in z]
         if data.kind == "labeled":
             row.append(repr(float(entry.label)))
@@ -487,10 +501,10 @@ def ablation_run(pretrain_data: Dataset, finetune_data: Dataset, mcfg: ModelConf
         rows.append(AblationRow(arm=arm_name, seeds=list(seeds), maes=maes))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "ablation.csv"), "w", encoding="utf-8") as fh:
-            fh.write(ablation_csv(rows))
-        with open(os.path.join(out_dir, "ablation_runs.csv"), "w", encoding="utf-8") as fh:
-            fh.write(ablation_runs_csv(rows))
+        with atomic_open(os.path.join(out_dir, "ablation.csv")) as fh:
+            fh.write(ablation_csv(rows).encode("utf-8"))
+        with atomic_open(os.path.join(out_dir, "ablation_runs.csv")) as fh:
+            fh.write(ablation_runs_csv(rows).encode("utf-8"))
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Crystal structure data model, CIF subset parsing, and dataset loading.
+"""Crystal structure data model, CIF subset parsing, dataset loading, atomic writes.
 
 The CIF reader honours cell parameters, atom_site loops and explicit
 ``_symmetry_equiv_pos_as_xyz`` operator lists; everything else in the file
@@ -9,7 +9,9 @@ cell vectors a, b, c in angstrom) plus fractional coordinates wrapped into
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -549,3 +551,29 @@ def split_dataset(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Datase
     for idx in picks:
         parts.append(Dataset(entries=tuple(d.entries[i] for i in idx), kind=d.kind))
     return parts[0], parts[1], parts[2]
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """Binary file handle whose bytes replace ``path`` only when the block completes.
+
+    The bytes go to a temporary file in the same directory, which
+    ``os.replace`` then renames over ``path``.  An error in the block
+    removes the temporary file and leaves an earlier ``path`` as it was.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -12,6 +12,7 @@ from xtalssl.augment import (
     mask_edges,
     random_perturb,
 )
+from xtalssl import geometry
 from xtalssl.featurize import GaussianBasis, build_graph
 from xtalssl.geometry import NeighborConfig, build_neighbor_list, periodic_distance
 from xtalssl.structure_io import CrystalStructure
@@ -186,3 +187,35 @@ class TestMakeViews:
         g = augment_once(s, cfg, NCFG, BASIS, np.random.default_rng(3))
         assert (g.node_mask == 1).all()
         assert (g.edge_mask == 1).all()
+
+    def test_one_dense_search_per_structure(self, monkeypatch):
+        # both views come from one candidate list, never from a search each
+        calls = []
+        dense = geometry._pairs_within
+
+        def counted(*args):
+            calls.append(args)
+            return dense(*args)
+
+        monkeypatch.setattr(geometry, "_pairs_within", counted)
+        rng = np.random.default_rng(0)
+        for cfg in (AugmentConfig(), AugmentConfig(max_displacement=0.0),
+                    AugmentConfig(enable_perturb=False),
+                    AugmentConfig(enable_atom_mask=False, enable_edge_mask=False)):
+            for s in (perovskite(), perovskite(4.4)):
+                calls.clear()
+                make_views(s, cfg, NCFG, BASIS, rng)
+                assert len(calls) == 1
+
+    def test_views_match_fresh_search(self):
+        # make_views draws what random_perturb draws, in the same order
+        s = perovskite()
+        cfg = AugmentConfig(max_displacement=0.3, enable_atom_mask=False,
+                            enable_edge_mask=False)
+        va, vb = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for v in (va, vb):
+            p = random_perturb(s, rng, cfg.max_displacement)
+            ref = build_graph(p, build_neighbor_list(p, NCFG), BASIS)
+            npt.assert_array_equal(v.edges, ref.edges)
+            npt.assert_array_equal(v.edge_feat, ref.edge_feat)

@@ -12,7 +12,7 @@ from xtalssl.cli import (
     main,
     parse_config_text,
 )
-from xtalssl.structure_io import load_dataset
+from xtalssl.structure_io import CrystalStructure, load_dataset, structure_to_cif
 from xtalssl.toydata import gen_toy_dataset
 
 TINY_SETTINGS = [
@@ -164,6 +164,21 @@ class TestCommands:
         rec = json.loads(lines[0])
         assert rec["id"] == "toy_0000"
         assert len(rec["node_elem"]) == 5
+
+    def test_featurize_names_a_rejected_entry(self, toy_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "toy_0000.cif").write_text((toy_dir / "toy_0000.cif").read_text())
+        # a 1e-4 A axis needs 9 x 90,001 periodic images at the 4.5 A cutoff
+        thin = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-4]), atomic_numbers=[11],
+                                frac_coords=[[0.0, 0.0, 0.0]])
+        (data / "thin.cif").write_text(structure_to_cif(thin, name="thin"))
+        out = tmp_path / "feat"
+        code = main(["featurize", "--data-root", str(data), "--out-dir", str(out)]
+                    + tiny_args())
+        assert code == 1
+        assert "entry 'thin': cutoff 4.5 needs" in capsys.readouterr().err
+        assert not (out / "graphs.jsonl").exists()
 
     def test_pretrain_then_finetune_then_evaluate_then_embed(self, toy_dir, tmp_path):
         pre = tmp_path / "pre"

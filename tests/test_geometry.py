@@ -4,14 +4,20 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from xtalssl.augment import _perturb
 from xtalssl.geometry import (
     DegenerateCell,
     NeighborConfig,
     SingularLattice,
+    _images_per_axis,
     build_neighbor_list,
+    candidate_list,
     frac_to_cart,
     periodic_distance,
+    view_neighbor_list,
 )
 from xtalssl.structure_io import CrystalStructure
 
@@ -159,3 +165,155 @@ class TestBuildNeighborList:
             NeighborConfig(cutoff=0.0)
         with pytest.raises(ValueError):
             NeighborConfig(max_neighbors=0)
+
+
+# ---------------------------------------------------------------------------
+# property tests
+
+
+def _spacings(lattice):
+    volume = abs(np.linalg.det(lattice))
+    return [volume / np.linalg.norm(np.cross(lattice[(i + 1) % 3], lattice[(i + 2) % 3]))
+            for i in range(3)]
+
+
+# fractional coordinates anywhere, or within 1e-3 of a cell face, so that a
+# perturbation wraps the site into the neighboring cell
+_FRAC = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.floats(0.0, 1e-3),
+                  st.floats(1.0 - 1e-3, 1.0, exclude_max=True))
+
+
+@st.composite
+def triclinic_cells(draw, max_sites=6, min_length=2.5, max_skew=2.5):
+    """Lower-triangular lattices: positive volume at any skew."""
+    a, b, c = (draw(st.floats(min_length, 6.0)) for _ in range(3))
+    bx, cx, cy = (draw(st.floats(-max_skew, max_skew)) for _ in range(3))
+    n = draw(st.integers(1, max_sites))
+    frac = [[draw(_FRAC) for _ in range(3)] for _ in range(n)]
+    return CrystalStructure(lattice=[[a, 0.0, 0.0], [bx, b, 0.0], [cx, cy, c]],
+                            atomic_numbers=[6] * n, frac_coords=frac)
+
+
+@st.composite
+def one_site_cubic_cells(draw):
+    """Every shell of self images is an exact distance tie."""
+    a = draw(st.floats(2.0, 4.0))
+    return CrystalStructure(lattice=a * np.eye(3), atomic_numbers=[11],
+                            frac_coords=[[draw(_FRAC) for _ in range(3)]])
+
+
+def _displacement(kind, s):
+    if kind == "above half the shortest spacing":
+        return 0.6 * min(_spacings(s.lattice))
+    return kind
+
+
+_DISPLACEMENTS = st.sampled_from([0.0, 0.05, 0.5, "above half the shortest spacing"])
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _assert_same_list(got, want):
+    for field in ("src", "dst", "dist", "image"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+
+
+def _check_views(s, cfg, kind, seed):
+    max_disp = _displacement(kind, s)
+    candidates = candidate_list(s, cfg, max_disp)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):  # one list serves both views
+        view, shift = _perturb(s, rng, max_disp)
+        _assert_same_list(view_neighbor_list(candidates, view, shift),
+                          build_neighbor_list(view, cfg))
+
+
+class TestCandidateList:
+    @_PROPERTY
+    @given(triclinic_cells(), st.floats(3.0, 6.0), st.integers(1, 16), _DISPLACEMENTS,
+           st.integers(0, 2**32 - 1))
+    def test_views_equal_fresh_search_triclinic(self, s, cutoff, k, kind, seed):
+        _check_views(s, NeighborConfig(cutoff=cutoff, max_neighbors=k), kind, seed)
+
+    @_PROPERTY
+    @given(one_site_cubic_cells(), st.floats(2.0, 6.0), st.integers(1, 30), _DISPLACEMENTS,
+           st.integers(0, 2**32 - 1))
+    def test_views_equal_fresh_search_with_ties(self, s, cutoff, k, kind, seed):
+        _check_views(s, NeighborConfig(cutoff=cutoff, max_neighbors=k), kind, seed)
+
+    def test_keeps_pairs_up_to_four_displacements_beyond_the_kth(self):
+        # j2 starts 3 * delta farther from i than j1, and ends nearer: i moves
+        # by delta toward j2 and away from j1, j1 and j2 by delta each
+        delta, a = 0.1, 20.0
+        cart = np.array([[10.0, 10.0, 10.0], [12.0, 10.0, 10.0], [10.0, 12.3, 10.0]])
+        s = CrystalStructure(lattice=a * np.eye(3), atomic_numbers=[8, 8, 8],
+                             frac_coords=cart / a)
+        moves = delta * np.array([[-0.5**0.5, 0.5**0.5, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        view = CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers,
+                                frac_coords=(cart + moves) / a)
+        cfg = NeighborConfig(cutoff=6.0, max_neighbors=1)
+        got = view_neighbor_list(candidate_list(s, cfg, delta), view, np.zeros((3, 3), np.int64))
+        want = build_neighbor_list(view, cfg)
+        assert want.dst[0] == 2  # the pair 3 * delta past i's nearest distance
+        _assert_same_list(got, want)
+
+    def test_ties_break_by_dst_then_image(self):
+        # 32 neighbors in four shells of exact ties; 20 cut the sqrt(3) shell
+        s = CrystalStructure(lattice=np.eye(3), atomic_numbers=[11], frac_coords=[[0.0, 0.0, 0.0]])
+        cfg = NeighborConfig(cutoff=2.0, max_neighbors=20)
+        want = supercell_neighbors(s.lattice, s.frac_coords, cfg.cutoff, cfg.max_neighbors)
+        candidates = candidate_list(s, cfg, 0.0)
+        for nl in (build_neighbor_list(s, cfg),
+                   view_neighbor_list(candidates, s, np.zeros((1, 3), np.int64))):
+            assert [tuple(int(v) for v in m) for m in nl.image] == [e[2] for e in want]
+            npt.assert_array_equal(nl.dist, [e[3] for e in want])
+
+    def test_large_displacement_shifts_sites_by_whole_cells(self):
+        s = CrystalStructure(lattice=np.diag([2.0, 2.5, 3.0]), atomic_numbers=[8, 8],
+                             frac_coords=[[0.0005, 0.5, 0.9995], [0.5, 0.0, 0.5]])
+        cfg = NeighborConfig(cutoff=4.0, max_neighbors=10)
+        candidates = candidate_list(s, cfg, 3.0)
+        rng = np.random.default_rng(0)
+        shifts = []
+        for _ in range(10):
+            view, shift = _perturb(s, rng, 3.0)
+            shifts.append(shift)
+            _assert_same_list(view_neighbor_list(candidates, view, shift),
+                              build_neighbor_list(view, cfg))
+        assert np.abs(shifts).max() >= 1
+
+    def test_image_limit_applies_to_the_cutoff_not_the_skin(self):
+        # the cutoff's block has 3 * 3 * 11,111 = 99,999 images, just inside
+        # MAX_IMAGES; the skin's block for 0.05 A has 101,241
+        s = CrystalStructure(lattice=np.diag([20.0, 20.0, 8.0 / 5554.5]),
+                             atomic_numbers=[11], frac_coords=[[0.0, 0.0, 0.0]])
+        cfg = NeighborConfig(cutoff=8.0, max_neighbors=4)
+        _check_views(s, cfg, 0.05, seed=0)
+        thin = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-7]), atomic_numbers=[11],
+                                frac_coords=[[0.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateCell, match="needs .* periodic images"):
+            candidate_list(thin, cfg, 0.05)
+
+
+class TestDenseKernelAgainstOracle:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(triclinic_cells(max_sites=4, min_length=4.0, max_skew=1.0), st.floats(3.0, 8.0),
+           st.integers(1, 14))
+    def test_matches_supercell_oracle(self, s, cutoff, k):
+        assume((_images_per_axis(s.lattice, cutoff) <= 2).all())
+        full = supercell_neighbors(s.lattice, s.frac_coords, cutoff + 1e-6, 10_000)
+        dist = np.array([e[3] for e in full])
+        src = np.array([e[0] for e in full], dtype=np.int64)
+        # fp noise may move a pair across the cutoff or a truncation tie
+        assume(not np.any(np.abs(dist - cutoff) < 1e-9))
+        for i in range(s.n_sites):
+            d = np.sort(dist[src == i])
+            assume(d.size <= k or d[k] - d[k - 1] >= 1e-9)
+        expected = canonical_edges(supercell_neighbors(s.lattice, s.frac_coords, cutoff, k))
+        nl = build_neighbor_list(s, NeighborConfig(cutoff=cutoff, max_neighbors=k))
+        got = canonical_edges(zip(nl.src, nl.dst, nl.image, nl.dist))
+        assert [e[:3] for e in got] == [e[:3] for e in expected]
+        npt.assert_allclose([e[3] for e in got], [e[3] for e in expected], rtol=0.0, atol=1e-12)

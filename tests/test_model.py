@@ -316,6 +316,18 @@ class TestCheckpoints:
         save_checkpoint(b, p)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_interrupted_save_keeps_the_earlier_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(SMALL, np.random.default_rng(45)))
+        earlier = path.read_bytes()
+        p = init_params(SMALL, np.random.default_rng(46))
+        # the header and the first arrays are written before this one fails
+        p.named_tensors()[-1][1].data = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            save_checkpoint(path, p)
+        assert path.read_bytes() == earlier
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_params_from_arrays_round_trip(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(43))
         path = tmp_path / "model.ckpt"

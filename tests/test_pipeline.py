@@ -8,7 +8,7 @@ import pytest
 from xtalssl.augment import AugmentConfig
 from xtalssl.autodiff import Tensor
 from xtalssl.featurize import GaussianBasis
-from xtalssl.geometry import NeighborConfig
+from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
 from xtalssl.loss import BatchTooSmall, LossConfig
 from xtalssl.model import ModelConfig, init_params, load_checkpoint
 from xtalssl.pipeline import (
@@ -32,6 +32,7 @@ from xtalssl.pipeline import (
     rng_for,
 )
 from xtalssl.structure_io import (
+    CrystalStructure,
     Dataset,
     DatasetEntry,
     EmptyDataset,
@@ -431,3 +432,41 @@ class TestAblation:
         with pytest.raises(ValueError):
             ablation_run(gen_toy_dataset(4, seed=0), gen_toy_dataset(6, seed=0),
                          TINY, tiny_pcfg(), tiny_fcfg(), seeds=[])
+
+
+# 5 x 5 x 1e-4 A passes CrystalStructure but needs 9 x 90,001 images at a
+# 4.5 A cutoff; 1e-5 x 1e-5 x 1e-3 A has volume 1e-13, below the singular bound
+THIN = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-4]), atomic_numbers=[11],
+                        frac_coords=[[0.0, 0.0, 0.0]])
+FLAT = CrystalStructure(lattice=np.diag([1e-5, 1e-5, 1e-3]), atomic_numbers=[11],
+                        frac_coords=[[0.0, 0.0, 0.0]])
+
+
+def with_bad_entry(data, structure, entry_id="bad_cell"):
+    entries = list(data.entries) + [DatasetEntry(id=entry_id, structure=structure, label=1.0)]
+    return Dataset(entries=tuple(entries), kind="labeled")
+
+
+class TestErrorsNameTheEntry:
+    def test_pretrain(self):
+        data = with_bad_entry(gen_toy_dataset(6, seed=30), THIN)
+        with pytest.raises(DegenerateCell, match="entry 'bad_cell': cutoff 4.5 needs"):
+            pretrain(data, TINY, tiny_pcfg())
+
+    def test_finetune(self):
+        data = with_bad_entry(gen_toy_dataset(6, seed=31), THIN)
+        with pytest.raises(DegenerateCell, match="entry 'bad_cell': cutoff 4.5 needs"):
+            finetune(data, TINY, tiny_fcfg(epochs=1))
+
+    def test_evaluate(self):
+        data = with_bad_entry(gen_toy_dataset(3, seed=32), FLAT)
+        params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=True)
+        with pytest.raises(SingularLattice, match="entry 'bad_cell': lattice matrix is singular"):
+            evaluate(params, data, 0.0, 1.0, neighbor=NEIGHBOR, basis=BASIS)
+
+    def test_export_embeddings(self):
+        data = with_bad_entry(gen_toy_dataset(3, seed=33), THIN)
+        params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=False)
+        with pytest.raises(DegenerateCell, match="entry 'bad_cell': cutoff 4.5 needs"):
+            export_embeddings(params, data, neighbor=NEIGHBOR, basis=BASIS)
+

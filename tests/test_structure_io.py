@@ -16,6 +16,7 @@ from xtalssl.structure_io import (
     UnknownElementSymbol,
     UnparseableLabel,
     CifParseError,
+    atomic_open,
     load_dataset,
     parse_cif,
     parse_symmetry_op,
@@ -325,3 +326,23 @@ def test_dataset_invariants():
         Dataset(entries=(DatasetEntry(id="a", structure=s),), kind="labeled")
     with pytest.raises(ValueError):
         Dataset(entries=(DatasetEntry(id="a", structure=s, label=1.0),), kind="unlabeled")
+
+
+class TestAtomicOpen:
+    def test_replaces_the_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier")
+        with atomic_open(path) as fh:
+            fh.write(b"later")
+        assert path.read_bytes() == b"later"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_error_halfway_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write(b"half of the ")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
