@@ -98,29 +98,27 @@ def periodic_distance(lattice, fa, fb, image=(0, 0, 0)) -> float:
     return float(np.linalg.norm(frac_to_cart(lattice, delta)))
 
 
+def _image_counts(lattice: np.ndarray, cutoff: float) -> list[int]:
+    # column i of the inverse lattice has length 1 / (perpendicular spacing
+    # of the planes spanned by the other two axes); ceil(cutoff / spacing)
+    # images per direction cover the cutoff sphere even for strongly skewed
+    # cells.  Python ints, so a product of counts cannot overflow.
+    return [math.ceil(cutoff * r) for r in np.linalg.norm(np.linalg.inv(lattice), axis=0).tolist()]
+
+
 def _images_per_axis(lattice: np.ndarray, cutoff: float) -> np.ndarray:
-    # perpendicular spacing of the planes spanned by the other two axes;
-    # ceil(cutoff / spacing) images per direction cover the cutoff sphere
-    # even for strongly skewed cells
-    volume = abs(float(np.linalg.det(lattice)))
-    counts = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        cross = np.cross(lattice[j], lattice[k])
-        spacing = volume / float(np.linalg.norm(cross))
-        counts.append(int(math.ceil(cutoff / spacing)))
-    return np.array(counts, dtype=np.int64)
+    return np.array(_image_counts(lattice, cutoff), dtype=np.int64)
 
 
 def _checked_images_per_axis(lattice: np.ndarray, cutoff: float) -> np.ndarray:
-    counts = _images_per_axis(lattice, cutoff)
-    n_images = math.prod(2 * int(n) + 1 for n in counts)
+    counts = _image_counts(lattice, cutoff)
+    n_images = math.prod(2 * n + 1 for n in counts)
     if n_images > MAX_IMAGES:
         raise DegenerateCell(
             f"cutoff {cutoff} needs {n_images} periodic images (limit {MAX_IMAGES}); "
             "the cell is too thin along some axis"
         )
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def _image_block(lattice: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

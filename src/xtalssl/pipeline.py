@@ -51,6 +51,10 @@ class UnlabeledDataset(ValueError):
     pass
 
 
+class NonFiniteLoss(ValueError):
+    """A training loss, gradient or validation loss that is NaN or infinite."""
+
+
 # seed fan-out: the root SeedSequence(seed) drives dataset splitting (see
 # structure_io.split_dataset); spawned children drive everything else
 _INIT, _SHUFFLE, _AUGMENT, _VAL_VIEWS = 1, 2, 3, 4
@@ -194,22 +198,68 @@ def entry_graph(entry: DatasetEntry, neighbor: NeighborConfig, basis: GaussianBa
         return build_graph(entry.structure, build_neighbor_list(entry.structure, neighbor), basis)
 
 
-def _merged_views(entries, pcfg: PretrainConfig, rng) -> tuple:
-    views_a, views_b = [], []
+def _bt_batch_loss(params: ModelParams, pcfg: PretrainConfig, entries, rng) -> Tensor:
+    """Barlow Twins loss between two augmented views of each entry."""
+    views = []
     for e in entries:
         with _naming(e.id):
-            ga, gb = make_views(e.structure, pcfg.augment, pcfg.neighbor, pcfg.basis, rng)
-        views_a.append(ga)
-        views_b.append(gb)
-    merged_a, seg_a = merge_graphs(views_a)
-    merged_b, seg_b = merge_graphs(views_b)
-    return merged_a, seg_a, merged_b, seg_b, len(entries)
-
-
-def _bt_batch_loss(params, pcfg, merged_a, seg_a, merged_b, seg_b, n):
-    za = project(params, encode(params, merged_a, seg_a, n))
-    zb = project(params, encode(params, merged_b, seg_b, n))
+            views.append(make_views(e.structure, pcfg.augment, pcfg.neighbor, pcfg.basis, rng))
+    merged = [merge_graphs(list(side)) for side in zip(*views)]
+    del views  # the merged copies hold the same data; free these before the forward pass
+    za, zb = (project(params, encode(params, graph, seg, len(entries))) for graph, seg in merged)
     return bt_loss_from_embeddings(za, zb, pcfg.loss)
+
+
+def _fit(stage: str, params: ModelParams, tcfg: PretrainConfig | FinetuneConfig, entries,
+         train_idx: np.ndarray, drop_below: int,
+         batch_loss, val_loss) -> tuple[list[dict], int, list[np.ndarray]]:
+    """The Adam loop both stages share.
+
+    Each epoch shuffles ``train_idx`` (indices into ``entries``) with the
+    ``_SHUFFLE`` stream, takes one Adam step on ``batch_loss(batch_idx)``
+    per batch of at least ``drop_below`` entries, then one ``val_loss()``
+    (None without validation data).  Returns the epoch log, the
+    best-validation epoch and its weights, or the last epoch and its
+    weights when no epoch was validated.  A non-finite loss or gradient
+    raises NonFiniteLoss before the step that would apply it.
+    """
+    adam = Adam(params.trainable(), tcfg.lr)
+    shuffle_rng = rng_for(tcfg.seed, _SHUFFLE)
+    epochs_log: list[dict] = []
+    best_epoch, best_val, best_state = tcfg.epochs, np.inf, None
+
+    for epoch in range(1, tcfg.epochs + 1):
+        order = train_idx[shuffle_rng.permutation(len(train_idx))]
+        batch_losses = []
+        for number, batch_idx in enumerate(_batches(order, tcfg.batch, drop_below), start=1):
+            params.zero_grad()
+            with Tape() as tape:
+                loss = batch_loss(batch_idx)
+                tape.backward(loss)
+            if not (np.isfinite(loss.data).all()
+                    and all(t.grad is None or np.isfinite(t.grad).all()
+                            for t in params.trainable())):
+                ids = ", ".join(entries[i].id for i in batch_idx)
+                raise NonFiniteLoss(f"{stage} epoch {epoch} batch {number}: non-finite loss "
+                                    f"or gradient on entries {ids}")
+            adam.step()
+            batch_losses.append(float(loss.data))
+        if not batch_losses:
+            raise BatchTooSmall(f"training split yields no batch of size >= {drop_below}")
+        train_loss = float(np.mean(batch_losses))
+
+        val = val_loss()
+        if val is not None and not np.isfinite(val):
+            raise NonFiniteLoss(f"{stage} epoch {epoch}: validation loss is {val}")
+        if val is not None and val < best_val:
+            best_val, best_epoch, best_state = val, epoch, _snapshot(params)
+        epochs_log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val})
+        logger.info("%s epoch %d/%d train_loss=%.6f val_loss=%s", stage, epoch, tcfg.epochs,
+                    train_loss, "n/a" if val is None else f"{val:.6f}")
+
+    if best_state is None:
+        best_state = _snapshot(params)
+    return epochs_log, best_epoch, best_state
 
 
 @dataclass
@@ -234,55 +284,19 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     train_idx = perm[n_val:]
 
     params = init_params(mcfg, rng_for(pcfg.seed, _INIT), with_projector=True, with_head=False)
-    adam = Adam(params.trainable(), pcfg.lr)
-    shuffle_rng = rng_for(pcfg.seed, _SHUFFLE)
     augment_rng = rng_for(pcfg.seed, _AUGMENT)
 
-    epochs_log: list[dict] = []
-    best_epoch = pcfg.epochs
-    best_val = np.inf
-    best_state: list[np.ndarray] | None = None
+    def val_loss():
+        # fresh stream each epoch -> identical validation views every epoch
+        val_rng = rng_for(pcfg.seed, _VAL_VIEWS)
+        losses = [float(_bt_batch_loss(params, pcfg, [data.entries[i] for i in b], val_rng).data)
+                  for b in _batches(val_idx, pcfg.batch, drop_below=2)]
+        return float(np.mean(losses)) if losses else None
 
-    for epoch in range(1, pcfg.epochs + 1):
-        order = train_idx[shuffle_rng.permutation(len(train_idx))]
-        batch_losses = []
-        for batch_idx in _batches(order, pcfg.batch, drop_below=2):
-            params.zero_grad()
-            with Tape() as tape:
-                loss = _bt_batch_loss(params, pcfg,
-                                      *_merged_views([data.entries[i] for i in batch_idx],
-                                                     pcfg, augment_rng))
-                tape.backward(loss)
-            adam.step()
-            batch_losses.append(float(loss.data))
-        if not batch_losses:
-            raise BatchTooSmall("training split yields no batch of size >= 2")
-        train_loss = float(np.mean(batch_losses))
-
-        val_loss = None
-        if n_val >= 2:
-            # fresh stream each epoch -> identical validation views every epoch
-            val_rng = rng_for(pcfg.seed, _VAL_VIEWS)
-            val_losses = []
-            for batch_idx in _batches(val_idx, pcfg.batch, drop_below=2):
-                loss = _bt_batch_loss(params, pcfg,
-                                      *_merged_views([data.entries[i] for i in batch_idx],
-                                                     pcfg, val_rng))
-                val_losses.append(float(loss.data))
-            if val_losses:
-                val_loss = float(np.mean(val_losses))
-        if val_loss is not None and val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = _snapshot(params)
-        epochs_log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
-        logger.info("pretrain epoch %d/%d train_loss=%.6f val_loss=%s",
-                    epoch, pcfg.epochs, train_loss,
-                    "n/a" if val_loss is None else f"{val_loss:.6f}")
-
-    if best_state is None:
-        best_epoch = pcfg.epochs
-        best_state = _snapshot(params)
+    epochs_log, best_epoch, best_state = _fit(
+        "pretrain", params, pcfg, data.entries, train_idx, 2,
+        lambda b: _bt_batch_loss(params, pcfg, [data.entries[i] for i in b], augment_rng),
+        val_loss)
 
     final_path = best_path = None
     if out_dir is not None:
@@ -357,45 +371,20 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
         check_encoder_compatible(mcfg, ck_cfg)
         load_encoder_weights(params, arrays)
 
-    adam = Adam(params.trainable(), fcfg.lr)
-    shuffle_rng = rng_for(fcfg.seed, _SHUFFLE)
+    def batch_loss(batch_idx):
+        merged, seg = merge_graphs([graphs_train[i] for i in batch_idx])
+        pred = regress(params, encode(params, merged, seg, len(batch_idx)))
+        return mse_loss(pred, y_train_std[batch_idx])
 
-    epochs_log: list[dict] = []
-    best_epoch = fcfg.epochs
-    best_val = np.inf
-    best_state: list[np.ndarray] | None = None
+    def val_loss():
+        if not graphs_val:
+            return None
+        return float(np.mean((_predict_std(params, graphs_val, fcfg.batch) - y_val_std) ** 2))
 
-    for epoch in range(1, fcfg.epochs + 1):
-        order = shuffle_rng.permutation(len(graphs_train))
-        batch_losses = []
-        for batch_idx in _batches(order, fcfg.batch, drop_below=1):
-            params.zero_grad()
-            merged, seg = merge_graphs([graphs_train[i] for i in batch_idx])
-            with Tape() as tape:
-                pred = regress(params, encode(params, merged, seg, len(batch_idx)))
-                loss = mse_loss(pred, y_train_std[batch_idx])
-                tape.backward(loss)
-            adam.step()
-            batch_losses.append(float(loss.data))
-        train_loss = float(np.mean(batch_losses))
-
-        val_loss = None
-        if len(graphs_val) > 0:
-            val_pred = _predict_std(params, graphs_val, fcfg.batch)
-            val_loss = float(np.mean((val_pred - y_val_std) ** 2))
-        if val_loss is not None and val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = _snapshot(params)
-        epochs_log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
-        logger.info("finetune epoch %d/%d train_mse=%.6f val_mse=%s",
-                    epoch, fcfg.epochs, train_loss,
-                    "n/a" if val_loss is None else f"{val_loss:.6f}")
-
-    if best_state is not None:
-        _restore(params, best_state)
-    else:
-        best_epoch = fcfg.epochs
+    epochs_log, best_epoch, best_state = _fit(
+        "finetune", params, fcfg, train_d.entries, np.arange(len(graphs_train)), 1,
+        batch_loss, val_loss)
+    _restore(params, best_state)
 
     test_mae = None
     if len(graphs_test) > 0:

@@ -1,10 +1,10 @@
 """Crystal structure data model, CIF subset parsing, dataset loading, atomic writes.
 
 The CIF reader honours cell parameters, atom_site loops and explicit
-``_symmetry_equiv_pos_as_xyz`` operator lists; everything else in the file
-is ignored.  Structures are stored as a 3x3 lattice matrix (rows are the
-cell vectors a, b, c in angstrom) plus fractional coordinates wrapped into
-[0, 1).
+symmetry operator lists (``_space_group_symop_operation_xyz`` or the older
+``_symmetry_equiv_pos_as_xyz``); everything else in the file is ignored.
+Structures are stored as a 3x3 lattice matrix (rows are the cell vectors
+a, b, c in angstrom) plus fractional coordinates wrapped into [0, 1).
 """
 
 from __future__ import annotations
@@ -345,9 +345,10 @@ def parse_cif(text: str) -> CrystalStructure:
 
     Requires the six cell parameters and an atom_site loop with element
     symbols and fractional coordinates.  When a
-    ``_symmetry_equiv_pos_as_xyz`` loop is present every listed operation
-    is applied to every site and duplicates within ``SYMMETRY_DEDUP_TOL``
-    angstrom (periodic distance) are merged.
+    ``_symmetry_equiv_pos_as_xyz`` or ``_space_group_symop_operation_xyz``
+    loop is present every listed operation is applied to every site and
+    duplicates within ``SYMMETRY_DEDUP_TOL`` angstrom (periodic distance)
+    are merged.
     """
     values, loops = _scan_cif(text)
 
@@ -401,7 +402,7 @@ def parse_cif(text: str) -> CrystalStructure:
 
     sym_ops = None
     for header, rows, _ in loops:
-        for name in ("_symmetry_equiv_pos_as_xyz",):
+        for name in ("_symmetry_equiv_pos_as_xyz", "_space_group_symop_operation_xyz"):
             if name in header:
                 j = header.index(name)
                 sym_ops = [row[j] for row in rows]

@@ -226,6 +226,18 @@ class TestCommands:
         header = (emb / "embeddings.csv").read_text().split("\n")[0]
         assert header == "id,z0,z1,z2,z3,label"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pretrain_stops_on_non_finite_loss(self, toy_dir, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        code = main(["pretrain", "--data-root", str(toy_dir),
+                     "--index-file", str(toy_dir / "index.csv"),
+                     "--out-dir", str(pre), "--set", "pretrain.lr=1e300"]
+                    + tiny_args("pretrain.epochs=3", "pretrain.batch=16",
+                                "pretrain.val_fraction=0"))
+        assert code == 1
+        assert "pretrain epoch 2 batch 1: non-finite loss" in capsys.readouterr().err
+        assert not pre.exists() or not os.listdir(pre)
+
     def test_evaluate_rejects_encoder_checkpoint(self, toy_dir, tmp_path):
         pre = tmp_path / "pre"
         main(["pretrain", "--data-root", str(toy_dir),

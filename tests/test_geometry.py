@@ -1,3 +1,5 @@
+import math
+import re
 import time
 import tracemalloc
 
@@ -317,3 +319,32 @@ class TestDenseKernelAgainstOracle:
         got = canonical_edges(zip(nl.src, nl.dst, nl.image, nl.dist))
         assert [e[:3] for e in got] == [e[:3] for e in expected]
         npt.assert_allclose([e[3] for e in got], [e[3] for e in expected], rtol=0.0, atol=1e-12)
+
+
+class TestImagesPerAxis:
+    def test_exact_ratio(self):
+        # a 4 A cube at an 8 A cutoff: the sphere reaches exactly the second
+        # plane along each axis, so two images each way, not three
+        npt.assert_array_equal(_images_per_axis(4.0 * np.eye(3), 8.0), [2, 2, 2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(triclinic_cells(max_sites=1), st.floats(0.5, 20.0))
+    def test_matches_perpendicular_spacing(self, s, cutoff):
+        # ceil(cutoff / spacing), spacing = volume / |cross product of the
+        # other two cell vectors|; both sides round, so a ratio within
+        # 1e-12 of an integer may land on either side of it
+        counts = _images_per_axis(s.lattice, cutoff)
+        assert counts.dtype == np.int64
+        for n, spacing in zip(counts.tolist(), _spacings(s.lattice)):
+            ratio = cutoff / spacing
+            assert math.ceil(ratio * (1 - 1e-12)) <= n <= math.ceil(ratio * (1 + 1e-12))
+
+    def test_count_beyond_int64_is_rejected(self):
+        # about 8e23 images each way along c do not fit in int64; the check
+        # still counts them and raises before any array is built
+        s = CrystalStructure(lattice=np.diag([1e6, 1e6, 1e-23]), atomic_numbers=[11],
+                             frac_coords=[[0.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateCell) as info:
+            build_neighbor_list(s, NeighborConfig(cutoff=8.0))
+        n_images = int(re.search(r"needs (\d+) periodic images", str(info.value)).group(1))
+        assert n_images > np.iinfo(np.int64).max

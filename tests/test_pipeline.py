@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from xtalssl.augment import AugmentConfig
-from xtalssl.autodiff import Tensor
+from xtalssl.autodiff import Tensor, mul, scale, sum_all
 from xtalssl.featurize import GaussianBasis
 from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
 from xtalssl.loss import BatchTooSmall, LossConfig
@@ -17,11 +17,13 @@ from xtalssl.pipeline import (
     AblationRow,
     FinetuneConfig,
     MissingGradient,
+    NonFiniteLoss,
     PretrainConfig,
     RunReport,
     UnlabeledDataset,
     _INIT,
     _batches,
+    _fit,
     ablation_csv,
     ablation_run,
     ablation_runs_csv,
@@ -470,3 +472,55 @@ class TestErrorsNameTheEntry:
         with pytest.raises(DegenerateCell, match="entry 'bad_cell': cutoff 4.5 needs"):
             export_embeddings(params, data, neighbor=NEIGHBOR, basis=BASIS)
 
+
+def listed_ids(exc) -> list[str]:
+    return str(exc.value).split("on entries ")[1].split(", ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteLoss:
+    # the first step at lr=1e300 moves weights by about 1e300, so with every
+    # training entry in one batch the second epoch's loss is the first to
+    # overflow
+    def test_pretrain_names_the_batch(self, tmp_path):
+        data = gen_toy_dataset(12, seed=3)
+        with pytest.raises(NonFiniteLoss, match=r"^pretrain epoch 2 batch 1: ") as info:
+            pretrain(data, TINY, tiny_pcfg(lr=1e300, batch=16, epochs=3), out_dir=tmp_path)
+        assert sorted(listed_ids(info)) == sorted(e.id for e in data.entries)
+        assert not os.listdir(tmp_path)
+
+    def test_finetune_names_the_batch(self, tmp_path):
+        data = gen_toy_dataset(12, seed=3)
+        with pytest.raises(NonFiniteLoss, match=r"^finetune epoch 2 batch 1: ") as info:
+            finetune(data, TINY, tiny_fcfg(lr=1e300, batch=16, epochs=3, split=(1.0, 0.0, 0.0)),
+                     out_dir=tmp_path)
+        assert sorted(listed_ids(info)) == sorted(e.id for e in data.entries)
+        assert not os.listdir(tmp_path)
+
+    def test_names_a_later_batch(self):
+        data = gen_toy_dataset(12, seed=3)
+        with pytest.raises(NonFiniteLoss, match=r"^pretrain epoch 1 batch 2: ") as info:
+            pretrain(data, TINY, tiny_pcfg(lr=1e300, batch=4, epochs=2))
+        ids = listed_ids(info)
+        assert len(ids) == 4 and set(ids) <= {e.id for e in data.entries}
+
+    def test_validation_loss_is_checked(self):
+        # 7 training entries in one batch, then a validation pass on the
+        # weights that first step left behind
+        data = gen_toy_dataset(12, seed=3)
+        with pytest.raises(NonFiniteLoss, match=r"^finetune epoch 1: validation loss is nan"):
+            finetune(data, TINY, tiny_fcfg(lr=1e300, batch=16, epochs=2))
+
+    def test_gradient_is_checked_when_the_loss_is_finite(self):
+        params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=False)
+        tiny = Tensor(np.full(params.elem_embed.shape, 1e-300))
+        entries = gen_toy_dataset(2, seed=0).entries
+
+        def batch_loss(batch_idx):
+            # finite in value, but d/dw = 1e-300 * 1e300 * 1e300 overflows
+            return scale(scale(sum_all(mul(params.elem_embed, tiny)), 1e300), 1e300)
+
+        with pytest.raises(NonFiniteLoss, match=r"^test epoch 1 batch 1: ") as info:
+            _fit("test", params, tiny_fcfg(batch=2), entries, np.arange(2), 1,
+                 batch_loss, lambda: None)
+        assert sorted(listed_ids(info)) == ["toy_0000", "toy_0001"]

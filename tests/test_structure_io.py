@@ -125,6 +125,26 @@ class TestParseCif:
         assert int((s.atomic_numbers == 11).sum()) == 4
         assert int((s.atomic_numbers == 17).sum()) == 4
 
+    def test_current_and_legacy_symmetry_tags_agree(self):
+        # P-1: the inversion pair turns a 2-site asymmetric unit into 4 sites
+        legacy = CUBIC_NA.replace(
+            "loop_\n_atom_site_label",
+            "loop_\n_symmetry_equiv_pos_as_xyz\n'x, y, z'\n'-x, -y, -z'\n"
+            "loop_\n_atom_site_label",
+        ).replace("Na1 Na 0.0 0.0 0.0", "Na1 Na 0.1 0.2 0.3\nCl1 Cl 0.25 0.1 0.4")
+        current = legacy.replace(
+            "_symmetry_equiv_pos_as_xyz\n'x, y, z'\n'-x, -y, -z'",
+            "_space_group_symop_id\n_space_group_symop_operation_xyz\n"
+            "1 'x, y, z'\n2 '-x, -y, -z'",
+        )
+        assert current != legacy
+        a, b = parse_cif(legacy), parse_cif(current)
+        assert a.n_sites == 4
+        npt.assert_array_equal(b.lattice, a.lattice)
+        npt.assert_array_equal(b.atomic_numbers, a.atomic_numbers)
+        npt.assert_array_equal(b.frac_coords, a.frac_coords)
+        npt.assert_allclose(b.frac_coords[1], [0.9, 0.8, 0.7])
+
     def test_uncertainty_suffix_stripped(self):
         s = parse_cif(CUBIC_NA.replace("_cell_length_a 4.0", "_cell_length_a 4.000(2)"))
         assert s.lattice[0, 0] == pytest.approx(4.0)
