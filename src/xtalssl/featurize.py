@@ -127,22 +127,17 @@ def merge_graphs(graphs: list[CrystalGraph]) -> tuple[CrystalGraph, np.ndarray]:
 # line-based JSON serialization (one graph per line)
 
 
-def graph_to_record(g: CrystalGraph, id: str | None = None) -> dict:
-    record = {
-        "node_elem": g.node_elem.tolist(),
-        "node_mask": g.node_mask.tolist(),
-        "edges": g.edges.tolist(),
-        "edge_feat_dim": int(g.edge_feat.shape[1]),
-        "edge_feat": g.edge_feat.tolist(),
-        "edge_mask": g.edge_mask.tolist(),
-    }
-    if id is not None:
-        record = {"id": id, **record}
-    return record
-
-
 def graph_to_json(g: CrystalGraph, id: str | None = None) -> str:
-    return json.dumps(graph_to_record(g, id=id), separators=(",", ":"))
+    record = {} if id is None else {"id": id}
+    record.update(
+        node_elem=g.node_elem.tolist(),
+        node_mask=g.node_mask.tolist(),
+        edges=g.edges.tolist(),
+        edge_feat_dim=int(g.edge_feat.shape[1]),
+        edge_feat=g.edge_feat.tolist(),
+        edge_mask=g.edge_mask.tolist(),
+    )
+    return json.dumps(record, separators=(",", ":"))
 
 
 def graph_from_json(line: str) -> tuple[CrystalGraph, str | None]:

@@ -13,15 +13,19 @@ graph's encoding never depends on what it is batched with.  Readout is the
 mean over active (unmasked) nodes; a fully masked graph falls back to the
 mean over all of its nodes.
 
-Checkpoints are versioned binary files: a fixed header carrying the model
-configuration followed by named float64 little-endian arrays with shape
-prefixes, so round trips are bit-exact.
+One parameter layout, ``_build``, fixes every tensor's checkpoint name, shape
+and init draw order; ``init_params`` draws through it and checkpoint loads
+read through it, so a loaded array whose shape disagrees with the header's
+configuration is rejected at load, by name.  Checkpoints are versioned
+binary files: a fixed header carrying the model configuration followed by
+named float64 little-endian arrays with shape prefixes, so round trips are
+bit-exact.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -87,93 +91,76 @@ class MLPParams:
 
 @dataclass
 class ModelParams:
+    """Built only by :func:`init_params` and :func:`params_from_arrays`."""
+
     config: ModelConfig
     elem_embed: Tensor
     convs: tuple[ConvParams, ...]
     projector: MLPParams | None
     head: MLPParams | None
+    _named: dict[str, Tensor] = field(init=False, repr=False, compare=False)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        named = [("encoder.elem_embed", self.elem_embed)]
-        for k, conv in enumerate(self.convs):
-            named += [
-                (f"encoder.conv{k}.w_f", conv.w_f),
-                (f"encoder.conv{k}.b_f", conv.b_f),
-                (f"encoder.conv{k}.w_s", conv.w_s),
-                (f"encoder.conv{k}.b_s", conv.b_s),
-            ]
-        for section, mlp in (("projector", self.projector), ("head", self.head)):
-            if mlp is not None:
-                named += [
-                    (f"{section}.w1", mlp.w1),
-                    (f"{section}.b1", mlp.b1),
-                    (f"{section}.w2", mlp.w2),
-                    (f"{section}.b2", mlp.b2),
-                ]
-        return named
+        return list(self._named.items())
 
     def encoder_tensor_names(self) -> list[str]:
-        return [n for n, _ in self.named_tensors() if n.startswith("encoder.")]
+        return [n for n in self._named if n.startswith("encoder.")]
 
     def trainable(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
+        return list(self._named.values())
 
     def zero_grad(self) -> None:
         for t in self.trainable():
             t.zero_grad()
 
 
-def _uniform_param(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> Tensor:
-    limit = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+def _build(cfg: ModelConfig, with_projector: bool, with_head: bool, make) -> ModelParams:
+    """The one parameter layout: checkpoint names, shapes and draw order.
+
+    ``make(name, shape)`` returns each array in the fixed order embedding,
+    each conv's ``w_f, b_f, w_s, b_s``, projector, head; within a section
+    the order and the name suffixes are the dataclass fields.  shape[0] of
+    every 2-d weight is its fan-in.
+    """
+    named: dict[str, Tensor] = {}
+
+    def get(name: str, shape: tuple[int, ...]) -> Tensor:
+        named[name] = Tensor(make(name, shape), requires_grad=True)
+        return named[name]
+
+    def section(cls, prefix: str, *shapes: tuple[int, ...]):
+        return cls(*(get(f"{prefix}.{f.name}", s) for f, s in zip(fields(cls), shapes)))
+
+    h, p, hh = cfg.hidden_dim, cfg.proj_dim, cfg.head_hidden
+    z_dim = 2 * h + cfg.edge_feat_dim
+    params = ModelParams(
+        config=cfg,
+        elem_embed=get("encoder.elem_embed", (MAX_Z, h)),
+        convs=tuple(section(ConvParams, f"encoder.conv{k}", (z_dim, h), (h,), (z_dim, h), (h,))
+                    for k in range(cfg.n_conv)),
+        projector=(section(MLPParams, "projector", (h, p), (p,), (p, p), (p,))
+                   if with_projector else None),
+        head=section(MLPParams, "head", (h, hh), (hh,), (hh, 1), (1,)) if with_head else None,
+    )
+    params._named = named
+    return params
 
 
-def _zero_param(shape: tuple[int, ...]) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def init_params(
-    cfg: ModelConfig,
-    rng: np.random.Generator,
-    with_projector: bool = True,
-    with_head: bool = True,
-) -> ModelParams:
+def init_params(cfg: ModelConfig, rng: np.random.Generator,
+                with_projector: bool = True, with_head: bool = True) -> ModelParams:
     """Draw weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases zero.
 
-    The draw order is fixed (embedding, conv layers, projector, head) so a
-    given rng state always yields the same parameters.
+    The draw order is the layout's (embedding, conv layers, projector, head)
+    so a given rng state always yields the same parameters.
     """
-    h = cfg.hidden_dim
-    z_dim = 2 * h + cfg.edge_feat_dim
-    elem_embed = _uniform_param(rng, MAX_Z, (MAX_Z, h))
-    convs = []
-    for _ in range(cfg.n_conv):
-        convs.append(
-            ConvParams(
-                w_f=_uniform_param(rng, z_dim, (z_dim, h)),
-                b_f=_zero_param((h,)),
-                w_s=_uniform_param(rng, z_dim, (z_dim, h)),
-                b_s=_zero_param((h,)),
-            )
-        )
-    projector = None
-    if with_projector:
-        projector = MLPParams(
-            w1=_uniform_param(rng, h, (h, cfg.proj_dim)),
-            b1=_zero_param((cfg.proj_dim,)),
-            w2=_uniform_param(rng, cfg.proj_dim, (cfg.proj_dim, cfg.proj_dim)),
-            b2=_zero_param((cfg.proj_dim,)),
-        )
-    head = None
-    if with_head:
-        head = MLPParams(
-            w1=_uniform_param(rng, h, (h, cfg.head_hidden)),
-            b1=_zero_param((cfg.head_hidden,)),
-            w2=_uniform_param(rng, cfg.head_hidden, (cfg.head_hidden, 1)),
-            b2=_zero_param((1,)),
-        )
-    return ModelParams(config=cfg, elem_embed=elem_embed, convs=tuple(convs),
-                       projector=projector, head=head)
+
+    def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.zeros(shape)
+        limit = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-limit, limit, size=shape)
+
+    return _build(cfg, with_projector, with_head, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -273,81 +260,63 @@ def save_checkpoint(path, params: ModelParams, extra: dict[str, np.ndarray] | No
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         blob = fh.read()
+    pos = 0
 
-    def take(n: int, offset: int) -> tuple[bytes, int]:
-        if offset + n > len(blob):
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
             raise CorruptCheckpoint(f"{path}: truncated checkpoint")
-        return blob[offset:offset + n], offset + n
+        pos += n
+        return blob[pos - n:pos]
 
-    raw, pos = take(4, 0)
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    raw = take(4)
     if raw != _MAGIC:
         raise CorruptCheckpoint(f"{path}: bad magic {raw!r}")
-    raw, pos = take(4, pos)
-    version = struct.unpack("<I", raw)[0]
+    (version,) = unpack("<I")
     if version != _VERSION:
         raise CorruptCheckpoint(f"{path}: unsupported version {version}")
-    raw, pos = take(20, pos)
-    cfg = ModelConfig(**dict(zip(_CONFIG_FIELDS, struct.unpack("<5I", raw))))
-    raw, pos = take(4, pos)
-    n_arrays = struct.unpack("<I", raw)[0]
+    cfg = ModelConfig(**dict(zip(_CONFIG_FIELDS, unpack("<5I"))))
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        raw, pos = take(2, pos)
-        name_len = struct.unpack("<H", raw)[0]
-        raw, pos = take(name_len, pos)
-        name = raw.decode("utf-8")
-        raw, pos = take(1, pos)
-        ndim = struct.unpack("<B", raw)[0]
-        raw, pos = take(8 * ndim, pos)
-        shape = struct.unpack(f"<{ndim}Q", raw)
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        raw, pos = take(8 * count, pos)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    for _ in range(unpack("<I")[0]):
+        name = take(unpack("<H")[0]).decode("utf-8")
+        shape = unpack(f"<{unpack('<B')[0]}Q")
+        count = int(np.prod(shape, dtype=np.int64))
+        arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
     if pos != len(blob):
         raise CorruptCheckpoint(f"{path}: trailing bytes after array table")
     return cfg, arrays
 
 
+def _checked(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...],
+             mismatch: type[ValueError]) -> np.ndarray:
+    """``arrays[name]`` as float64: CorruptCheckpoint if missing, ``mismatch`` if misshapen."""
+    if name not in arrays:
+        raise CorruptCheckpoint(f"checkpoint missing array {name!r}")
+    source = np.asarray(arrays[name], dtype=np.float64)
+    if source.shape != shape:
+        raise mismatch(f"checkpoint array {name!r} has shape {source.shape}, expected {shape}")
+    return source
+
+
 def params_from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray],
                        with_projector: bool, with_head: bool) -> ModelParams:
-    """Rebuild trainable params from a checkpoint's array table."""
-
-    def grab(name: str) -> Tensor:
-        if name not in arrays:
-            raise CorruptCheckpoint(f"checkpoint missing array {name!r}")
-        return Tensor(arrays[name], requires_grad=True)
-
-    convs = tuple(
-        ConvParams(w_f=grab(f"encoder.conv{k}.w_f"), b_f=grab(f"encoder.conv{k}.b_f"),
-                   w_s=grab(f"encoder.conv{k}.w_s"), b_s=grab(f"encoder.conv{k}.b_s"))
-        for k in range(cfg.n_conv)
-    )
-    projector = head = None
-    if with_projector:
-        projector = MLPParams(w1=grab("projector.w1"), b1=grab("projector.b1"),
-                              w2=grab("projector.w2"), b2=grab("projector.b2"))
-    if with_head:
-        head = MLPParams(w1=grab("head.w1"), b1=grab("head.b1"),
-                         w2=grab("head.w2"), b2=grab("head.b2"))
-    return ModelParams(config=cfg, elem_embed=grab("encoder.elem_embed"),
-                       convs=convs, projector=projector, head=head)
+    """Rebuild trainable params from a checkpoint's array table, shape-checked against ``cfg``."""
+    return _build(cfg, with_projector, with_head,
+                  lambda name, shape: _checked(arrays, name, shape, CorruptCheckpoint))
 
 
 def check_encoder_compatible(cfg: ModelConfig, other: ModelConfig) -> None:
-    for field in ("hidden_dim", "n_conv", "edge_feat_dim"):
-        if getattr(cfg, field) != getattr(other, field):
+    for name in ("hidden_dim", "n_conv", "edge_feat_dim"):
+        if getattr(cfg, name) != getattr(other, name):
             raise ConfigMismatch(
-                f"{field} differs: {getattr(cfg, field)} vs {getattr(other, field)}")
+                f"{name} differs: {getattr(cfg, name)} vs {getattr(other, name)}")
 
 
 def load_encoder_weights(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
     """Overwrite encoder tensors in place with checkpoint values (bitwise)."""
-    for name, tensor in params.named_tensors():
-        if not name.startswith("encoder."):
-            continue
-        if name not in arrays:
-            raise CorruptCheckpoint(f"checkpoint missing array {name!r}")
-        source = np.asarray(arrays[name], dtype=np.float64)
-        if source.shape != tensor.data.shape:
-            raise ConfigMismatch(f"{name} shape {source.shape} != {tensor.data.shape}")
-        tensor.data = np.ascontiguousarray(source)
+    for name in params.encoder_tensor_names():
+        tensor = params._named[name]
+        tensor.data = np.ascontiguousarray(_checked(arrays, name, tensor.shape, ConfigMismatch))

@@ -221,7 +221,10 @@ def _fit(stage: str, params: ModelParams, tcfg: PretrainConfig | FinetuneConfig,
     (None without validation data).  Returns the epoch log, the
     best-validation epoch and its weights, or the last epoch and its
     weights when no epoch was validated.  A non-finite loss or gradient
-    raises NonFiniteLoss before the step that would apply it.
+    raises NonFiniteLoss before the step that would apply it.  Those checks
+    report a divergence, so numpy's floating-point warnings are off while
+    losses and gradients are computed; the Adam step, whose result nothing
+    checks, keeps them.
     """
     adam = Adam(params.trainable(), tcfg.lr)
     shuffle_rng = rng_for(tcfg.seed, _SHUFFLE)
@@ -233,7 +236,7 @@ def _fit(stage: str, params: ModelParams, tcfg: PretrainConfig | FinetuneConfig,
         batch_losses = []
         for number, batch_idx in enumerate(_batches(order, tcfg.batch, drop_below), start=1):
             params.zero_grad()
-            with Tape() as tape:
+            with Tape() as tape, np.errstate(all="ignore"):
                 loss = batch_loss(batch_idx)
                 tape.backward(loss)
             if not (np.isfinite(loss.data).all()
@@ -248,7 +251,8 @@ def _fit(stage: str, params: ModelParams, tcfg: PretrainConfig | FinetuneConfig,
             raise BatchTooSmall(f"training split yields no batch of size >= {drop_below}")
         train_loss = float(np.mean(batch_losses))
 
-        val = val_loss()
+        with np.errstate(all="ignore"):
+            val = val_loss()
         if val is not None and not np.isfinite(val):
             raise NonFiniteLoss(f"{stage} epoch {epoch}: validation loss is {val}")
         if val is not None and val < best_val:

@@ -3,6 +3,8 @@
 The CIF reader honours cell parameters, atom_site loops and explicit
 symmetry operator lists (``_space_group_symop_operation_xyz`` or the older
 ``_symmetry_equiv_pos_as_xyz``); everything else in the file is ignored.
+A ``;``-delimited text field is one value, and a tag's value may sit on a
+later line.
 Structures are stored as a 3x3 lattice matrix (rows are the cell vectors
 a, b, c in angstrom) plus fractional coordinates wrapped into [0, 1).
 """
@@ -177,29 +179,32 @@ def _parse_float(token: str, tag: str) -> float:
     return value
 
 
-def _tokenize_line(line: str) -> list[str]:
-    """Split a CIF data line into values, honouring single/double quotes."""
-    tokens = []
+# a quoted value runs to the same quote or the end of the line; a bare one to whitespace
+_CIF_TOKEN = re.compile(r"""(['"])(.*?)(?:\1|$)|(\S+)""")
+
+
+def _cif_tokens(text: str):
+    """Yield (value, line_no, bare) for each CIF token.
+
+    A ``;``-delimited text field (``;`` in column 0 opens and closes it) is
+    one token; it and quoted values are never bare, so nothing in them
+    reads as a tag or a keyword.  ``#`` starts a comment outside text fields.
+    """
+    lines = text.splitlines()
     i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
+    while i < len(lines):
+        if lines[i].startswith(";"):
+            start = i
             i += 1
-            continue
-        if ch in "'\"":
-            j = line.find(ch, i + 1)
-            if j < 0:
-                j = n
-            tokens.append(line[i + 1 : j])
-            i = j + 1
+            while i < len(lines) and not lines[i].startswith(";"):
+                i += 1
+            if i == len(lines):
+                raise CifParseError(f"text field opened on line {start + 1} is never closed")
+            yield "\n".join([lines[start][1:], *lines[start + 1:i]]).strip(), start + 1, False
         else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            tokens.append(line[i:j])
-            i = j
-    return tokens
+            for m in _CIF_TOKEN.finditer(lines[i].split("#", 1)[0]):
+                yield m.group(3) or m.group(2), i + 1, m.group(3) is not None
+        i += 1
 
 
 def _element_from_symbol(raw: str, line_no: int) -> int:
@@ -287,56 +292,40 @@ def _lattice_from_parameters(a, b, c, alpha, beta, gamma) -> np.ndarray:
 
 
 def _scan_cif(text: str):
-    """One pass over the file: tag/value pairs plus all loops.
+    """One pass over the tokens: tag/value pairs plus all loops.
 
-    Returns (values, loops) where loops is a list of (header_tags,
-    rows, first_line_no).
+    A tag takes the next token as its value, on its own line or a later
+    one, unless that token is a tag or keyword.  Returns (values, loops)
+    where loops is a list of (header_tags, rows, loop_line_no).
     """
+    tokens = list(_cif_tokens(text))
+
+    def keyword(k: int) -> bool:
+        value, _, bare = tokens[k]
+        lowered = value.lower()
+        return bare and (value.startswith("_") or lowered == "loop_" or lowered.startswith("data_"))
+
     values: dict[str, str] = {}
     loops: list[tuple[list[str], list[list[str]], int]] = []
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-    while i < n:
-        raw = lines[i]
-        line = raw.split("#", 1)[0].strip() if not raw.lstrip().startswith(";") else raw.strip()
-        if not line:
-            i += 1
-            continue
-        if line.lower() == "loop_":
+    k = 0
+    while k < len(tokens):
+        value, line_no, bare = tokens[k]
+        k += 1
+        if bare and value.lower() == "loop_":
             header: list[str] = []
-            first_line = i + 1
-            i += 1
-            while i < n:
-                t = lines[i].split("#", 1)[0].strip()
-                if t.startswith("_"):
-                    header.append(t.split()[0].lower())
-                    i += 1
-                else:
-                    break
-            rows: list[list[str]] = []
-            pending: list[str] = []
-            while i < n:
-                t = lines[i].split("#", 1)[0].strip()
-                if not t:
-                    i += 1
-                    continue
-                if t.startswith("_") or t.lower() == "loop_" or t.lower().startswith("data_"):
-                    break
-                pending.extend(_tokenize_line(t))
-                while len(pending) >= len(header) and header:
-                    rows.append(pending[: len(header)])
-                    pending = pending[len(header) :]
-                i += 1
-            loops.append((header, rows, first_line))
-        elif line.startswith("_"):
-            tokens = _tokenize_line(line)
-            tag = tokens[0].lower()
-            if len(tokens) >= 2:
-                values[tag] = tokens[1]
-            i += 1
-        else:
-            i += 1
+            while k < len(tokens) and tokens[k][2] and tokens[k][0].startswith("_"):
+                header.append(tokens[k][0].lower())
+                k += 1
+            body: list[str] = []
+            while k < len(tokens) and not keyword(k):
+                body.append(tokens[k][0])
+                k += 1
+            width = len(header)
+            rows = [body[j:j + width] for j in range(0, len(body) - width + 1, width)] if width else []
+            loops.append((header, rows, line_no))
+        elif bare and value.startswith("_") and k < len(tokens) and not keyword(k):
+            values[value.lower()] = tokens[k][0]
+            k += 1
     return values, loops
 
 

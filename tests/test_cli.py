@@ -12,6 +12,7 @@ from xtalssl.cli import (
     main,
     parse_config_text,
 )
+from xtalssl.model import init_params, save_checkpoint
 from xtalssl.structure_io import CrystalStructure, load_dataset, structure_to_cif
 from xtalssl.toydata import gen_toy_dataset
 
@@ -251,6 +252,16 @@ class TestCommands:
                      "--checkpoint", str(pre / "pretrain_final.ckpt")]
                     + tiny_args())
         assert code == 1
+
+    def test_embed_names_a_misshapen_array(self, toy_dir, tmp_path, capsys):
+        mcfg = build_run_config(dict(s.split("=") for s in TINY_SETTINGS)).model
+        params = init_params(mcfg, np.random.default_rng(0), with_head=False)
+        params.convs[0].b_f.data = np.zeros(7)
+        save_checkpoint(tmp_path / "bad.ckpt", params)
+        code = main(["embed", "--data-root", str(toy_dir), "--out-dir", str(tmp_path / "emb"),
+                     "--checkpoint", str(tmp_path / "bad.ckpt")] + tiny_args())
+        assert code == 1
+        assert "'encoder.conv0.b_f' has shape (7,), expected (4,)" in capsys.readouterr().err
 
     def test_evaluate_rejects_basis_mismatch(self, toy_dir, tmp_path):
         pre = tmp_path / "pre"

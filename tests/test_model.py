@@ -134,6 +134,31 @@ class TestInitParams:
         assert names[-4:] == ["head.w1", "head.b1", "head.w2", "head.b2"]
         assert p.encoder_tensor_names() == names[:9]
 
+    def test_layout_names_shapes_and_draws(self):
+        # the checkpoint layout, written out: changing it breaks every saved model
+        z = 2 * 5 + 41
+        layout = [
+            ("encoder.elem_embed", (100, 5)),
+            ("encoder.conv0.w_f", (z, 5)), ("encoder.conv0.b_f", (5,)),
+            ("encoder.conv0.w_s", (z, 5)), ("encoder.conv0.b_s", (5,)),
+            ("encoder.conv1.w_f", (z, 5)), ("encoder.conv1.b_f", (5,)),
+            ("encoder.conv1.w_s", (z, 5)), ("encoder.conv1.b_s", (5,)),
+            ("projector.w1", (5, 4)), ("projector.b1", (4,)),
+            ("projector.w2", (4, 4)), ("projector.b2", (4,)),
+            ("head.w1", (5, 3)), ("head.b1", (3,)),
+            ("head.w2", (3, 1)), ("head.b2", (1,)),
+        ]
+        p = init_params(SMALL, np.random.default_rng(7))
+        assert [(n, t.shape) for n, t in p.named_tensors()] == layout
+        rng = np.random.default_rng(7)
+        for (name, shape), (_, t) in zip(layout, p.named_tensors()):
+            if len(shape) == 1:
+                want = np.zeros(shape)
+            else:
+                limit = 1.0 / np.sqrt(shape[0])  # fan-in
+                want = rng.uniform(-limit, limit, size=shape)
+            npt.assert_array_equal(t.data, want, err_msg=name)
+
 
 class TestConvLayer:
     def test_zero_weight_additive_constant(self):
@@ -346,6 +371,16 @@ class TestCheckpoints:
         assert not any(name.startswith("head.") for name in arrays)
         with pytest.raises(CorruptCheckpoint):
             params_from_arrays(SMALL, arrays, with_projector=True, with_head=True)
+
+    def test_misshapen_array_is_rejected_at_load(self, tmp_path):
+        p = init_params(SMALL, np.random.default_rng(49))
+        p.convs[1].b_f.data = np.zeros(7)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, p)
+        cfg, arrays = load_checkpoint(path)
+        with pytest.raises(CorruptCheckpoint,
+                           match=r"'encoder\.conv1\.b_f' has shape \(7,\), expected \(5,\)"):
+            params_from_arrays(cfg, arrays, with_projector=True, with_head=True)
 
     def test_bad_magic(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(45))

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -510,6 +511,16 @@ class TestNonFiniteLoss:
         data = gen_toy_dataset(12, seed=3)
         with pytest.raises(NonFiniteLoss, match=r"^finetune epoch 1: validation loss is nan"):
             finetune(data, TINY, tiny_fcfg(lr=1e300, batch=16, epochs=2))
+
+    def test_diverging_runs_raise_no_numpy_warning(self):
+        # the class filter ignores RuntimeWarning; here every warning is an error
+        data = gen_toy_dataset(12, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLoss, match=r"^pretrain epoch 1 batch 2: "):
+                pretrain(data, TINY, tiny_pcfg(lr=1e300, batch=4, epochs=2))
+            with pytest.raises(NonFiniteLoss, match=r"^finetune epoch 1: validation loss"):
+                finetune(data, TINY, tiny_fcfg(lr=1e300, batch=16, epochs=2))
 
     def test_gradient_is_checked_when_the_loss_is_finite(self):
         params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=False)

@@ -67,6 +67,12 @@ Cl1 Cl 0.5 0.5 0.5
 """
 
 
+def assert_same_structure(a, b):
+    npt.assert_array_equal(a.lattice, b.lattice)
+    npt.assert_array_equal(a.atomic_numbers, b.atomic_numbers)
+    npt.assert_array_equal(a.frac_coords, b.frac_coords)
+
+
 class TestCrystalStructure:
     def test_wraps_and_validates(self):
         s = CrystalStructure(lattice=np.eye(3) * 2, atomic_numbers=[11],
@@ -144,6 +150,26 @@ class TestParseCif:
         npt.assert_array_equal(b.atomic_numbers, a.atomic_numbers)
         npt.assert_array_equal(b.frac_coords, a.frac_coords)
         npt.assert_allclose(b.frac_coords[1], [0.9, 0.8, 0.7])
+
+    @pytest.mark.parametrize("body", ["_cell_length_a 5.0 is not a tag here",
+                                      "loop_\n_atom_site_fract_x\ndata_other"],
+                             ids=["tag", "keywords"])
+    def test_text_field_is_one_value(self, body):
+        # nothing inside a ;-delimited field is a tag, loop_ or data_
+        text = CUBIC_NA.replace(
+            "loop_\n_atom_site_label",
+            f"_publ_section_comment\n;\nText fields may hold anything:\n{body}\n;\n"
+            "loop_\n_atom_site_label")
+        assert_same_structure(parse_cif(text), parse_cif(CUBIC_NA))
+
+    def test_value_on_a_later_line(self):
+        text = (CUBIC_NA.replace("_cell_length_a 4.0", "_cell_length_a\n4.0")
+                .replace("_cell_length_b 4.0", "_cell_length_b\n# comment\n\n;\n4.0\n;"))
+        assert_same_structure(parse_cif(text), parse_cif(CUBIC_NA))
+
+    def test_unclosed_text_field(self):
+        with pytest.raises(CifParseError, match="line 9"):
+            parse_cif(CUBIC_NA.replace("loop_", ";\nloop_"))
 
     def test_uncertainty_suffix_stripped(self):
         s = parse_cif(CUBIC_NA.replace("_cell_length_a 4.0", "_cell_length_a 4.000(2)"))
