@@ -29,6 +29,7 @@ from .model import (
     CorruptCheckpoint,
     ModelConfig,
     load_checkpoint,
+    naming_checkpoint,
     params_from_arrays,
 )
 from .pipeline import (
@@ -235,15 +236,17 @@ def _write(path: str, content: str) -> None:
 
 
 def _load_model_for_inference(cfg: RunConfig, need_head: bool):
-    ck_cfg, arrays = load_checkpoint(_require(cfg, "checkpoint"))
+    path = _require(cfg, "checkpoint")
+    ck_cfg, arrays = load_checkpoint(path)
     if ck_cfg.edge_feat_dim != cfg.basis.n_centers:
         raise ConfigMismatch(
             f"checkpoint edge_feat_dim {ck_cfg.edge_feat_dim} != basis n_centers {cfg.basis.n_centers}")
     has_head = "head.w1" in arrays
     if need_head and (not has_head or "label_mean" not in arrays):
         raise CorruptCheckpoint("not a fine-tuned model checkpoint (missing head or label stats)")
-    params = params_from_arrays(ck_cfg, arrays,
-                                with_projector="projector.w1" in arrays, with_head=has_head)
+    with naming_checkpoint(path):
+        params = params_from_arrays(ck_cfg, arrays,
+                                    with_projector="projector.w1" in arrays, with_head=has_head)
     return params, arrays
 
 

@@ -1,9 +1,14 @@
-"""Crystal graph construction: element-indexed nodes, Gaussian-expanded edges."""
+"""Crystal graph construction: element-indexed nodes, edges carrying distances.
+
+A graph stores each edge's distance and the Gaussian basis; the (E, K)
+edge features are expanded from them on demand (``CrystalGraph.edge_feat``),
+once per merged batch in the encoder.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -21,6 +26,8 @@ class GaussianBasis:
     var: float = 0.04  # step**2 for the default grid
 
     def __post_init__(self):
+        if not np.isfinite([self.d_min, self.d_max, self.step, self.var]).all():
+            raise ValueError("basis parameters must be finite")
         if not self.d_min < self.d_max:
             raise ValueError("require d_min < d_max")
         if self.step <= 0 or self.var <= 0:
@@ -37,19 +44,29 @@ class GaussianBasis:
         return self.d_min + self.step * np.arange(self.n_centers, dtype=np.float64)
 
 
+class GraphFormatError(ValueError):
+    """A graphs.jsonl line that does not hold a valid graph."""
+
+
 @dataclass(frozen=True)
 class CrystalGraph:
     """Directed crystal graph with mask vectors for augmentation.
 
-    Masks multiply features downstream (0 = feature row reads as zero),
-    so topology is stable across augmentations.
+    Each edge carries its length ``dist``; ``edge_feat`` expands those
+    lengths in ``basis`` each time it is read, so a graph holds E floats per
+    edge list rather than E * K.  Masks multiply features downstream
+    (0 = feature row reads as zero), so topology is stable across
+    augmentations.  Only shapes and edge endpoints are checked here; mask
+    values are checked where masks come in (``with_node_mask``,
+    ``with_edge_mask``, ``graph_from_json``), not on every merge or copy.
     """
 
     node_elem: np.ndarray  # (N,) int64 atomic numbers
     node_mask: np.ndarray  # (N,) int8, 1 = active
     edges: np.ndarray  # (E, 2) int64 (src, dst)
-    edge_feat: np.ndarray  # (E, K) float64
+    dist: np.ndarray  # (E,) float64 edge lengths, angstrom
     edge_mask: np.ndarray  # (E,) int8
+    basis: GaussianBasis
 
     def __post_init__(self):
         n = self.node_elem.shape[0]
@@ -58,11 +75,8 @@ class CrystalGraph:
             raise ValueError("edge endpoints out of range")
         if self.node_mask.shape != (n,):
             raise ValueError("node_mask must have one entry per node")
-        if self.edge_mask.shape != (e,) or self.edge_feat.shape[0] != e:
+        if self.edge_mask.shape != (e,) or self.dist.shape != (e,):
             raise ValueError("edge arrays must agree on edge count")
-        for mask in (self.node_mask, self.edge_mask):
-            if not ((mask == 0) | (mask == 1)).all():
-                raise ValueError("masks must be {0,1}-valued")
 
     @property
     def n_nodes(self) -> int:
@@ -72,6 +86,11 @@ class CrystalGraph:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
+    @property
+    def edge_feat(self) -> np.ndarray:
+        """(E, K) Gaussian features of the edge distances, computed on each read."""
+        return gaussian_expand(self.dist, self.basis)
+
 
 def gaussian_expand(dist, basis: GaussianBasis) -> np.ndarray:
     """exp(-(d - mu_k)^2 / var) in (0, 1] for each distance: (...,) -> (..., K)."""
@@ -80,47 +99,53 @@ def gaussian_expand(dist, basis: GaussianBasis) -> np.ndarray:
 
 
 def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = GaussianBasis()) -> CrystalGraph:
-    """Graph with one node per site and one directed edge per neighbor entry."""
+    """Graph with one node per site and one directed edge per neighbor entry.
+
+    Both masks start all-ones, so they need no value check here.
+    """
     return CrystalGraph(
         node_elem=s.atomic_numbers.copy(),
         node_mask=np.ones(s.n_sites, dtype=np.int8),
         edges=np.stack([nl.src, nl.dst], axis=1).astype(np.int64),
-        edge_feat=gaussian_expand(nl.dist, basis),
+        dist=nl.dist,
         edge_mask=np.ones(nl.n_edges, dtype=np.int8),
+        basis=basis,
     )
 
 
+def _checked_mask(mask, name: str) -> np.ndarray:
+    mask = np.asarray(mask)
+    if not ((mask == 0) | (mask == 1)).all():
+        raise ValueError(f"{name} must be {{0,1}}-valued")
+    return mask.astype(np.int8, copy=False)
+
+
 def with_node_mask(g: CrystalGraph, node_mask: np.ndarray) -> CrystalGraph:
-    return replace(g, node_mask=np.asarray(node_mask, dtype=np.int8))
+    return replace(g, node_mask=_checked_mask(node_mask, "node_mask"))
 
 
 def with_edge_mask(g: CrystalGraph, edge_mask: np.ndarray) -> CrystalGraph:
-    return replace(g, edge_mask=np.asarray(edge_mask, dtype=np.int8))
+    return replace(g, edge_mask=_checked_mask(edge_mask, "edge_mask"))
 
 
 def merge_graphs(graphs: list[CrystalGraph]) -> tuple[CrystalGraph, np.ndarray]:
     """Concatenate graphs into one, returning node-to-graph segment ids."""
     if not graphs:
         raise ValueError("cannot merge zero graphs")
-    node_elem, node_mask, edges, edge_feat, edge_mask, seg = [], [], [], [], [], []
-    offset = 0
-    for gi, g in enumerate(graphs):
-        node_elem.append(g.node_elem)
-        node_mask.append(g.node_mask)
-        edges.append(g.edges + offset)
-        edge_feat.append(g.edge_feat)
-        edge_mask.append(g.edge_mask)
-        seg.append(np.full(g.n_nodes, gi, dtype=np.int64))
-        offset += g.n_nodes
-    k = graphs[0].edge_feat.shape[1]
+    basis = graphs[0].basis
+    if any(g.basis != basis for g in graphs):
+        raise ValueError("cannot merge graphs expanded in different bases")
+    offsets = np.cumsum([0] + [g.n_nodes for g in graphs[:-1]])
     merged = CrystalGraph(
-        node_elem=np.concatenate(node_elem),
-        node_mask=np.concatenate(node_mask),
-        edges=np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64),
-        edge_feat=np.concatenate(edge_feat) if edge_feat else np.zeros((0, k)),
-        edge_mask=np.concatenate(edge_mask),
+        node_elem=np.concatenate([g.node_elem for g in graphs]),
+        node_mask=np.concatenate([g.node_mask for g in graphs]),
+        edges=np.concatenate([g.edges + off for g, off in zip(graphs, offsets)]),
+        dist=np.concatenate([g.dist for g in graphs]),
+        edge_mask=np.concatenate([g.edge_mask for g in graphs]),
+        basis=basis,
     )
-    return merged, np.concatenate(seg)
+    seg = np.repeat(np.arange(len(graphs), dtype=np.int64), [g.n_nodes for g in graphs])
+    return merged, seg
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +153,36 @@ def merge_graphs(graphs: list[CrystalGraph]) -> tuple[CrystalGraph, np.ndarray]:
 
 
 def graph_to_json(g: CrystalGraph, id: str | None = None) -> str:
+    """One JSON line: ``id`` (if given), node and edge arrays, ``dist`` and ``basis``."""
     record = {} if id is None else {"id": id}
     record.update(
         node_elem=g.node_elem.tolist(),
         node_mask=g.node_mask.tolist(),
         edges=g.edges.tolist(),
-        edge_feat_dim=int(g.edge_feat.shape[1]),
-        edge_feat=g.edge_feat.tolist(),
+        dist=g.dist.tolist(),
+        basis=asdict(g.basis),
         edge_mask=g.edge_mask.tolist(),
     )
     return json.dumps(record, separators=(",", ":"))
 
 
 def graph_from_json(line: str) -> tuple[CrystalGraph, str | None]:
+    """Inverse of ``graph_to_json``: the graph (bit for bit) and its id, or None."""
     record = json.loads(line)
+    if "edge_feat" in record and "dist" not in record:
+        raise GraphFormatError("graph line has edge_feat and no dist: this is the old "
+                               "graphs.jsonl format; run featurize again to rewrite it")
     n_edges = len(record["edges"])
-    k = int(record["edge_feat_dim"])
+    dist = np.array(record["dist"], dtype=np.float64)
+    if dist.shape != (n_edges,) or not (np.isfinite(dist) & (dist >= 0)).all():
+        raise GraphFormatError("dist must hold one finite, nonnegative length per edge")
     graph = CrystalGraph(
         node_elem=np.array(record["node_elem"], dtype=np.int64),
-        node_mask=np.array(record["node_mask"], dtype=np.int8),
+        node_mask=_checked_mask(record["node_mask"], "node_mask"),
         edges=np.array(record["edges"], dtype=np.int64).reshape(n_edges, 2),
-        edge_feat=np.array(record["edge_feat"], dtype=np.float64).reshape(n_edges, k),
-        edge_mask=np.array(record["edge_mask"], dtype=np.int8),
+        dist=dist,
+        edge_mask=_checked_mask(record["edge_mask"], "edge_mask"),
+        basis=GaussianBasis(**{f.name: float(record["basis"][f.name])
+                               for f in fields(GaussianBasis)}),
     )
     return graph, record.get("id")

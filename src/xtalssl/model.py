@@ -24,6 +24,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -203,7 +204,7 @@ def encode(params: ModelParams, graph: CrystalGraph,
         seg = np.asarray(seg, dtype=np.int64)
         if seg.shape != (n,):
             raise ShapeMismatch(f"segment ids must have shape ({n},)")
-    edge_feat = Tensor(graph.edge_feat)
+    edge_feat = Tensor(graph.edge_feat)  # the batch's one Gaussian expansion
     h = scale_rows(gather_rows(params.elem_embed, graph.node_elem - 1),
                    graph.node_mask.astype(np.float64))
     for conv in params.convs:
@@ -313,6 +314,15 @@ def check_encoder_compatible(cfg: ModelConfig, other: ModelConfig) -> None:
         if getattr(cfg, name) != getattr(other, name):
             raise ConfigMismatch(
                 f"{name} differs: {getattr(cfg, name)} vs {getattr(other, name)}")
+
+
+@contextlib.contextmanager
+def naming_checkpoint(path):
+    """Re-raise a checkpoint array or config error with the checkpoint's path in front."""
+    try:
+        yield
+    except (CorruptCheckpoint, ConfigMismatch) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_encoder_weights(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:

@@ -34,6 +34,7 @@ from .model import (
     init_params,
     load_checkpoint,
     load_encoder_weights,
+    naming_checkpoint,
     project,
     regress,
     save_checkpoint,
@@ -372,8 +373,9 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     params = init_params(mcfg, rng_for(fcfg.seed, _INIT), with_projector=False, with_head=True)
     if fcfg.init_checkpoint is not None:
         ck_cfg, arrays = load_checkpoint(fcfg.init_checkpoint)
-        check_encoder_compatible(mcfg, ck_cfg)
-        load_encoder_weights(params, arrays)
+        with naming_checkpoint(fcfg.init_checkpoint):
+            check_encoder_compatible(mcfg, ck_cfg)
+            load_encoder_weights(params, arrays)
 
     def batch_loss(batch_idx):
         merged, seg = merge_graphs([graphs_train[i] for i in batch_idx])

@@ -296,7 +296,9 @@ def _scan_cif(text: str):
 
     A tag takes the next token as its value, on its own line or a later
     one, unless that token is a tag or keyword.  Returns (values, loops)
-    where loops is a list of (header_tags, rows, loop_line_no).
+    where loops is a list of (header_tags, rows, loop_line_no).  When a
+    loop's value count is not a multiple of its tag count its last row is
+    short; ``_check_rows`` rejects that in the loops the parser reads.
     """
     tokens = list(_cif_tokens(text))
 
@@ -321,12 +323,20 @@ def _scan_cif(text: str):
                 body.append(tokens[k][0])
                 k += 1
             width = len(header)
-            rows = [body[j:j + width] for j in range(0, len(body) - width + 1, width)] if width else []
+            rows = [body[j:j + width] for j in range(0, len(body), width)] if width else []
             loops.append((header, rows, line_no))
         elif bare and value.startswith("_") and k < len(tokens) and not keyword(k):
             values[value.lower()] = tokens[k][0]
             k += 1
     return values, loops
+
+
+def _check_rows(header: list[str], rows: list[list[str]], line_no: int) -> None:
+    """Reject a loop whose last row lacks values (a missing coordinate, say)."""
+    if rows and len(rows[-1]) != len(header):
+        n_values = len(header) * (len(rows) - 1) + len(rows[-1])
+        raise CifParseError(f"loop on line {line_no} has {n_values} values, "
+                            f"not a multiple of its {len(header)} tags")
 
 
 def parse_cif(text: str) -> CrystalStructure:
@@ -358,6 +368,7 @@ def parse_cif(text: str) -> CrystalStructure:
     if atom_loop is None:
         raise MissingAtomLoop("no atom_site loop with fractional coordinates found")
     header, rows = atom_loop
+    _check_rows(header, rows, atom_line)
 
     def col(name: str) -> int | None:
         return header.index(name) if name in header else None
@@ -390,9 +401,10 @@ def parse_cif(text: str) -> CrystalStructure:
     fracs = wrap_frac(np.array(fracs, dtype=np.float64))
 
     sym_ops = None
-    for header, rows, _ in loops:
+    for header, rows, line_no in loops:
         for name in ("_symmetry_equiv_pos_as_xyz", "_space_group_symop_operation_xyz"):
             if name in header:
+                _check_rows(header, rows, line_no)
                 j = header.index(name)
                 sym_ops = [row[j] for row in rows]
         if sym_ops is not None:

@@ -162,7 +162,7 @@ def test_c04_neighbor_lists_match_supercell_oracle():
     assert images == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)}
 
 
-def _synthetic_graph(n_nodes, n_edges, k=4):
+def _synthetic_graph(n_nodes, n_edges):
     rng = np.random.default_rng(n_nodes * 1000 + n_edges)
     if n_edges:
         edges = rng.integers(0, n_nodes, size=(n_edges, 2)).astype(np.int64)
@@ -172,8 +172,9 @@ def _synthetic_graph(n_nodes, n_edges, k=4):
         node_elem=np.full(n_nodes, 6, dtype=np.int64),
         node_mask=np.ones(n_nodes, dtype=np.int8),
         edges=edges,
-        edge_feat=rng.uniform(size=(n_edges, k)),
+        dist=rng.uniform(1.0, 4.0, size=n_edges),
         edge_mask=np.ones(n_edges, dtype=np.int8),
+        basis=TINY_BASIS,
     )
 
 

@@ -261,7 +261,9 @@ class TestCommands:
         code = main(["embed", "--data-root", str(toy_dir), "--out-dir", str(tmp_path / "emb"),
                      "--checkpoint", str(tmp_path / "bad.ckpt")] + tiny_args())
         assert code == 1
-        assert "'encoder.conv0.b_f' has shape (7,), expected (4,)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'encoder.conv0.b_f' has shape (7,), expected (4,)" in err
+        assert "bad.ckpt: checkpoint array" in err
 
     def test_evaluate_rejects_basis_mismatch(self, toy_dir, tmp_path):
         pre = tmp_path / "pre"

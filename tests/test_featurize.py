@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from xtalssl.featurize import (
     CrystalGraph,
     GaussianBasis,
+    GraphFormatError,
     build_graph,
     gaussian_expand,
     graph_from_json,
@@ -34,6 +37,9 @@ class TestGaussianBasis:
             GaussianBasis(step=0.0)
         with pytest.raises(ValueError):
             GaussianBasis(var=-1.0)
+        for bad in ({"step": np.nan}, {"var": np.nan}, {"d_max": np.inf}):
+            with pytest.raises(ValueError):
+                GaussianBasis(**bad)
 
 
 class TestGaussianExpand:
@@ -69,6 +75,15 @@ def rock_salt(a=5.64):
     return CrystalStructure(lattice=a * np.eye(3), atomic_numbers=z, frac_coords=fr)
 
 
+def skewed_graph(seed, n=6, basis=GaussianBasis()):
+    """A triclinic cell whose edges have many distinct lengths."""
+    rng = np.random.default_rng(seed)
+    lattice = np.diag(rng.uniform(4.0, 5.0, 3)) + np.triu(rng.uniform(-0.8, 0.8, (3, 3)), 1)
+    s = CrystalStructure(lattice=lattice, atomic_numbers=rng.integers(1, 90, n),
+                         frac_coords=rng.uniform(0, 1, (n, 3)))
+    return build_graph(s, build_neighbor_list(s, NeighborConfig()), basis)
+
+
 class TestBuildGraph:
     def test_rock_salt_first_shell(self):
         s = rock_salt()
@@ -90,6 +105,16 @@ class TestBuildGraph:
         g = build_graph(s, nl)
         npt.assert_array_equal(g.node_mask, np.ones(8, dtype=np.int8))
         npt.assert_array_equal(g.edge_mask, np.ones(48, dtype=np.int8))
+
+    def test_stores_distances_and_expands_on_read(self):
+        s = rock_salt()
+        nl = build_neighbor_list(s, NeighborConfig(cutoff=4.5, max_neighbors=18))
+        basis = GaussianBasis(d_min=0.0, d_max=4.5, step=0.5)
+        g = build_graph(s, nl, basis)
+        assert g.basis == basis
+        assert g.dist.tobytes() == nl.dist.tobytes()
+        assert g.edge_feat.shape == (nl.n_edges, basis.n_centers)
+        assert g.edge_feat.tobytes() == gaussian_expand(nl.dist, basis).tobytes()
 
     def test_permutation_relabels_consistently(self):
         s = rock_salt()
@@ -131,7 +156,7 @@ class TestMasks:
         g2 = with_node_mask(g, mask)
         npt.assert_array_equal(g2.node_mask, mask)
         npt.assert_array_equal(g.node_mask, np.ones(8, dtype=np.int8))
-        assert g2.edge_feat is g.edge_feat
+        assert g2.dist is g.dist
 
     def test_with_edge_mask(self):
         g = self.g()
@@ -147,6 +172,8 @@ class TestMasks:
             with_node_mask(g, np.full(8, 2, dtype=np.int8))
         with pytest.raises(ValueError):
             with_edge_mask(g, np.ones(5, dtype=np.int8))
+        with pytest.raises(ValueError):
+            with_edge_mask(g, np.full(48, -1))
 
 
 class TestMergeGraphs:
@@ -179,6 +206,18 @@ class TestMergeGraphs:
         with pytest.raises(ValueError):
             merge_graphs([])
 
+    def test_features_of_merge_equal_concatenated_features_bitwise(self):
+        graphs = [skewed_graph(seed, n) for seed, n in ((1, 3), (2, 7), (3, 1), (4, 5))]
+        merged, _ = merge_graphs(graphs)
+        expected = np.concatenate([g.edge_feat for g in graphs])
+        assert merged.edge_feat.tobytes() == expected.tobytes()
+
+    def test_merge_rejects_mixed_bases(self):
+        g1 = skewed_graph(1)
+        g2 = skewed_graph(1, basis=GaussianBasis(d_max=6.0))
+        with pytest.raises(ValueError, match="bases"):
+            merge_graphs([g1, g2])
+
 
 class TestGraphJson:
     def test_round_trip(self):
@@ -194,14 +233,31 @@ class TestGraphJson:
         npt.assert_array_equal(g2.node_mask, g.node_mask)
         npt.assert_array_equal(g2.edges, g.edges)
         npt.assert_array_equal(g2.edge_mask, g.edge_mask)
-        npt.assert_allclose(g2.edge_feat, g.edge_feat, rtol=0, atol=0)
+        assert g2.basis == g.basis
+        assert g2.edge_feat.tobytes() == g.edge_feat.tobytes()
+
+    def test_round_trip_features_are_bitwise(self):
+        basis = GaussianBasis(d_min=0.5, d_max=7.0, step=0.25, var=0.09)
+        for seed in range(4):
+            g = skewed_graph(seed, basis=basis)
+            g2, _ = graph_from_json(graph_to_json(g))
+            assert g2.basis == basis
+            assert g2.dist.tobytes() == g.dist.tobytes()
+            assert g2.edge_feat.tobytes() == g.edge_feat.tobytes()
+
+    def test_writes_distances_and_basis(self):
+        record = json.loads(graph_to_json(skewed_graph(0), id="x"))
+        assert set(record) == {"id", "node_elem", "node_mask", "edges", "dist", "basis",
+                               "edge_mask"}
+        assert record["basis"] == {"d_min": 0.0, "d_max": 8.0, "step": 0.2, "var": 0.04}
 
     def test_round_trip_zero_edges(self):
         g = CrystalGraph(node_elem=np.array([14], dtype=np.int64),
                          node_mask=np.ones(1, dtype=np.int8),
                          edges=np.zeros((0, 2), dtype=np.int64),
-                         edge_feat=np.zeros((0, 41)),
-                         edge_mask=np.zeros(0, dtype=np.int8))
+                         dist=np.zeros(0),
+                         edge_mask=np.zeros(0, dtype=np.int8),
+                         basis=GaussianBasis())
         g2, gid = graph_from_json(graph_to_json(g))
         assert gid is None
         assert g2.n_edges == 0
@@ -212,5 +268,40 @@ class TestGraphJson:
             CrystalGraph(node_elem=np.array([14], dtype=np.int64),
                          node_mask=np.ones(1, dtype=np.int8),
                          edges=np.array([[0, 1]], dtype=np.int64),
-                         edge_feat=np.zeros((1, 41)),
-                         edge_mask=np.ones(1, dtype=np.int8))
+                         dist=np.ones(1),
+                         edge_mask=np.ones(1, dtype=np.int8),
+                         basis=GaussianBasis())
+        with pytest.raises(ValueError):
+            CrystalGraph(node_elem=np.array([14, 14], dtype=np.int64),
+                         node_mask=np.ones(2, dtype=np.int8),
+                         edges=np.array([[0, 1]], dtype=np.int64),
+                         dist=np.ones(2),
+                         edge_mask=np.ones(1, dtype=np.int8),
+                         basis=GaussianBasis())
+
+    def test_old_format_line_is_rejected(self):
+        g = skewed_graph(0)
+        record = json.loads(graph_to_json(g))
+        del record["dist"], record["basis"]
+        record.update(edge_feat_dim=41, edge_feat=g.edge_feat.tolist())
+        with pytest.raises(GraphFormatError, match="old graphs.jsonl format"):
+            graph_from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("field, value", [
+        ("dist", "nan"), ("dist", "inf"), ("dist", -1.0), ("dist", "short"),
+        ("node_mask", 2), ("edge_mask", 3), ("basis", {"step": 0.0}),
+        ("basis", {"var": "nan"}),
+    ])
+    def test_bad_line_is_rejected(self, field, value):
+        g = skewed_graph(0)
+        record = json.loads(graph_to_json(g))
+        if field == "dist":
+            record["dist"] = (record["dist"][:-1] if value == "short"
+                              else [float(value)] + record["dist"][1:])
+        elif field == "basis":
+            record["basis"].update({k: float(v) for k, v in value.items()})
+        else:
+            record[field][0] = value
+        with pytest.raises(ValueError):
+            graph_from_json(json.dumps(record))
+

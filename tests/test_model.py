@@ -46,15 +46,19 @@ def random_graph(rng, n=4):
     return build_graph(s, build_neighbor_list(s, NeighborConfig(cutoff=6.0, max_neighbors=8)))
 
 
-def manual_encode(params, g, seg=None, n_graphs=1):
-    """Dense numpy re-derivation of the encoder forward pass."""
+def manual_encode(params, g, seg=None, n_graphs=1, edge_feat=None):
+    """Dense numpy re-derivation of the encoder forward pass.
+
+    ``edge_feat`` replaces the graph's expanded distances when given.
+    """
+    edge_feat = g.edge_feat if edge_feat is None else edge_feat
     seg = np.zeros(g.n_nodes, dtype=np.int64) if seg is None else np.asarray(seg)
     h = params.elem_embed.data[g.node_elem - 1] * g.node_mask[:, None].astype(np.float64)
     for conv in params.convs:
         if g.n_edges == 0:
             continue
         src, dst = g.edges[:, 0], g.edges[:, 1]
-        e = g.edge_feat * g.edge_mask[:, None].astype(np.float64)
+        e = edge_feat * g.edge_mask[:, None].astype(np.float64)
         z = np.concatenate([h[src], h[dst], e], axis=1)
         gate = 1.0 / (1.0 + np.exp(-(z @ conv.w_f.data + conv.b_f.data)))
         core = np.logaddexp(0.0, z @ conv.w_s.data + conv.b_s.data)
@@ -202,8 +206,9 @@ class TestConvLayer:
         order = rng.permutation(merged.n_edges)
         g = CrystalGraph(node_elem=merged.node_elem,
                          node_mask=(rng.uniform(size=merged.n_nodes) < 0.8).astype(np.int8),
-                         edges=merged.edges[order], edge_feat=merged.edge_feat[order],
-                         edge_mask=(rng.uniform(size=merged.n_edges) < 0.7).astype(np.int8))
+                         edges=merged.edges[order], dist=merged.dist[order],
+                         edge_mask=(rng.uniform(size=merged.n_edges) < 0.7).astype(np.int8),
+                         basis=merged.basis)
         npt.assert_allclose(encode(p, g, seg=seg, n_graphs=3).data,
                             manual_encode(p, g, seg=seg, n_graphs=3),
                             rtol=1e-12, atol=1e-12)
@@ -231,10 +236,9 @@ class TestMaskSemantics:
         ga = with_edge_mask(g, mask)
         feat = g.edge_feat.copy()
         feat[:2] = 0.0
-        gb = CrystalGraph(node_elem=g.node_elem, node_mask=g.node_mask,
-                          edges=g.edges, edge_feat=feat,
-                          edge_mask=np.ones(g.n_edges, dtype=np.int8))
-        npt.assert_allclose(encode(p, ga).data, encode(p, gb).data, atol=1e-15)
+        # features come from distances, so the zeroed rows go to the dense forward pass
+        npt.assert_allclose(encode(p, ga).data, manual_encode(p, g, edge_feat=feat),
+                            rtol=1e-12, atol=1e-12)
 
     def test_masked_node_gets_zero_initial_embedding(self):
         rng = np.random.default_rng(12)
@@ -271,8 +275,9 @@ class TestBatching:
         g = CrystalGraph(node_elem=np.zeros(0, dtype=np.int64),
                          node_mask=np.zeros(0, dtype=np.int8),
                          edges=np.zeros((0, 2), dtype=np.int64),
-                         edge_feat=np.zeros((0, 41)),
-                         edge_mask=np.zeros(0, dtype=np.int8))
+                         dist=np.zeros(0),
+                         edge_mask=np.zeros(0, dtype=np.int8),
+                         basis=GaussianBasis())
         with pytest.raises(EmptyGraph):
             encode(p, g)
 

@@ -11,7 +11,7 @@ from xtalssl.autodiff import Tensor, mul, scale, sum_all
 from xtalssl.featurize import GaussianBasis
 from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
 from xtalssl.loss import BatchTooSmall, LossConfig
-from xtalssl.model import ModelConfig, init_params, load_checkpoint
+from xtalssl.model import ConfigMismatch, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from xtalssl.pipeline import (
     ABLATION_ARMS,
     Adam,
@@ -347,6 +347,14 @@ class TestFinetune:
         npt.assert_array_equal(ft.params.head.w1.data, expected.head.w1.data)
         npt.assert_array_equal(ft.params.head.w2.data, expected.head.w2.data)
 
+
+    def test_misshapen_init_checkpoint_is_named(self, tmp_path):
+        params = init_params(TINY, np.random.default_rng(0), with_projector=True, with_head=False)
+        params.convs[0].w_s.data = np.zeros((3, 4))
+        save_checkpoint(tmp_path / "donor.ckpt", params)
+        fcfg = tiny_fcfg(epochs=1, init_checkpoint=str(tmp_path / "donor.ckpt"))
+        with pytest.raises(ConfigMismatch, match=r"donor\.ckpt: checkpoint array 'encoder\.conv0\.w_s'"):
+            finetune(gen_toy_dataset(6, seed=15), TINY, fcfg)
 
 class TestEvaluateAndEmbeddings:
     def test_evaluate_counts_and_mae(self):

@@ -184,6 +184,19 @@ class TestParseCif:
         with pytest.raises(MissingAtomLoop):
             parse_cif(head)
 
+    def test_row_missing_a_value_is_rejected(self):
+        with pytest.raises(CifParseError, match="loop on line 9 has 9 values"):
+            parse_cif(CUBIC_NA + "Cl1 Cl 0.5 0.5\n")
+
+    def test_symmetry_loop_missing_a_value_is_rejected(self):
+        text = CUBIC_NA + "loop_\n_symmetry_equiv_pos_site_id\n_symmetry_equiv_pos_as_xyz\n1 'x, y, z'\n2\n"
+        with pytest.raises(CifParseError, match="loop on line 16 has 3 values, not a multiple of its 2"):
+            parse_cif(text)
+
+    def test_short_unread_loop_is_ignored(self):
+        s = parse_cif(CUBIC_NA + "loop_\n_publ_author_name\n_publ_author_address\n'A. Author'\n")
+        assert s.n_sites == 1
+
     def test_unknown_element(self):
         with pytest.raises(UnknownElementSymbol):
             parse_cif(CUBIC_NA.replace("Na1 Na", "Qq1 Qq"))
@@ -303,6 +316,11 @@ class TestLoadDataset:
         with pytest.raises(UnknownElementSymbol, match="s2.cif: unknown element symbol"):
             load_dataset(tmp_path, index_file=index)
         with pytest.raises(UnknownElementSymbol, match="s2.cif"):
+            load_dataset(tmp_path)
+
+    def test_short_atom_row_names_the_file_and_loop(self, tmp_path):
+        (tmp_path / "s1.cif").write_text(CUBIC_NA + "Cl1 Cl 0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(CifParseError, match="s1.cif: loop on line 9"):
             load_dataset(tmp_path)
 
     def test_missing_root(self, tmp_path):
