@@ -6,12 +6,21 @@ is already a topological order of the computation, so backpropagation is a
 single reverse walk.  With no active tape every primitive degrades to its
 plain numpy forward computation (inference mode).
 
+The stack of active tapes is thread-local: a primitive records on the
+innermost tape its own thread entered, so two threads can each record a
+computation on their own tape at once and neither record lands on the
+other's tape.  ``Tape.walk`` runs the reverse walk from gradients already
+on the recorded outputs, so a sub-tape can be walked on its own once
+another walk has set them.
+
 Only the primitives the models need are implemented; each op validates its
 input shapes eagerly so a bad graph fails at construction time, not during
 the backward pass.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -28,11 +37,18 @@ class NonScalarLoss(ValueError):
     pass
 
 
-_ACTIVE_TAPES: list["Tape"] = []
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_ACTIVE = _TapeStack()
 
 
 def active_tape() -> "Tape | None":
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+    """The innermost tape the calling thread has entered, or None."""
+    tapes = _ACTIVE.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tensor:
@@ -75,11 +91,11 @@ class Tape:
         self._records: list[tuple[Tensor, object]] = []
 
     def __enter__(self) -> "Tape":
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        popped = _ACTIVE_TAPES.pop()
+        popped = _ACTIVE.tapes.pop()
         assert popped is self
         return False
 
@@ -91,6 +107,10 @@ class Tape:
         if loss.data.shape != ():
             raise NonScalarLoss(f"backward requires a scalar loss, got shape {loss.data.shape}")
         loss.grad = np.ones((), dtype=np.float64)
+        self.walk()
+
+    def walk(self) -> None:
+        """Walk the records in reverse from the gradients their outputs hold now."""
         for out, backward_fn in reversed(self._records):
             if out.grad is None:
                 continue
@@ -310,18 +330,23 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
     pre += np.concatenate([b_f.data, b_s.data])
     gate = _sigmoid(pre[:, :width])
     core = _softplus(pre[:, width:])
+    inputs = (h, w_f, b_f, w_s, b_s)
+    # the backward needs softplus'(pre_s) = sigmoid(pre_s), not the (E, 2H) pre
+    taped = active_tape() is not None and any(t.requires_grad for t in inputs)
+    sig_s = _sigmoid(pre[:, width:]) if taped else None
+    del pre
     out = Tensor(h.data + _segment_sum(gate * core, src, n))
 
     def backward(g):
         g_msg = g[src]
-        g_pre = np.empty_like(pre)
+        g_pre = np.empty((n_edges, 2 * width))
         g_f = g_pre[:, :width]
         np.multiply(g_msg, core, out=g_f)
         g_f *= gate
         g_f *= 1.0 - gate
         g_s = g_pre[:, width:]
         np.multiply(g_msg, gate, out=g_s)
-        g_s *= _sigmoid(pre[:, width:])
+        g_s *= sig_s
         g_at_src = _segment_sum(g_pre, src, n)
         g_at_dst = _segment_sum(g_pre, dst, n)
         g_w = np.concatenate([h.data.T @ g_at_src, h.data.T @ g_at_dst, e.T @ g_pre])
@@ -332,7 +357,7 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
         _accum(b_s, g_b[width:])
         _accum(h, g + g_at_src @ w_src.T + g_at_dst @ w_dst.T)
 
-    return _maybe_record(out, (h, w_f, b_f, w_s, b_s), backward)
+    return _maybe_record(out, inputs, backward)
 
 
 def column_standardize(a: Tensor, eps: float = 1e-5) -> Tensor:

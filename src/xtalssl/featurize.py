@@ -16,6 +16,11 @@ from .geometry import NeighborList
 from .structure_io import CrystalStructure
 
 
+# most centers a basis may have; real bases have tens, while a tiny step asks
+# for billions and an expansion of gigabytes per edge
+MAX_CENTERS = 1_000
+
+
 @dataclass(frozen=True)
 class GaussianBasis:
     """Evenly spaced Gaussian centers on [d_min, d_max] with width sqrt(var)."""
@@ -32,6 +37,9 @@ class GaussianBasis:
             raise ValueError("require d_min < d_max")
         if self.step <= 0 or self.var <= 0:
             raise ValueError("step and var must be positive")
+        span = (self.d_max - self.d_min) / self.step  # inf if it overflows
+        if not span < MAX_CENTERS or self.n_centers > MAX_CENTERS:
+            raise ValueError(f"basis would have more than {MAX_CENTERS} centers")
 
     @property
     def n_centers(self) -> int:
@@ -93,9 +101,15 @@ class CrystalGraph:
 
 
 def gaussian_expand(dist, basis: GaussianBasis) -> np.ndarray:
-    """exp(-(d - mu_k)^2 / var) in (0, 1] for each distance: (...,) -> (..., K)."""
-    diff = np.asarray(dist, dtype=np.float64)[..., None] - basis.centers
-    return np.exp(-(diff * diff) / basis.var)
+    """exp(-(d - mu_k)^2 / var) in (0, 1] for each distance: (...,) -> (..., K).
+
+    Each step works in place on the one fresh (..., K) buffer.
+    """
+    out = np.subtract(np.asarray(dist, dtype=np.float64)[..., None], basis.centers)
+    np.multiply(out, out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, basis.var, out=out)
+    return np.exp(out, out=out)
 
 
 def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = GaussianBasis()) -> CrystalGraph:

@@ -7,19 +7,22 @@ residual update ``h_i' = h_i + sum``.  Each layer is one autodiff primitive,
 :func:`autodiff.gated_conv`: it stacks ``W_f`` and ``W_s`` side by side when
 the layer runs and evaluates ``z W`` decomposed, as
 ``(h W_src)[i] + (h W_dst)[j] + e_ij W_e`` over the row blocks of the stacked
-matrix, so z itself is never built.  The checkpoint keeps ``w_f``, ``b_f``,
-``w_s`` and ``b_s`` as separate arrays.  No batch normalization anywhere, so a
-graph's encoding never depends on what it is batched with.  Readout is the
-mean over active (unmasked) nodes; a fully masked graph falls back to the
-mean over all of its nodes.
+matrix, so z itself is never built.  ``encode`` expands and masks the edge
+features once per batch, and every layer reads that one block.  The
+checkpoint keeps ``w_f``, ``b_f``, ``w_s`` and ``b_s`` as separate arrays.
+No batch normalization anywhere, so a graph's encoding never depends on what
+it is batched with.  Readout is the mean over active (unmasked) nodes; a
+fully masked graph falls back to the mean over all of its nodes.
 
 One parameter layout, ``_build``, fixes every tensor's checkpoint name, shape
 and init draw order; ``init_params`` draws through it and checkpoint loads
 read through it, so a loaded array whose shape disagrees with the header's
-configuration is rejected at load, by name.  Checkpoints are versioned
-binary files: a fixed header carrying the model configuration followed by
-named float64 little-endian arrays with shape prefixes, so round trips are
-bit-exact.
+configuration is rejected at load, by name.  ``alias_params`` builds through
+it too: new tensors over the same arrays, so two threads can each run a
+forward and backward pass on the same weights and accumulate gradients
+apart.  Checkpoints are versioned binary files: a fixed header carrying the
+model configuration followed by named float64 little-endian arrays with
+shape prefixes, so round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -164,16 +167,26 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator,
     return _build(cfg, with_projector, with_head, draw)
 
 
+def alias_params(params: ModelParams) -> ModelParams:
+    """New tensors, with no gradients, over the arrays of ``params``."""
+    return _build(params.config, params.projector is not None, params.head is not None,
+                  lambda name, shape: params._named[name].data)
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
 
 
 def conv_layer(h: Tensor, graph: CrystalGraph, edge_feat: Tensor, conv: ConvParams) -> Tensor:
+    """One layer on unmasked edge features; ``graph.edge_mask`` is applied here."""
+    return _conv(h, graph, edge_feat.data * graph.edge_mask[:, None], conv)
+
+
+def _conv(h: Tensor, graph: CrystalGraph, masked_feat: np.ndarray, conv: ConvParams) -> Tensor:
     if graph.n_edges == 0:
         return h
-    e = edge_feat.data * graph.edge_mask[:, None].astype(np.float64)
-    return gated_conv(h, graph.edges[:, 0], graph.edges[:, 1], e,
+    return gated_conv(h, graph.edges[:, 0], graph.edges[:, 1], masked_feat,
                       conv.w_f, conv.b_f, conv.w_s, conv.b_s)
 
 
@@ -204,11 +217,12 @@ def encode(params: ModelParams, graph: CrystalGraph,
         seg = np.asarray(seg, dtype=np.int64)
         if seg.shape != (n,):
             raise ShapeMismatch(f"segment ids must have shape ({n},)")
-    edge_feat = Tensor(graph.edge_feat)  # the batch's one Gaussian expansion
+    masked_feat = graph.edge_feat  # the batch's one Gaussian expansion, masked in place
+    masked_feat *= graph.edge_mask[:, None]
     h = scale_rows(gather_rows(params.elem_embed, graph.node_elem - 1),
                    graph.node_mask.astype(np.float64))
     for conv in params.convs:
-        h = conv_layer(h, graph, edge_feat, conv)
+        h = _conv(h, graph, masked_feat, conv)
     weights = _readout_weights(graph.node_mask, seg, n_graphs)
     return scatter_add_rows(scale_rows(h, weights), seg, n_graphs)
 

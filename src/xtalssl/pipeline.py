@@ -6,29 +6,39 @@ input files).  The master seed fans out into independent per-purpose streams
 keys, so e.g. changing the number of epochs never perturbs the weight init.
 Wall-clock time is measured and logged but deliberately kept out of the
 canonical report JSON so reports stay byte-identical across reruns.
+
+Pretraining encodes the two views of a batch on two threads, forward and
+backward (``_twin_embeddings``): view b on one worker thread that lives as
+long as the ``pretrain`` call, view a on the calling thread.  Each thread
+records on its own tape and accumulates into its own gradients, which are
+summed in a fixed order once both are done, so results never depend on
+thread timing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import json
 import logging
 import os
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import AugmentConfig, make_views
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, active_tape
 from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
 from .geometry import DegenerateCell, NeighborConfig, SingularLattice, build_neighbor_list
 from .loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mae_metric, mse_loss
 from .model import (
     ModelConfig,
     ModelParams,
+    alias_params,
     check_encoder_compatible,
     encode,
     init_params,
@@ -199,15 +209,63 @@ def entry_graph(entry: DatasetEntry, neighbor: NeighborConfig, basis: GaussianBa
         return build_graph(entry.structure, build_neighbor_list(entry.structure, neighbor), basis)
 
 
-def _bt_batch_loss(params: ModelParams, pcfg: PretrainConfig, entries, rng) -> Tensor:
-    """Barlow Twins loss between two augmented views of each entry."""
+def _on_both_threads(worker, run_a, run_b):
+    """(run_a(), run_b()), run_b on ``worker`` in a copy of this thread's context.
+
+    The copy carries ``np.errstate`` over.  An exception from either side
+    is raised only once both have finished, a's before b's.
+    """
+    future = worker.submit(contextvars.copy_context().run, run_b)
+    try:
+        a = run_a()
+    finally:
+        wait([future])
+    return a, future.result()
+
+
+def _twin_embeddings(worker, params: ModelParams, merged,
+                     n_graphs: int) -> tuple[Tensor, Tensor]:
+    """Projections of view a, on this thread, and of view b, on ``worker``.
+
+    ``merged`` holds each view's (graph, segment ids).  Under a tape each
+    view records on a sub-tape of its own against an alias of ``params``,
+    and the tape gets one record.  Its backward walks both sub-tapes at
+    once, then adds the alias gradients into ``params``, b's first: the
+    order one reverse walk over a then b adds them in, so every gradient
+    is bit for bit that of a single tape.
+    """
+    tape = active_tape()
+    aliases = [params, params] if tape is None else [alias_params(params) for _ in merged]
+    subs = [Tape(), Tape()]
+
+    def embed(i):
+        p, (graph, seg) = aliases[i], merged[i]
+        with contextlib.nullcontext() if tape is None else subs[i]:
+            return project(p, encode(p, graph, seg, n_graphs))
+
+    za, zb = _on_both_threads(worker, lambda: embed(0), lambda: embed(1))
+    if tape is not None:
+        def backward(_):
+            _on_both_threads(worker, subs[0].walk, subs[1].walk)
+            for alias in reversed(aliases):
+                for real, t in zip(params.trainable(), alias.trainable()):
+                    if t.grad is not None:
+                        real.grad = t.grad if real.grad is None else real.grad + t.grad
+
+        # the loss reads both embeddings, so za has a gradient whenever zb has
+        tape.record(za, backward)
+    return za, zb
+
+
+def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, rng) -> Tensor:
+    """Barlow Twins loss between two augmented views of each entry, view b on ``worker``."""
     views = []
     for e in entries:
         with _naming(e.id):
             views.append(make_views(e.structure, pcfg.augment, pcfg.neighbor, pcfg.basis, rng))
     merged = [merge_graphs(list(side)) for side in zip(*views)]
     del views  # the merged copies hold the same data; free these before the forward pass
-    za, zb = (project(params, encode(params, graph, seg, len(entries))) for graph, seg in merged)
+    za, zb = _twin_embeddings(worker, params, merged, len(entries))
     return bt_loss_from_embeddings(za, zb, pcfg.loss)
 
 
@@ -291,17 +349,21 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     params = init_params(mcfg, rng_for(pcfg.seed, _INIT), with_projector=True, with_head=False)
     augment_rng = rng_for(pcfg.seed, _AUGMENT)
 
+    def batch_loss(batch_idx, rng):
+        return _bt_batch_loss(worker, params, pcfg, [data.entries[i] for i in batch_idx], rng)
+
     def val_loss():
         # fresh stream each epoch -> identical validation views every epoch
         val_rng = rng_for(pcfg.seed, _VAL_VIEWS)
-        losses = [float(_bt_batch_loss(params, pcfg, [data.entries[i] for i in b], val_rng).data)
+        losses = [float(batch_loss(b, val_rng).data)
                   for b in _batches(val_idx, pcfg.batch, drop_below=2)]
         return float(np.mean(losses)) if losses else None
 
-    epochs_log, best_epoch, best_state = _fit(
-        "pretrain", params, pcfg, data.entries, train_idx, 2,
-        lambda b: _bt_batch_loss(params, pcfg, [data.entries[i] for i in b], augment_rng),
-        val_loss)
+    # the thread that encodes view b of every batch, for the whole run
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="xtalssl-view-b") as worker:
+        epochs_log, best_epoch, best_state = _fit(
+            "pretrain", params, pcfg, data.entries, train_idx, 2,
+            lambda b: batch_loss(b, augment_rng), val_loss)
 
     final_path = best_path = None
     if out_dir is not None:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,6 +100,38 @@ class TestTapeMechanics:
             outer.backward(la)
         npt.assert_allclose(inner_grad, [[3.0]])
         npt.assert_allclose(a.grad, [[4.0]])
+
+    def test_tapes_are_per_thread(self):
+        a = Tensor([[2.0]], requires_grad=True)
+        seen = {}
+
+        def other_thread():
+            seen["active"] = ad.active_tape()
+            with Tape() as own:
+                seen["loss"] = ad.sum_all(ad.scale(a, 3.0))
+            seen["own"] = own
+
+        with Tape() as tape:
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+            assert ad.active_tape() is tape
+        assert seen["active"] is None
+        assert tape._records == []
+        assert len(seen["own"]._records) == 2
+        seen["own"].backward(seen["loss"])
+        npt.assert_allclose(a.grad, [[3.0]])
+
+    def test_walk_starts_from_gradients_already_set(self):
+        a = Tensor([[1.5, -2.0]], requires_grad=True)
+        with Tape() as inner:
+            y = ad.mul(a, a)
+        with Tape() as outer:
+            loss = ad.sum_all(ad.scale(y, 3.0))
+            outer.backward(loss)
+        assert a.grad is None  # the inner tape holds the way from y to a
+        inner.walk()
+        npt.assert_allclose(a.grad, 6.0 * a.data)
 
     def test_backward_bitwise_repeatable(self):
         rng = np.random.default_rng(0)

@@ -1,10 +1,13 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from xtalssl.featurize import (
+    MAX_CENTERS,
     CrystalGraph,
     GaussianBasis,
     GraphFormatError,
@@ -41,6 +44,13 @@ class TestGaussianBasis:
             with pytest.raises(ValueError):
                 GaussianBasis(**bad)
 
+    def test_center_count_is_bounded(self):
+        assert GaussianBasis(d_max=MAX_CENTERS - 1.0, step=1.0).n_centers == MAX_CENTERS
+        # a step of 1e-320 overflows the span to inf
+        for bad in ({"d_max": float(MAX_CENTERS), "step": 1.0}, {"step": 1e-9}, {"step": 1e-320}):
+            with pytest.raises(ValueError, match="centers"):
+                GaussianBasis(**bad)
+
 
 class TestGaussianExpand:
     def test_peak_and_width(self):
@@ -57,6 +67,16 @@ class TestGaussianExpand:
         f = gaussian_expand(2.5, basis)
         expected = np.exp(-((2.5 - basis.centers) ** 2) / 0.04)
         npt.assert_allclose(f, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("dist", [2.5, np.linspace(0.1, 7.9, 13),
+                                      np.linspace(0.1, 7.9, 12).reshape(3, 4)])
+    def test_equals_the_plain_formula_bitwise(self, dist):
+        basis = GaussianBasis(d_min=0.5, d_max=7.0, step=0.25, var=0.09)
+        diff = np.asarray(dist)[..., None] - basis.centers
+        expected = np.exp(-(diff * diff) / basis.var)
+        got = gaussian_expand(dist, basis)
+        assert got.shape == np.shape(dist) + (basis.n_centers,)
+        assert got.tobytes() == expected.tobytes()
 
     def test_lipschitz_smoothness(self):
         # |df/dd| for one gaussian is at most sqrt(2/var) * exp(-1/2)
@@ -286,6 +306,24 @@ class TestGraphJson:
         record.update(edge_feat_dim=41, edge_feat=g.edge_feat.tolist())
         with pytest.raises(GraphFormatError, match="old graphs.jsonl format"):
             graph_from_json(json.dumps(record))
+
+    def test_huge_basis_is_rejected_before_allocating(self):
+        # step 1e-9 would give 8e9 centers, 64 GB of features per edge
+        record = json.loads(graph_to_json(build_graph(rock_salt(), build_neighbor_list(
+            rock_salt(), NeighborConfig(cutoff=3.0, max_neighbors=6)))))
+        record["basis"]["step"] = 1e-9
+        line = json.dumps(record)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="centers"):
+                graph_from_json(line)
+            seconds = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.5
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("field, value", [
         ("dist", "nan"), ("dist", "inf"), ("dist", -1.0), ("dist", "short"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -29,6 +31,7 @@ from xtalssl.model import (
     save_checkpoint,
 )
 from xtalssl.structure_io import CrystalStructure
+from xtalssl.toydata import gen_toy_dataset
 
 SMALL = ModelConfig(hidden_dim=5, n_conv=2, proj_dim=4, head_hidden=3, edge_feat_dim=41)
 
@@ -224,6 +227,27 @@ class TestConvLayer:
         with Tape() as tape:
             encode(p, g)
         assert len(tape._records) == cfg.n_conv + 4
+
+    def test_taped_encode_holds_three_floats_per_edge_and_width(self):
+        # a conv record keeps gate, core and sigmoid(pre_s), 3 H floats per
+        # edge; the rest is the one masked feature block, the stacked
+        # weights and node rows.  Keeping the (E, 2H) pre-activations, or
+        # a masked feature copy per layer, pushes this past 4.25 H.
+        cfg = ModelConfig()
+        p = init_params(cfg, np.random.default_rng(10))
+        graphs = [build_graph(e.structure, build_neighbor_list(e.structure, NeighborConfig()))
+                  for e in gen_toy_dataset(16, seed=0).entries]
+        g, seg = merge_graphs(graphs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                latent = encode(p, g, seg, len(graphs))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape._records) == cfg.n_conv + 4 and latent.requires_grad
+        assert held / (g.n_edges * cfg.n_conv) < 4.25 * 8 * cfg.hidden_dim
 
 
 class TestMaskSemantics:

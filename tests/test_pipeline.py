@@ -1,17 +1,29 @@
 import json
 import os
+import time
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xtalssl.augment import AugmentConfig
-from xtalssl.autodiff import Tensor, mul, scale, sum_all
-from xtalssl.featurize import GaussianBasis
+from xtalssl import pipeline
+from xtalssl.augment import AugmentConfig, make_views
+from xtalssl.autodiff import Tape, Tensor, active_tape, mul, scale, sum_all
+from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
 from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
-from xtalssl.loss import BatchTooSmall, LossConfig
-from xtalssl.model import ConfigMismatch, ModelConfig, init_params, load_checkpoint, save_checkpoint
+from xtalssl.loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings
+from xtalssl.model import (
+    ConfigMismatch,
+    EmptyGraph,
+    ModelConfig,
+    encode,
+    init_params,
+    load_checkpoint,
+    project,
+    save_checkpoint,
+)
 from xtalssl.pipeline import (
     ABLATION_ARMS,
     Adam,
@@ -22,9 +34,11 @@ from xtalssl.pipeline import (
     PretrainConfig,
     RunReport,
     UnlabeledDataset,
+    _AUGMENT,
     _INIT,
     _batches,
     _fit,
+    _twin_embeddings,
     ablation_csv,
     ablation_run,
     ablation_runs_csv,
@@ -543,3 +557,117 @@ class TestNonFiniteLoss:
             _fit("test", params, tiny_fcfg(batch=2), entries, np.arange(2), 1,
                  batch_loss, lambda: None)
         assert sorted(listed_ids(info)) == ["toy_0000", "toy_0001"]
+
+
+class InlineWorker:
+    """Stands in for the view-b worker: runs each job at once, on this thread."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class SpyWorker:
+    """A real one-thread worker that keeps each job's future; jobs wait ``delay`` s first."""
+
+    def __init__(self, delay=0.0):
+        self.worker, self.delay, self.futures = ThreadPoolExecutor(max_workers=1), delay, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.worker.shutdown()
+        return False
+
+    def submit(self, fn, *args):
+        def delayed():
+            time.sleep(self.delay)
+            return fn(*args)
+
+        self.futures.append(self.worker.submit(delayed))
+        return self.futures[-1]
+
+
+TWIN = ModelConfig(hidden_dim=4, n_conv=2, proj_dim=4, head_hidden=4,
+                   edge_feat_dim=BASIS.n_centers)
+
+
+class TestTwinViews:
+    @staticmethod
+    def params():
+        return init_params(TWIN, rng_for(0, _INIT), with_projector=True, with_head=False)
+
+    @staticmethod
+    def merged(n=4):
+        pcfg, rng = tiny_pcfg(), rng_for(0, _AUGMENT)
+        views = [make_views(e.structure, pcfg.augment, NEIGHBOR, BASIS, rng)
+                 for e in gen_toy_dataset(n, seed=0).entries]
+        return [merge_graphs(list(side)) for side in zip(*views)]
+
+    @staticmethod
+    def empty():
+        graph = CrystalGraph(node_elem=np.zeros(0, dtype=np.int64),
+                             node_mask=np.zeros(0, dtype=np.int8),
+                             edges=np.zeros((0, 2), dtype=np.int64), dist=np.zeros(0),
+                             edge_mask=np.zeros(0, dtype=np.int8), basis=BASIS)
+        return graph, np.zeros(0, dtype=np.int64)
+
+    def test_checkpoints_do_not_depend_on_the_worker(self, tmp_path, monkeypatch):
+        data = gen_toy_dataset(10, seed=8)
+        pcfg = tiny_pcfg(epochs=2, val_fraction=0.3, seed=4)
+        spy = SpyWorker()
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda **kw: spy)
+        threaded = pretrain(data, TWIN, pcfg, out_dir=tmp_path / "threaded")
+        assert spy.futures  # steps, backward walks and validation passes
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda **kw: InlineWorker())
+        inline = pretrain(data, TWIN, pcfg, out_dir=tmp_path / "inline")
+        for name in ("pretrain_final.ckpt", "pretrain_best.ckpt"):
+            assert (tmp_path / "threaded" / name).read_bytes() == \
+                (tmp_path / "inline" / name).read_bytes()
+        assert threaded.report.to_json() == inline.report.to_json()
+
+    def test_gradients_equal_those_of_one_tape_bitwise(self):
+        params, merged = self.params(), self.merged()
+
+        def run(embed):
+            params.zero_grad()
+            with Tape() as tape:
+                loss = bt_loss_from_embeddings(*embed(), LossConfig())
+                tape.backward(loss)
+            return [loss.data.tobytes()] + [t.grad.tobytes() for t in params.trainable()]
+
+        one_tape = run(lambda: [project(params, encode(params, g, seg, 4)) for g, seg in merged])
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            assert run(lambda: _twin_embeddings(worker, params, merged, 4)) == one_tape
+
+    def test_the_callers_tape_gets_one_record(self):
+        with ThreadPoolExecutor(max_workers=1) as worker, Tape() as tape:
+            za, zb = _twin_embeddings(worker, self.params(), self.merged(), 4)
+        assert [out for out, _ in tape._records] == [za]
+        assert zb.requires_grad
+
+    def test_a_worker_exception_reaches_the_caller(self):
+        with SpyWorker() as spy:
+            with Tape(), pytest.raises(EmptyGraph):
+                _twin_embeddings(spy, self.params(), [self.merged()[0], self.empty()], 4)
+            assert [f.done() for f in spy.futures] == [True]
+            # idle, and its sub-tape is off its stack
+            assert spy.worker.submit(active_tape).result(timeout=60) is None
+
+    def test_the_caller_raises_once_the_worker_has_finished(self):
+        with SpyWorker(delay=0.2) as spy:
+            with Tape(), pytest.raises(EmptyGraph):
+                _twin_embeddings(spy, self.params(), [self.empty(), self.merged()[1]], 4)
+            assert [f.done() for f in spy.futures] == [True]
+            assert spy.futures[0].exception() is None
