@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -650,6 +651,29 @@ class TestTwinViews:
         one_tape = run(lambda: [project(params, encode(params, g, seg, 4)) for g, seg in merged])
         with ThreadPoolExecutor(max_workers=1) as worker:
             assert run(lambda: _twin_embeddings(worker, params, merged, 4)) == one_tape
+
+    def test_concurrent_runs_keep_their_tapes_apart(self):
+        # 4 callers, each with its own worker: 8 threads on fewer cores,
+        # switching as often as the interpreter allows
+        merged = self.merged()
+
+        def grads():
+            params = self.params()
+            with ThreadPoolExecutor(max_workers=1) as worker, Tape() as tape:
+                za, zb = _twin_embeddings(worker, params, merged, 4)
+                tape.backward(bt_loss_from_embeddings(za, zb, LossConfig()))
+            return [t.grad.tobytes() for t in params.trainable()]
+
+        expected = grads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                runs = [callers.submit(grads) for _ in range(8)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == expected for r in results)
 
     def test_the_callers_tape_gets_one_record(self):
         with ThreadPoolExecutor(max_workers=1) as worker, Tape() as tape:
