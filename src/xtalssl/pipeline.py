@@ -9,16 +9,19 @@ canonical report JSON so reports stay byte-identical across reruns.
 
 Pretraining encodes the two views of a batch on two threads, forward and
 backward (``_twin_embeddings``): view b on one worker thread that lives as
-long as the ``pretrain`` call, view a on the calling thread.  Each thread
+long as the ``pretrain`` call, view a on the calling thread.  Each view
 records on its own tape and accumulates into its own gradients, which are
 summed in a fixed order once both are done, so results never depend on
-thread timing.
+thread timing.  The worker runs only when the two views' BLAS threads fit
+on the cores (``_view_b_worker``); otherwise the calling thread encodes
+both views in turn, with the same results.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import dataclasses
 import json
 import logging
@@ -209,12 +212,54 @@ def entry_graph(entry: DatasetEntry, neighbor: NeighborConfig, basis: GaussianBa
         return build_graph(entry.structure, build_neighbor_list(entry.structure, neighbor), basis)
 
 
+def _blas_threads() -> int | None:
+    """The threads numpy's BLAS runs a product on, or None for a BLAS this cannot ask.
+
+    Asks OpenBLAS (under the symbol names of numpy's wheels and of system
+    builds) through a numpy extension module, whose BLAS dependency
+    ``dlsym`` searches too.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            return int(get())
+    return None
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _view_b_worker():
+    """A one-thread executor for view b, or a null context giving None (no worker).
+
+    The worker pays only when both views' BLAS threads fit on the cores
+    this process may use.  OpenBLAS defaults to one thread per core, and
+    two views of that ran pretraining slower than one thread doing both
+    in turn.  A BLAS ``_blas_threads`` cannot ask gets no worker.
+    """
+    blas = _blas_threads()
+    if blas is None or 2 * blas > _usable_cores():
+        return contextlib.nullcontext()
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="xtalssl-view-b")
+
+
 def _on_both_threads(worker, run_a, run_b):
     """(run_a(), run_b()), run_b on ``worker`` in a copy of this thread's context.
 
     The copy carries ``np.errstate`` over.  An exception from either side
-    is raised only once both have finished, a's before b's.
+    is raised only once both have finished, a's before b's.  Without a
+    worker both run here in turn.
     """
+    if worker is None:
+        return run_a(), run_b()
     future = worker.submit(contextvars.copy_context().run, run_b)
     try:
         a = run_a()
@@ -225,7 +270,7 @@ def _on_both_threads(worker, run_a, run_b):
 
 def _twin_embeddings(worker, params: ModelParams, merged,
                      n_graphs: int) -> tuple[Tensor, Tensor]:
-    """Projections of view a, on this thread, and of view b, on ``worker``.
+    """Projections of view a, on this thread, and of view b, on ``worker`` (if any).
 
     ``merged`` holds each view's (graph, segment ids).  Under a tape each
     view records on a sub-tape of its own against an alias of ``params``,
@@ -258,7 +303,7 @@ def _twin_embeddings(worker, params: ModelParams, merged,
 
 
 def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, rng) -> Tensor:
-    """Barlow Twins loss between two augmented views of each entry, view b on ``worker``."""
+    """Barlow Twins loss between two augmented views of each entry, view b on any ``worker``."""
     views = []
     for e in entries:
         with _naming(e.id):
@@ -360,7 +405,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
         return float(np.mean(losses)) if losses else None
 
     # the thread that encodes view b of every batch, for the whole run
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="xtalssl-view-b") as worker:
+    with _view_b_worker() as worker:
         epochs_log, best_epoch, best_state = _fit(
             "pretrain", params, pcfg, data.entries, train_idx, 2,
             lambda b: batch_loss(b, augment_rng), val_loss)

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import subprocess
 import sys
 import time
 import warnings
@@ -628,15 +630,36 @@ class TestTwinViews:
         data = gen_toy_dataset(10, seed=8)
         pcfg = tiny_pcfg(epochs=2, val_fraction=0.3, seed=4)
         spy = SpyWorker()
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda **kw: spy)
-        threaded = pretrain(data, TWIN, pcfg, out_dir=tmp_path / "threaded")
+        workers = {"threaded": lambda: spy, "inline": InlineWorker,
+                   "none": contextlib.nullcontext}
+        reports = {}
+        for run, worker in workers.items():
+            monkeypatch.setattr(pipeline, "_view_b_worker", worker)
+            reports[run] = pretrain(data, TWIN, pcfg, out_dir=tmp_path / run).report.to_json()
         assert spy.futures  # steps, backward walks and validation passes
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda **kw: InlineWorker())
-        inline = pretrain(data, TWIN, pcfg, out_dir=tmp_path / "inline")
-        for name in ("pretrain_final.ckpt", "pretrain_best.ckpt"):
-            assert (tmp_path / "threaded" / name).read_bytes() == \
-                (tmp_path / "inline" / name).read_bytes()
-        assert threaded.report.to_json() == inline.report.to_json()
+        for run in ("inline", "none"):
+            for name in ("pretrain_final.ckpt", "pretrain_best.ckpt"):
+                assert (tmp_path / "threaded" / name).read_bytes() == \
+                    (tmp_path / run / name).read_bytes()
+            assert reports[run] == reports["threaded"]
+
+    @pytest.mark.parametrize("blas, cores, threaded", [
+        (1, 2, True), (1, 8, True), (2, 2, False), (1, 1, False), (None, 8, False)])
+    def test_the_worker_runs_only_where_both_views_blas_threads_fit(
+            self, monkeypatch, blas, cores, threaded):
+        monkeypatch.setattr(pipeline, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
+        with pipeline._view_b_worker() as worker:
+            assert isinstance(worker, ThreadPoolExecutor) == threaded
+            assert worker is not None or not threaded
+
+    def test_blas_threads_follows_the_blas_thread_variable(self):
+        code = "from xtalssl.pipeline import _blas_threads; print(_blas_threads())"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pipeline.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.strip()
+        assert out in ("1", "None")  # None: a BLAS other than OpenBLAS
 
     def test_gradients_equal_those_of_one_tape_bitwise(self):
         params, merged = self.params(), self.merged()
@@ -651,6 +674,7 @@ class TestTwinViews:
         one_tape = run(lambda: [project(params, encode(params, g, seg, 4)) for g, seg in merged])
         with ThreadPoolExecutor(max_workers=1) as worker:
             assert run(lambda: _twin_embeddings(worker, params, merged, 4)) == one_tape
+        assert run(lambda: _twin_embeddings(None, params, merged, 4)) == one_tape
 
     def test_concurrent_runs_keep_their_tapes_apart(self):
         # 4 callers, each with its own worker: 8 threads on fewer cores,

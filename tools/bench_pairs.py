@@ -24,6 +24,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 PROTOCOL = ("alternating parent/change pairs, one process at a time on the same machine; "
             "even pairs run the parent first, odd pairs the change first; "
@@ -31,19 +32,23 @@ PROTOCOL = ("alternating parent/change pairs, one process at a time on the same 
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process: its result line, environment and per-phase raw wall medians."""
+def run_once(checkout: str, workload: str, seed: int) -> dict:
+    """One benchmark process: its result line, environment, run length and raw wall medians."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)} printed nothing:\n{proc.stderr}")
-    result = json.loads(lines[-1])
+           "--trace", "0"]
     out_file = os.path.join(checkout, "perfbench", "_out", f"{workload}-seed{seed}-trace0.json")
+    started = time.time()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited with {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    if not os.path.exists(out_file) or os.path.getmtime(out_file) < started:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} did not write {out_file}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     with open(out_file, encoding="utf-8") as fh:
         info = json.load(fh)
     result["environment"] = info["environment"]
+    result["seconds"] = info["seconds"]
     result["wall_s"] = {phase: statistics.median(s["wall_s"]) if s["wall_s"] else None
                         for phase, s in info["samples"].items()}
     return result
@@ -79,7 +84,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--title", required=True, help="one line saying what the change does")
     parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
     args = parser.parse_args(argv)
@@ -89,15 +93,16 @@ def main(argv=None) -> int:
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
-    runs, environment, commits = [], None, {}
+    runs, environment, commits, seconds = [], None, {}, set()
     for workload in args.workloads:
         for seed in args.seeds:
             results = {side: [] for side in SIDES}
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    res = run_once(checkouts[side], workload, seed, args.seconds)
+                    res = run_once(checkouts[side], workload, seed)
                     results[side].append(res)
                     commits[side] = res["environment"].get("git_sha")
+                    seconds.add(res["seconds"])
                     environment = environment or res["environment"]
                     print(f"{workload} seed {seed} pair {pair} {side}: correct={res['correct']} "
                           + " ".join(f"{k}={v['value']:.4g}" for k, v in res["metrics"].items()),
@@ -128,7 +133,7 @@ def main(argv=None) -> int:
         "parent_commit": commits.get("parent"),
         "change_commit": commits.get("change"),
         "command": "python3 perfbench/run.py --workload W --seed S",
-        "run_seconds": args.seconds,
+        "run_seconds": seconds.pop() if len(seconds) == 1 else sorted(seconds),
         "trace": 0,
         "protocol": PROTOCOL,
         "environment": environment,
