@@ -651,7 +651,7 @@ class TestTwinViews:
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
         with pipeline._view_b_worker() as worker:
             assert isinstance(worker, ThreadPoolExecutor) == threaded
-            assert worker is not None or not threaded
+            assert threaded or worker is None
 
     def test_blas_threads_follows_the_blas_thread_variable(self):
         code = "from xtalssl.pipeline import _blas_threads; print(_blas_threads())"
