@@ -121,17 +121,6 @@ def _augment(
     return g
 
 
-def augment_once(
-    s: CrystalStructure,
-    cfg: AugmentConfig,
-    neighbor_cfg: NeighborConfig,
-    basis: GaussianBasis,
-    rng: np.random.Generator,
-) -> CrystalGraph:
-    """One augmented view: perturb (pre-graph), then mask (post-graph)."""
-    return _augment(s, cfg, candidate_list(s, neighbor_cfg, _displacement(cfg)), basis, rng)
-
-
 def make_views(
     s: CrystalStructure,
     cfg: AugmentConfig,

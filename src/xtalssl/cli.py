@@ -29,7 +29,6 @@ from .model import (
     CorruptCheckpoint,
     ModelConfig,
     load_checkpoint,
-    naming_checkpoint,
     params_from_arrays,
 )
 from .pipeline import (
@@ -42,7 +41,7 @@ from .pipeline import (
     finetune,
     pretrain,
 )
-from .structure_io import atomic_open, load_dataset
+from .structure_io import atomic_open, load_dataset, naming
 from .toydata import write_toy_dataset
 
 logger = logging.getLogger("xtalssl")
@@ -148,8 +147,6 @@ class RunConfig:
     model: ModelConfig
     neighbor: NeighborConfig
     basis: GaussianBasis
-    augment: AugmentConfig
-    loss: LossConfig
     pretrain: PretrainConfig
     finetune: FinetuneConfig
     ablate_seeds: list[int]
@@ -174,8 +171,7 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         model = ModelConfig(edge_feat_dim=basis.n_centers, **section("model"))
         pre = PretrainConfig(augment=augment, neighbor=neighbor, basis=basis, loss=loss,
                              seed=seed, **section("pretrain"))
-        fine_kwargs = section("finetune")
-        fine = FinetuneConfig(neighbor=neighbor, basis=basis, seed=seed, **fine_kwargs)
+        fine = FinetuneConfig(neighbor=neighbor, basis=basis, seed=seed, **section("finetune"))
     except ValueError as exc:
         raise InvalidConfig(f"invalid configuration: {exc}") from None
     return RunConfig(
@@ -184,8 +180,7 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         index_file=typed.get("index_file"),
         checkpoint=typed.get("checkpoint"),
         out_dir=typed.get("out_dir"),
-        model=model, neighbor=neighbor, basis=basis, augment=augment, loss=loss,
-        pretrain=pre, finetune=fine,
+        model=model, neighbor=neighbor, basis=basis, pretrain=pre, finetune=fine,
         ablate_seeds=list(typed.get("ablate.seeds", [0, 1, 2])),
     )
 
@@ -238,13 +233,10 @@ def _write(path: str, content: str) -> None:
 def _load_model_for_inference(cfg: RunConfig, need_head: bool):
     path = _require(cfg, "checkpoint")
     ck_cfg, arrays = load_checkpoint(path)
-    if ck_cfg.edge_feat_dim != cfg.basis.n_centers:
-        raise ConfigMismatch(
-            f"checkpoint edge_feat_dim {ck_cfg.edge_feat_dim} != basis n_centers {cfg.basis.n_centers}")
     has_head = "head.w1" in arrays
     if need_head and (not has_head or "label_mean" not in arrays):
         raise CorruptCheckpoint("not a fine-tuned model checkpoint (missing head or label stats)")
-    with naming_checkpoint(path):
+    with naming(path, CorruptCheckpoint, ConfigMismatch):
         params = params_from_arrays(ck_cfg, arrays,
                                     with_projector="projector.w1" in arrays, with_head=has_head)
     return params, arrays

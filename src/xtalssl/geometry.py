@@ -81,21 +81,9 @@ class NeighborList:
 
 def _check_lattice(lattice: np.ndarray) -> np.ndarray:
     lattice = np.asarray(lattice, dtype=np.float64).reshape(3, 3)
-    if not abs(np.linalg.det(lattice)) >= 1e-12:
+    if not (np.isfinite(lattice).all() and abs(np.linalg.det(lattice)) >= 1e-12):
         raise SingularLattice("lattice matrix is singular")
     return lattice
-
-
-def frac_to_cart(lattice: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Fractional to cartesian coordinates (row-vector convention)."""
-    lattice = _check_lattice(lattice)
-    return np.asarray(frac, dtype=np.float64) @ lattice
-
-
-def periodic_distance(lattice, fa, fb, image=(0, 0, 0)) -> float:
-    """Distance from site fa to the copy of fb translated by ``image``."""
-    delta = np.asarray(fb, dtype=np.float64) + np.asarray(image, dtype=np.float64) - np.asarray(fa, dtype=np.float64)
-    return float(np.linalg.norm(frac_to_cart(lattice, delta)))
 
 
 def _image_counts(lattice: np.ndarray, cutoff: float) -> list[int]:

@@ -27,7 +27,6 @@ shape prefixes, so round trips are bit-exact.
 
 from __future__ import annotations
 
-import contextlib
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -45,7 +44,7 @@ from .autodiff import (
     softplus,
 )
 from .elements import MAX_Z
-from .featurize import CrystalGraph
+from .featurize import CrystalGraph, GaussianBasis
 from .structure_io import atomic_open
 
 
@@ -178,18 +177,6 @@ def alias_params(params: ModelParams) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def conv_layer(h: Tensor, graph: CrystalGraph, edge_feat: Tensor, conv: ConvParams) -> Tensor:
-    """One layer on unmasked edge features; ``graph.edge_mask`` is applied here."""
-    return _conv(h, graph, edge_feat.data * graph.edge_mask[:, None], conv)
-
-
-def _conv(h: Tensor, graph: CrystalGraph, masked_feat: np.ndarray, conv: ConvParams) -> Tensor:
-    if graph.n_edges == 0:
-        return h
-    return gated_conv(h, graph.edges[:, 0], graph.edges[:, 1], masked_feat,
-                      conv.w_f, conv.b_f, conv.w_s, conv.b_s)
-
-
 def _readout_weights(node_mask: np.ndarray, seg: np.ndarray, n_graphs: int) -> np.ndarray:
     """Per-node weights implementing the mean over active nodes per graph.
 
@@ -221,8 +208,10 @@ def encode(params: ModelParams, graph: CrystalGraph,
     masked_feat *= graph.edge_mask[:, None]
     h = scale_rows(gather_rows(params.elem_embed, graph.node_elem - 1),
                    graph.node_mask.astype(np.float64))
-    for conv in params.convs:
-        h = _conv(h, graph, masked_feat, conv)
+    if graph.n_edges:  # without edges every layer is the identity
+        src, dst = graph.edges[:, 0], graph.edges[:, 1]
+        for conv in params.convs:
+            h = gated_conv(h, src, dst, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
     weights = _readout_weights(graph.node_mask, seg, n_graphs)
     return scatter_add_rows(scale_rows(h, weights), seg, n_graphs)
 
@@ -330,13 +319,11 @@ def check_encoder_compatible(cfg: ModelConfig, other: ModelConfig) -> None:
                 f"{name} differs: {getattr(cfg, name)} vs {getattr(other, name)}")
 
 
-@contextlib.contextmanager
-def naming_checkpoint(path):
-    """Re-raise a checkpoint array or config error with the checkpoint's path in front."""
-    try:
-        yield
-    except (CorruptCheckpoint, ConfigMismatch) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+def check_basis_width(cfg: ModelConfig, basis: GaussianBasis) -> None:
+    """ConfigMismatch unless each edge carries as many features as the basis has centers."""
+    if cfg.edge_feat_dim != basis.n_centers:
+        raise ConfigMismatch(
+            f"model edge_feat_dim {cfg.edge_feat_dim} != basis n_centers {basis.n_centers}")
 
 
 def load_encoder_weights(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:

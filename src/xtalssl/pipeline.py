@@ -39,20 +39,30 @@ from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
 from .geometry import DegenerateCell, NeighborConfig, SingularLattice, build_neighbor_list
 from .loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mae_metric, mse_loss
 from .model import (
+    ConfigMismatch,
+    CorruptCheckpoint,
     ModelConfig,
     ModelParams,
     alias_params,
+    check_basis_width,
     check_encoder_compatible,
     encode,
     init_params,
     load_checkpoint,
     load_encoder_weights,
-    naming_checkpoint,
     project,
     regress,
     save_checkpoint,
 )
-from .structure_io import Dataset, DatasetEntry, EmptyDataset, SplitSpec, atomic_open, split_dataset
+from .structure_io import (
+    Dataset,
+    DatasetEntry,
+    EmptyDataset,
+    SplitSpec,
+    atomic_open,
+    naming,
+    split_dataset,
+)
 
 logger = logging.getLogger("xtalssl")
 
@@ -81,13 +91,11 @@ def rng_for(seed: int, purpose_id: int) -> np.random.Generator:
 class Adam:
     """Standard Adam with bias-corrected moments."""
 
-    def __init__(self, tensors: list[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors: list[Tensor], lr: float):
         self.tensors = list(tensors)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
         self.step_count = 0
@@ -144,8 +152,7 @@ class FinetuneConfig:
             raise ValueError("finetune batch must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+        SplitSpec(fractions=self.split, seed=self.seed)  # checks the fractions
 
 
 @dataclass
@@ -197,13 +204,9 @@ def _batches(order: np.ndarray, batch: int, drop_below: int) -> list[np.ndarray]
     return [b for b in out if len(b) >= drop_below]
 
 
-@contextlib.contextmanager
 def _naming(entry_id: str):
     """Re-raise a cell that the neighbor search rejects with the entry's id in front."""
-    try:
-        yield
-    except (DegenerateCell, SingularLattice) as exc:
-        raise type(exc)(f"entry {entry_id!r}: {exc}") from None
+    return naming(f"entry {entry_id!r}", DegenerateCell, SingularLattice)
 
 
 def entry_graph(entry: DatasetEntry, neighbor: NeighborConfig, basis: GaussianBasis) -> CrystalGraph:
@@ -382,6 +385,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
              out_dir=None) -> PretrainResult:
     """Self-supervised pre-training; writes final and best-validation checkpoints."""
     t_start = time.perf_counter()
+    check_basis_width(mcfg, pcfg.basis)
     n = len(data.entries)
     if n == 0:
         raise EmptyDataset("pretrain needs a nonempty dataset")
@@ -438,10 +442,6 @@ class FinetuneResult:
     checkpoint_path: str | None
 
 
-def _graphs_for(entries, neighbor: NeighborConfig, basis: GaussianBasis) -> list[CrystalGraph]:
-    return [entry_graph(e, neighbor, basis) for e in entries]
-
-
 def _predict_std(params: ModelParams, graphs: list[CrystalGraph], batch: int) -> np.ndarray:
     """Inference-mode standardized predictions, one scalar per graph."""
     preds = []
@@ -458,14 +458,15 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     t_start = time.perf_counter()
     if data.kind != "labeled":
         raise UnlabeledDataset("finetune needs a labeled dataset")
+    check_basis_width(mcfg, fcfg.basis)
 
     train_d, val_d, test_d = split_dataset(data, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))
     if not train_d.entries:
         raise EmptyDataset("finetune training split is empty")
 
-    graphs_train = _graphs_for(train_d.entries, fcfg.neighbor, fcfg.basis)
-    graphs_val = _graphs_for(val_d.entries, fcfg.neighbor, fcfg.basis)
-    graphs_test = _graphs_for(test_d.entries, fcfg.neighbor, fcfg.basis)
+    graphs_train = [entry_graph(e, fcfg.neighbor, fcfg.basis) for e in train_d.entries]
+    graphs_val = [entry_graph(e, fcfg.neighbor, fcfg.basis) for e in val_d.entries]
+    graphs_test = [entry_graph(e, fcfg.neighbor, fcfg.basis) for e in test_d.entries]
     y_train = np.array([e.label for e in train_d.entries], dtype=np.float64)
     y_val = np.array([e.label for e in val_d.entries], dtype=np.float64)
     y_test = np.array([e.label for e in test_d.entries], dtype=np.float64)
@@ -480,7 +481,7 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     params = init_params(mcfg, rng_for(fcfg.seed, _INIT), with_projector=False, with_head=True)
     if fcfg.init_checkpoint is not None:
         ck_cfg, arrays = load_checkpoint(fcfg.init_checkpoint)
-        with naming_checkpoint(fcfg.init_checkpoint):
+        with naming(fcfg.init_checkpoint, CorruptCheckpoint, ConfigMismatch):
             check_encoder_compatible(mcfg, ck_cfg)
             load_encoder_weights(params, arrays)
 
@@ -529,7 +530,8 @@ def evaluate(params: ModelParams, data: Dataset, label_mean: float, label_std: f
     """MAE of a fine-tuned model over every entry of a labeled dataset."""
     if data.kind != "labeled":
         raise UnlabeledDataset("evaluate needs a labeled dataset")
-    graphs = _graphs_for(data.entries, neighbor, basis)
+    check_basis_width(params.config, basis)
+    graphs = [entry_graph(e, neighbor, basis) for e in data.entries]
     labels = np.array([e.label for e in data.entries], dtype=np.float64)
     pred = _predict_std(params, graphs, batch) * label_std + label_mean
     return {"n_entries": len(data.entries), "mae": mae_metric(pred, labels)}
@@ -539,6 +541,7 @@ def export_embeddings(params: ModelParams, data: Dataset,
                       neighbor: NeighborConfig = NeighborConfig(),
                       basis: GaussianBasis = GaussianBasis()) -> str:
     """CSV of per-entry latents: id, z0..z{H-1}[, label]; rows sorted by id."""
+    check_basis_width(params.config, basis)
     hidden = params.config.hidden_dim
     header = ["id"] + [f"z{i}" for i in range(hidden)] + (
         ["label"] if data.kind == "labeled" else [])

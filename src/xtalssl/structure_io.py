@@ -51,6 +51,10 @@ class DuplicateId(ValueError):
     pass
 
 
+class InvalidEntryId(ValueError):
+    pass
+
+
 class UnparseableLabel(ValueError):
     pass
 
@@ -107,10 +111,6 @@ class CrystalStructure:
     def n_sites(self) -> int:
         return self.atomic_numbers.shape[0]
 
-    @property
-    def volume(self) -> float:
-        return float(np.linalg.det(self.lattice))
-
 
 @dataclass(frozen=True)
 class DatasetEntry:
@@ -148,6 +148,8 @@ class SplitSpec:
 
     def __post_init__(self):
         f = tuple(float(x) for x in self.fractions)
+        if len(f) != 3:
+            raise ValueError(f"split needs three fractions (train, val, test), got {len(f)}")
         if any(x < 0 for x in f):
             raise ValueError("split fractions must be nonnegative")
         if abs(sum(f) - 1.0) > 1e-9:
@@ -476,20 +478,27 @@ def structure_to_cif(s: CrystalStructure, name: str = "structure") -> str:
 # datasets
 
 
+@contextlib.contextmanager
+def naming(source, *errors: type[Exception]):
+    """Re-raise any of ``errors`` with ``f"{source}: "`` in front, keeping its type."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
 def _read_cif(path: Path) -> CrystalStructure:
     """parse_cif on a file; a CifParseError keeps its type and gains the path."""
-    try:
+    with naming(path, CifParseError):
         return parse_cif(path.read_text(encoding="utf-8"))
-    except CifParseError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Dataset:
     """Load CIF files under ``root``; with an "id,label" CSV, attach labels.
 
     Without an index every ``*.cif`` in root becomes an unlabeled entry
-    (id = file stem).  With an index only the referenced files are loaded.
-    Entries are sorted by id.
+    whose id is the file stem; a stem with a comma or line break is rejected.
+    With an index only the referenced files are loaded.  Entries are sorted by id.
     """
     root = Path(root)
     if not root.is_dir():
@@ -497,6 +506,8 @@ def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Data
     if index_file is None:
         entries = []
         for path in sorted(root.glob("*.cif")):
+            if set(path.stem) & set(",\r\n"):
+                raise InvalidEntryId(f"{path}: entry id {path.stem!r} holds a comma or line break")
             entries.append(DatasetEntry(id=path.stem, structure=_read_cif(path)))
         if not entries:
             raise EmptyDataset(f"no .cif files under {root}")

@@ -39,6 +39,12 @@ def supercell_neighbors(lattice, frac, cutoff, max_neighbors):
     return edges
 
 
+def periodic_distance(lattice, fa, fb, image=(0, 0, 0)):
+    """Distance from site fa to the copy of fb translated by ``image`` (fractional inputs)."""
+    delta = np.asarray(fb, dtype=np.float64) + np.asarray(image) - np.asarray(fa, dtype=np.float64)
+    return float(np.linalg.norm(delta @ np.asarray(lattice, dtype=np.float64)))
+
+
 def naive_cross_correlation(za, zb, eps):
     """Double-loop evaluation: standardize each column, then C_ij = mean_b(a_bi * b_bj)."""
     za = np.asarray(za, dtype=np.float64)

@@ -70,8 +70,8 @@ class TestBuildRunConfig:
         assert cfg.model.hidden_dim == 8
         assert cfg.neighbor.cutoff == pytest.approx(5.5)
         assert cfg.basis.step == pytest.approx(0.4)
-        assert cfg.augment.mask_fraction == pytest.approx(0.2)
-        assert cfg.loss.lam == pytest.approx(0.01)
+        assert cfg.pretrain.augment.mask_fraction == pytest.approx(0.2)
+        assert cfg.pretrain.loss.lam == pytest.approx(0.01)
         assert cfg.pretrain.batch == 8
         assert cfg.pretrain.seed == 9
         assert cfg.finetune.split == (0.8, 0.1, 0.1)
@@ -95,7 +95,7 @@ class TestBuildRunConfig:
 
     def test_bool_parsing(self):
         cfg = build_run_config({"augment.enable_perturb": "false"})
-        assert not cfg.augment.enable_perturb
+        assert not cfg.pretrain.augment.enable_perturb
         with pytest.raises(InvalidConfig):
             build_run_config({"augment.enable_perturb": "nope"})
 
@@ -121,6 +121,12 @@ class TestExitCodes:
         code = main(["featurize", "--data-root", str(missing),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
+
+    @pytest.mark.parametrize("split", ["1.0", "0.2,0.2,0.3,0.3"])
+    def test_split_needs_three_fractions(self, tmp_path, capsys, split):
+        assert main(["finetune", "--data-root", str(tmp_path), "--out-dir", str(tmp_path),
+                     "--set", f"finetune.split={split}"]) == 2
+        assert "split needs three fractions" in capsys.readouterr().err
 
     def test_bad_log_level(self, monkeypatch, capsys):
         monkeypatch.setenv("CT_LOG_LEVEL", "verbose")

@@ -14,11 +14,10 @@ from xtalssl.geometry import (
     DegenerateCell,
     NeighborConfig,
     SingularLattice,
+    _check_lattice,
     _images_per_axis,
     build_neighbor_list,
     candidate_list,
-    frac_to_cart,
-    periodic_distance,
     view_neighbor_list,
 )
 from xtalssl.structure_io import CrystalStructure
@@ -33,26 +32,14 @@ def cubic(a, z=11):
 
 
 class TestCoordinates:
-    def test_frac_to_cart_triclinic(self):
-        lattice = np.array([[4.0, 0.0, 0.0], [1.0, 3.0, 0.0], [0.0, 1.0, 5.0]])
-        npt.assert_allclose(frac_to_cart(lattice, [0.5, 0.5, 0.5]), [2.5, 2.0, 2.5])
-
-    def test_periodic_distance_zero_image(self):
-        d = periodic_distance(4.0 * np.eye(3), [0, 0, 0], [0.5, 0.5, 0.5])
-        assert d == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-12)
-
-    def test_periodic_distance_image(self):
-        d = periodic_distance(4.0 * np.eye(3), [0, 0, 0], [0, 0, 0], image=(1, 0, 0))
-        assert d == pytest.approx(4.0, abs=1e-12)
-
     def test_singular_lattice(self):
         bad = np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]])
         with pytest.raises(SingularLattice):
-            frac_to_cart(bad, [0, 0, 0])
+            _check_lattice(bad)
 
     def test_nan_lattice_is_singular(self):
         with pytest.raises(SingularLattice):
-            frac_to_cart(np.diag([4.0, 4.0, np.nan]), [0, 0, 0])
+            _check_lattice(np.diag([4.0, 4.0, np.nan]))
 
 
 class TestBuildNeighborList:

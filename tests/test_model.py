@@ -19,7 +19,6 @@ from xtalssl.model import (
     CorruptCheckpoint,
     EmptyGraph,
     ModelConfig,
-    conv_layer,
     encode,
     init_params,
     load_checkpoint,
@@ -186,9 +185,8 @@ class TestConvLayer:
         p = init_params(SMALL, np.random.default_rng(1))
         g = single_atom_graph(a=5.0, cutoff=1.0)
         assert g.n_edges == 0
-        h = Tensor(np.arange(5.0)[None, :])
-        out = conv_layer(h, g, Tensor(g.edge_feat), p.convs[0])
-        npt.assert_array_equal(out.data, h.data)
+        h0 = p.elem_embed.data[g.node_elem - 1]
+        npt.assert_array_equal(encode(p, g).data, h0)
 
     def test_latent_matches_manual_forward(self):
         rng = np.random.default_rng(7)

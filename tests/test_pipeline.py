@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xtalssl import pipeline
+from xtalssl import geometry, pipeline
 from xtalssl.augment import AugmentConfig, make_views
 from xtalssl.autodiff import Tape, Tensor, active_tape, mul, scale, sum_all
 from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
@@ -188,6 +188,31 @@ class TestConfigs:
             tiny_pcfg(epochs=0)
         with pytest.raises(ValueError):
             tiny_fcfg(epochs=0)
+
+
+class TestBasisWidth:
+    def test_mismatch_is_named_before_any_neighbor_search(self, monkeypatch):
+        wide = GaussianBasis(d_min=0.0, d_max=4.5, step=0.4)
+        assert wide.n_centers != TINY.edge_feat_dim
+        calls = []
+        dense = geometry._pairs_within
+
+        def counted(*args):
+            calls.append(args)
+            return dense(*args)
+
+        monkeypatch.setattr(geometry, "_pairs_within", counted)
+        data = gen_toy_dataset(6, seed=40)
+        params = init_params(TINY, np.random.default_rng(0), with_projector=False)
+        runs = [lambda: pretrain(data, TINY, tiny_pcfg(basis=wide)),
+                lambda: finetune(data, TINY, tiny_fcfg(basis=wide)),
+                lambda: evaluate(params, data, 0.0, 1.0, neighbor=NEIGHBOR, basis=wide),
+                lambda: export_embeddings(params, data, neighbor=NEIGHBOR, basis=wide)]
+        message = f"edge_feat_dim {TINY.edge_feat_dim} != basis n_centers {wide.n_centers}"
+        for run in runs:
+            with pytest.raises(ConfigMismatch, match=message):
+                run()
+        assert calls == []
 
 
 class TestRunReport:

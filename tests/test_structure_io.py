@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from xtalssl.structure_io import (
     DuplicateId,
     EmptyDataset,
     IndexReferencesMissingFile,
+    InvalidEntryId,
     MalformedSymmetryOp,
     MissingAtomLoop,
     MissingCellParameter,
@@ -79,7 +82,7 @@ class TestCrystalStructure:
                              frac_coords=[[-0.25, 1.25, 0.5]])
         npt.assert_allclose(s.frac_coords, [[0.75, 0.25, 0.5]])
         assert s.n_sites == 1
-        assert s.volume == pytest.approx(8.0)
+        assert np.linalg.det(s.lattice) == pytest.approx(8.0)
 
     def test_rejects_bad_structures(self):
         with pytest.raises(ValueError):
@@ -323,6 +326,13 @@ class TestLoadDataset:
         with pytest.raises(CifParseError, match="s1.cif: loop on line 9"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("stem", ["a,b", "a\nb"])
+    def test_stem_the_csv_outputs_cannot_hold_is_rejected_before_parsing(self, tmp_path, stem):
+        # an id that would split a CSV row or field; the file is not even a CIF
+        (tmp_path / f"{stem}.cif").write_text("not a cif\n", encoding="utf-8")
+        with pytest.raises(InvalidEntryId, match=re.escape(f".cif: entry id {stem!r} holds")):
+            load_dataset(tmp_path)
+
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "absent")
@@ -379,6 +389,11 @@ class TestSplitDataset:
             SplitSpec((0.5, 0.2, 0.2), seed=0)
         with pytest.raises(ValueError):
             SplitSpec((1.2, -0.1, -0.1), seed=0)
+
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.2, 0.2, 0.3, 0.3)])
+    def test_three_fractions(self, fractions):
+        with pytest.raises(ValueError, match="three fractions"):
+            SplitSpec(fractions, seed=0)
 
 
 def test_dataset_invariants():
