@@ -33,8 +33,8 @@ class AugmentConfig:
     mask_fraction: float = 0.10
 
     def __post_init__(self):
-        if self.max_displacement < 0:
-            raise ValueError("max_displacement must be >= 0")
+        if not (np.isfinite(self.max_displacement) and self.max_displacement >= 0):
+            raise ValueError(f"max_displacement must be finite and >= 0, got {self.max_displacement}")
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ValueError("mask_fraction must lie in [0, 1]")
 

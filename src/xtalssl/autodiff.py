@@ -198,28 +198,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _maybe_record(out, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
-
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-
-    def backward(g):
-        _accum(a, g * c)
-
-    return _maybe_record(out, (a,), backward)
-
-
 def scale_rows(a: Tensor, w: np.ndarray) -> Tensor:
     """Multiply each row of a (N, K) tensor by a constant per-row weight."""
     w = np.asarray(w, dtype=np.float64)
@@ -234,32 +212,12 @@ def scale_rows(a: Tensor, w: np.ndarray) -> Tensor:
     return _maybe_record(out, (a,), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatch("transpose expects a 2-d operand")
-    out = Tensor(a.data.T)
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _maybe_record(out, (a,), backward)
-
-
 def softplus(a: Tensor) -> Tensor:
     out = Tensor(_softplus(a.data))
     x = a.data
 
     def backward(g):
         _accum(a, g * _sigmoid(x))
-
-    return _maybe_record(out, (a,), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
 
     return _maybe_record(out, (a,), backward)
 
@@ -358,31 +316,6 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
         _accum(h, g + g_at_src @ w_src.T + g_at_dst @ w_dst.T)
 
     return _maybe_record(out, inputs, backward)
-
-
-def column_standardize(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-column batch standardization: (x - mean) / (population std + eps)."""
-    if a.data.ndim != 2:
-        raise ShapeMismatch("column_standardize expects a 2-d tensor")
-    x = a.data
-    mean = x.mean(axis=0, keepdims=True)
-    centered = x - mean
-    sigma = np.sqrt((centered * centered).mean(axis=0, keepdims=True))
-    denom = sigma + eps
-    live = denom > 0.0  # false only for eps == 0 on a constant column
-    inv = 1.0 / np.where(live, denom, 1.0)
-    out = Tensor(centered * inv)
-
-    def backward(g):
-        # d/dx of (x - mu) * inv, including inv's dependence on x through sigma;
-        # if sigma == 0 the second term vanishes because centered == 0 there
-        safe_sigma = np.where(sigma > 0.0, sigma, 1.0)
-        g_mean = g.mean(axis=0, keepdims=True)
-        gd_mean = (g * centered).mean(axis=0, keepdims=True)
-        dx = inv * (g - g_mean) - (inv * inv) * centered * (gd_mean / safe_sigma)
-        _accum(a, np.where(live, dx, 0.0))
-
-    return _maybe_record(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

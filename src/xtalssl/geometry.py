@@ -54,8 +54,8 @@ class NeighborConfig:
     max_neighbors: int = 12
 
     def __post_init__(self):
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        if not (np.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ValueError(f"cutoff must be finite and positive, got {self.cutoff}")
         if self.max_neighbors < 1:
             raise ValueError("max_neighbors must be >= 1")
 

@@ -115,6 +115,12 @@ class Adam:
             t.data = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _check_lr(stage: str, lr: float) -> None:
+    # 0 is legal: a run that leaves the loaded weights as they are
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ValueError(f"{stage} lr must be finite and >= 0, got {lr}")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     lr: float = 1e-5
@@ -128,6 +134,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_lr("pretrain", self.lr)
         if self.batch < 2:
             raise ValueError("pretrain batch must be >= 2 (loss needs batch statistics)")
         if self.epochs < 1:
@@ -148,6 +155,7 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_lr("finetune", self.lr)
         if self.batch < 1:
             raise ValueError("finetune batch must be >= 1")
         if self.epochs < 1:

@@ -150,8 +150,8 @@ class SplitSpec:
         f = tuple(float(x) for x in self.fractions)
         if len(f) != 3:
             raise ValueError(f"split needs three fractions (train, val, test), got {len(f)}")
-        if any(x < 0 for x in f):
-            raise ValueError("split fractions must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for x in f):
+            raise ValueError(f"split fractions must be finite and nonnegative, got {f}")
         if abs(sum(f) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(f)}")
         object.__setattr__(self, "fractions", f)

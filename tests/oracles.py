@@ -1,12 +1,20 @@
 """Independent oracle implementations used by the test suite.
 
-Everything in here is written against the mathematical definitions, not the
+Most of these are written against the mathematical definitions, not the
 package internals: brute-force supercell neighbor search, double-loop
 cross-correlation, naive loss sums, and a hand-rolled Kolmogorov-Smirnov
 statistic. Tests compare package outputs against these.
+
+The last section is the bitwise reference of the fused loss primitives:
+the small tape ops (``transpose``, ``mul``, ``scale``, ``sum_all`` and
+``column_standardize``) and the chains of records ``loss.py`` once built
+from them, 9 for the Barlow Twins loss and 4 for the MSE. The fused
+primitives must give the same loss and gradients to the last bit.
 """
 
 import numpy as np
+
+from xtalssl.autodiff import ShapeMismatch, Tensor, _accum, _maybe_record, add, matmul
 
 
 def supercell_neighbors(lattice, frac, cutoff, max_neighbors):
@@ -96,3 +104,97 @@ def ks_statistic_uniform(samples, lo, hi):
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
+
+
+# ---------------------------------------------------------------------------
+# the loss chains the fused primitives replace, op by op
+# ---------------------------------------------------------------------------
+
+
+def mul(a, b):
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatch(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
+    out = Tensor(a.data * b.data)
+
+    def backward(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
+
+    return _maybe_record(out, (a, b), backward)
+
+
+def scale(a, c):
+    c = float(c)
+    out = Tensor(a.data * c)
+
+    def backward(g):
+        _accum(a, g * c)
+
+    return _maybe_record(out, (a,), backward)
+
+
+def transpose(a):
+    if a.data.ndim != 2:
+        raise ShapeMismatch("transpose expects a 2-d operand")
+    out = Tensor(a.data.T)
+
+    def backward(g):
+        _accum(a, g.T)
+
+    return _maybe_record(out, (a,), backward)
+
+
+def sum_all(a):
+    out = Tensor(a.data.sum())
+
+    def backward(g):
+        _accum(a, np.full_like(a.data, float(g)))
+
+    return _maybe_record(out, (a,), backward)
+
+
+def column_standardize(a, eps=1e-5):
+    """Per-column batch standardization: (x - mean) / (population std + eps)."""
+    if a.data.ndim != 2:
+        raise ShapeMismatch("column_standardize expects a 2-d tensor")
+    x = a.data
+    mean = x.mean(axis=0, keepdims=True)
+    centered = x - mean
+    sigma = np.sqrt((centered * centered).mean(axis=0, keepdims=True))
+    denom = sigma + eps
+    live = denom > 0.0  # false only for eps == 0 on a constant column
+    inv = 1.0 / np.where(live, denom, 1.0)
+    out = Tensor(centered * inv)
+
+    def backward(g):
+        # d/dx of (x - mu) * inv, including inv's dependence on x through sigma;
+        # if sigma == 0 the second term vanishes because centered == 0 there
+        safe_sigma = np.where(sigma > 0.0, sigma, 1.0)
+        g_mean = g.mean(axis=0, keepdims=True)
+        gd_mean = (g * centered).mean(axis=0, keepdims=True)
+        dx = inv * (g - g_mean) - (inv * inv) * centered * (gd_mean / safe_sigma)
+        _accum(a, np.where(live, dx, 0.0))
+
+    return _maybe_record(out, (a,), backward)
+
+
+def chain_cross_correlation(za, zb, eps):
+    """(1/B) standardize(Za)^T standardize(Zb) as 5 tape records."""
+    za_n = column_standardize(za, eps)
+    zb_n = column_standardize(zb, eps)
+    return scale(matmul(transpose(za_n), zb_n), 1.0 / za.data.shape[0])
+
+
+def chain_barlow_twins_loss(c, lam):
+    """sum((C - I)^2 * weight) as 4 tape records."""
+    eye = np.eye(c.data.shape[0])
+    residual = add(c, Tensor(-eye))
+    weight = Tensor(eye + lam * (1.0 - eye))
+    return sum_all(mul(mul(residual, residual), weight))
+
+
+def chain_mse(pred, target):
+    """mean((pred - target)^2) as 4 tape records."""
+    target = np.asarray(target, dtype=np.float64).reshape(-1, 1)
+    diff = add(pred, Tensor(-target))
+    return scale(sum_all(mul(diff, diff)), 1.0 / target.shape[0])

@@ -128,6 +128,21 @@ class TestExitCodes:
                      "--set", f"finetune.split={split}"]) == 2
         assert "split needs three fractions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "loss.eps=nan", "loss.eps=inf", "loss.lambda=nan", "loss.lambda=inf",
+        "neighbor.cutoff=nan", "neighbor.cutoff=inf",
+        "augment.max_displacement=nan", "augment.max_displacement=inf",
+        "pretrain.lr=nan", "pretrain.lr=inf", "pretrain.lr=-1",
+        "finetune.lr=nan", "finetune.lr=inf", "finetune.lr=-1", "finetune.split=nan,0.5,0.5",
+    ])
+    def test_float_settings_must_be_finite_and_in_range(self, tmp_path, capsys, setting):
+        key, _, value = setting.partition("=")
+        with pytest.raises(InvalidConfig, match="must be finite and"):
+            build_run_config({key: value})
+        assert main(["pretrain", "--data-root", str(tmp_path), "--out-dir", str(tmp_path),
+                     "--set", setting]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_bad_log_level(self, monkeypatch, capsys):
         monkeypatch.setenv("CT_LOG_LEVEL", "verbose")
         assert main(["gen-toy", "--n", "2", "--out", "/tmp/unused"]) == 2

@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xtalssl.autodiff import ShapeMismatch, Tape, Tensor
+from xtalssl.autodiff import ShapeMismatch, Tape, Tensor, add, grad_check
 from xtalssl.loss import (
     BatchTooSmall,
     LossConfig,
@@ -13,7 +15,18 @@ from xtalssl.loss import (
     mse_loss,
 )
 
-from oracles import naive_bt_loss, naive_cross_correlation, naive_mae, naive_mse
+from oracles import (
+    chain_barlow_twins_loss,
+    chain_cross_correlation,
+    chain_mse,
+    mul,
+    naive_bt_loss,
+    naive_cross_correlation,
+    naive_mae,
+    naive_mse,
+    scale,
+    sum_all,
+)
 
 
 class TestLossConfig:
@@ -61,6 +74,8 @@ class TestBarlowTwinsIdentities:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatch):
             barlow_twins_loss(Tensor(np.zeros((2, 3))), LossConfig())
+        with pytest.raises(ShapeMismatch):
+            barlow_twins_loss(Tensor(1.0), LossConfig())
 
 
 class TestCrossCorrelation:
@@ -144,3 +159,104 @@ class TestRegressionLosses:
     def test_mse_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             mse_loss(Tensor(np.ones((2, 1))), np.ones(3))
+
+
+def _taped(build, *arrays, grads=None):
+    """build(*tensors) under a tape and its backward: the loss and each input's gradient.
+
+    ``grads`` says which inputs require a gradient (default all); an
+    input given as the int k is the same Tensor as input k.
+    """
+    grads = grads or [True] * len(arrays)
+    tensors = []
+    for a, g in zip(arrays, grads):
+        tensors.append(tensors[a] if isinstance(a, int) else Tensor(a.copy(), requires_grad=g))
+    with Tape() as tape:
+        loss = build(*tensors)
+        tape.backward(loss)
+    return [loss.data] + [t.grad for t in tensors]
+
+
+def _around(loss, z, w, c):
+    """c * (loss + sum(z * w)): the later records give z a gradient before
+    the loss's backward runs, and the loss an upstream gradient c != 1,
+    so the order of every addition and product in that backward shows."""
+    return scale(add(loss, sum_all(mul(z, Tensor(w)))), c)
+
+
+def _same_bits(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        if e is None:
+            assert g is None
+        else:
+            assert g.shape == e.shape and np.array_equal(g, e)
+
+
+class TestFusedPrimitivesMatchTheChain:
+    """The fused losses give the loss and every gradient of the old chain of
+    small tape ops (``tests/oracles.py``) to the last bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 64), st.integers(1, 128), st.sampled_from([0.0, 1e-5]),
+           st.integers(0, 2**32 - 1), st.sampled_from(["none", "a", "both"]),
+           st.floats(-3.0, 3.0), st.sampled_from(["distinct", "same", "a_only", "b_only"]))
+    def test_barlow_twins(self, batch, dim, eps, seed, constant, log_scale, inputs):
+        rng = np.random.default_rng(seed)
+        za = rng.normal(size=(batch, dim)) * 10.0 ** log_scale
+        zb = rng.normal(size=(batch, dim)) * rng.uniform(0.1, 10.0) + rng.normal()
+        col = int(rng.integers(dim))
+        if constant in ("a", "both"):
+            za[:, col] = rng.normal()
+        if constant == "both":
+            zb[:, col] = rng.normal()
+        lam = float(rng.uniform(0.0, 0.1))
+        cfg = LossConfig(lam=lam, eps=eps)
+        w, c = rng.normal(size=za.shape), float(rng.uniform(0.1, 10.0))
+        arrays = (za, 0 if inputs == "same" else zb)
+        grads = [inputs != "b_only", inputs != "a_only"]
+
+        fused = _taped(lambda a, b: _around(bt_loss_from_embeddings(a, b, cfg), a, w, c),
+                       *arrays, grads=grads)
+        chain = _taped(lambda a, b: _around(
+            chain_barlow_twins_loss(chain_cross_correlation(a, b, eps), lam), a, w, c),
+            *arrays, grads=grads)
+        _same_bits(fused, chain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    def test_mse(self, batch, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        pred = rng.normal(size=(batch, 1)) * 10.0 ** log_scale
+        target = rng.normal(size=batch) * 10.0 ** log_scale
+        w, c = rng.normal(size=pred.shape), float(rng.uniform(0.1, 10.0))
+
+        fused = _taped(lambda p: _around(mse_loss(p, target), p, w, c), pred)
+        chain = _taped(lambda p: _around(chain_mse(p, target), p, w, c), pred)
+        _same_bits(fused, chain)
+
+
+class TestFusedPrimitives:
+    def test_one_tape_record_per_loss_stage(self):
+        # guards against either loss falling back to a chain of small ops
+        rng = np.random.default_rng(5)
+        za = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        zb = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        pred = Tensor(rng.normal(size=(8, 1)), requires_grad=True)
+        with Tape() as tape:
+            bt_loss_from_embeddings(za, zb, LossConfig())
+        assert len(tape._records) == 2
+        with Tape() as tape:
+            mse_loss(pred, rng.normal(size=8))
+        assert len(tape._records) == 1
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-5])
+    def test_gradients_match_finite_differences(self, eps):
+        rng = np.random.default_rng(6)
+        za = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        zb = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        cfg = LossConfig(eps=eps)
+        assert grad_check(lambda: bt_loss_from_embeddings(za, zb, cfg), [za, zb]) == []
+        pred = Tensor(rng.normal(size=(5, 1)), requires_grad=True)
+        target = rng.normal(size=5)
+        assert grad_check(lambda: mse_loss(pred, target), [pred]) == []

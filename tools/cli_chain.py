@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Run the fixed-seed CLI chain from two checkouts and compare every output byte for byte.
+
+    python3 tools/cli_chain.py --parent ../parent --change .
+
+Both arguments are checkouts of this repository.  From each, in a fresh
+working directory and at the same relative paths, every step runs as its
+own ``python -m xtalssl.cli`` process on that checkout's ``src``, with
+``OPENBLAS_NUM_THREADS=1``:
+
+    gen-toy --n 40 --seed 3, featurize, pretrain, finetune from
+    pretrain_best.ckpt, evaluate, embed with each pretrain checkpoint, ablate
+
+The script prints each file whose bytes differ or that only one side
+wrote, and exits 1 if there is any; then it keeps the working directory
+for inspection.  Otherwise it prints the number of identical files and
+removes it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+SIDES = ("parent", "change")
+PRETRAIN = ["pretrain.epochs=2", "pretrain.batch=8", "pretrain.val_fraction=0.2"]
+FINETUNE = ["finetune.epochs=3", "finetune.batch=8"]
+
+
+def _sets(*settings: str) -> list[str]:
+    return [arg for s in settings for arg in ("--set", s)]
+
+
+STEPS = [
+    ["gen-toy", "--n", "40", "--seed", "3", "--out", "data"],
+    ["featurize", "--data-root", "data", "--out-dir", "featurize"],
+    ["pretrain", "--data-root", "data", "--out-dir", "pretrain", *_sets(*PRETRAIN)],
+    ["finetune", "--data-root", "data", "--index-file", "data/index.csv", "--out-dir", "finetune",
+     "--init-checkpoint", "pretrain/pretrain_best.ckpt", *_sets(*FINETUNE)],
+    ["evaluate", "--data-root", "data", "--index-file", "data/index.csv", "--out-dir", "evaluate",
+     "--checkpoint", "finetune/finetune_model.ckpt"],
+    ["embed", "--data-root", "data", "--out-dir", "embed_best",
+     "--checkpoint", "pretrain/pretrain_best.ckpt"],
+    ["embed", "--data-root", "data", "--out-dir", "embed_final",
+     "--checkpoint", "pretrain/pretrain_final.ckpt"],
+    ["ablate", "--data-root", "data", "--index-file", "data/index.csv", "--out-dir", "ablate",
+     *_sets(*PRETRAIN, *FINETUNE)],
+]
+
+
+def run_chain(checkout: str, workdir: str) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(checkout, "src"))
+    os.makedirs(workdir)
+    for step in STEPS:
+        cmd = [sys.executable, "-m", "xtalssl.cli", *step]
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{checkout}: {' '.join(step)} exited with {proc.returncode}:\n"
+                               f"{proc.stderr[-2000:]}")
+
+
+def outputs(workdir: str) -> set[str]:
+    return {os.path.relpath(os.path.join(root, name), workdir)
+            for root, _, names in os.walk(workdir) for name in names}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    args = parser.parse_args(argv)
+    root = tempfile.mkdtemp(prefix="cli_chain_")
+    workdirs = {side: os.path.join(root, side) for side in SIDES}
+    for side in SIDES:
+        run_chain(os.path.abspath(getattr(args, side)), workdirs[side])
+
+    files = {side: outputs(workdirs[side]) for side in SIDES}
+    differ = sorted(f for f in files["parent"] & files["change"]
+                    if not filecmp.cmp(*(os.path.join(workdirs[s], f) for s in SIDES),
+                                       shallow=False))
+    for f in differ:
+        print(f"differs: {f}")
+    for side, other in (SIDES, SIDES[::-1]):
+        for f in sorted(files[side] - files[other]):
+            print(f"only in {side}: {f}")
+    if differ or files["parent"] != files["change"]:
+        print(f"outputs kept in {root}")
+        return 1
+    print(f"all {len(files['change'])} files identical")
+    shutil.rmtree(root)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
