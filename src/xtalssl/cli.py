@@ -33,6 +33,7 @@ from .model import (
 )
 from .pipeline import (
     FinetuneConfig,
+    InvalidLabelStats,
     PretrainConfig,
     ablation_run,
     entry_graph,
@@ -273,8 +274,9 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     data = _load_data(cfg)
     out_dir = _require(cfg, "out_dir")
     params, arrays = _load_model_for_inference(cfg, need_head=True)
-    metrics = evaluate(params, data, float(arrays["label_mean"]), float(arrays["label_std"]),
-                       batch=cfg.finetune.batch, neighbor=cfg.neighbor, basis=cfg.basis)
+    with naming(cfg.checkpoint, InvalidLabelStats):
+        metrics = evaluate(params, data, float(arrays["label_mean"]), float(arrays["label_std"]),
+                           batch=cfg.finetune.batch, neighbor=cfg.neighbor, basis=cfg.basis)
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "evaluation.json"),
            json.dumps(metrics, sort_keys=True, indent=2) + "\n")
@@ -288,7 +290,8 @@ def _cmd_embed(cfg: RunConfig) -> int:
     params, _ = _load_model_for_inference(cfg, need_head=False)
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "embeddings.csv"),
-           export_embeddings(params, data, neighbor=cfg.neighbor, basis=cfg.basis))
+           export_embeddings(params, data, neighbor=cfg.neighbor, basis=cfg.basis,
+                             batch=cfg.finetune.batch))
     return 0
 
 

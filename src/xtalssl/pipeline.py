@@ -7,14 +7,23 @@ keys, so e.g. changing the number of epochs never perturbs the weight init.
 Wall-clock time is measured and logged but deliberately kept out of the
 canonical report JSON so reports stay byte-identical across reruns.
 
-Pretraining encodes the two views of a batch on two threads, forward and
-backward (``_twin_embeddings``): view b on one worker thread that lives as
-long as the ``pretrain`` call, view a on the calling thread.  Each view
-records on its own tape and accumulates into its own gradients, which are
-summed in a fixed order once both are done, so results never depend on
-thread timing.  The worker runs only when the two views' BLAS threads fit
-on the cores (``_view_b_worker``); otherwise the calling thread encodes
-both views in turn, with the same results.
+Every call runs its encoder on two threads: the calling thread and one
+worker thread that lives as long as the call (``_second_thread``), both
+through ``_on_both_threads``.  The worker runs only when two threads' BLAS
+threads fit on the cores; otherwise the calling thread does both parts in
+turn, with the same results.
+
+- Pretraining encodes view a of a batch on the calling thread and view b
+  on the worker, forward and backward (``_twin_embeddings``).  Each view
+  records on its own tape and accumulates into its own gradients, which are
+  summed in a fixed order once both are done, so results never depend on
+  thread timing.
+- Inference (``export_embeddings``, ``evaluate`` and fine-tuning's
+  validation and test predictions) splits its ordered crystals into two
+  contiguous halves, one per thread (``_encode_halves``).  The encoder has
+  no batch norm, so a graph's latent does not depend on what it is merged
+  with, and the split is the same whether or not the worker runs.
+  Fine-tuning's training steps run on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -77,6 +86,10 @@ class UnlabeledDataset(ValueError):
 
 class NonFiniteLoss(ValueError):
     """A training loss, gradient or validation loss that is NaN or infinite."""
+
+
+class InvalidLabelStats(ValueError):
+    """Label standardization statistics that are non-finite, or a std that is not positive."""
 
 
 # seed fan-out: the root SeedSequence(seed) drives dataset splitting (see
@@ -248,10 +261,10 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _view_b_worker():
-    """A one-thread executor for view b, or a null context giving None (no worker).
+def _second_thread():
+    """A one-thread executor for a call's second part, or a null context giving None (no worker).
 
-    The worker pays only when both views' BLAS threads fit on the cores
+    The worker pays only when both threads' BLAS threads fit on the cores
     this process may use.  OpenBLAS defaults to one thread per core, and
     two views of that ran pretraining slower than one thread doing both
     in turn.  A BLAS ``_blas_threads`` cannot ask gets no worker.
@@ -259,7 +272,7 @@ def _view_b_worker():
     blas = _blas_threads()
     if blas is None or 2 * blas > _usable_cores():
         return contextlib.nullcontext()
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="xtalssl-view-b")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="xtalssl-worker")
 
 
 def _on_both_threads(worker, run_a, run_b):
@@ -277,6 +290,40 @@ def _on_both_threads(worker, run_a, run_b):
     finally:
         wait([future])
     return a, future.result()
+
+
+def _encode_halves(worker, params: ModelParams, items: list, batch: int,
+                   graph_of=None) -> np.ndarray:
+    """Latents (len(items), hidden_dim) of ``items`` in order, the second half on ``worker``.
+
+    ``items`` are graphs, or entries that ``graph_of`` turns into graphs.
+    The first ceil(n/2) items run on this thread, the rest on ``worker``
+    (if any; an empty half is not submitted).  Each half builds the graphs
+    of at most ``batch`` items at a time and encodes them merged, so a bad
+    entry raises before any later entry of its half is touched, and the
+    first half's error is raised before the second's.  A graph of two or
+    more nodes encodes to the same bits alone or merged; a lone one-node
+    graph takes a one-row product and may differ from its merged latent by
+    round-off.
+    """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    half = (len(items) + 1) // 2
+
+    def run(part):
+        latents = []
+        for lo in range(0, len(part), batch):
+            chunk = part[lo:lo + batch]
+            graphs = chunk if graph_of is None else [graph_of(x) for x in chunk]
+            merged, seg = merge_graphs(graphs)
+            latents.append(encode(params, merged, seg, len(graphs)).data)
+        return latents
+
+    a, b = _on_both_threads(worker if half < len(items) else None,
+                            lambda: run(items[:half]), lambda: run(items[half:]))
+    if not a:
+        return np.zeros((0, params.config.hidden_dim))
+    return np.concatenate(a + b)
 
 
 def _twin_embeddings(worker, params: ModelParams, merged,
@@ -417,7 +464,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
         return float(np.mean(losses)) if losses else None
 
     # the thread that encodes view b of every batch, for the whole run
-    with _view_b_worker() as worker:
+    with _second_thread() as worker:
         epochs_log, best_epoch, best_state = _fit(
             "pretrain", params, pcfg, data.entries, train_idx, 2,
             lambda b: batch_loss(b, augment_rng), val_loss)
@@ -450,13 +497,16 @@ class FinetuneResult:
     checkpoint_path: str | None
 
 
-def _predict_std(params: ModelParams, graphs: list[CrystalGraph], batch: int) -> np.ndarray:
-    """Inference-mode standardized predictions, one scalar per graph."""
-    preds = []
-    for lo in range(0, len(graphs), batch):
-        merged, seg = merge_graphs(graphs[lo:lo + batch])
-        out = regress(params, encode(params, merged, seg, len(graphs[lo:lo + batch])))
-        preds.append(out.data[:, 0])
+def _predict_std(worker, params: ModelParams, items: list, batch: int,
+                 graph_of=None) -> np.ndarray:
+    """Inference-mode standardized predictions, one scalar per item of ``_encode_halves``.
+
+    The head runs over the latents in chunks of ``batch`` rows from the
+    start, not per half: its products round differently on other row counts.
+    """
+    latents = _encode_halves(worker, params, items, batch, graph_of)
+    preds = [regress(params, Tensor(latents[lo:lo + batch])).data[:, 0]
+             for lo in range(0, len(latents), batch)]
     return np.concatenate(preds) if preds else np.zeros(0)
 
 
@@ -501,18 +551,21 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     def val_loss():
         if not graphs_val:
             return None
-        return float(np.mean((_predict_std(params, graphs_val, fcfg.batch) - y_val_std) ** 2))
+        pred = _predict_std(worker, params, graphs_val, fcfg.batch)
+        return float(np.mean((pred - y_val_std) ** 2))
 
-    epochs_log, best_epoch, best_state = _fit(
-        "finetune", params, fcfg, train_d.entries, np.arange(len(graphs_train)), 1,
-        batch_loss, val_loss)
-    _restore(params, best_state)
+    # the thread that encodes the second half of every prediction, for the whole run
+    with _second_thread() as worker:
+        epochs_log, best_epoch, best_state = _fit(
+            "finetune", params, fcfg, train_d.entries, np.arange(len(graphs_train)), 1,
+            batch_loss, val_loss)
+        _restore(params, best_state)
 
-    test_mae = None
-    if len(graphs_test) > 0:
-        test_pred = _predict_std(params, graphs_test, fcfg.batch) * label_std + label_mean
-        test_mae = mae_metric(test_pred, y_test)
-        logger.info("finetune test MAE (original units): %.6f", test_mae)
+        test_mae = None
+        if len(graphs_test) > 0:
+            test_pred = _predict_std(worker, params, graphs_test, fcfg.batch)
+            test_mae = mae_metric(test_pred * label_std + label_mean, y_test)
+            logger.info("finetune test MAE (original units): %.6f", test_mae)
 
     ckpt_path = None
     if out_dir is not None:
@@ -535,27 +588,44 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
 def evaluate(params: ModelParams, data: Dataset, label_mean: float, label_std: float,
              batch: int = 128, neighbor: NeighborConfig = NeighborConfig(),
              basis: GaussianBasis = GaussianBasis()) -> dict:
-    """MAE of a fine-tuned model over every entry of a labeled dataset."""
+    """MAE of a fine-tuned model over every entry of a labeled dataset.
+
+    ``label_mean`` and ``label_std`` undo the standardization of the
+    labels the model was fine-tuned on; they must be finite, and the std
+    positive.
+    """
     if data.kind != "labeled":
         raise UnlabeledDataset("evaluate needs a labeled dataset")
     check_basis_width(params.config, basis)
-    graphs = [entry_graph(e, neighbor, basis) for e in data.entries]
+    if not data.entries:
+        raise EmptyDataset("evaluate needs a nonempty dataset")
+    if not (np.isfinite(label_mean) and np.isfinite(label_std) and label_std > 0):
+        raise InvalidLabelStats(f"label_mean and label_std must be finite and label_std > 0, "
+                                f"got {label_mean} and {label_std}")
     labels = np.array([e.label for e in data.entries], dtype=np.float64)
-    pred = _predict_std(params, graphs, batch) * label_std + label_mean
+    with _second_thread() as worker:
+        pred = _predict_std(worker, params, data.entries, batch,
+                            lambda e: entry_graph(e, neighbor, basis)) * label_std + label_mean
     return {"n_entries": len(data.entries), "mae": mae_metric(pred, labels)}
 
 
 def export_embeddings(params: ModelParams, data: Dataset,
                       neighbor: NeighborConfig = NeighborConfig(),
-                      basis: GaussianBasis = GaussianBasis()) -> str:
-    """CSV of per-entry latents: id, z0..z{H-1}[, label]; rows sorted by id."""
+                      basis: GaussianBasis = GaussianBasis(), batch: int = 128) -> str:
+    """CSV of per-entry latents: id, z0..z{H-1}[, label]; rows sorted by id.
+
+    Crystals are encoded in merged batches of at most ``batch``.
+    """
     check_basis_width(params.config, basis)
     hidden = params.config.hidden_dim
     header = ["id"] + [f"z{i}" for i in range(hidden)] + (
         ["label"] if data.kind == "labeled" else [])
     lines = [",".join(header)]
-    for entry in sorted(data.entries, key=lambda e: e.id):
-        z = encode(params, entry_graph(entry, neighbor, basis)).data[0]
+    entries = sorted(data.entries, key=lambda e: e.id)
+    with _second_thread() as worker:
+        latents = _encode_halves(worker, params, entries, batch,
+                                 lambda e: entry_graph(e, neighbor, basis))
+    for entry, z in zip(entries, latents):
         row = [entry.id] + [repr(float(v)) for v in z]
         if data.kind == "labeled":
             row.append(repr(float(entry.label)))

@@ -274,6 +274,22 @@ class TestCommands:
                     + tiny_args())
         assert code == 1
 
+    @pytest.mark.parametrize("label_std", [float("nan"), 0.0])
+    def test_evaluate_names_a_checkpoint_with_bad_label_statistics(
+            self, toy_dir, tmp_path, capsys, label_std):
+        mcfg = build_run_config(dict(s.split("=") for s in TINY_SETTINGS)).model
+        params = init_params(mcfg, np.random.default_rng(0), with_projector=False)
+        save_checkpoint(tmp_path / "bad.ckpt", params,
+                        extra={"label_mean": np.float64(0.0), "label_std": np.float64(label_std)})
+        code = main(["evaluate", "--data-root", str(toy_dir),
+                     "--index-file", str(toy_dir / "index.csv"),
+                     "--out-dir", str(tmp_path / "ev"),
+                     "--checkpoint", str(tmp_path / "bad.ckpt")] + tiny_args())
+        assert code == 1
+        assert f"bad.ckpt: label_mean and label_std must be finite and label_std > 0, " \
+            f"got 0.0 and {label_std}" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "evaluation.json").exists()
+
     def test_embed_names_a_misshapen_array(self, toy_dir, tmp_path, capsys):
         mcfg = build_run_config(dict(s.split("=") for s in TINY_SETTINGS)).model
         params = init_params(mcfg, np.random.default_rng(0), with_head=False)

@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -25,6 +27,7 @@ from xtalssl.model import (
     init_params,
     load_checkpoint,
     project,
+    regress,
     save_checkpoint,
 )
 from xtalssl.pipeline import (
@@ -32,6 +35,7 @@ from xtalssl.pipeline import (
     Adam,
     AblationRow,
     FinetuneConfig,
+    InvalidLabelStats,
     MissingGradient,
     NonFiniteLoss,
     PretrainConfig,
@@ -40,6 +44,7 @@ from xtalssl.pipeline import (
     _AUGMENT,
     _INIT,
     _batches,
+    _encode_halves,
     _fit,
     _twin_embeddings,
     ablation_csv,
@@ -590,7 +595,7 @@ class TestNonFiniteLoss:
 
 
 class InlineWorker:
-    """Stands in for the view-b worker: runs each job at once, on this thread."""
+    """Stands in for the second thread's worker: runs each job at once, on this thread."""
 
     def __enter__(self):
         return self
@@ -661,7 +666,7 @@ class TestTwinViews:
                    "none": contextlib.nullcontext}
         reports = {}
         for run, worker in workers.items():
-            monkeypatch.setattr(pipeline, "_view_b_worker", worker)
+            monkeypatch.setattr(pipeline, "_second_thread", worker)
             reports[run] = pretrain(data, TWIN, pcfg, out_dir=tmp_path / run).report.to_json()
         assert spy.futures  # steps, backward walks and validation passes
         for run in ("inline", "none"):
@@ -676,7 +681,7 @@ class TestTwinViews:
             self, monkeypatch, blas, cores, threaded):
         monkeypatch.setattr(pipeline, "_blas_threads", lambda: blas)
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
-        with pipeline._view_b_worker() as worker:
+        with pipeline._second_thread() as worker:
             assert isinstance(worker, ThreadPoolExecutor) == threaded
             assert threaded or worker is None
 
@@ -746,3 +751,171 @@ class TestTwinViews:
                 _twin_embeddings(spy, self.params(), [self.empty(), self.merged()[1]], 4)
             assert [f.done() for f in spy.futures] == [True]
             assert spy.futures[0].exception() is None
+
+
+def random_cells(n, atoms, seed):
+    """Labeled entries ``cell_00``.. with random lattices and ``atoms`` sites each, cycled."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for i in range(n):
+        k = atoms[i % len(atoms)]
+        lattice = np.diag(rng.uniform(3.0, 4.0, 3)) + rng.uniform(-0.3, 0.3, (3, 3))
+        structure = CrystalStructure(lattice=lattice, atomic_numbers=rng.integers(1, 40, k),
+                                     frac_coords=rng.uniform(0.0, 1.0, (k, 3)))
+        entries.append(DatasetEntry(id=f"cell_{i:02d}", structure=structure,
+                                    label=float(rng.normal())))
+    return Dataset(entries=tuple(entries), kind="labeled")
+
+
+def per_crystal_csv(params, data):
+    """export_embeddings as one thread wrote it: each crystal encoded on its own."""
+    lines = [",".join(["id"] + [f"z{i}" for i in range(params.config.hidden_dim)] + ["label"])]
+    for e in sorted(data.entries, key=lambda e: e.id):
+        z = encode(params, pipeline.entry_graph(e, NEIGHBOR, BASIS)).data[0]
+        lines.append(",".join([e.id] + [repr(float(v)) for v in z] + [repr(float(e.label))]))
+    return "\n".join(lines) + "\n"
+
+
+def chunked_mae(params, data, label_mean, label_std, batch):
+    """evaluate's MAE as one thread computed it: encode and head per chunk of ``batch``."""
+    graphs = [pipeline.entry_graph(e, NEIGHBOR, BASIS) for e in data.entries]
+    preds = []
+    for lo in range(0, len(graphs), batch):
+        merged, seg = merge_graphs(graphs[lo:lo + batch])
+        preds.append(regress(params, encode(params, merged, seg, len(graphs[lo:lo + batch])))
+                     .data[:, 0])
+    pred = np.concatenate(preds) * label_std + label_mean
+    return float(np.mean(np.abs(pred - [e.label for e in data.entries])))
+
+
+class TestInferenceHalves:
+    @staticmethod
+    def params(with_head=True):
+        return init_params(TWIN, rng_for(0, _INIT), with_projector=False, with_head=with_head)
+
+    @staticmethod
+    def encoded_by_thread(monkeypatch):
+        """Patches pipeline.encode to log (thread, graphs in the batch) per call."""
+        calls, real = [], pipeline.encode
+
+        def logged(params, graph, seg=None, n_graphs=1):
+            calls.append((threading.current_thread() is threading.main_thread(), n_graphs))
+            return real(params, graph, seg, n_graphs)
+
+        monkeypatch.setattr(pipeline, "encode", logged)
+        return calls
+
+    def test_outputs_do_not_depend_on_the_worker(self, tmp_path, monkeypatch):
+        data = gen_toy_dataset(20, seed=9)
+        fcfg = tiny_fcfg(epochs=2, batch=3, seed=5)  # validation and test: 4 crystals each
+        params = self.params()
+        spies = []
+
+        def spy():
+            spies.append(SpyWorker())
+            return spies[-1]
+
+        out = {}
+        for run, worker in {"threaded": spy, "inline": InlineWorker,
+                            "none": contextlib.nullcontext}.items():
+            monkeypatch.setattr(pipeline, "_second_thread", worker)
+            ft = finetune(data, TWIN, fcfg, out_dir=tmp_path / run)
+            out[run] = (export_embeddings(params, data, NEIGHBOR, BASIS, 3),
+                        evaluate(params, data, 0.5, 2.0, batch=3, neighbor=NEIGHBOR,
+                                 basis=BASIS),
+                        ft.report.to_json(),
+                        (tmp_path / run / "finetune_model.ckpt").read_bytes())
+        # finetune (validation and test), embed and evaluate each used their worker
+        assert len(spies) == 3 and all(s.futures for s in spies)
+        assert out["inline"] == out["threaded"] and out["none"] == out["threaded"]
+        csv, metrics = out["none"][:2]
+        assert csv == per_crystal_csv(params, data)
+        assert metrics == {"n_entries": 20, "mae": chunked_mae(params, data, 0.5, 2.0, 3)}
+
+    @pytest.mark.parametrize("batch", [1, 3, 128])
+    def test_latents_equal_per_crystal_encode_bitwise(self, batch):
+        data = random_cells(15, atoms=range(2, 9), seed=batch)
+        params = self.params(with_head=False)
+        alone = [encode(params, pipeline.entry_graph(e, NEIGHBOR, BASIS)).data[0]
+                 for e in data.entries]
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            latents = _encode_halves(worker, params, list(data.entries), batch,
+                                     lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+        assert latents.tobytes() == np.array(alone).tobytes()
+        assert export_embeddings(params, data, NEIGHBOR, BASIS, batch) == \
+            per_crystal_csv(params, data)
+
+    def test_a_merged_one_atom_cell_differs_from_its_lone_latent_by_round_off(self):
+        # a lone one-node graph multiplies one-row matrices, which BLAS
+        # rounds differently from the same row inside a larger product
+        params = self.params(with_head=False)
+        data = random_cells(4, atoms=[3, 1], seed=2)
+        one_atom = data.entries[1]
+        alone = encode(params, pipeline.entry_graph(one_atom, NEIGHBOR, BASIS)).data[0]
+        merged = _encode_halves(None, params, list(data.entries), 128,
+                                lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))[1]
+        assert pipeline.entry_graph(one_atom, NEIGHBOR, BASIS).n_edges > 0
+        assert merged.tobytes() != alone.tobytes()
+        npt.assert_allclose(merged, alone, rtol=1e-13)
+        # alone in its half, it is encoded alone
+        halves = _encode_halves(None, params, [data.entries[0], one_atom], 128,
+                                lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+        assert halves[1].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("bad, named", [((3,), "toy_0003"), ((1, 4), "toy_0001")])
+    def test_the_first_bad_entry_in_order_is_named(self, bad, named):
+        toy = gen_toy_dataset(6, seed=34)  # halves: toy_0000-0002 and toy_0003-0005
+        entries = tuple(dataclasses.replace(e, structure=THIN) if i in bad else e
+                        for i, e in enumerate(toy.entries))
+        data = Dataset(entries=entries, kind="labeled")
+        params = self.params()
+        message = f"^entry '{named}': cutoff 4.5 needs"
+        with SpyWorker(delay=0.1) as spy:
+            with pytest.raises(DegenerateCell, match=message):
+                _encode_halves(spy, params, list(entries), 2,
+                               lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+            assert [f.done() for f in spy.futures] == [True]
+        for run in (lambda: export_embeddings(params, data, NEIGHBOR, BASIS, 2),
+                    lambda: evaluate(params, data, 0.0, 1.0, 2, NEIGHBOR, BASIS)):
+            with pytest.raises(DegenerateCell, match=message):
+                run()
+
+    @pytest.mark.parametrize("n, encoded", [
+        (5, [(True, 2), (True, 1), (False, 2)]), (1, [(True, 1)]), (0, [])])
+    def test_the_first_half_takes_the_odd_entry_and_an_empty_half_is_not_submitted(
+            self, monkeypatch, n, encoded):
+        calls = self.encoded_by_thread(monkeypatch)
+        data = gen_toy_dataset(max(n, 1), seed=35)
+        data = Dataset(entries=data.entries[:n], kind="labeled")
+        params = self.params(with_head=False)
+        with SpyWorker() as spy:
+            latents = _encode_halves(spy, params, list(data.entries), 2,
+                                     lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+        assert len(spy.futures) == (n > 1)
+        assert sorted(calls, reverse=True) == encoded
+        assert latents.shape == (n, TWIN.hidden_dim)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_is_rejected_before_any_neighbor_search(self, monkeypatch, batch):
+        calls = []
+        monkeypatch.setattr(geometry, "_pairs_within", lambda *args: calls.append(args))
+        data = gen_toy_dataset(3, seed=36)
+        params = self.params()
+        for run in (lambda: evaluate(params, data, 0.0, 1.0, batch, NEIGHBOR, BASIS),
+                    lambda: export_embeddings(params, data, NEIGHBOR, BASIS, batch)):
+            with pytest.raises(ValueError, match=f"^batch must be >= 1, got {batch}$"):
+                run()
+        assert calls == []
+
+    def test_evaluate_rejects_an_empty_dataset(self):
+        with pytest.raises(EmptyDataset, match="evaluate needs a nonempty dataset"):
+            evaluate(self.params(), Dataset(entries=(), kind="labeled"), 0.0, 1.0,
+                     neighbor=NEIGHBOR, basis=BASIS)
+
+    @pytest.mark.parametrize("mean, std", [
+        (np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan), (0.0, -np.inf), (0.0, np.inf),
+        (0.0, 0.0), (0.0, -1.0)])
+    def test_evaluate_rejects_bad_label_statistics(self, mean, std):
+        with pytest.raises(InvalidLabelStats, match="label_std > 0, got"):
+            evaluate(self.params(), gen_toy_dataset(3, seed=37), mean, std,
+                     neighbor=NEIGHBOR, basis=BASIS)
