@@ -776,34 +776,20 @@ def per_crystal_csv(params, data):
     return "\n".join(lines) + "\n"
 
 
-def chunked_mae(params, data, label_mean, label_std, batch):
-    """evaluate's MAE as one thread computed it: encode and head per chunk of ``batch``."""
-    graphs = [pipeline.entry_graph(e, NEIGHBOR, BASIS) for e in data.entries]
+def chunked_predictions(params, graphs, batch):
+    """Standardized predictions as one thread made them: encode and head per chunk of ``batch``."""
     preds = []
     for lo in range(0, len(graphs), batch):
         merged, seg = merge_graphs(graphs[lo:lo + batch])
         preds.append(regress(params, encode(params, merged, seg, len(graphs[lo:lo + batch])))
                      .data[:, 0])
-    pred = np.concatenate(preds) * label_std + label_mean
-    return float(np.mean(np.abs(pred - [e.label for e in data.entries])))
+    return np.concatenate(preds)
 
 
 class TestInferenceHalves:
     @staticmethod
     def params(with_head=True):
         return init_params(TWIN, rng_for(0, _INIT), with_projector=False, with_head=with_head)
-
-    @staticmethod
-    def encoded_by_thread(monkeypatch):
-        """Patches pipeline.encode to log (thread, graphs in the batch) per call."""
-        calls, real = [], pipeline.encode
-
-        def logged(params, graph, seg=None, n_graphs=1):
-            calls.append((threading.current_thread() is threading.main_thread(), n_graphs))
-            return real(params, graph, seg, n_graphs)
-
-        monkeypatch.setattr(pipeline, "encode", logged)
-        return calls
 
     def test_outputs_do_not_depend_on_the_worker(self, tmp_path, monkeypatch):
         data = gen_toy_dataset(20, seed=9)
@@ -830,7 +816,15 @@ class TestInferenceHalves:
         assert out["inline"] == out["threaded"] and out["none"] == out["threaded"]
         csv, metrics = out["none"][:2]
         assert csv == per_crystal_csv(params, data)
-        assert metrics == {"n_entries": 20, "mae": chunked_mae(params, data, 0.5, 2.0, 3)}
+        # the head keeps one thread's chunks, whose rounding differs from the halves'
+        graphs = [pipeline.entry_graph(e, NEIGHBOR, BASIS) for e in data.entries]
+        expected = chunked_predictions(params, graphs, 3)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            assert pipeline._predict_std(worker, params, graphs, 3).tobytes() == \
+                expected.tobytes()
+        labels = np.array([e.label for e in data.entries])
+        assert metrics == {"n_entries": 20,
+                           "mae": float(np.mean(np.abs(expected * 2.0 + 0.5 - labels)))}
 
     @pytest.mark.parametrize("batch", [1, 3, 128])
     def test_latents_equal_per_crystal_encode_bitwise(self, batch):
@@ -884,7 +878,13 @@ class TestInferenceHalves:
         (5, [(True, 2), (True, 1), (False, 2)]), (1, [(True, 1)]), (0, [])])
     def test_the_first_half_takes_the_odd_entry_and_an_empty_half_is_not_submitted(
             self, monkeypatch, n, encoded):
-        calls = self.encoded_by_thread(monkeypatch)
+        calls, real = [], pipeline.encode  # (on the calling thread, graphs in the batch)
+
+        def logged(params, graph, seg=None, n_graphs=1):
+            calls.append((threading.current_thread() is threading.main_thread(), n_graphs))
+            return real(params, graph, seg, n_graphs)
+
+        monkeypatch.setattr(pipeline, "encode", logged)
         data = gen_toy_dataset(max(n, 1), seed=35)
         data = Dataset(entries=data.entries[:n], kind="labeled")
         params = self.params(with_head=False)
