@@ -173,6 +173,9 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         pre = PretrainConfig(augment=augment, neighbor=neighbor, basis=basis, loss=loss,
                              seed=seed, **section("pretrain"))
         fine = FinetuneConfig(neighbor=neighbor, basis=basis, seed=seed, **section("finetune"))
+        ablate_seeds = list(typed.get("ablate.seeds", [0, 1, 2]))
+        if any(s < 0 for s in ablate_seeds):
+            raise ValueError(f"ablate.seeds must be >= 0, got {ablate_seeds}")
     except ValueError as exc:
         raise InvalidConfig(f"invalid configuration: {exc}") from None
     return RunConfig(
@@ -182,7 +185,7 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         checkpoint=typed.get("checkpoint"),
         out_dir=typed.get("out_dir"),
         model=model, neighbor=neighbor, basis=basis, pretrain=pre, finetune=fine,
-        ablate_seeds=list(typed.get("ablate.seeds", [0, 1, 2])),
+        ablate_seeds=ablate_seeds,
     )
 
 
@@ -235,9 +238,10 @@ def _load_model_for_inference(cfg: RunConfig, need_head: bool):
     path = _require(cfg, "checkpoint")
     ck_cfg, arrays = load_checkpoint(path)
     has_head = "head.w1" in arrays
-    if need_head and (not has_head or "label_mean" not in arrays):
-        raise CorruptCheckpoint("not a fine-tuned model checkpoint (missing head or label stats)")
     with naming(path, CorruptCheckpoint, ConfigMismatch):
+        if need_head and (not has_head or "label_mean" not in arrays):
+            raise CorruptCheckpoint(
+                "not a fine-tuned model checkpoint (missing head or label stats)")
         params = params_from_arrays(ck_cfg, arrays,
                                     with_projector="projector.w1" in arrays, with_head=has_head)
     return params, arrays

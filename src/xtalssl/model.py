@@ -282,10 +282,18 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     (version,) = unpack("<I")
     if version != _VERSION:
         raise CorruptCheckpoint(f"{path}: unsupported version {version}")
-    cfg = ModelConfig(**dict(zip(_CONFIG_FIELDS, unpack("<5I"))))
+    header = dict(zip(_CONFIG_FIELDS, unpack("<5I")))
+    try:
+        cfg = ModelConfig(**header)
+    except ValueError as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from None
     arrays: dict[str, np.ndarray] = {}
     for _ in range(unpack("<I")[0]):
-        name = take(unpack("<H")[0]).decode("utf-8")
+        raw = take(unpack("<H")[0])
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint(f"{path}: array name {raw!r} is not UTF-8") from None
         shape = unpack(f"<{unpack('<B')[0]}Q")
         count = int(np.prod(shape, dtype=np.int64))
         arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)

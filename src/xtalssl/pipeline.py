@@ -9,9 +9,10 @@ canonical report JSON so reports stay byte-identical across reruns.
 
 Every call runs its encoder on two threads: the calling thread and one
 worker thread that lives as long as the call (``_second_thread``), both
-through ``_on_both_threads``.  The worker runs only when two threads' BLAS
-threads fit on the cores; otherwise the calling thread does both parts in
-turn, with the same results.
+through ``_on_both_threads``.  For the whole call BLAS runs one thread, so
+outputs do not depend on the BLAS thread variable.  The worker runs when
+BLAS is pinned and two cores are usable; otherwise the calling thread does
+both parts in turn, with the same results.
 
 - Pretraining encodes view a of a batch on the calling thread and view b
   on the worker, forward and backward (``_twin_embeddings``).  Each view
@@ -32,10 +33,12 @@ import contextlib
 import contextvars
 import ctypes
 import dataclasses
+import functools
 import json
 import logging
 import os
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -128,10 +131,12 @@ class Adam:
             t.data = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _check_lr(stage: str, lr: float) -> None:
-    # 0 is legal: a run that leaves the loaded weights as they are
-    if not (np.isfinite(lr) and lr >= 0):
-        raise ValueError(f"{stage} lr must be finite and >= 0, got {lr}")
+def _check_lr_and_seed(stage: str, cfg) -> None:
+    # lr 0 is legal: a run that leaves the loaded weights as they are
+    if not (np.isfinite(cfg.lr) and cfg.lr >= 0):
+        raise ValueError(f"{stage} lr must be finite and >= 0, got {cfg.lr}")
+    if cfg.seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_lr("pretrain", self.lr)
+        _check_lr_and_seed("pretrain", self)
         if self.batch < 2:
             raise ValueError("pretrain batch must be >= 2 (loss needs batch statistics)")
         if self.epochs < 1:
@@ -168,7 +173,7 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_lr("finetune", self.lr)
+        _check_lr_and_seed("finetune", self)
         if self.batch < 1:
             raise ValueError("finetune batch must be >= 1")
         if self.epochs < 1:
@@ -236,22 +241,25 @@ def entry_graph(entry: DatasetEntry, neighbor: NeighborConfig, basis: GaussianBa
         return build_graph(entry.structure, build_neighbor_list(entry.structure, neighbor), basis)
 
 
-def _blas_threads() -> int | None:
-    """The threads numpy's BLAS runs a product on, or None for a BLAS this cannot ask.
+@functools.cache
+def _blas_threads():
+    """OpenBLAS's (get, set) pair for its thread count, or None for a BLAS this cannot reach.
 
-    Asks OpenBLAS (under the symbol names of numpy's wheels and of system
-    builds) through a numpy extension module, whose BLAS dependency
-    ``dlsym`` searches too.
+    Looks the pair up once, on first use, under the symbol names of
+    numpy's wheels and of system builds, through a numpy extension module,
+    whose BLAS dependency ``dlsym`` searches too.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads"):
-        get = getattr(lib, name, None)
-        if get is not None:
-            return int(get())
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -261,18 +269,42 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _second_thread():
-    """A one-thread executor for a call's second part, or a null context giving None (no worker).
+# the BLAS thread count is global to the process: calls that overlap in
+# user threads share one pin, and the last to exit restores the count
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore = 0
 
-    The worker pays only when both threads' BLAS threads fit on the cores
-    this process may use.  OpenBLAS defaults to one thread per core, and
-    two views of that ran pretraining slower than one thread doing both
-    in turn.  A BLAS ``_blas_threads`` cannot ask gets no worker.
+
+@contextlib.contextmanager
+def _second_thread():
+    """One BLAS thread for a call, and a one-thread executor for its second part or None.
+
+    One BLAS thread per compute thread makes outputs independent of the
+    BLAS thread variable.  The worker runs when BLAS is pinned and this
+    process may use two cores.  A BLAS ``_blas_threads`` cannot reach is
+    left as it is, and the call gets no worker.
     """
+    global _pin_depth, _pin_restore
     blas = _blas_threads()
-    if blas is None or 2 * blas > _usable_cores():
-        return contextlib.nullcontext()
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="xtalssl-worker")
+    if blas is None:
+        yield None
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="xtalssl-worker")
+              if _usable_cores() >= 2 else contextlib.nullcontext()) as worker:
+            yield worker
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_restore)
 
 
 def _on_both_threads(worker, run_a, run_b):

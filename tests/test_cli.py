@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from xtalssl import pipeline
 from xtalssl.cli import (
     InvalidConfig,
     build_run_config,
@@ -143,6 +144,16 @@ class TestExitCodes:
                      "--set", setting]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, args, key", [
+        ("pretrain", ["--seed", "-1"], "seed"),
+        ("finetune", ["--set", "seed=-1"], "seed"),
+        ("ablate", ["--set", "ablate.seeds=0,-2"], "ablate.seeds"),
+    ], ids=["pretrain", "finetune", "ablate"])
+    def test_negative_seeds_are_invalid(self, tmp_path, capsys, command, args, key):
+        assert main([command, "--data-root", str(tmp_path), "--out-dir", str(tmp_path),
+                     *args]) == 2
+        assert f"error: invalid configuration: {key} must be >= 0" in capsys.readouterr().err
+
     def test_bad_log_level(self, monkeypatch, capsys):
         monkeypatch.setenv("CT_LOG_LEVEL", "verbose")
         assert main(["gen-toy", "--n", "2", "--out", "/tmp/unused"]) == 2
@@ -260,7 +271,7 @@ class TestCommands:
         assert "pretrain epoch 2 batch 1: non-finite loss" in capsys.readouterr().err
         assert not pre.exists() or not os.listdir(pre)
 
-    def test_evaluate_rejects_encoder_checkpoint(self, toy_dir, tmp_path):
+    def test_evaluate_rejects_encoder_checkpoint(self, toy_dir, tmp_path, capsys):
         pre = tmp_path / "pre"
         main(["pretrain", "--data-root", str(toy_dir),
               "--index-file", str(toy_dir / "index.csv"),
@@ -273,6 +284,8 @@ class TestCommands:
                      "--checkpoint", str(pre / "pretrain_final.ckpt")]
                     + tiny_args())
         assert code == 1
+        assert f"error: {pre / 'pretrain_final.ckpt'}: not a fine-tuned model checkpoint" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("label_std", [float("nan"), 0.0])
     def test_evaluate_names_a_checkpoint_with_bad_label_statistics(
@@ -301,6 +314,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "'encoder.conv0.b_f' has shape (7,), expected (4,)" in err
         assert "bad.ckpt: checkpoint array" in err
+
+    @pytest.mark.parametrize("command", ["embed", "finetune"])
+    @pytest.mark.parametrize("offset, byte, message", [
+        (8, 0, "hidden_dim must be positive"),  # the header's first field
+        (34, 0xFF, r"array name b'\xffncoder.elem_embed' is not UTF-8"),  # the first name
+    ], ids=["header", "name"])
+    def test_a_corrupt_header_or_array_name_names_the_checkpoint(
+            self, toy_dir, tmp_path, capsys, command, offset, byte, message):
+        mcfg = build_run_config(dict(s.split("=") for s in TINY_SETTINGS)).model
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, init_params(mcfg, np.random.default_rng(0), with_head=False))
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 1] = bytes([byte])
+        path.write_bytes(bytes(raw))
+        flag = "--checkpoint" if command == "embed" else "--init-checkpoint"
+        code = main([command, "--data-root", str(toy_dir),
+                     "--index-file", str(toy_dir / "index.csv"),
+                     "--out-dir", str(tmp_path / "out"), flag, str(path)]
+                    + tiny_args("finetune.epochs=1"))
+        assert code == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_evaluate_rejects_basis_mismatch(self, toy_dir, tmp_path):
         pre = tmp_path / "pre"
@@ -349,6 +383,45 @@ class TestCommands:
         assert len(lines) == 4  # three arms
         runs = (out / "ablation_runs.csv").read_text().strip().split("\n")
         assert len(runs) == 7  # header + 3 arms x 2 seeds
+
+
+# default model widths, so that OpenBLAS splits the larger products over its
+# threads when it may; 32 cells at batch 16 gave checkpoints that differed
+# between 1 and 2 BLAS threads before calls pinned BLAS to one thread
+BLAS_CHAIN = """
+from xtalssl.cli import main
+sets = [arg for s in ("pretrain.epochs=1", "pretrain.batch=16", "pretrain.val_fraction=0.2",
+                      "finetune.epochs=2", "finetune.batch=16") for arg in ("--set", s)]
+data = ["--data-root", "data", "--index-file", "data/index.csv"]
+for step in (["gen-toy", "--n", "32", "--seed", "3", "--out", "data"],
+             ["pretrain", *data, "--out-dir", "out/pre", *sets],
+             ["finetune", *data, "--out-dir", "out/fine",
+              "--init-checkpoint", "out/pre/pretrain_best.ckpt", *sets],
+             ["evaluate", *data, "--out-dir", "out/eval",
+              "--checkpoint", "out/fine/finetune_model.ckpt", *sets],
+             ["embed", *data, "--out-dir", "out/embed",
+              "--checkpoint", "out/pre/pretrain_best.ckpt", *sets]):
+    assert main(step) == 0, step
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if pipeline._blas_threads() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions to pin")
+    outputs = {}
+    for threads in ("1", "2"):
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, CT_LOG_LEVEL="error",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pipeline.__file__)))
+        subprocess.run([sys.executable, "-c", BLAS_CHAIN], cwd=workdir, env=env, check=True)
+        outputs[threads] = {str(p.relative_to(workdir)): p.read_bytes()
+                            for p in sorted((workdir / "out").rglob("*")) if p.is_file()}
+    assert sorted(outputs["1"]) == [
+        "out/embed/embeddings.csv", "out/eval/evaluation.json", "out/fine/finetune_model.ckpt",
+        "out/fine/report.json", "out/pre/pretrain_best.ckpt", "out/pre/pretrain_final.ckpt",
+        "out/pre/report.json"]
+    assert [name for name, data in outputs["1"].items() if outputs["2"][name] != data] == []
 
 
 def test_console_entry_point(toy_dir, tmp_path):

@@ -676,17 +676,25 @@ class TestTwinViews:
             assert reports[run] == reports["threaded"]
 
     @pytest.mark.parametrize("blas, cores, threaded", [
-        (1, 2, True), (1, 8, True), (2, 2, False), (1, 1, False), (None, 8, False)])
+        (1, 2, True), (1, 8, True), (2, 2, True), (1, 1, False), (None, 8, False)])
     def test_the_worker_runs_only_where_both_views_blas_threads_fit(
             self, monkeypatch, blas, cores, threaded):
-        monkeypatch.setattr(pipeline, "_blas_threads", lambda: blas)
+        # a BLAS found at ``blas`` threads (None: not found) runs one thread
+        # per view during the call, whatever its count, and gets it back after
+        sets = []
+        found = None if blas is None else (lambda: blas, sets.append)
+        monkeypatch.setattr(pipeline, "_blas_threads", lambda: found)
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
         with pipeline._second_thread() as worker:
             assert isinstance(worker, ThreadPoolExecutor) == threaded
             assert threaded or worker is None
+            assert sets == ([] if blas is None else [1])
+        assert sets == ([] if blas is None else [1, blas])
 
     def test_blas_threads_follows_the_blas_thread_variable(self):
-        code = "from xtalssl.pipeline import _blas_threads; print(_blas_threads())"
+        code = ("from xtalssl.pipeline import _blas_threads\n"
+                "found = _blas_threads()\n"
+                "print(None if found is None else found[0]())\n")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.path.dirname(os.path.dirname(pipeline.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -919,3 +927,104 @@ class TestInferenceHalves:
         with pytest.raises(InvalidLabelStats, match="label_std > 0, got"):
             evaluate(self.params(), gen_toy_dataset(3, seed=37), mean, std,
                      neighbor=NEIGHBOR, basis=BASIS)
+
+
+@pytest.fixture
+def blas_count():
+    """The BLAS thread count getter; the count is 2 during the test and restored after it."""
+    found = pipeline._blas_threads()
+    if found is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions to pin")
+    get, set_ = found
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestBlasPin:
+    @staticmethod
+    def params():
+        return init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=True)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("call", ["pretrain", "finetune", "evaluate", "export_embeddings"])
+    def test_each_call_runs_one_blas_thread_and_restores_the_count(
+            self, monkeypatch, blas_count, call, fails):
+        seen, real = [], pipeline.encode
+
+        def counted(*args):
+            seen.append(blas_count())
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "encode", counted)
+        # lr 1e300 raises NonFiniteLoss, as in TestNonFiniteLoss; a bad cell
+        # that sorts last raises DegenerateCell once the first half is encoded
+        lr = 1e300 if fails else 1e-3
+        data, params = gen_toy_dataset(12, seed=3), self.params()
+        infer = with_bad_entry(data, THIN, "zz_bad") if fails else data
+        run, error = {
+            "pretrain": (lambda: pretrain(data, TINY, tiny_pcfg(lr=lr, batch=4, epochs=2)),
+                         NonFiniteLoss),
+            "finetune": (lambda: finetune(data, TINY, tiny_fcfg(lr=lr, batch=16, epochs=2)),
+                         NonFiniteLoss),
+            "evaluate": (lambda: evaluate(params, infer, 0.0, 1.0, 4, NEIGHBOR, BASIS),
+                         DegenerateCell),
+            "export_embeddings": (lambda: export_embeddings(params, infer, NEIGHBOR, BASIS, 4),
+                                  DegenerateCell),
+        }[call]
+        with pytest.raises(error) if fails else contextlib.nullcontext():
+            run()
+        assert seen and set(seen) == {1}
+        assert blas_count() == 2
+
+    def test_overlapping_calls_keep_one_thread_until_the_last_exits(self, monkeypatch, blas_count):
+        inside, release, real = threading.Event(), threading.Event(), pipeline.encode
+        data, params = gen_toy_dataset(4, seed=3), self.params()
+
+        def held(*args):
+            if threading.current_thread() is first:
+                inside.set()
+                assert release.wait(60)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "encode", held)
+        first, second = (threading.Thread(target=export_embeddings,
+                                          args=(params, data, NEIGHBOR, BASIS)) for _ in "ab")
+        first.start()
+        try:
+            assert inside.wait(60)
+            assert blas_count() == 1
+            second.start()
+            second.join(60)
+            assert not second.is_alive()
+            assert blas_count() == 1  # the first call is still inside
+        finally:
+            release.set()
+            first.join(60)
+        assert not first.is_alive()
+        assert blas_count() == 2
+
+    def test_many_overlapping_calls_never_see_the_count_restored(self, monkeypatch, blas_count):
+        # 6 callers, each with its own worker: 12 threads on fewer cores,
+        # switching as often as the interpreter allows
+        seen, real = [], pipeline.encode
+
+        def counted(*args):
+            seen.append(blas_count())
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "encode", counted)
+        data, params = gen_toy_dataset(4, seed=3), self.params()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                runs = [callers.submit(export_embeddings, params, data, NEIGHBOR, BASIS, 1)
+                        for _ in range(18)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(results)) == 1
+        assert seen and set(seen) == {1}
+        assert blas_count() == 2

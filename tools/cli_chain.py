@@ -5,11 +5,14 @@
 
 Both arguments are checkouts of this repository.  From each, in a fresh
 working directory and at the same relative paths, every step runs as its
-own ``python -m xtalssl.cli`` process on that checkout's ``src``, with
-``OPENBLAS_NUM_THREADS=1``:
+own ``python -m xtalssl.cli`` process on that checkout's ``src``:
 
     gen-toy --n 40 --seed 3, featurize, pretrain, finetune from
     pretrain_best.ckpt, evaluate, embed with each pretrain checkpoint, ablate
+
+Each step runs with ``OPENBLAS_NUM_THREADS=1``.  Current versions pin the
+BLAS to one thread inside each call anyway; the variable makes a checkout
+from before that pin compute the same products, so the two still compare.
 
 The script prints each file whose bytes differ or that only one side
 wrote, and exits 1 if there is any; then it keeps the working directory
