@@ -13,9 +13,12 @@ other's tape.  ``Tape.walk`` runs the reverse walk from gradients already
 on the recorded outputs, so a sub-tape can be walked on its own once
 another walk has set them.
 
-Only the primitives the models need are implemented; each op validates its
-input shapes eagerly so a bad graph fails at construction time, not during
-the backward pass.
+Only the primitives the model records are implemented, one per fused stage
+of the forward pass, each with a hand-written backward whose gradients are
+bit for bit those of the chain of single-op records it replaced
+(``tests/oracles.py`` keeps it).  Each op validates its input shapes
+eagerly so a bad graph fails at construction time, not during the backward
+pass.
 """
 
 from __future__ import annotations
@@ -170,84 +173,65 @@ def _maybe_record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tenso
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch("matmul expects 2-d operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; also accepts a 1-d bias against a 2-d left operand."""
-    bias = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
-    if not bias and a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, g.sum(axis=0) if bias else g)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def scale_rows(a: Tensor, w: np.ndarray) -> Tensor:
-    """Multiply each row of a (N, K) tensor by a constant per-row weight."""
+def scaled_gather(table: Tensor, index: np.ndarray, w: np.ndarray) -> Tensor:
+    """Rows ``table[index]``, each scaled by a constant weight: ``table[index] * w[:, None]``."""
+    index = np.asarray(index, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    if a.data.ndim != 2 or w.shape != (a.data.shape[0],):
-        raise ShapeMismatch(f"scale_rows expects (N, K) and (N,), got {a.data.shape} and {w.shape}")
-    col = w[:, None]
-    out = Tensor(a.data * col)
-
-    def backward(g):
-        _accum(a, g * col)
-
-    return _maybe_record(out, (a,), backward)
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = Tensor(_softplus(a.data))
-    x = a.data
-
-    def backward(g):
-        _accum(a, g * _sigmoid(x))
-
-    return _maybe_record(out, (a,), backward)
-
-
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    index = np.asarray(index, dtype=np.int64)
-    if a.data.ndim != 2 or index.ndim != 1:
-        raise ShapeMismatch("gather_rows expects a 2-d tensor and a 1-d index")
-    if index.size and (index.min() < 0 or index.max() >= a.data.shape[0]):
-        raise IndexOutOfRange(f"gather index outside [0, {a.data.shape[0]})")
-    out = Tensor(a.data[index])
-
-    def backward(g):
-        _accum(a, _segment_sum(g, index, a.data.shape[0]))
-
-    return _maybe_record(out, (a,), backward)
-
-
-def scatter_add_rows(a: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
-    index = np.asarray(index, dtype=np.int64)
-    if a.data.ndim != 2 or index.shape != (a.data.shape[0],):
-        raise ShapeMismatch("scatter_add_rows expects (N, K) data and an (N,) index")
+    if table.data.ndim != 2 or index.ndim != 1 or w.shape != index.shape:
+        raise ShapeMismatch(f"scaled_gather expects a 2-d table and an (N,) index and weight, "
+                            f"got {table.data.shape}, {index.shape} and {w.shape}")
+    n_rows = table.data.shape[0]
     if index.size and (index.min() < 0 or index.max() >= n_rows):
-        raise IndexOutOfRange(f"scatter index outside [0, {n_rows})")
-    out = Tensor(_segment_sum(a.data, index, n_rows))
+        raise IndexOutOfRange(f"gather index outside [0, {n_rows})")
+    col = w[:, None]
+    out = Tensor(table.data[index] * col)
 
     def backward(g):
-        _accum(a, g[index])
+        _accum(table, _segment_sum(g * col, index, n_rows))
 
-    return _maybe_record(out, (a,), backward)
+    return _maybe_record(out, (table,), backward)
+
+
+def scaled_segment_sum(h: Tensor, w: np.ndarray, index: np.ndarray, n_rows: int) -> Tensor:
+    """out[index[i]] += w[i] * h[i]: rows scaled by constant weights, summed per segment."""
+    index = np.asarray(index, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    if h.data.ndim != 2 or index.shape != (h.data.shape[0],) or w.shape != index.shape:
+        raise ShapeMismatch(f"scaled_segment_sum expects (N, K) rows and an (N,) weight and "
+                            f"index, got {h.data.shape}, {w.shape} and {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= n_rows):
+        raise IndexOutOfRange(f"segment index outside [0, {n_rows})")
+    col = w[:, None]
+    out = Tensor(_segment_sum(h.data * col, index, n_rows))
+
+    def backward(g):
+        _accum(h, g[index] * col)
+
+    return _maybe_record(out, (h,), backward)
+
+
+def softplus_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two affine layers with a softplus between them: ``softplus(x W1 + b1) W2 + b2``."""
+    shapes = tuple(t.data.shape for t in (x, w1, b1, w2, b2))
+    if x.data.ndim != 2 or w2.data.ndim != 2 or shapes[1:] != (
+            (x.data.shape[1], w2.data.shape[0]), w2.data.shape[:1],
+            w2.data.shape, w2.data.shape[1:]):
+        raise ShapeMismatch(f"softplus_mlp shapes x, w1, b1, w2, b2 disagree: {shapes}")
+    pre = x.data @ w1.data
+    pre += b1.data
+    hidden = _softplus(pre)
+    out = hidden @ w2.data
+    out += b2.data
+
+    def backward(g):
+        _accum(b2, g.sum(axis=0))
+        _accum(w2, hidden.T @ g)
+        g_pre = (g @ w2.data.T) * _sigmoid(pre)
+        _accum(b1, g_pre.sum(axis=0))
+        _accum(w1, x.data.T @ g_pre)
+        _accum(x, g_pre @ w1.data.T)
+
+    return _maybe_record(Tensor(out), (x, w1, b1, w2, b2), backward)
 
 
 def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,

@@ -43,7 +43,7 @@ from .pipeline import (
     pretrain,
 )
 from .structure_io import atomic_open, load_dataset, naming
-from .toydata import write_toy_dataset
+from .toydata import gen_toy_dataset, write_toy_dataset
 
 logger = logging.getLogger("xtalssl")
 
@@ -351,7 +351,11 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         if command == "gen-toy":
-            index_path = write_toy_dataset(args.n, args.seed, args.out)
+            try:
+                data = gen_toy_dataset(args.n, args.seed)
+            except ValueError as exc:
+                raise InvalidConfig(f"invalid configuration: {exc}") from None
+            index_path = write_toy_dataset(data, args.out)
             logger.info("wrote toy dataset index: %s", index_path)
             return 0
         cfg = build_run_config(_gather_kv(args))

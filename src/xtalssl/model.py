@@ -12,7 +12,9 @@ features once per batch, and every layer reads that one block.  The
 checkpoint keeps ``w_f``, ``b_f``, ``w_s`` and ``b_s`` as separate arrays.
 No batch normalization anywhere, so a graph's encoding never depends on what
 it is batched with.  Readout is the mean over active (unmasked) nodes; a
-fully masked graph falls back to the mean over all of its nodes.
+fully masked graph falls back to the mean over all of its nodes.  The masked
+embedding and the readout are one autodiff primitive each, so ``encode``
+records ``n_conv + 2`` tape entries; each head records one.
 
 One parameter layout, ``_build``, fixes every tensor's checkpoint name, shape
 and init draw order; ``init_params`` draws through it and checkpoint loads
@@ -27,6 +29,7 @@ shape prefixes, so round trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -35,13 +38,10 @@ import numpy as np
 from .autodiff import (
     ShapeMismatch,
     Tensor,
-    add,
     gated_conv,
-    gather_rows,
-    matmul,
-    scale_rows,
-    scatter_add_rows,
-    softplus,
+    scaled_gather,
+    scaled_segment_sum,
+    softplus_mlp,
 )
 from .elements import MAX_Z
 from .featurize import CrystalGraph, GaussianBasis
@@ -206,19 +206,16 @@ def encode(params: ModelParams, graph: CrystalGraph,
             raise ShapeMismatch(f"segment ids must have shape ({n},)")
     masked_feat = graph.edge_feat  # the batch's one Gaussian expansion, masked in place
     masked_feat *= graph.edge_mask[:, None]
-    h = scale_rows(gather_rows(params.elem_embed, graph.node_elem - 1),
-                   graph.node_mask.astype(np.float64))
+    h = scaled_gather(params.elem_embed, graph.node_elem - 1, graph.node_mask.astype(np.float64))
     if graph.n_edges:  # without edges every layer is the identity
         src, dst = graph.edges[:, 0], graph.edges[:, 1]
         for conv in params.convs:
             h = gated_conv(h, src, dst, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
-    weights = _readout_weights(graph.node_mask, seg, n_graphs)
-    return scatter_add_rows(scale_rows(h, weights), seg, n_graphs)
+    return scaled_segment_sum(h, _readout_weights(graph.node_mask, seg, n_graphs), seg, n_graphs)
 
 
 def _mlp_forward(mlp: MLPParams, x: Tensor) -> Tensor:
-    hidden = softplus(add(matmul(x, mlp.w1), mlp.b1))
-    return add(matmul(hidden, mlp.w2), mlp.b2)
+    return softplus_mlp(x, mlp.w1, mlp.b1, mlp.w2, mlp.b2)
 
 
 def project(params: ModelParams, latent: Tensor) -> Tensor:
@@ -295,8 +292,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         except UnicodeDecodeError:
             raise CorruptCheckpoint(f"{path}: array name {raw!r} is not UTF-8") from None
         shape = unpack(f"<{unpack('<B')[0]}Q")
-        count = int(np.prod(shape, dtype=np.int64))
-        arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
+        # Python ints: a crafted shape cannot wrap, so take() sees its real size
+        flat = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            arrays[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError:  # an empty array with a dimension numpy cannot hold
+            raise CorruptCheckpoint(f"{path}: array {name!r} has shape {shape}") from None
     if pos != len(blob):
         raise CorruptCheckpoint(f"{path}: trailing bytes after array table")
     return cfg, arrays

@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from .elements import SYMBOL_TO_Z
-from .structure_io import CrystalStructure, Dataset, DatasetEntry, structure_to_cif
+from .structure_io import CrystalStructure, Dataset, DatasetEntry, atomic_open, structure_to_cif
 
 ELECTRONEGATIVITY = {
     "Cs": 0.79, "Rb": 0.82, "K": 0.82, "Na": 0.93, "Ba": 0.89,
@@ -57,7 +57,9 @@ def toy_structure(sym_a: str, sym_b: str, sym_x: str, a: float) -> CrystalStruct
 def gen_toy_dataset(n: int, seed: int) -> Dataset:
     """n labeled entries, deterministic in seed; ids toy_0000, toy_0001, ..."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     entries = []
     for i in range(n):
@@ -73,16 +75,17 @@ def gen_toy_dataset(n: int, seed: int) -> Dataset:
     return Dataset(entries=tuple(entries), kind="labeled")
 
 
-def write_toy_dataset(n: int, seed: int, out_dir) -> str:
-    """Write CIFs plus index.csv under out_dir; returns the index path."""
-    data = gen_toy_dataset(n, seed)
+def write_toy_dataset(data: Dataset, out_dir) -> str:
+    """Write each entry's CIF, then index.csv, under out_dir; returns the index path.
+
+    Each file is replaced only once complete, the index last, so a cut-off
+    write leaves no half-written file and any earlier index.csv as it was.
+    """
     os.makedirs(out_dir, exist_ok=True)
     for entry in data.entries:
-        path = os.path.join(out_dir, f"{entry.id}.cif")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(structure_to_cif(entry.structure, name=entry.id))
+        with atomic_open(os.path.join(out_dir, f"{entry.id}.cif")) as fh:
+            fh.write(structure_to_cif(entry.structure, name=entry.id).encode("utf-8"))
     index_path = os.path.join(out_dir, "index.csv")
-    with open(index_path, "w", encoding="utf-8") as fh:
-        for entry in data.entries:
-            fh.write(f"{entry.id},{entry.label!r}\n")
+    with atomic_open(index_path) as fh:
+        fh.write("".join(f"{entry.id},{entry.label!r}\n" for entry in data.entries).encode("utf-8"))
     return index_path

@@ -5,16 +5,29 @@ package internals: brute-force supercell neighbor search, double-loop
 cross-correlation, naive loss sums, and a hand-rolled Kolmogorov-Smirnov
 statistic. Tests compare package outputs against these.
 
-The last section is the bitwise reference of the fused loss primitives:
-the small tape ops (``transpose``, ``mul``, ``scale``, ``sum_all`` and
-``column_standardize``) and the chains of records ``loss.py`` once built
-from them, 9 for the Barlow Twins loss and 4 for the MSE. The fused
-primitives must give the same loss and gradients to the last bit.
+The last two sections are the bitwise reference of the fused primitives.
+They hold the small tape ops (``matmul``, ``add``, ``softplus``,
+``scale_rows``, ``gather_rows``, ``scatter_add_rows``, ``transpose``,
+``mul``, ``scale``, ``sum_all`` and ``column_standardize``) and the chains
+of records the package once built from them: 2 for the masked embedding,
+2 for the masked-mean readout and 5 for each two-layer MLP head in
+``model.py``; 9 for the Barlow Twins loss and 4 for the MSE in
+``loss.py``. The fused primitives must give the same outputs and
+gradients to the last bit.
 """
 
 import numpy as np
 
-from xtalssl.autodiff import ShapeMismatch, Tensor, _accum, _maybe_record, add, matmul
+from xtalssl.autodiff import (
+    IndexOutOfRange,
+    ShapeMismatch,
+    Tensor,
+    _accum,
+    _maybe_record,
+    _segment_sum,
+    _sigmoid,
+    _softplus,
+)
 
 
 def supercell_neighbors(lattice, frac, cutoff, max_neighbors):
@@ -104,6 +117,106 @@ def ks_statistic_uniform(samples, lo, hi):
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
+
+
+# ---------------------------------------------------------------------------
+# the model chains the fused primitives replace, op by op
+# ---------------------------------------------------------------------------
+
+
+def matmul(a, b):
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeMismatch("matmul expects 2-d operands")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeMismatch(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
+    out = Tensor(a.data @ b.data)
+
+    def backward(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
+
+    return _maybe_record(out, (a, b), backward)
+
+
+def add(a, b):
+    """Elementwise add; also accepts a 1-d bias against a 2-d left operand."""
+    bias = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
+    if not bias and a.data.shape != b.data.shape:
+        raise ShapeMismatch(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
+    out = Tensor(a.data + b.data)
+
+    def backward(g):
+        _accum(a, g)
+        _accum(b, g.sum(axis=0) if bias else g)
+
+    return _maybe_record(out, (a, b), backward)
+
+
+def scale_rows(a, w):
+    """Multiply each row of a (N, K) tensor by a constant per-row weight."""
+    w = np.asarray(w, dtype=np.float64)
+    if a.data.ndim != 2 or w.shape != (a.data.shape[0],):
+        raise ShapeMismatch(f"scale_rows expects (N, K) and (N,), got {a.data.shape} and {w.shape}")
+    col = w[:, None]
+    out = Tensor(a.data * col)
+
+    def backward(g):
+        _accum(a, g * col)
+
+    return _maybe_record(out, (a,), backward)
+
+
+def softplus(a):
+    out = Tensor(_softplus(a.data))
+    x = a.data
+
+    def backward(g):
+        _accum(a, g * _sigmoid(x))
+
+    return _maybe_record(out, (a,), backward)
+
+
+def gather_rows(a, index):
+    index = np.asarray(index, dtype=np.int64)
+    if a.data.ndim != 2 or index.ndim != 1:
+        raise ShapeMismatch("gather_rows expects a 2-d tensor and a 1-d index")
+    if index.size and (index.min() < 0 or index.max() >= a.data.shape[0]):
+        raise IndexOutOfRange(f"gather index outside [0, {a.data.shape[0]})")
+    out = Tensor(a.data[index])
+
+    def backward(g):
+        _accum(a, _segment_sum(g, index, a.data.shape[0]))
+
+    return _maybe_record(out, (a,), backward)
+
+
+def scatter_add_rows(a, index, n_rows):
+    index = np.asarray(index, dtype=np.int64)
+    if a.data.ndim != 2 or index.shape != (a.data.shape[0],):
+        raise ShapeMismatch("scatter_add_rows expects (N, K) data and an (N,) index")
+    if index.size and (index.min() < 0 or index.max() >= n_rows):
+        raise IndexOutOfRange(f"scatter index outside [0, {n_rows})")
+    out = Tensor(_segment_sum(a.data, index, n_rows))
+
+    def backward(g):
+        _accum(a, g[index])
+
+    return _maybe_record(out, (a,), backward)
+
+
+def chain_scaled_gather(table, index, w):
+    """table[index] * w[:, None] as 2 tape records."""
+    return scale_rows(gather_rows(table, index), w)
+
+
+def chain_scaled_segment_sum(h, w, index, n_rows):
+    """out[index[i]] += w[i] * h[i] as 2 tape records."""
+    return scatter_add_rows(scale_rows(h, w), index, n_rows)
+
+
+def chain_softplus_mlp(x, w1, b1, w2, b2):
+    """softplus(x W1 + b1) W2 + b2 as 5 tape records."""
+    return add(matmul(softplus(add(matmul(x, w1), b1)), w2), b2)
 
 
 # ---------------------------------------------------------------------------

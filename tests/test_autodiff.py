@@ -3,6 +3,8 @@ import threading
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtalssl import autodiff as ad
 from xtalssl.autodiff import (
@@ -13,8 +15,24 @@ from xtalssl.autodiff import (
     Tensor,
     grad_check,
 )
+from xtalssl.model import _readout_weights
 
-from oracles import column_standardize, mul, scale, sum_all, transpose
+from oracles import (
+    add,
+    chain_scaled_gather,
+    chain_scaled_segment_sum,
+    chain_softplus_mlp,
+    column_standardize,
+    gather_rows,
+    matmul,
+    mul,
+    scale,
+    scale_rows,
+    scatter_add_rows,
+    softplus,
+    sum_all,
+    transpose,
+)
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -64,7 +82,7 @@ class TestTensor:
 class TestTapeMechanics:
     def test_inference_mode_records_nothing(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = ad.softplus(a)  # no tape active
+        out = softplus(a)  # no tape active
         assert out.grad is None
         assert a.grad is None
 
@@ -86,7 +104,7 @@ class TestTapeMechanics:
         # y = sum(a * a) + sum(a) => dy/da = 2a + 1
         a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
         with Tape() as tape:
-            loss = ad.add(sum_all(mul(a, a)), sum_all(a))
+            loss = add(sum_all(mul(a, a)), sum_all(a))
             tape.backward(loss)
         npt.assert_allclose(a.grad, 2 * a.data + 1, atol=1e-12)
 
@@ -142,7 +160,7 @@ class TestTapeMechanics:
         def run():
             tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
             with Tape() as tape:
-                loss = sum_all(ad.softplus(ad.matmul(tx, tw)))
+                loss = sum_all(softplus(matmul(tx, tw)))
                 tape.backward(loss)
             return tx.grad.copy(), tw.grad.copy(), loss.data.copy()
         a, b = run(), run()
@@ -154,12 +172,12 @@ class TestForwardValues:
     def test_matmul(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0], [6.0]])
-        npt.assert_allclose(ad.matmul(a, b).data, [[17.0], [39.0]])
+        npt.assert_allclose(matmul(a, b).data, [[17.0], [39.0]])
 
     def test_add_bias_broadcast(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([10.0, 20.0])
-        npt.assert_allclose(ad.add(a, b).data, [[11.0, 22.0], [13.0, 24.0]])
+        npt.assert_allclose(add(a, b).data, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_mul(self):
         a = Tensor([[2.0, 3.0]])
@@ -170,7 +188,7 @@ class TestForwardValues:
 
     def test_scale_rows(self):
         a = Tensor([[1.0, 1.0], [2.0, 2.0]])
-        out = ad.scale_rows(a, np.array([0.0, 3.0]))
+        out = scale_rows(a, np.array([0.0, 3.0]))
         npt.assert_allclose(out.data, [[0.0, 0.0], [6.0, 6.0]])
 
     def test_transpose(self):
@@ -178,7 +196,7 @@ class TestForwardValues:
         npt.assert_allclose(transpose(a).data, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_softplus_stable(self):
-        out = ad.softplus(Tensor([[-800.0, 0.0, 800.0]])).data
+        out = softplus(Tensor([[-800.0, 0.0, 800.0]])).data
         npt.assert_allclose(out, [[0.0, np.log(2.0), 800.0]], atol=1e-12)
         assert np.isfinite(out).all()
 
@@ -189,12 +207,12 @@ class TestForwardValues:
 
     def test_gather_rows(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = ad.gather_rows(a, np.array([2, 0, 2]))
+        out = gather_rows(a, np.array([2, 0, 2]))
         npt.assert_allclose(out.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
 
     def test_scatter_add_rows(self):
         a = Tensor([[1.0], [2.0], [3.0]])
-        out = ad.scatter_add_rows(a, np.array([0, 0, 2]), 4)
+        out = scatter_add_rows(a, np.array([0, 0, 2]), 4)
         npt.assert_allclose(out.data, [[3.0], [0.0], [3.0], [0.0]])
 
     def test_column_standardize_two_rows(self):
@@ -214,11 +232,11 @@ class TestForwardValues:
 class TestShapeErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
+            matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
 
     def test_add_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.add(Tensor([[1.0, 2.0]]), Tensor([[1.0], [2.0]]))
+            add(Tensor([[1.0, 2.0]]), Tensor([[1.0], [2.0]]))
 
     def test_mul_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -226,17 +244,17 @@ class TestShapeErrors:
 
     def test_scale_rows_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.scale_rows(Tensor([[1.0], [2.0]]), np.ones(3))
+            scale_rows(Tensor([[1.0], [2.0]]), np.ones(3))
 
     def test_gather_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            ad.gather_rows(Tensor([[1.0], [2.0]]), np.array([0, 2]))
+            gather_rows(Tensor([[1.0], [2.0]]), np.array([0, 2]))
         with pytest.raises(IndexOutOfRange):
-            ad.gather_rows(Tensor([[1.0], [2.0]]), np.array([-1]))
+            gather_rows(Tensor([[1.0], [2.0]]), np.array([-1]))
 
     def test_scatter_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            ad.scatter_add_rows(Tensor([[1.0]]), np.array([3]), 2)
+            scatter_add_rows(Tensor([[1.0]]), np.array([3]), 2)
 
 
 class TestBackwardAgainstFiniteDifferences:
@@ -258,19 +276,19 @@ class TestBackwardAgainstFiniteDifferences:
     def test_matmul(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(3, 2))
-        self.check(lambda a, b: self.weighted(ad.matmul(a, b), w),
+        self.check(lambda a, b: self.weighted(matmul(a, b), w),
                    rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
 
     def test_add_same_shape(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(2, 3))
-        self.check(lambda a, b: self.weighted(ad.add(a, b), w),
+        self.check(lambda a, b: self.weighted(add(a, b), w),
                    rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
 
     def test_add_bias(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(4, 3))
-        self.check(lambda a, b: self.weighted(ad.add(a, b), w),
+        self.check(lambda a, b: self.weighted(add(a, b), w),
                    rng.normal(size=(4, 3)), rng.normal(size=3))
 
     def test_mul(self):
@@ -289,7 +307,7 @@ class TestBackwardAgainstFiniteDifferences:
         rng = np.random.default_rng(6)
         w = rng.normal(size=(3, 2))
         rows = np.array([0.0, 1.0, 2.0])
-        self.check(lambda a: self.weighted(ad.scale_rows(a, rows), w),
+        self.check(lambda a: self.weighted(scale_rows(a, rows), w),
                    rng.normal(size=(3, 2)))
 
     def test_transpose(self):
@@ -301,21 +319,21 @@ class TestBackwardAgainstFiniteDifferences:
     def test_softplus(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(2, 3))
-        self.check(lambda a: self.weighted(ad.softplus(a), w),
+        self.check(lambda a: self.weighted(softplus(a), w),
                    rng.normal(size=(2, 3)))
 
     def test_gather_rows(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(4, 2))
         idx = np.array([2, 0, 2, 1])
-        self.check(lambda a: self.weighted(ad.gather_rows(a, idx), w),
+        self.check(lambda a: self.weighted(gather_rows(a, idx), w),
                    rng.normal(size=(3, 2)))
 
     def test_scatter_add_rows(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=(3, 2))
         idx = np.array([0, 2, 0, 1])
-        self.check(lambda a: self.weighted(ad.scatter_add_rows(a, idx, 3), w),
+        self.check(lambda a: self.weighted(scatter_add_rows(a, idx, 3), w),
                    rng.normal(size=(4, 2)))
 
     def test_column_standardize(self):
@@ -335,7 +353,7 @@ class TestBackwardAgainstFiniteDifferences:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(6, 3))
         def build(xt, wt):
-            h = ad.softplus(ad.matmul(xt, wt))
+            h = softplus(matmul(xt, wt))
             return sum_all(mul(column_standardize(h, eps=1e-5), h))
         self.check(build, x, rng.normal(size=(3, 4)), tol=1e-5)
 
@@ -346,7 +364,7 @@ class TestGradCheck:
         p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         q = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         def loss_fn():
-            return sum_all(ad.softplus(ad.matmul(p, q)))
+            return sum_all(softplus(matmul(p, q)))
         assert grad_check(loss_fn, [p, q], eps=1e-5) == []
 
     def test_flags_hidden_dependence(self):
@@ -355,7 +373,7 @@ class TestGradCheck:
         p = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         def loss_fn():
             leak = Tensor(p.data * 3.0)  # constant as far as the tape knows
-            return ad.add(sum_all(p), sum_all(leak))
+            return add(sum_all(p), sum_all(leak))
         failures = grad_check(loss_fn, [p], eps=1e-5)
         assert len(failures) == 2
         pi, fi, numeric, analytic = failures[0]
@@ -383,6 +401,12 @@ class TestSegmentSum:
             assert got.shape == (n_rows, width)
             npt.assert_array_equal(got, expected)
             assert not got[n_rows // 2 + 1:].any()
+
+    def test_an_empty_index_gives_zero_rows(self):
+        index = np.zeros(0, dtype=np.int64)
+        npt.assert_array_equal(ad._segment_sum(np.zeros((0, 3)), index, 2), np.zeros((2, 3)))
+        out = ad.scaled_segment_sum(Tensor(np.zeros((0, 3))), np.zeros(0), index, 2)
+        npt.assert_array_equal(out.data, np.zeros((2, 3)))
 
 
 class TestElementwiseHelpers:
@@ -487,3 +511,142 @@ class TestGatedConv:
             ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, Tensor(np.zeros(2)))
         with pytest.raises(IndexOutOfRange):
             ad.gated_conv(h, src, np.where(dst == 3, 5, dst), e, w_f, b_f, w_s, b_s)
+
+
+def node_mask(rng, seg, n_graphs, kind):
+    """0/1 node weights: all kept, some dropped, none kept, or whole graphs dropped."""
+    if kind == "all":
+        return np.ones(seg.size)
+    if kind == "none":
+        return np.zeros(seg.size)
+    mask = (rng.uniform(size=seg.size) < 0.6).astype(np.float64)
+    if kind == "graphs":
+        mask[np.isin(seg, rng.permutation(n_graphs)[:max(1, n_graphs // 2)])] = 0.0
+    return mask
+
+
+def taped_around(build, arrays, w_out, w_in, c):
+    """c * (sum(out * w_out) + sum_k sum(x_k * w_in[k])) for out = build(*x) under a tape.
+
+    The later records give every input a gradient before build's backward
+    runs, and the output an upstream gradient that is not all ones, so the
+    order of every addition and product in that backward shows.  Returns
+    the output and each input's gradient.
+    """
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(*ts)
+        loss = sum_all(mul(out, Tensor(w_out)))
+        for t, w in zip(ts, w_in):
+            loss = add(loss, sum_all(mul(t, Tensor(w))))
+        tape.backward(scale(loss, c))
+    return [out.data] + [t.grad for t in ts]
+
+
+def assert_fused_equals_chain(fused, chain, arrays, rng):
+    w_out = rng.normal(size=fused(*(Tensor(a) for a in arrays)).shape)
+    w_in = [rng.normal(size=a.shape) for a in arrays]
+    c = float(rng.uniform(0.1, 10.0))
+    got = taped_around(fused, arrays, w_out, w_in, c)
+    expected = taped_around(chain, arrays, w_out, w_in, c)
+    for g, e in zip(got, expected, strict=True):
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+def mlp_arrays(rng, batch, n_in, n_hidden, n_out, log_scale=0.0):
+    return (rng.normal(size=(batch, n_in)) * 10.0 ** log_scale,
+            rng.normal(size=(n_in, n_hidden)), rng.normal(size=n_hidden),
+            rng.normal(size=(n_hidden, n_out)), rng.normal(size=n_out))
+
+
+class TestFusedModelPrimitivesMatchTheChain:
+    """The embedding, readout and MLP primitives give the output and every
+    gradient of the old chain of small tape ops (``tests/oracles.py``) to
+    the last bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 64), st.integers(1, 8),
+           st.integers(0, 2**32 - 1), st.sampled_from(["all", "some", "none"]))
+    def test_scaled_gather(self, n_table, n_rows, width, seed, kind):
+        rng = np.random.default_rng(seed)
+        index = rng.integers(0, n_table, n_rows)
+        w = node_mask(rng, np.zeros(n_rows, dtype=np.int64), 1, kind)
+        assert_fused_equals_chain(lambda t: ad.scaled_gather(t, index, w),
+                                  lambda t: chain_scaled_gather(t, index, w),
+                                  (rng.normal(size=(n_table, width)),), rng)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 6), st.integers(1, 8),
+           st.integers(0, 2**32 - 1), st.sampled_from(["all", "some", "none", "graphs"]))
+    def test_scaled_segment_sum(self, n_rows, n_graphs, width, seed, kind):
+        # the masked-mean readout's weights, an all-masked graph's included
+        rng = np.random.default_rng(seed)
+        n_graphs = min(n_graphs, n_rows)
+        seg = np.sort(np.concatenate([np.arange(n_graphs),
+                                      rng.integers(0, n_graphs, n_rows - n_graphs)]))
+        w = _readout_weights(node_mask(rng, seg, n_graphs, kind), seg, n_graphs)
+        assert_fused_equals_chain(lambda h: ad.scaled_segment_sum(h, w, seg, n_graphs),
+                                  lambda h: chain_scaled_segment_sum(h, w, seg, n_graphs),
+                                  (rng.normal(size=(n_rows, width)),), rng)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
+           st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    def test_softplus_mlp(self, batch, n_in, n_hidden, n_out, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        assert_fused_equals_chain(ad.softplus_mlp, chain_softplus_mlp,
+                                  mlp_arrays(rng, batch, n_in, n_hidden, n_out, log_scale), rng)
+
+
+class TestFusedModelPrimitives:
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(50)
+        table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        index, mask = np.array([2, 0, 2, 3, 1]), np.array([1.0, 0.0, 1.0, 1.0, 1.0])
+        w_gather = Tensor(rng.normal(size=(5, 3)))
+        assert grad_check(lambda: sum_all(mul(ad.scaled_gather(table, index, mask), w_gather)),
+                          [table]) == []
+
+        h = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        seg = np.array([0, 0, 1, 1, 1])
+        weights = _readout_weights(np.array([0, 0, 1, 0, 1]), seg, 2)
+        w_sum = Tensor(rng.normal(size=(2, 3)))
+        assert grad_check(lambda: sum_all(mul(ad.scaled_segment_sum(h, weights, seg, 2), w_sum)),
+                          [h]) == []
+
+        params = [Tensor(a, requires_grad=True) for a in mlp_arrays(rng, 5, 3, 4, 2)]
+        w_mlp = Tensor(rng.normal(size=(5, 2)))
+        assert grad_check(lambda: sum_all(mul(ad.softplus_mlp(*params), w_mlp)), params) == []
+
+    def test_shape_and_index_errors(self):
+        table, w3 = Tensor(np.zeros((4, 2))), np.ones(3)
+        with pytest.raises(ShapeMismatch):
+            ad.scaled_gather(table, np.array([0, 1]), w3)
+        with pytest.raises(ShapeMismatch):
+            ad.scaled_gather(Tensor(np.zeros(4)), np.array([0, 1, 2]), w3)
+        with pytest.raises(IndexOutOfRange):
+            ad.scaled_gather(table, np.array([0, 4, 1]), w3)
+        with pytest.raises(IndexOutOfRange):
+            ad.scaled_gather(table, np.array([0, -1, 1]), w3)
+
+        h = Tensor(np.zeros((3, 2)))
+        with pytest.raises(ShapeMismatch):
+            ad.scaled_segment_sum(h, np.ones(2), np.array([0, 0, 1]), 2)
+        with pytest.raises(ShapeMismatch):
+            ad.scaled_segment_sum(h, w3, np.array([0, 1]), 2)
+        with pytest.raises(IndexOutOfRange):
+            ad.scaled_segment_sum(h, w3, np.array([0, 2, 1]), 2)
+        with pytest.raises(IndexOutOfRange):
+            ad.scaled_segment_sum(h, w3, np.array([0, -1, 1]), 2)
+
+        x, w1, b1, w2, b2 = (Tensor(a) for a in mlp_arrays(np.random.default_rng(51), 5, 3, 4, 2))
+        with pytest.raises(ShapeMismatch):
+            ad.softplus_mlp(Tensor(np.zeros(3)), w1, b1, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            ad.softplus_mlp(x, w2, b1, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            ad.softplus_mlp(x, w1, b2, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            ad.softplus_mlp(x, w1, b1, w2, b1)
+        with pytest.raises(ShapeMismatch):
+            ad.softplus_mlp(x, w1, b1, Tensor(np.zeros((3, 2))), b2)

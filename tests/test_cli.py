@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -148,11 +149,18 @@ class TestExitCodes:
         ("pretrain", ["--seed", "-1"], "seed"),
         ("finetune", ["--set", "seed=-1"], "seed"),
         ("ablate", ["--set", "ablate.seeds=0,-2"], "ablate.seeds"),
-    ], ids=["pretrain", "finetune", "ablate"])
+        ("gen-toy", ["--n", "2", "--seed", "-1"], "seed"),
+    ], ids=["pretrain", "finetune", "ablate", "gen-toy"])
     def test_negative_seeds_are_invalid(self, tmp_path, capsys, command, args, key):
-        assert main([command, "--data-root", str(tmp_path), "--out-dir", str(tmp_path),
-                     *args]) == 2
+        paths = (["--out", str(tmp_path)] if command == "gen-toy"
+                 else ["--data-root", str(tmp_path), "--out-dir", str(tmp_path)])
+        assert main([command, *paths, *args]) == 2
         assert f"error: invalid configuration: {key} must be >= 0" in capsys.readouterr().err
+
+    def test_gen_toy_rejects_an_empty_dataset(self, tmp_path, capsys):
+        assert main(["gen-toy", "--n", "0", "--out", str(tmp_path)]) == 2
+        assert "error: invalid configuration: n must be >= 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_log_level(self, monkeypatch, capsys):
         monkeypatch.setenv("CT_LOG_LEVEL", "verbose")
@@ -316,17 +324,21 @@ class TestCommands:
         assert "bad.ckpt: checkpoint array" in err
 
     @pytest.mark.parametrize("command", ["embed", "finetune"])
-    @pytest.mark.parametrize("offset, byte, message", [
-        (8, 0, "hidden_dim must be positive"),  # the header's first field
-        (34, 0xFF, r"array name b'\xffncoder.elem_embed' is not UTF-8"),  # the first name
-    ], ids=["header", "name"])
+    @pytest.mark.parametrize("offset, patch, message", [
+        (8, b"\x00", "hidden_dim must be positive"),  # the header's first field
+        (34, b"\xff", r"array name b'\xffncoder.elem_embed' is not UTF-8"),  # the first name
+        # the first array's shape, whose element count overflows 64 bits
+        (53, struct.pack("<2Q", 2**32, 2**32), "truncated checkpoint"),
+        # the first array's rank and shape, one dimension past numpy's limit
+        (52, struct.pack("<BQ", 1, 2**63), "truncated checkpoint"),
+    ], ids=["header", "name", "shape-2^32x2^32", "shape-2^63"])
     def test_a_corrupt_header_or_array_name_names_the_checkpoint(
-            self, toy_dir, tmp_path, capsys, command, offset, byte, message):
+            self, toy_dir, tmp_path, capsys, command, offset, patch, message):
         mcfg = build_run_config(dict(s.split("=") for s in TINY_SETTINGS)).model
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, init_params(mcfg, np.random.default_rng(0), with_head=False))
         raw = bytearray(path.read_bytes())
-        raw[offset:offset + 1] = bytes([byte])
+        raw[offset:offset + len(patch)] = patch
         path.write_bytes(bytes(raw))
         flag = "--checkpoint" if command == "embed" else "--init-checkpoint"
         code = main([command, "--data-root", str(toy_dir),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xtalssl.autodiff import ShapeMismatch, Tape, Tensor, add, grad_check
+from xtalssl.autodiff import ShapeMismatch, Tape, Tensor, grad_check
 from xtalssl.loss import (
     BatchTooSmall,
     LossConfig,
@@ -16,6 +16,7 @@ from xtalssl.loss import (
 )
 
 from oracles import (
+    add,
     chain_barlow_twins_loss,
     chain_cross_correlation,
     chain_mse,

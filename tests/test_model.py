@@ -1,10 +1,11 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xtalssl.autodiff import ShapeMismatch, Tape, Tensor
+from xtalssl.autodiff import ShapeMismatch, Tape, Tensor, gated_conv
 from xtalssl.featurize import (
     CrystalGraph,
     GaussianBasis,
@@ -19,6 +20,7 @@ from xtalssl.model import (
     CorruptCheckpoint,
     EmptyGraph,
     ModelConfig,
+    _readout_weights,
     encode,
     init_params,
     load_checkpoint,
@@ -32,7 +34,14 @@ from xtalssl.model import (
 from xtalssl.structure_io import CrystalStructure
 from xtalssl.toydata import gen_toy_dataset
 
-from oracles import sum_all
+from oracles import (
+    add,
+    chain_scaled_gather,
+    chain_scaled_segment_sum,
+    chain_softplus_mlp,
+    mul,
+    sum_all,
+)
 
 SMALL = ModelConfig(hidden_dim=5, n_conv=2, proj_dim=4, head_hidden=3, edge_feat_dim=41)
 
@@ -218,7 +227,7 @@ class TestConvLayer:
 
     def test_one_tape_record_per_conv_layer(self):
         # guards against the layer falling back to a chain of small ops:
-        # embedding gather and mask, one record per conv, readout scale and sum
+        # the masked embedding, one record per conv, the masked-mean readout
         rng = np.random.default_rng(9)
         cfg = ModelConfig(hidden_dim=5, n_conv=3, proj_dim=4, head_hidden=3, edge_feat_dim=41)
         p = init_params(cfg, rng)
@@ -226,7 +235,16 @@ class TestConvLayer:
         assert g.n_edges > 0
         with Tape() as tape:
             encode(p, g)
-        assert len(tape._records) == cfg.n_conv + 4
+        assert len(tape._records) == cfg.n_conv + 2
+
+    def test_one_tape_record_per_head(self):
+        # guards against either two-layer MLP falling back to a chain of small ops
+        p = init_params(SMALL, np.random.default_rng(14))
+        latent = Tensor(np.random.default_rng(15).normal(size=(3, SMALL.hidden_dim)))
+        for head in (project, regress):
+            with Tape() as tape:
+                head(p, latent)
+            assert len(tape._records) == 1
 
     def test_taped_encode_holds_three_floats_per_edge_and_width(self):
         # a conv record keeps gate, core and sigmoid(pre_s), 3 H floats per
@@ -246,7 +264,7 @@ class TestConvLayer:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape._records) == cfg.n_conv + 4 and latent.requires_grad
+        assert len(tape._records) == cfg.n_conv + 2 and latent.requires_grad
         assert held / (g.n_edges * cfg.n_conv) < 4.25 * 8 * cfg.hidden_dim
 
 
@@ -349,6 +367,46 @@ class TestHeads:
         for name, t in p.named_tensors():
             assert t.grad is not None, name
 
+    def test_encode_and_heads_equal_the_op_chain_bitwise(self):
+        # the encoder and both heads as the chains of small tape ops they
+        # once recorded (tests/oracles.py): same outputs and gradients
+        def chain_encode(p, g, seg, n_graphs):
+            h = chain_scaled_gather(p.elem_embed, g.node_elem - 1, g.node_mask.astype(np.float64))
+            feat = g.edge_feat * g.edge_mask[:, None]
+            for conv in p.convs:
+                h = gated_conv(h, g.edges[:, 0], g.edges[:, 1], feat,
+                               conv.w_f, conv.b_f, conv.w_s, conv.b_s)
+            return chain_scaled_segment_sum(h, _readout_weights(g.node_mask, seg, n_graphs),
+                                            seg, n_graphs)
+
+        def chain_mlp(mlp, x):
+            return chain_softplus_mlp(x, mlp.w1, mlp.b1, mlp.w2, mlp.b2)
+
+        rng = np.random.default_rng(37)
+        merged, seg = merge_graphs([random_graph(rng, n=int(rng.integers(1, 6)))
+                                    for _ in range(4)])
+        edge_mask = (rng.uniform(size=merged.n_edges) < 0.8).astype(np.int8)
+        node_mask = (rng.uniform(size=merged.n_nodes) < 0.7).astype(np.int8)
+        node_mask[seg == 0] = 0  # graph 0 falls back to the mean over all its nodes
+        g = with_node_mask(with_edge_mask(merged, edge_mask), node_mask)
+        w_proj, w_pred = rng.normal(size=(4, SMALL.proj_dim)), rng.normal(size=(4, 1))
+
+        def run(chained):
+            p = init_params(SMALL, np.random.default_rng(38))
+            with Tape() as tape:
+                if chained:
+                    latent = chain_encode(p, g, seg, 4)
+                    z, pred = chain_mlp(p.projector, latent), chain_mlp(p.head, latent)
+                else:
+                    latent = encode(p, g, seg, 4)
+                    z, pred = project(p, latent), regress(p, latent)
+                tape.backward(add(sum_all(mul(z, Tensor(w_proj))),
+                                  sum_all(mul(pred, Tensor(w_pred)))))
+            return [latent.data, z.data, pred.data] + [t.grad for _, t in p.named_tensors()]
+
+        for a, b in zip(run(False), run(True), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
@@ -428,6 +486,21 @@ class TestCheckpoints:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((2**32, 2**32), "truncated checkpoint"),  # the element count overflows 64 bits
+        ((2**63,), "truncated checkpoint"),  # past numpy's largest dimension
+        ((0, 2**63), r"array 'encoder.elem_embed' has shape \(0, 9223372036854775808\)"),
+    ], ids=["2^32x2^32", "2^63", "0x2^63"])
+    def test_a_shape_the_file_cannot_hold_is_corrupt(self, tmp_path, shape, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(SMALL, np.random.default_rng(50)))
+        raw = path.read_bytes()
+        # the first array's rank and shape follow the 52-byte header and name
+        path.write_bytes(raw[:52] + struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
+                         + raw[52 + 1 + 8 * 2:])
+        with pytest.raises(CorruptCheckpoint, match=f"m.ckpt: {message}"):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):

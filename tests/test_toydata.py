@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xtalssl.structure_io import Z_TO_SYMBOL, load_dataset
+from xtalssl import toydata
+from xtalssl.structure_io import Z_TO_SYMBOL, atomic_open, load_dataset
 from xtalssl.toydata import (
     ELECTRONEGATIVITY,
     gen_toy_dataset,
@@ -63,10 +66,14 @@ class TestGenToyDataset:
         with pytest.raises(ValueError):
             gen_toy_dataset(0, seed=0)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            gen_toy_dataset(1, seed=-1)
+
 
 class TestWriteToyDataset:
     def test_round_trip_through_files(self, tmp_path):
-        index = write_toy_dataset(8, seed=3, out_dir=tmp_path)
+        index = write_toy_dataset(gen_toy_dataset(8, seed=3), tmp_path)
         loaded = load_dataset(tmp_path, index_file=index)
         original = gen_toy_dataset(8, seed=3)
         assert len(loaded) == 8
@@ -77,3 +84,31 @@ class TestWriteToyDataset:
                                 atol=1e-11)
             npt.assert_array_equal(le.structure.atomic_numbers,
                                    oe.structure.atomic_numbers)
+
+    @pytest.mark.parametrize("fail_at", [0, 5, 8], ids=["first-cif", "later-cif", "index"])
+    def test_a_cut_off_write_leaves_the_earlier_index(self, tmp_path, monkeypatch, fail_at):
+        write_toy_dataset(gen_toy_dataset(4, seed=1), tmp_path)
+        earlier = (tmp_path / "index.csv").read_bytes()
+        opened = []
+
+        class CutOff:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+        @contextlib.contextmanager
+        def cut_off_at(path):
+            opened.append(path)
+            with atomic_open(path) as fh:
+                yield CutOff(fh) if len(opened) == fail_at + 1 else fh
+
+        monkeypatch.setattr(toydata, "atomic_open", cut_off_at)
+        with pytest.raises(OSError, match="no space left"):
+            write_toy_dataset(gen_toy_dataset(8, seed=2), tmp_path)
+        assert len(opened) == fail_at + 1
+        assert (tmp_path / "index.csv").read_bytes() == earlier
+        assert not list(tmp_path.glob(".*.tmp"))
+        assert len(load_dataset(tmp_path, index_file=tmp_path / "index.csv")) == 4
