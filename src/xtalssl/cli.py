@@ -24,16 +24,9 @@ from .augment import AugmentConfig
 from .featurize import GaussianBasis, graph_to_json
 from .geometry import NeighborConfig
 from .loss import LossConfig
-from .model import (
-    ConfigMismatch,
-    CorruptCheckpoint,
-    ModelConfig,
-    load_checkpoint,
-    params_from_arrays,
-)
+from .model import CorruptCheckpoint, ModelConfig, load_model
 from .pipeline import (
     FinetuneConfig,
-    InvalidLabelStats,
     PretrainConfig,
     ablation_run,
     entry_graph,
@@ -42,7 +35,7 @@ from .pipeline import (
     finetune,
     pretrain,
 )
-from .structure_io import atomic_open, load_dataset, naming
+from .structure_io import atomic_open, load_dataset
 from .toydata import gen_toy_dataset, write_toy_dataset
 
 logger = logging.getLogger("xtalssl")
@@ -234,19 +227,6 @@ def _write(path: str, content: str) -> None:
         fh.write(content.encode("utf-8"))
 
 
-def _load_model_for_inference(cfg: RunConfig, need_head: bool):
-    path = _require(cfg, "checkpoint")
-    ck_cfg, arrays = load_checkpoint(path)
-    has_head = "head.w1" in arrays
-    with naming(path, CorruptCheckpoint, ConfigMismatch):
-        if need_head and (not has_head or "label_mean" not in arrays):
-            raise CorruptCheckpoint(
-                "not a fine-tuned model checkpoint (missing head or label stats)")
-        params = params_from_arrays(ck_cfg, arrays,
-                                    with_projector="projector.w1" in arrays, with_head=has_head)
-    return params, arrays
-
-
 def _cmd_featurize(cfg: RunConfig) -> int:
     data = _load_data(cfg)
     out_dir = _require(cfg, "out_dir")
@@ -277,10 +257,13 @@ def _cmd_finetune(cfg: RunConfig) -> int:
 def _cmd_evaluate(cfg: RunConfig) -> int:
     data = _load_data(cfg)
     out_dir = _require(cfg, "out_dir")
-    params, arrays = _load_model_for_inference(cfg, need_head=True)
-    with naming(cfg.checkpoint, InvalidLabelStats):
-        metrics = evaluate(params, data, float(arrays["label_mean"]), float(arrays["label_std"]),
-                           batch=cfg.finetune.batch, neighbor=cfg.neighbor, basis=cfg.basis)
+    path = _require(cfg, "checkpoint")
+    params, label_stats = load_model(path)
+    if params.head is None or label_stats is None:
+        raise CorruptCheckpoint(f"{path}: not a fine-tuned model checkpoint "
+                                "(missing head or label stats)")
+    metrics = evaluate(params, data, *label_stats,
+                       batch=cfg.finetune.batch, neighbor=cfg.neighbor, basis=cfg.basis)
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "evaluation.json"),
            json.dumps(metrics, sort_keys=True, indent=2) + "\n")
@@ -291,7 +274,7 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
 def _cmd_embed(cfg: RunConfig) -> int:
     data = _load_data(cfg)
     out_dir = _require(cfg, "out_dir")
-    params, _ = _load_model_for_inference(cfg, need_head=False)
+    params, _ = load_model(_require(cfg, "checkpoint"))
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "embeddings.csv"),
            export_embeddings(params, data, neighbor=cfg.neighbor, basis=cfg.basis,

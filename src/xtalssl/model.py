@@ -17,14 +17,16 @@ embedding and the readout are one autodiff primitive each, so ``encode``
 records ``n_conv + 2`` tape entries; each head records one.
 
 One parameter layout, ``_build``, fixes every tensor's checkpoint name, shape
-and init draw order; ``init_params`` draws through it and checkpoint loads
-read through it, so a loaded array whose shape disagrees with the header's
+and init draw order; ``init_params`` draws through it and ``load_model``
+reads through it, so a loaded array whose shape disagrees with the header's
 configuration is rejected at load, by name.  ``alias_params`` builds through
 it too: new tensors over the same arrays, so two threads can each run a
 forward and backward pass on the same weights and accumulate gradients
-apart.  Checkpoints are versioned binary files: a fixed header carrying the
-model configuration followed by named float64 little-endian arrays with
-shape prefixes, so round trips are bit-exact.
+apart.  Only this module knows what a checkpoint holds: a versioned binary
+file, a fixed header carrying the model configuration followed by named
+float64 little-endian arrays with shape prefixes (the layout's, then a
+fine-tuned model's 0-d ``label_mean`` and ``label_std``), so round trips are
+bit-exact.  Every load error names the file.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class MLPParams:
 
 @dataclass
 class ModelParams:
-    """Built only by :func:`init_params` and :func:`params_from_arrays`."""
+    """Built only by :func:`init_params`, :func:`alias_params` and :func:`load_model`."""
 
     config: ModelConfig
     elem_embed: Tensor
@@ -237,13 +239,14 @@ def regress(params: ModelParams, latent: Tensor) -> Tensor:
 _MAGIC = b"XTSL"
 _VERSION = 1
 _CONFIG_FIELDS = ("hidden_dim", "n_conv", "proj_dim", "head_hidden", "edge_feat_dim")
+_LABEL_STATS = ("label_mean", "label_std")
 
 
-def save_checkpoint(path, params: ModelParams, extra: dict[str, np.ndarray] | None = None) -> None:
-    """Write header + named arrays atomically; array order is canonical, extras sorted."""
+def save_checkpoint(path, params: ModelParams, label_stats: tuple[float, float] | None = None) -> None:
+    """Write header + named arrays atomically: the layout's, then any label statistics."""
     arrays: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in params.named_tensors()]
-    for name in sorted(extra or {}):
-        arrays.append((name, np.asarray(extra[name], dtype=np.float64)))
+    if label_stats is not None:
+        arrays += [(n, np.asarray(v, dtype=np.float64)) for n, v in zip(_LABEL_STATS, label_stats)]
     with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
@@ -303,29 +306,42 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     return cfg, arrays
 
 
-def _checked(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...],
-             mismatch: type[ValueError]) -> np.ndarray:
-    """``arrays[name]`` as float64: CorruptCheckpoint if missing, ``mismatch`` if misshapen."""
-    if name not in arrays:
-        raise CorruptCheckpoint(f"checkpoint missing array {name!r}")
-    source = np.asarray(arrays[name], dtype=np.float64)
-    if source.shape != shape:
-        raise mismatch(f"checkpoint array {name!r} has shape {source.shape}, expected {shape}")
-    return source
+def load_model(path) -> tuple[ModelParams, tuple[float, float] | None]:
+    """A checkpoint's model, with its projector and head if it holds them, and label statistics.
+
+    Every array's shape is checked against the header; the ``(mean, std)``
+    statistics are None or 0-d, finite and std > 0.  CorruptCheckpoint names ``path``.
+    """
+    cfg, arrays = load_checkpoint(path)
+
+    def checked(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name not in arrays:
+            raise CorruptCheckpoint(f"{path}: checkpoint missing array {name!r}")
+        if arrays[name].shape != shape:
+            raise CorruptCheckpoint(
+                f"{path}: checkpoint array {name!r} has shape {arrays[name].shape}, expected {shape}")
+        return arrays[name]
+
+    sections = {name.split(".", 1)[0] for name in arrays}
+    params = _build(cfg, "projector" in sections, "head" in sections, checked)
+    if not any(name in arrays for name in _LABEL_STATS):
+        return params, None
+    mean, std = (float(checked(name, ())) for name in _LABEL_STATS)
+    if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
+        raise CorruptCheckpoint(f"{path}: label_mean and label_std must be finite and "
+                                f"label_std > 0, got {mean} and {std}")
+    return params, (mean, std)
 
 
-def params_from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray],
-                       with_projector: bool, with_head: bool) -> ModelParams:
-    """Rebuild trainable params from a checkpoint's array table, shape-checked against ``cfg``."""
-    return _build(cfg, with_projector, with_head,
-                  lambda name, shape: _checked(arrays, name, shape, CorruptCheckpoint))
-
-
-def check_encoder_compatible(cfg: ModelConfig, other: ModelConfig) -> None:
+def load_encoder(params: ModelParams, path) -> None:
+    """Overwrite the encoder tensors of ``params`` bitwise with those of the checkpoint at ``path``."""
+    donor, _ = load_model(path)
     for name in ("hidden_dim", "n_conv", "edge_feat_dim"):
-        if getattr(cfg, name) != getattr(other, name):
-            raise ConfigMismatch(
-                f"{name} differs: {getattr(cfg, name)} vs {getattr(other, name)}")
+        mine, theirs = getattr(params.config, name), getattr(donor.config, name)
+        if mine != theirs:
+            raise ConfigMismatch(f"{path}: {name} differs: {mine} vs {theirs}")
+    for name in params.encoder_tensor_names():
+        params._named[name].data = donor._named[name].data
 
 
 def check_basis_width(cfg: ModelConfig, basis: GaussianBasis) -> None:
@@ -333,10 +349,3 @@ def check_basis_width(cfg: ModelConfig, basis: GaussianBasis) -> None:
     if cfg.edge_feat_dim != basis.n_centers:
         raise ConfigMismatch(
             f"model edge_feat_dim {cfg.edge_feat_dim} != basis n_centers {basis.n_centers}")
-
-
-def load_encoder_weights(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
-    """Overwrite encoder tensors in place with checkpoint values (bitwise)."""
-    for name in params.encoder_tensor_names():
-        tensor = params._named[name]
-        tensor.data = np.ascontiguousarray(_checked(arrays, name, tensor.shape, ConfigMismatch))

@@ -51,17 +51,13 @@ from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
 from .geometry import DegenerateCell, NeighborConfig, SingularLattice, build_neighbor_list
 from .loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mae_metric, mse_loss
 from .model import (
-    ConfigMismatch,
-    CorruptCheckpoint,
     ModelConfig,
     ModelParams,
     alias_params,
     check_basis_width,
-    check_encoder_compatible,
     encode,
     init_params,
-    load_checkpoint,
-    load_encoder_weights,
+    load_encoder,
     project,
     regress,
     save_checkpoint,
@@ -570,10 +566,7 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
 
     params = init_params(mcfg, rng_for(fcfg.seed, _INIT), with_projector=False, with_head=True)
     if fcfg.init_checkpoint is not None:
-        ck_cfg, arrays = load_checkpoint(fcfg.init_checkpoint)
-        with naming(fcfg.init_checkpoint, CorruptCheckpoint, ConfigMismatch):
-            check_encoder_compatible(mcfg, ck_cfg)
-            load_encoder_weights(params, arrays)
+        load_encoder(params, fcfg.init_checkpoint)
 
     def batch_loss(batch_idx):
         merged, seg = merge_graphs([graphs_train[i] for i in batch_idx])
@@ -603,9 +596,7 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         ckpt_path = os.path.join(out_dir, "finetune_model.ckpt")
-        save_checkpoint(ckpt_path, params,
-                        extra={"label_mean": np.float64(label_mean),
-                               "label_std": np.float64(label_std)})
+        save_checkpoint(ckpt_path, params, label_stats=(label_mean, label_std))
 
     wall = time.perf_counter() - t_start
     logger.info("finetune wall clock: %.2fs", wall)
@@ -698,6 +689,9 @@ def ablation_run(pretrain_data: Dataset, finetune_data: Dataset, mcfg: ModelConf
     if not seeds:
         raise ValueError("ablation needs at least one seed")
     arms = ABLATION_ARMS if arms is None else arms
+    # partition sizes do not depend on the seed, so one split checks every arm's test set
+    if not split_dataset(finetune_data, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))[2].entries:
+        raise ValueError("ablation requires a nonempty test split")
     rows = []
     for arm_name, augment in arms.items():
         maes = []
@@ -710,8 +704,6 @@ def ablation_run(pretrain_data: Dataset, finetune_data: Dataset, mcfg: ModelConf
                 save_checkpoint(ckpt, result.params)
                 arm_fcfg = dataclasses.replace(fcfg, seed=seed, init_checkpoint=ckpt)
                 ft = finetune(finetune_data, mcfg, arm_fcfg, out_dir=None)
-            if ft.report.test_mae is None:
-                raise ValueError("ablation requires a nonempty test split")
             maes.append(ft.report.test_mae)
         rows.append(AblationRow(arm=arm_name, seeds=list(seeds), maes=maes))
     if out_dir is not None:

@@ -273,6 +273,8 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _lattice_from_parameters(a, b, c, alpha, beta, gamma) -> np.ndarray:
     """Standard crystallographic cell: a along x, b in the xy-plane."""
+    if min(a, b, c) <= 0:  # a negative c would otherwise read as |c|
+        raise CifParseError(f"cell lengths must be positive, got {a}, {b} and {c}")
     ar, br, gr = math.radians(alpha), math.radians(beta), math.radians(gamma)
     cos_a, cos_b, cos_g = math.cos(ar), math.cos(br), math.cos(gr)
     sin_g = math.sin(gr)
@@ -416,7 +418,10 @@ def parse_cif(text: str) -> CrystalStructure:
         ops = [parse_symmetry_op(op) for op in sym_ops]
         numbers, fracs = _expand_symmetry(lattice, numbers, fracs, ops)
 
-    return CrystalStructure(lattice=lattice, atomic_numbers=numbers, frac_coords=fracs)
+    try:
+        return CrystalStructure(lattice=lattice, atomic_numbers=numbers, frac_coords=fracs)
+    except ValueError as exc:  # e.g. a left-handed cell, gamma past 180 degrees
+        raise CifParseError(str(exc)) from None
 
 
 def _expand_symmetry(lattice, numbers, fracs, ops):

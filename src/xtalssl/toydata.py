@@ -15,6 +15,7 @@ exactly — which is what makes the overfitting sanity checks meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -78,14 +79,17 @@ def gen_toy_dataset(n: int, seed: int) -> Dataset:
 def write_toy_dataset(data: Dataset, out_dir) -> str:
     """Write each entry's CIF, then index.csv, under out_dir; returns the index path.
 
-    Each file is replaced only once complete, the index last, so a cut-off
-    write leaves no half-written file and any earlier index.csv as it was.
+    An earlier index.csv is removed before the first CIF, and each file is
+    replaced only once complete, the index last.  So a cut-off write leaves
+    no half-written file and no index that names another run's structures.
     """
     os.makedirs(out_dir, exist_ok=True)
+    index_path = os.path.join(out_dir, "index.csv")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(index_path)
     for entry in data.entries:
         with atomic_open(os.path.join(out_dir, f"{entry.id}.cif")) as fh:
             fh.write(structure_to_cif(entry.structure, name=entry.id).encode("utf-8"))
-    index_path = os.path.join(out_dir, "index.csv")
     with atomic_open(index_path) as fh:
         fh.write("".join(f"{entry.id},{entry.label!r}\n" for entry in data.entries).encode("utf-8"))
     return index_path

@@ -221,6 +221,23 @@ class TestCommands:
         assert "entry 'thin': cutoff 4.5 needs" in capsys.readouterr().err
         assert not (out / "graphs.jsonl").exists()
 
+    @pytest.mark.parametrize("tag, value", [("a", "0"), ("a", "-4.0"), ("c", "-4.0")])
+    def test_featurize_names_a_cif_with_a_non_positive_cell_length(
+            self, toy_dir, tmp_path, capsys, tag, value):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("toy_0000.cif", "toy_0001.cif"):
+            (data / name).write_text((toy_dir / name).read_text())
+        bad = data / "toy_0001.cif"
+        text = bad.read_text()
+        line = next(l for l in text.splitlines() if l.startswith(f"_cell_length_{tag} "))
+        bad.write_text(text.replace(line, f"_cell_length_{tag} {value}"))
+        out = tmp_path / "feat"
+        code = main(["featurize", "--data-root", str(data), "--out-dir", str(out)] + tiny_args())
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: cell lengths must be positive")
+        assert not (out / "graphs.jsonl").exists()
+
     def test_pretrain_then_finetune_then_evaluate_then_embed(self, toy_dir, tmp_path):
         pre = tmp_path / "pre"
         code = main(["pretrain", "--data-root", str(toy_dir),
@@ -300,8 +317,7 @@ class TestCommands:
             self, toy_dir, tmp_path, capsys, label_std):
         mcfg = build_run_config(dict(s.split("=") for s in TINY_SETTINGS)).model
         params = init_params(mcfg, np.random.default_rng(0), with_projector=False)
-        save_checkpoint(tmp_path / "bad.ckpt", params,
-                        extra={"label_mean": np.float64(0.0), "label_std": np.float64(label_std)})
+        save_checkpoint(tmp_path / "bad.ckpt", params, label_stats=(0.0, label_std))
         code = main(["evaluate", "--data-root", str(toy_dir),
                      "--index-file", str(toy_dir / "index.csv"),
                      "--out-dir", str(tmp_path / "ev"),
@@ -309,6 +325,28 @@ class TestCommands:
         assert code == 1
         assert f"bad.ckpt: label_mean and label_std must be finite and label_std > 0, " \
             f"got 0.0 and {label_std}" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("mean_shape", [(2,), (1,), None], ids=["(2,)", "(1,)", "no-std"])
+    def test_evaluate_names_misshapen_or_missing_label_statistics(
+            self, toy_dir, tmp_path, capsys, mean_shape):
+        mcfg = build_run_config(dict(s.split("=") for s in TINY_SETTINGS)).model
+        params = init_params(mcfg, np.random.default_rng(0), with_projector=False)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, params, label_stats=(np.zeros(mean_shape or ()), 1.0))
+        if mean_shape is None:
+            # drop the last array, the 0-d label_std, and count one array fewer
+            raw = bytearray(path.read_bytes()[:-(2 + len("label_std") + 1 + 8)])
+            raw[28:32] = struct.pack("<I", struct.unpack("<I", raw[28:32])[0] - 1)
+            path.write_bytes(bytes(raw))
+        code = main(["evaluate", "--data-root", str(toy_dir),
+                     "--index-file", str(toy_dir / "index.csv"),
+                     "--out-dir", str(tmp_path / "ev"), "--checkpoint", str(path)] + tiny_args())
+        assert code == 1
+        message = ("checkpoint missing array 'label_std'" if mean_shape is None
+                   else f"checkpoint array 'label_mean' has shape {mean_shape}, expected ()")
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n"
         assert not (tmp_path / "ev" / "evaluation.json").exists()
 
     def test_embed_names_a_misshapen_array(self, toy_dir, tmp_path, capsys):
@@ -323,7 +361,7 @@ class TestCommands:
         assert "'encoder.conv0.b_f' has shape (7,), expected (4,)" in err
         assert "bad.ckpt: checkpoint array" in err
 
-    @pytest.mark.parametrize("command", ["embed", "finetune"])
+    @pytest.mark.parametrize("command", ["embed", "evaluate", "finetune"])
     @pytest.mark.parametrize("offset, patch, message", [
         (8, b"\x00", "hidden_dim must be positive"),  # the header's first field
         (34, b"\xff", r"array name b'\xffncoder.elem_embed' is not UTF-8"),  # the first name
@@ -340,7 +378,7 @@ class TestCommands:
         raw = bytearray(path.read_bytes())
         raw[offset:offset + len(patch)] = patch
         path.write_bytes(bytes(raw))
-        flag = "--checkpoint" if command == "embed" else "--init-checkpoint"
+        flag = "--init-checkpoint" if command == "finetune" else "--checkpoint"
         code = main([command, "--data-root", str(toy_dir),
                      "--index-file", str(toy_dir / "index.csv"),
                      "--out-dir", str(tmp_path / "out"), flag, str(path)]

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 
@@ -24,9 +25,8 @@ from xtalssl.model import (
     encode,
     init_params,
     load_checkpoint,
-    load_encoder_weights,
-    check_encoder_compatible,
-    params_from_arrays,
+    load_encoder,
+    load_model,
     project,
     regress,
     save_checkpoint,
@@ -412,14 +412,14 @@ class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(41))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, p, extra={"label_mean": np.array(1.5),
-                                        "label_std": np.array(0.25)})
+        save_checkpoint(path, p, label_stats=(1.5, 0.25))
         cfg, arrays = load_checkpoint(path)
         assert cfg == SMALL
         for name, t in p.named_tensors():
             npt.assert_array_equal(arrays[name], t.data)
-        assert float(arrays["label_mean"]) == 1.5
-        assert float(arrays["label_std"]) == 0.25
+        assert list(arrays)[-2:] == ["label_mean", "label_std"]
+        assert arrays["label_mean"].shape == arrays["label_std"].shape == ()
+        assert load_model(path)[1] == (1.5, 0.25)
 
     def test_save_is_deterministic(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(42))
@@ -440,15 +440,16 @@ class TestCheckpoints:
         assert path.read_bytes() == earlier
         assert sorted(q.name for q in tmp_path.iterdir()) == ["model.ckpt"]
 
-    def test_params_from_arrays_round_trip(self, tmp_path):
+    def test_load_model_round_trip(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(43))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, p)
-        cfg, arrays = load_checkpoint(path)
-        q = params_from_arrays(cfg, arrays, with_projector=True, with_head=True)
-        for (na, ta), (nb, tb) in zip(p.named_tensors(), q.named_tensors()):
+        q, label_stats = load_model(path)
+        assert q.config == SMALL and label_stats is None
+        assert q.projector is not None and q.head is not None
+        for (na, ta), (nb, tb) in zip(p.named_tensors(), q.named_tensors(), strict=True):
             assert na == nb
-            npt.assert_array_equal(ta.data, tb.data)
+            assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_encoder_only_checkpoint_has_no_head(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(44), with_head=False)
@@ -456,18 +457,39 @@ class TestCheckpoints:
         save_checkpoint(path, p)
         _, arrays = load_checkpoint(path)
         assert not any(name.startswith("head.") for name in arrays)
-        with pytest.raises(CorruptCheckpoint):
-            params_from_arrays(SMALL, arrays, with_projector=True, with_head=True)
+        q, label_stats = load_model(path)
+        assert q.head is None and q.projector is not None and label_stats is None
 
     def test_misshapen_array_is_rejected_at_load(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(49))
         p.convs[1].b_f.data = np.zeros(7)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, p)
-        cfg, arrays = load_checkpoint(path)
-        with pytest.raises(CorruptCheckpoint,
-                           match=r"'encoder\.conv1\.b_f' has shape \(7,\), expected \(5,\)"):
-            params_from_arrays(cfg, arrays, with_projector=True, with_head=True)
+        with pytest.raises(CorruptCheckpoint, match=r"m\.ckpt: checkpoint array "
+                           r"'encoder\.conv1\.b_f' has shape \(7,\), expected \(5,\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["encoder.conv0.b_s", "head.w2"])
+    def test_a_missing_array_is_named(self, tmp_path, name):
+        p = init_params(SMALL, np.random.default_rng(54))
+        del p._named[name]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, p)
+        with pytest.raises(CorruptCheckpoint, match=f"m.ckpt: checkpoint missing array '{name}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("label_stats, message", [
+        ((np.zeros(2), 1.0), r"array 'label_mean' has shape \(2,\), expected \(\)"),
+        ((0.0, np.ones((1, 1))), r"array 'label_std' has shape \(1, 1\), expected \(\)"),
+        ((0.0,), "missing array 'label_std'"),
+        ((np.inf, 1.0), "must be finite and label_std > 0, got inf and 1.0"),
+        ((0.0, -1.0), "must be finite and label_std > 0, got 0.0 and -1.0"),
+    ], ids=["mean-(2,)", "std-(1,1)", "no-std", "inf-mean", "negative-std"])
+    def test_label_statistics_are_two_finite_scalars(self, tmp_path, label_stats, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(SMALL, np.random.default_rng(55)), label_stats)
+        with pytest.raises(CorruptCheckpoint, match=f"m.ckpt: .*{message}"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         p = init_params(SMALL, np.random.default_rng(45))
@@ -523,34 +545,33 @@ class TestCheckpoints:
 
 
 class TestEncoderTransfer:
-    def test_load_encoder_weights_bitwise(self, tmp_path):
+    def test_load_encoder_bitwise(self, tmp_path):
         donor = init_params(SMALL, np.random.default_rng(51), with_head=False)
         path = tmp_path / "enc.ckpt"
         save_checkpoint(path, donor)
-        cfg, arrays = load_checkpoint(path)
         target = init_params(SMALL, np.random.default_rng(99), with_projector=False)
         head_before = target.head.w1.data.copy()
-        check_encoder_compatible(cfg, target.config)
-        load_encoder_weights(target, arrays)
-        npt.assert_array_equal(target.elem_embed.data, donor.elem_embed.data)
-        for ca, cb in zip(target.convs, donor.convs):
-            npt.assert_array_equal(ca.w_f.data, cb.w_f.data)
-            npt.assert_array_equal(ca.b_s.data, cb.b_s.data)
+        load_encoder(target, path)
+        for name in target.encoder_tensor_names():
+            assert target._named[name].data.tobytes() == donor._named[name].data.tobytes(), name
         npt.assert_array_equal(target.head.w1.data, head_before)
 
-    def test_incompatible_config(self):
-        other = ModelConfig(hidden_dim=6, n_conv=2, proj_dim=4, head_hidden=3,
-                            edge_feat_dim=41)
-        with pytest.raises(ConfigMismatch):
-            check_encoder_compatible(SMALL, other)
-
-    def test_shape_mismatch_on_load(self):
-        target = init_params(SMALL, np.random.default_rng(52), with_projector=False)
-        arrays = {name: np.zeros((2, 2)) for name in target.encoder_tensor_names()}
-        with pytest.raises(ConfigMismatch):
-            load_encoder_weights(target, arrays)
-
-    def test_missing_array_on_load(self):
+    @pytest.mark.parametrize("field, value", [("hidden_dim", 6), ("n_conv", 3),
+                                              ("edge_feat_dim", 40)])
+    def test_incompatible_config_names_the_checkpoint(self, tmp_path, field, value):
+        other = dataclasses.replace(SMALL, **{field: value})
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, init_params(other, np.random.default_rng(52), with_head=False))
         target = init_params(SMALL, np.random.default_rng(53), with_projector=False)
-        with pytest.raises(CorruptCheckpoint):
-            load_encoder_weights(target, {})
+        with pytest.raises(ConfigMismatch,
+                           match=f"enc.ckpt: {field} differs: {getattr(SMALL, field)} vs {value}"):
+            load_encoder(target, path)
+
+    def test_other_projector_and_head_widths_load(self, tmp_path):
+        other = dataclasses.replace(SMALL, proj_dim=3, head_hidden=2)
+        donor = init_params(other, np.random.default_rng(56))
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, donor, label_stats=(0.0, 1.0))
+        target = init_params(SMALL, np.random.default_rng(57), with_projector=False)
+        load_encoder(target, path)
+        assert target.elem_embed.data.tobytes() == donor.elem_embed.data.tobytes()

@@ -21,6 +21,7 @@ from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
 from xtalssl.loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings
 from xtalssl.model import (
     ConfigMismatch,
+    CorruptCheckpoint,
     EmptyGraph,
     ModelConfig,
     encode,
@@ -402,7 +403,8 @@ class TestFinetune:
         params.convs[0].w_s.data = np.zeros((3, 4))
         save_checkpoint(tmp_path / "donor.ckpt", params)
         fcfg = tiny_fcfg(epochs=1, init_checkpoint=str(tmp_path / "donor.ckpt"))
-        with pytest.raises(ConfigMismatch, match=r"donor\.ckpt: checkpoint array 'encoder\.conv0\.w_s'"):
+        with pytest.raises(CorruptCheckpoint,
+                           match=r"donor\.ckpt: checkpoint array 'encoder\.conv0\.w_s'"):
             finetune(gen_toy_dataset(6, seed=15), TINY, fcfg)
 
 class TestEvaluateAndEmbeddings:
@@ -487,6 +489,20 @@ class TestAblation:
         assert text.startswith("arm,n_seeds,mean_test_mae,std_test_mae\n")
         assert len(text.strip().split("\n")) == 3
         assert (tmp_path / "ablation_runs.csv").exists()
+
+    @pytest.mark.parametrize("split", [(0.5, 0.5, 0.0), (0.5, 0.5, 5e-10)])
+    def test_an_empty_test_split_is_rejected_before_any_training(self, monkeypatch, split):
+        calls = []
+
+        def counting_pretrain(*args, **kwargs):
+            calls.append(args)
+            return pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "pretrain", counting_pretrain)
+        with pytest.raises(ValueError, match="ablation requires a nonempty test split"):
+            ablation_run(gen_toy_dataset(4, seed=20), gen_toy_dataset(10, seed=21), TINY,
+                         tiny_pcfg(), tiny_fcfg(epochs=1, split=split), seeds=[0])
+        assert calls == []
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):

@@ -224,6 +224,17 @@ class TestParseCif:
         with pytest.raises(CifParseError, match="_cell_length_a"):
             parse_cif(CUBIC_NA.replace("_cell_length_a 4.0", "_cell_length_a inf"))
 
+    @pytest.mark.parametrize("tag, value", [("a", "0"), ("b", "-4.0"), ("c", "-4.0")])
+    def test_non_positive_cell_length_rejected(self, tag, value):
+        # a negative c once read as |c|: the cell's third row is (cx, cy, sqrt(cz^2))
+        with pytest.raises(CifParseError, match="cell lengths must be positive"):
+            parse_cif(CUBIC_NA.replace(f"_cell_length_{tag} 4.0", f"_cell_length_{tag} {value}"))
+
+    def test_a_cell_the_structure_rejects_is_a_parse_error(self):
+        # gamma = 270 degrees makes a left-handed cell, with a negative determinant
+        with pytest.raises(CifParseError, match="^lattice determinant .* must be positive$"):
+            parse_cif(CUBIC_NA.replace("_cell_angle_gamma 90.0", "_cell_angle_gamma 270"))
+
     def test_decorated_symbols(self):
         s = parse_cif(CUBIC_NA.replace("Na1 Na ", "Na1 Na+ "))
         npt.assert_array_equal(s.atomic_numbers, [11])
@@ -320,6 +331,20 @@ class TestLoadDataset:
             load_dataset(tmp_path, index_file=index)
         with pytest.raises(UnknownElementSymbol, match="s2.cif"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("_cell_length_a 4.0", "_cell_length_a 0", "cell lengths must be positive"),
+        ("_cell_length_a 4.0", "_cell_length_a -4.0", "cell lengths must be positive"),
+        ("_cell_angle_gamma 90.0", "_cell_angle_gamma 270", "lattice determinant"),
+    ], ids=["zero-a", "negative-a", "left-handed"])
+    def test_a_rejected_cell_names_the_file(self, tmp_path, old, new, message):
+        _write_cifs(tmp_path, ["s1"])
+        (tmp_path / "s2.cif").write_text(CUBIC_NA.replace(old, new), encoding="utf-8")
+        index = tmp_path / "index.csv"
+        index.write_text("s1,0.5\ns2,1.0\n", encoding="utf-8")
+        for kwargs in ({"index_file": index}, {}):
+            with pytest.raises(CifParseError, match=re.escape(f"s2.cif: {message}")):
+                load_dataset(tmp_path, **kwargs)
 
     def test_short_atom_row_names_the_file_and_loop(self, tmp_path):
         (tmp_path / "s1.cif").write_text(CUBIC_NA + "Cl1 Cl 0.5 0.5\n", encoding="utf-8")
