@@ -237,7 +237,9 @@ _SYMOP_TERM = re.compile(
 def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an xyz-style symmetry operation into (rotation, translation).
 
-    Accepts forms like "x,y,z", "-x, y+1/2, -z", "1/2+x, x-y, z".
+    Accepts forms like "x,y,z", "-x, y+1/2, -z", "1/2+x, x-y, z".  The
+    rotation must be an integer matrix with determinant 1 or -1, so "x, x, z"
+    or "2x, y, z" is rejected.
     """
     parts = op.split(",")
     if len(parts) != 3:
@@ -268,6 +270,12 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
                     value /= den
                 trans[row] += sign * value
             pos = m.end()
+    if not (np.isfinite(rot).all() and np.array_equal(rot, np.round(rot))):
+        raise MalformedSymmetryOp(f"symmetry op {op!r} has a non-integer rotation")
+    (a, b, c), (d, e, f), (g, h, i) = ([int(v) for v in r] for r in rot)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det) != 1:
+        raise MalformedSymmetryOp(f"symmetry op {op!r} has rotation determinant {det}, not 1 or -1")
     return rot, trans
 
 
@@ -349,9 +357,10 @@ def parse_cif(text: str) -> CrystalStructure:
     Requires the six cell parameters and an atom_site loop with element
     symbols and fractional coordinates.  When a
     ``_symmetry_equiv_pos_as_xyz`` or ``_space_group_symop_operation_xyz``
-    loop is present every listed operation is applied to every site and
-    duplicates within ``SYMMETRY_DEDUP_TOL`` angstrom (periodic distance)
-    are merged.
+    loop is present every listed operation is applied to every site; of
+    the images of one element within ``SYMMETRY_DEDUP_TOL`` angstrom
+    (periodic distance) of each other the first is kept, and images of
+    different elements that close are rejected.
     """
     values, loops = _scan_cif(text)
 
@@ -390,9 +399,11 @@ def parse_cif(text: str) -> CrystalStructure:
 
     numbers = []
     fracs = []
+    labels = []
     for k, row in enumerate(rows):
         line_no = atom_line + len(header) + k + 1
         sym = row[c_type] if c_type is not None else row[c_label]
+        labels.append(row[c_label] if c_label is not None else sym)
         numbers.append(_element_from_symbol(sym, line_no))
         fracs.append([_parse_float(row[c], f"_atom_site_fract (line {line_no})") for c in (c_x, c_y, c_z)])
         if c_occ is not None:
@@ -416,7 +427,7 @@ def parse_cif(text: str) -> CrystalStructure:
 
     if sym_ops:
         ops = [parse_symmetry_op(op) for op in sym_ops]
-        numbers, fracs = _expand_symmetry(lattice, numbers, fracs, ops)
+        numbers, fracs = _expand_symmetry(lattice, numbers, fracs, ops, labels)
 
     try:
         return CrystalStructure(lattice=lattice, atomic_numbers=numbers, frac_coords=fracs)
@@ -424,26 +435,48 @@ def parse_cif(text: str) -> CrystalStructure:
         raise CifParseError(str(exc)) from None
 
 
-def _expand_symmetry(lattice, numbers, fracs, ops):
-    """Apply every op to every site, merging periodic duplicates."""
-    out_numbers: list[int] = []
-    out_fracs: list[np.ndarray] = []
-    for z, f in zip(numbers, fracs):
-        for rot, trans in ops:
-            pos = wrap_frac(rot @ f + trans)
-            dup = False
-            for m, q in zip(out_numbers, out_fracs):
-                if m != z:
-                    continue
-                delta = pos - q
-                delta -= np.round(delta)
-                if np.linalg.norm(delta @ lattice) < SYMMETRY_DEDUP_TOL:
-                    dup = True
-                    break
-            if not dup:
-                out_numbers.append(int(z))
-                out_fracs.append(pos)
-    return np.array(out_numbers, dtype=np.int64), np.array(out_fracs, dtype=np.float64)
+# pair distances are computed this many at a time, so an expansion's
+# temporaries stay near 3 MB however many images it has
+_PAIR_BLOCK = 1 << 15
+
+
+def _expand_symmetry(lattice, numbers, fracs, ops, labels):
+    """Apply every op to every site, keeping the first image of each periodic duplicate.
+
+    Images come in (site, op) order.  One is dropped when an earlier kept
+    image of the same element lies within ``SYMMETRY_DEDUP_TOL`` angstrom,
+    the norm of ``(delta - round(delta)) @ lattice``.  Images of different
+    elements that close are an error naming both sites' ``labels``.
+    """
+    rot = np.array([r for r, _ in ops])
+    trans = np.array([t for _, t in ops])
+    # rot @ f for every (site, op), its terms summed left to right as that product sums them
+    f = fracs[:, None, None, :]
+    images = f[..., 0] * rot[..., 0] + f[..., 1] * rot[..., 1] + f[..., 2] * rot[..., 2]
+    images = wrap_frac(images + trans).reshape(-1, 3)
+    z = np.repeat(numbers, len(ops))
+
+    n = len(images)
+    keep = np.ones(n, dtype=bool)
+    step = max(1, _PAIR_BLOCK // n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        delta = images[r0:r1, None, :] - images[None, :r1, :]
+        delta -= np.round(delta)
+        cart = (delta.reshape(-1, 3) @ lattice).reshape(delta.shape)
+        cart *= cart
+        near = np.sqrt(cart.sum(axis=2)) < SYMMETRY_DEDUP_TOL
+        near &= np.arange(r1) < np.arange(r0, r1)[:, None]  # earlier images only
+        clash = np.argwhere(near & (z[r0:r1, None] != z[:r1]))
+        if len(clash):
+            i, j = (labels[k // len(ops)] for k in (r0 + clash[0][0], clash[0][1]))
+            raise CifParseError(f"atom sites {j!r} and {i!r} have symmetry images of different "
+                                f"elements within {SYMMETRY_DEDUP_TOL} angstrom")
+        # every near pair is of one element now; the first image wins, so a
+        # row is dropped only if an earlier kept image is near it
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[r0 + i] = not (near[i] & keep[:r1]).any()
+    return z[keep], images[keep]
 
 
 def structure_to_cif(s: CrystalStructure, name: str = "structure") -> str:

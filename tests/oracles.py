@@ -4,6 +4,9 @@ Most of these are written against the mathematical definitions, not the
 package internals: brute-force supercell neighbor search, double-loop
 cross-correlation, naive loss sums, and a hand-rolled Kolmogorov-Smirnov
 statistic. Tests compare package outputs against these.
+``expand_symmetry_loop`` is the CIF parser's former symmetry expansion, a
+loop over (site, op) images that checks each against every kept image; the
+array code in ``structure_io`` must give its sites to the last bit.
 
 The last two sections are the bitwise reference of the fused primitives.
 They hold the small tape ops (``matmul``, ``add``, ``softplus``,
@@ -28,6 +31,7 @@ from xtalssl.autodiff import (
     _sigmoid,
     _softplus,
 )
+from xtalssl.structure_io import SYMMETRY_DEDUP_TOL, wrap_frac
 
 
 def supercell_neighbors(lattice, frac, cutoff, max_neighbors):
@@ -117,6 +121,28 @@ def ks_statistic_uniform(samples, lo, hi):
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
+
+
+def expand_symmetry_loop(lattice, numbers, fracs, ops):
+    """Apply every op to every site, merging periodic duplicates."""
+    out_numbers: list[int] = []
+    out_fracs: list[np.ndarray] = []
+    for z, f in zip(numbers, fracs):
+        for rot, trans in ops:
+            pos = wrap_frac(rot @ f + trans)
+            dup = False
+            for m, q in zip(out_numbers, out_fracs):
+                if m != z:
+                    continue
+                delta = pos - q
+                delta -= np.round(delta)
+                if np.linalg.norm(delta @ lattice) < SYMMETRY_DEDUP_TOL:
+                    dup = True
+                    break
+            if not dup:
+                out_numbers.append(int(z))
+                out_fracs.append(pos)
+    return np.array(out_numbers, dtype=np.int64), np.array(out_fracs, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from xtalssl import structure_io
 from xtalssl.structure_io import (
+    SYMMETRY_DEDUP_TOL,
     CrystalStructure,
     Dataset,
     DatasetEntry,
@@ -26,7 +32,11 @@ from xtalssl.structure_io import (
     split_dataset,
     structure_to_cif,
     wrap_frac,
+    _expand_symmetry,
+    _lattice_from_parameters,
 )
+
+from oracles import expand_symmetry_loop
 
 CUBIC_NA = """
 data_na
@@ -208,6 +218,15 @@ class TestParseCif:
         with pytest.raises(MalformedSymmetryOp):
             parse_cif(ROCK_SALT.replace("'x+1/2, y+1/2, z'", "'x+, y, z'"))
 
+    def test_images_of_different_elements_on_one_site_are_rejected(self):
+        # the translation puts Na's image on Cl and Cl's image on Na
+        text = (ROCK_SALT.replace("'x+1/2, y+1/2, z'\n'x+1/2, y, z+1/2'\n'x, y+1/2, z+1/2'\n",
+                                  "'x+1/2, y, z'\n")
+                .replace("Cl1 Cl 0.5 0.5 0.5", "Cl1 Cl 0.5 0.0 0.0"))
+        with pytest.raises(CifParseError, match="^atom sites 'Na1' and 'Cl1' have symmetry images "
+                                                "of different elements within 0.001 angstrom$"):
+            parse_cif(text)
+
     def test_partial_occupancy_rejected(self):
         text = CUBIC_NA.replace(
             "_atom_site_fract_z\nNa1 Na 0.0 0.0 0.0",
@@ -268,6 +287,136 @@ class TestParseSymmetryOp:
     def test_rejects_two_components(self):
         with pytest.raises(MalformedSymmetryOp):
             parse_symmetry_op("x, y")
+
+    @pytest.mark.parametrize("op, why", [("x, x, z", "determinant 0"),
+                                         ("0, y, z", "determinant 0"),
+                                         ("2x, y, z", "determinant 2"),
+                                         ("0.5x, y, z", "non-integer rotation")])
+    def test_rejects_a_rotation_that_is_not_unimodular(self, op, why):
+        # 'x, x, z' once turned a one-site CIF into two sites
+        with pytest.raises(MalformedSymmetryOp, match=f"^symmetry op '{op}' has .*{why}"):
+            parse_symmetry_op(op)
+
+    def test_hexagonal_rows_are_unimodular(self):
+        rot, _ = parse_symmetry_op("-y, x-y, z")
+        npt.assert_array_equal(rot, [[0, -1, 0], [1, -1, 0], [0, 0, 1]])
+
+
+_OP_SETS = {
+    "P-1": ["x, y, z", "-x, -y, -z"],
+    "P2_1/c": ["x, y, z", "-x, y+1/2, -z+1/2", "-x, -y, -z", "x, -y+1/2, z+1/2"],
+    "P6": ["x, y, z", "-y, x-y, z", "-x+y, -x, z", "-x, -y, z", "y, -x+y, z", "x-y, x, z"],
+    "cubic subset": ["x, y, z", "z, x, y", "y, z, x", "-x, -y, z", "x+1/2, y+1/2, z",
+                     "-x, -y, -z"],
+}
+_ELEMENTS = (8, 11, 17)
+
+
+@st.composite
+def _lattices(draw):
+    if draw(st.booleans()):
+        return draw(st.floats(3.0, 10.0)) * np.eye(3)
+    lengths = [draw(st.floats(3.0, 10.0)) for _ in range(3)]
+    angles = [draw(st.floats(70.0, 110.0)) for _ in range(3)]
+    try:
+        return _lattice_from_parameters(*lengths, *angles)
+    except CifParseError:  # angles with no positive-volume cell
+        assume(False)
+
+
+_COORDINATES = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75]),  # special positions
+    st.floats(-1e-4, 1e-4),  # within 1e-4 of a cell face, wrapped
+)
+
+
+@st.composite
+def _asymmetric_units(draw, lattice):
+    """Sites plus same-element copies 0, 0.5 and 2 tolerances away from some of them."""
+    n = draw(st.integers(1, 6))
+    numbers = [draw(st.sampled_from(_ELEMENTS)) for _ in range(n)]
+    fracs = [[draw(_COORDINATES) for _ in range(3)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, n - 1))
+        direction = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+        assume(np.linalg.norm(direction) > 0.1)
+        shift = draw(st.sampled_from([0.0, 0.5, 2.0])) * SYMMETRY_DEDUP_TOL
+        cart = direction / np.linalg.norm(direction) * shift
+        numbers.append(numbers[k])
+        fracs.append(np.asarray(fracs[k]) + cart @ np.linalg.inv(lattice))
+    return np.array(numbers, dtype=np.int64), wrap_frac(np.array(fracs, dtype=np.float64))
+
+
+def _image_pair_distances(lattice, numbers, fracs, ops):
+    """Every pair of images as (distance, same element), by the loop's own formula."""
+    images = [(z, wrap_frac(rot @ f + trans)) for z, f in zip(numbers, fracs) for rot, trans in ops]
+    pairs = []
+    for a, (za, pa) in enumerate(images):
+        for zb, pb in images[:a]:
+            delta = pa - pb
+            delta -= np.round(delta)
+            pairs.append((np.linalg.norm(delta @ lattice), za == zb))
+    return pairs
+
+
+class TestExpandSymmetry:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), _lattices(), st.sampled_from(sorted(_OP_SETS)))
+    def test_matches_the_loop_bit_for_bit(self, data, lattice, op_set):
+        numbers, fracs = data.draw(_asymmetric_units(lattice))
+        ops = [parse_symmetry_op(op) for op in _OP_SETS[op_set]]
+        labels = [f"S{k}" for k in range(len(numbers))]
+        pairs = _image_pair_distances(lattice, numbers, fracs, ops)
+        # the array code sums the distance in another order: the two may
+        # differ by an ulp, which matters only at the tolerance itself
+        assume(all(abs(d - SYMMETRY_DEDUP_TOL) > 1e-12 for d, _ in pairs))
+        if any(d < SYMMETRY_DEDUP_TOL and not same for d, same in pairs):
+            with pytest.raises(CifParseError, match="different elements"):
+                _expand_symmetry(lattice, numbers, fracs, ops, labels)
+            return
+        want_numbers, want_fracs = expand_symmetry_loop(lattice, numbers, fracs, ops)
+        # small blocks put near pairs across block boundaries
+        block = data.draw(st.sampled_from([1, 7, structure_io._PAIR_BLOCK]))
+        with mock.patch.object(structure_io, "_PAIR_BLOCK", block):
+            got_numbers, got_fracs = _expand_symmetry(lattice, numbers, fracs, ops, labels)
+        assert got_numbers.dtype == want_numbers.dtype and got_fracs.dtype == want_fracs.dtype
+        assert np.array_equal(got_numbers, want_numbers)
+        assert np.array_equal(got_fracs, want_fracs)
+
+    def test_first_image_wins(self):
+        # the second site lies 0.6 tolerances from the first and from its own
+        # translated image, which is 1.2 tolerances from the first: the loop
+        # keeps site 0 and the translated image of site 1
+        lattice = 10.0 * np.eye(3)
+        step = 0.6 * SYMMETRY_DEDUP_TOL / 10.0
+        fracs = np.array([[0.1, 0.1, 0.1], [0.1 + step, 0.1, 0.1]])
+        ops = [(np.eye(3), np.zeros(3)), (np.eye(3), np.array([step, 0.0, 0.0]))]
+        numbers = np.array([8, 8])
+        got = _expand_symmetry(lattice, numbers, fracs, ops, ["O1", "O2"])
+        want = expand_symmetry_loop(lattice, numbers, fracs, ops)
+        assert len(got[0]) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_temporaries_stay_bounded(self):
+        # 500 general sites x 8 ops = 4,000 images: all pair distances at
+        # once would take 4000 * 4000 * 3 * 8 bytes, 384 MB
+        rng = np.random.default_rng(0)
+        ops = [parse_symmetry_op(op) for op in
+               ("x, y, z", "-x, -y, z", "-x, y, -z", "x, -y, -z",
+                "-x, -y, -z", "x, y, -z", "x, -y, z", "-x, y, z")]
+        fracs = rng.uniform(0.01, 0.49, (500, 3))
+        numbers = rng.choice(_ELEMENTS, 500)
+        tracemalloc.start()
+        try:
+            got_numbers, _ = _expand_symmetry(40.0 * np.eye(3), numbers, fracs, ops,
+                                              [str(k) for k in range(500)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got_numbers) == 4000
+        assert peak < 4_000_000
 
 
 def _write_cifs(tmp_path, names):

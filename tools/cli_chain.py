@@ -8,7 +8,13 @@ working directory and at the same relative paths, every step runs as its
 own ``python -m xtalssl.cli`` process on that checkout's ``src``:
 
     gen-toy --n 40 --seed 3, featurize, pretrain, finetune from
-    pretrain_best.ckpt, evaluate, embed with each pretrain checkpoint, ablate
+    pretrain_best.ckpt, evaluate, embed with each pretrain checkpoint, ablate,
+    then featurize on three CIFs with symmetry loops
+
+The toy CIFs are P1, so the last step is the one that compares the parser's
+symmetry expansion: the script writes a P-1, a P2_1/c and a P-3 cell (whose
+ops have x-y rows), each with sites on special positions whose images
+merge, into ``sym/`` before the chain starts.
 
 Each step runs with ``OPENBLAS_NUM_THREADS=1``.  Current versions pin the
 BLAS to one thread inside each call anyway; the variable makes a checkout
@@ -39,6 +45,48 @@ def _sets(*settings: str) -> list[str]:
     return [arg for s in settings for arg in ("--set", s)]
 
 
+_CIF_HEAD = """data_{name}
+_cell_length_a {a}
+_cell_length_b {b}
+_cell_length_c {c}
+_cell_angle_alpha {alpha}
+_cell_angle_beta {beta}
+_cell_angle_gamma {gamma}
+loop_
+_symmetry_equiv_pos_as_xyz
+{ops}
+loop_
+_atom_site_label
+_atom_site_type_symbol
+_atom_site_fract_x
+_atom_site_fract_y
+_atom_site_fract_z
+"""
+
+# name: (a, b, c, alpha, beta, gamma), ops, sites; the first site of each
+# lies on a special position, and P-3's (1/3, 2/3, z) is written to 6 digits,
+# so its images merge only within the dedup tolerance
+SYMMETRIC_CIFS = {
+    "p-1": ((5.1, 5.6, 6.2, 78.0, 84.0, 71.0), ["x, y, z", "-x, -y, -z"],
+            ["Na1 Na 0 0 0", "Cl1 Cl 0.31 0.22 0.47", "O1 O 0.71 0.13 0.19"]),
+    "p21c": ((5.4, 6.3, 7.1, 90.0, 104.5, 90.0),
+             ["x, y, z", "-x, y+1/2, -z+1/2", "-x, -y, -z", "x, -y+1/2, z+1/2"],
+             ["Mg1 Mg 0.5 0 0.5", "Si1 Si 0.27 0.09 0.31", "O1 O 0.12 0.38 0.04"]),
+    "p-3": ((5.0, 5.0, 5.5, 90.0, 90.0, 120.0),
+            ["x, y, z", "-y, x-y, z", "-x+y, -x, z", "-x, -y, -z", "y, -x+y, -z", "x-y, x, -z"],
+            ["Al1 Al 0 0 0", "O1 O 0.333333 0.666667 0.21", "Li1 Li 0.29 0.06 0.62"]),
+}
+
+
+def write_symmetric_cifs(out_dir: str) -> None:
+    os.makedirs(out_dir)
+    for name, ((a, b, c, alpha, beta, gamma), ops, sites) in SYMMETRIC_CIFS.items():
+        text = _CIF_HEAD.format(name=name, a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
+                                ops="\n".join(f"'{op}'" for op in ops))
+        with open(os.path.join(out_dir, f"{name}.cif"), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n".join(sites) + "\n")
+
+
 STEPS = [
     ["gen-toy", "--n", "40", "--seed", "3", "--out", "data"],
     ["featurize", "--data-root", "data", "--out-dir", "featurize"],
@@ -53,12 +101,14 @@ STEPS = [
      "--checkpoint", "pretrain/pretrain_final.ckpt"],
     ["ablate", "--data-root", "data", "--index-file", "data/index.csv", "--out-dir", "ablate",
      *_sets(*PRETRAIN, *FINETUNE)],
+    ["featurize", "--data-root", "sym", "--out-dir", "featurize_sym"],
 ]
 
 
 def run_chain(checkout: str, workdir: str) -> None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(checkout, "src"))
     os.makedirs(workdir)
+    write_symmetric_cifs(os.path.join(workdir, "sym"))
     for step in STEPS:
         cmd = [sys.executable, "-m", "xtalssl.cli", *step]
         proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
