@@ -209,10 +209,10 @@ def encode(params: ModelParams, graph: CrystalGraph,
     masked_feat = graph.edge_feat  # the batch's one Gaussian expansion, masked in place
     masked_feat *= graph.edge_mask[:, None]
     h = scaled_gather(params.elem_embed, graph.node_elem - 1, graph.node_mask.astype(np.float64))
-    if graph.n_edges:  # without edges every layer is the identity
-        src, dst = graph.edges[:, 0], graph.edges[:, 1]
-        for conv in params.convs:
-            h = gated_conv(h, src, dst, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
+    # on zero edges gated_conv is the identity, and its weights get zero gradients
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    for conv in params.convs:
+        h = gated_conv(h, src, dst, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
     return scaled_segment_sum(h, _readout_weights(graph.node_mask, seg, n_graphs), seg, n_graphs)
 
 

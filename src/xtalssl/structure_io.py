@@ -3,8 +3,10 @@
 The CIF reader honours cell parameters, atom_site loops and explicit
 symmetry operator lists (``_space_group_symop_operation_xyz`` or the older
 ``_symmetry_equiv_pos_as_xyz``); everything else in the file is ignored.
-A ``;``-delimited text field is one value, and a tag's value may sit on a
-later line.
+A file with no operator list gets the identity op, so every file has the
+same site merge and clash check.  A file holds one ``data_`` block, a
+``;``-delimited text field is one value, and a value may follow its tag
+on a later line.
 Structures are stored as a 3x3 lattice matrix (rows are the cell vectors
 a, b, c in angstrom) plus fractional coordinates wrapped into [0, 1).
 """
@@ -166,14 +168,13 @@ def wrap_frac(frac: np.ndarray) -> np.ndarray:
 # CIF parsing
 
 
-def _strip_uncertainty(token: str) -> str:
-    # CIF numbers may carry a parenthesised standard uncertainty: 4.021(3)
-    return re.sub(r"\(\d+\)$", "", token)
+# CIF numbers may carry a parenthesised standard uncertainty: 4.021(3)
+_UNCERTAINTY = re.compile(r"\(\d+\)$")
 
 
 def _parse_float(token: str, tag: str) -> float:
     try:
-        value = float(_strip_uncertainty(token))
+        value = float(_UNCERTAINTY.sub("", token))
     except ValueError:
         raise CifParseError(f"cannot parse numeric value {token!r} for {tag}") from None
     if not math.isfinite(value):
@@ -209,18 +210,22 @@ def _cif_tokens(text: str):
         i += 1
 
 
+# type_symbol / label values carry decorations: "Na1", "Fe3+", "O2-"
+_SYMBOL = re.compile(r"[A-Z][a-z]?")
+_LETTERS = re.compile(r"[A-Za-z]+")
+
+
 def _element_from_symbol(raw: str, line_no: int) -> int:
-    # type_symbol / label values carry decorations: "Na1", "Fe3+", "O2-"
-    m = re.match(r"^([A-Z][a-z]?)", raw)
-    if m and m.group(1) in SYMBOL_TO_Z:
-        return SYMBOL_TO_Z[m.group(1)]
+    m = _SYMBOL.match(raw)
+    if m and m.group() in SYMBOL_TO_Z:
+        return SYMBOL_TO_Z[m.group()]
     # single capital followed by a capital ("CL1") occasionally shows up
-    m = re.match(r"^([A-Za-z]+)", raw)
+    m = _LETTERS.match(raw)
     if m:
-        cand = m.group(1).capitalize()
+        cand = m.group().capitalize()
         if cand in SYMBOL_TO_Z:
             return SYMBOL_TO_Z[cand]
-        if len(cand) >= 1 and cand[0] in SYMBOL_TO_Z and cand[:2] not in SYMBOL_TO_Z:
+        if cand[0] in SYMBOL_TO_Z and cand[:2] not in SYMBOL_TO_Z:
             return SYMBOL_TO_Z[cand[0]]
     raise UnknownElementSymbol(f"unknown element symbol {raw!r} on line {line_no}")
 
@@ -310,7 +315,8 @@ def _scan_cif(text: str):
     one, unless that token is a tag or keyword.  Returns (values, loops)
     where loops is a list of (header_tags, rows, loop_line_no).  When a
     loop's value count is not a multiple of its tag count its last row is
-    short; ``_check_rows`` rejects that in the loops the parser reads.
+    short; ``_find_loop`` rejects that in the loops the parser reads.  A
+    file holds one structure, so a second ``data_`` block is an error.
     """
     tokens = list(_cif_tokens(text))
 
@@ -321,11 +327,17 @@ def _scan_cif(text: str):
 
     values: dict[str, str] = {}
     loops: list[tuple[list[str], list[list[str]], int]] = []
+    block_line = 0
     k = 0
     while k < len(tokens):
         value, line_no, bare = tokens[k]
         k += 1
-        if bare and value.lower() == "loop_":
+        if bare and value.lower().startswith("data_"):
+            if block_line:
+                raise CifParseError(f"second data block {value!r} on line {line_no}; the file "
+                                    f"holds one structure, opened on line {block_line}")
+            block_line = line_no
+        elif bare and value.lower() == "loop_":
             header: list[str] = []
             while k < len(tokens) and tokens[k][2] and tokens[k][0].startswith("_"):
                 header.append(tokens[k][0].lower())
@@ -343,22 +355,31 @@ def _scan_cif(text: str):
     return values, loops
 
 
-def _check_rows(header: list[str], rows: list[list[str]], line_no: int) -> None:
-    """Reject a loop whose last row lacks values (a missing coordinate, say)."""
-    if rows and len(rows[-1]) != len(header):
-        n_values = len(header) * (len(rows) - 1) + len(rows[-1])
-        raise CifParseError(f"loop on line {line_no} has {n_values} values, "
-                            f"not a multiple of its {len(header)} tags")
+def _find_loop(loops, wanted) -> tuple[list[str], list[list[str]], int]:
+    """The first loop with a tag ``wanted`` accepts, or ([], [], 0); rejects a short last row."""
+    for header, rows, line_no in loops:
+        if any(map(wanted, header)):
+            if rows and len(rows[-1]) != len(header):
+                n_values = len(header) * (len(rows) - 1) + len(rows[-1])
+                raise CifParseError(f"loop on line {line_no} has {n_values} values, "
+                                    f"not a multiple of its {len(header)} tags")
+            return header, rows, line_no
+    return [], [], 0
+
+
+# the current tag first: it wins in a loop that carries both
+_SYMOP_TAGS = ("_space_group_symop_operation_xyz", "_symmetry_equiv_pos_as_xyz")
+_IDENTITY_OP = (np.eye(3), np.zeros(3))
 
 
 def parse_cif(text: str) -> CrystalStructure:
-    """Parse a CIF document (subset) into a CrystalStructure.
+    """Parse a one-block CIF document (subset) into a CrystalStructure.
 
     Requires the six cell parameters and an atom_site loop with element
-    symbols and fractional coordinates.  When a
-    ``_symmetry_equiv_pos_as_xyz`` or ``_space_group_symop_operation_xyz``
-    loop is present every listed operation is applied to every site; of
-    the images of one element within ``SYMMETRY_DEDUP_TOL`` angstrom
+    symbols and fractional coordinates.  Every operation of a
+    ``_space_group_symop_operation_xyz`` or ``_symmetry_equiv_pos_as_xyz``
+    loop, or the identity in a file without one, is applied to every site;
+    of the images of one element within ``SYMMETRY_DEDUP_TOL`` angstrom
     (periodic distance) of each other the first is kept, and images of
     different elements that close are rejected.
     """
@@ -371,25 +392,13 @@ def parse_cif(text: str) -> CrystalStructure:
         cell.append(_parse_float(values[tag], tag))
     lattice = _lattice_from_parameters(*cell)
 
-    atom_loop = None
-    atom_line = 0
-    for header, rows, line_no in loops:
-        if any(h.startswith("_atom_site_fract") for h in header):
-            atom_loop = (header, rows)
-            atom_line = line_no
-            break
-    if atom_loop is None:
+    header, rows, atom_line = _find_loop(loops, lambda h: h.startswith("_atom_site_fract"))
+    if not header:
         raise MissingAtomLoop("no atom_site loop with fractional coordinates found")
-    header, rows = atom_loop
-    _check_rows(header, rows, atom_line)
 
-    def col(name: str) -> int | None:
-        return header.index(name) if name in header else None
-
-    c_type = col("_atom_site_type_symbol")
-    c_label = col("_atom_site_label")
-    c_x, c_y, c_z = col("_atom_site_fract_x"), col("_atom_site_fract_y"), col("_atom_site_fract_z")
-    c_occ = col("_atom_site_occupancy")
+    c_type, c_label, c_x, c_y, c_z, c_occ = (
+        header.index(f"_atom_site_{name}") if f"_atom_site_{name}" in header else None
+        for name in ("type_symbol", "label", "fract_x", "fract_y", "fract_z", "occupancy"))
     if c_x is None or c_y is None or c_z is None:
         raise MissingAtomLoop("atom_site loop lacks _atom_site_fract_x/y/z")
     if c_type is None and c_label is None:
@@ -397,9 +406,7 @@ def parse_cif(text: str) -> CrystalStructure:
     if not rows:
         raise MissingAtomLoop("atom_site loop contains no rows")
 
-    numbers = []
-    fracs = []
-    labels = []
+    numbers, fracs, labels = [], [], []
     for k, row in enumerate(rows):
         line_no = atom_line + len(header) + k + 1
         sym = row[c_type] if c_type is not None else row[c_label]
@@ -409,25 +416,14 @@ def parse_cif(text: str) -> CrystalStructure:
         if c_occ is not None:
             occ = _parse_float(row[c_occ], f"_atom_site_occupancy (line {line_no})")
             if abs(occ - 1.0) > 1e-3:
-                raise CifParseError(
-                    f"partial occupancy {occ} on line {line_no} is not supported"
-                )
+                raise CifParseError(f"partial occupancy {occ} on line {line_no} is not supported")
     numbers = np.array(numbers, dtype=np.int64)
     fracs = wrap_frac(np.array(fracs, dtype=np.float64))
 
-    sym_ops = None
-    for header, rows, line_no in loops:
-        for name in ("_symmetry_equiv_pos_as_xyz", "_space_group_symop_operation_xyz"):
-            if name in header:
-                _check_rows(header, rows, line_no)
-                j = header.index(name)
-                sym_ops = [row[j] for row in rows]
-        if sym_ops is not None:
-            break
-
-    if sym_ops:
-        ops = [parse_symmetry_op(op) for op in sym_ops]
-        numbers, fracs = _expand_symmetry(lattice, numbers, fracs, ops, labels)
+    header, rows, _ = _find_loop(loops, _SYMOP_TAGS.__contains__)
+    c_op = next((header.index(t) for t in _SYMOP_TAGS if t in header), None)
+    ops = [parse_symmetry_op(row[c_op]) for row in rows] or [_IDENTITY_OP]
+    numbers, fracs = _expand_symmetry(lattice, numbers, fracs, ops, labels)
 
     try:
         return CrystalStructure(lattice=lattice, atomic_numbers=numbers, frac_coords=fracs)
@@ -467,6 +463,8 @@ def _expand_symmetry(lattice, numbers, fracs, ops, labels):
         cart *= cart
         near = np.sqrt(cart.sum(axis=2)) < SYMMETRY_DEDUP_TOL
         near &= np.arange(r1) < np.arange(r0, r1)[:, None]  # earlier images only
+        if not near.any():
+            continue
         clash = np.argwhere(near & (z[r0:r1, None] != z[:r1]))
         if len(clash):
             i, j = (labels[k // len(ops)] for k in (r0 + clash[0][0], clash[0][1]))

@@ -6,7 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xtalssl.autodiff import ShapeMismatch, Tape, Tensor, gated_conv
+from xtalssl.autodiff import (
+    ShapeMismatch,
+    Tape,
+    Tensor,
+    gated_conv,
+    scaled_gather,
+    scaled_segment_sum,
+)
 from xtalssl.featurize import (
     CrystalGraph,
     GaussianBasis,
@@ -198,6 +205,28 @@ class TestConvLayer:
         assert g.n_edges == 0
         h0 = p.elem_embed.data[g.node_elem - 1]
         npt.assert_array_equal(encode(p, g).data, h0)
+
+    def test_no_edges_latent_is_the_embedding_readout_and_conv_gradients_are_zero(self):
+        # the layers run on zero edges: the latent is bit for bit the readout
+        # of the masked embedding, and every conv weight gets a zero gradient
+        p = init_params(SMALL, np.random.default_rng(2))
+        s = CrystalStructure(lattice=6.0 * np.eye(3), atomic_numbers=[8, 11, 17],
+                             frac_coords=[[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.0, 0.5, 0.0]])
+        one = build_graph(s, build_neighbor_list(s, NeighborConfig(cutoff=1.0, max_neighbors=12)))
+        merged, seg = merge_graphs([one, single_atom_graph(a=5.0, cutoff=1.0)])
+        g = with_node_mask(merged, np.array([1, 0, 1, 1], dtype=np.int8))
+        assert g.n_edges == 0
+        mask = g.node_mask.astype(np.float64)
+        want = scaled_segment_sum(scaled_gather(p.elem_embed, g.node_elem - 1, mask),
+                                  _readout_weights(g.node_mask, seg, 2), seg, 2).data
+        with Tape() as tape:
+            latent = encode(p, g, seg=seg, n_graphs=2)
+            tape.backward(sum_all(latent))
+        assert latent.data.tobytes() == want.tobytes()
+        for conv in p.convs:
+            for t in (conv.w_f, conv.b_f, conv.w_s, conv.b_s):
+                assert t.grad is not None and not t.grad.any()
+        assert p.elem_embed.grad.any()
 
     def test_latent_matches_manual_forward(self):
         rng = np.random.default_rng(7)

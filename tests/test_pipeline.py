@@ -407,6 +407,36 @@ class TestFinetune:
                            match=r"donor\.ckpt: checkpoint array 'encoder\.conv0\.w_s'"):
             finetune(gen_toy_dataset(6, seed=15), TINY, fcfg)
 
+class TestEdgelessBatches:
+    """A batch without a single edge trains: each conv layer is the identity there."""
+
+    def test_pretrain_with_no_edge_in_any_batch_leaves_the_convs_at_init(self):
+        pcfg = tiny_pcfg(epochs=2, neighbor=NeighborConfig(cutoff=1.0, max_neighbors=8))
+        data = Dataset(entries=tuple(DatasetEntry(id=e.id, structure=e.structure)
+                                     for e in gen_toy_dataset(12, seed=0).entries),
+                       kind="unlabeled")
+        assert all(pipeline.entry_graph(e, pcfg.neighbor, BASIS).n_edges == 0 for e in data.entries)
+        init = init_params(TINY, rng_for(pcfg.seed, _INIT), with_projector=True, with_head=False)
+        result = pretrain(data, TINY, pcfg)
+        # Adam steps by zero on zero gradients
+        for conv, conv0 in zip(result.params.convs, init.convs):
+            for f in dataclasses.fields(conv):
+                assert getattr(conv, f.name).data.tobytes() == getattr(conv0, f.name).data.tobytes()
+        assert result.params.elem_embed.data.tobytes() != init.elem_embed.data.tobytes()
+
+    def test_finetune_with_a_one_cell_batch_that_has_no_edge(self):
+        lone = CrystalStructure(lattice=9.0 * np.eye(3), atomic_numbers=[11],
+                                frac_coords=[[0.0, 0.0, 0.0]])
+        data = Dataset(entries=(DatasetEntry(id="lone", structure=lone, label=0.25),
+                                *gen_toy_dataset(8, seed=0).entries), kind="labeled")
+        fcfg = tiny_fcfg(batch=1, seed=1)
+        train, _, _ = split_dataset(data, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))
+        assert "lone" in [e.id for e in train.entries]
+        assert pipeline.entry_graph(data.entries[0], NEIGHBOR, BASIS).n_edges == 0
+        result = finetune(data, TINY, fcfg)
+        assert np.isfinite(result.report.test_mae)
+
+
 class TestEvaluateAndEmbeddings:
     def test_evaluate_counts_and_mae(self):
         data = gen_toy_dataset(8, seed=16)

@@ -419,6 +419,77 @@ class TestExpandSymmetry:
         assert peak < 4_000_000
 
 
+_IDENTITY = [(np.eye(3), np.zeros(3))]
+# P1 rock salt with Cl1 on Na1's site and Na3 on Na2's
+COINCIDENT_P1 = CUBIC_NA + "Cl1 Cl 0.0 0.0 0.0\nNa2 Na 0.5 0.5 0.5\nNa3 Na 0.5 0.5 0.5\n"
+TWO_BLOCKS = ROCK_SALT.replace("5.64", "4.0") + CUBIC_NA.replace("data_na", "data_b").replace(
+    "4.0", "7.5")
+
+
+def _p1_rows(text):
+    """The fractional coordinates a P1 CIF lists, as written."""
+    rows = text.split("_atom_site_fract_z\n", 1)[1].splitlines()
+    return np.array([[float(v) for v in row.split()[2:5]] for row in rows])
+
+
+@st.composite
+def _p1_structures(draw):
+    """Structures whose sites all lie more than 2 tolerances apart."""
+    lattice = draw(_lattices())
+    n = draw(st.integers(1, 8))
+    numbers = np.array([draw(st.sampled_from(_ELEMENTS)) for _ in range(n)], dtype=np.int64)
+    fracs = np.array([[draw(_COORDINATES) for _ in range(3)] for _ in range(n)])
+    pairs = _image_pair_distances(lattice, numbers, wrap_frac(fracs), _IDENTITY)
+    assume(all(d > 2 * SYMMETRY_DEDUP_TOL for d, _ in pairs))
+    return CrystalStructure(lattice=lattice, atomic_numbers=numbers, frac_coords=fracs)
+
+
+class TestP1Files:
+    """A file with no symmetry loop is read as the identity op: the same merge and clash rule."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_p1_structures())
+    def test_distinct_sites_parse_as_written_bit_for_bit(self, s):
+        text = structure_to_cif(s)
+        got = parse_cif(text)
+        raw = _p1_rows(text)
+        wrapped = CrystalStructure(lattice=got.lattice, atomic_numbers=s.atomic_numbers,
+                                   frac_coords=wrap_frac(raw))
+        assert_same_structure(got, wrapped)
+        numbers, fracs = expand_symmetry_loop(got.lattice, s.atomic_numbers, wrap_frac(raw),
+                                              _IDENTITY)
+        oracle = CrystalStructure(lattice=got.lattice, atomic_numbers=numbers, frac_coords=fracs)
+        assert_same_structure(got, oracle)
+        assert got.atomic_numbers.dtype == oracle.atomic_numbers.dtype
+        assert got.frac_coords.dtype == oracle.frac_coords.dtype
+
+    def test_a_site_listed_again_one_cell_over_is_one_site(self):
+        s = parse_cif(CUBIC_NA + "Na2 Na 1.0 0.0 0.0\nCl1 Cl 0.5 0.5 0.5\n")
+        npt.assert_array_equal(s.atomic_numbers, [11, 17])
+        npt.assert_array_equal(s.frac_coords, [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+
+    def test_coincident_sites_of_different_elements_are_rejected(self, tmp_path):
+        message = ("atom sites 'Na1' and 'Cl1' have symmetry images of different elements "
+                   "within 0.001 angstrom")
+        with pytest.raises(CifParseError, match=f"^{message}$"):
+            parse_cif(COINCIDENT_P1)
+        path = tmp_path / "s1.cif"
+        path.write_text(COINCIDENT_P1, encoding="utf-8")
+        with pytest.raises(CifParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_dataset(tmp_path)
+
+
+class TestOneBlock:
+    def test_a_second_data_block_is_rejected_naming_its_line(self, tmp_path):
+        message = "second data block 'data_b' on line 24; the file holds one structure, opened on line 2"
+        with pytest.raises(CifParseError, match=f"^{message}$"):
+            parse_cif(TWO_BLOCKS)
+        path = tmp_path / "s1.cif"
+        path.write_text(TWO_BLOCKS, encoding="utf-8")
+        with pytest.raises(CifParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_dataset(tmp_path)
+
+
 def _write_cifs(tmp_path, names):
     for name in names:
         (tmp_path / f"{name}.cif").write_text(CUBIC_NA, encoding="utf-8")

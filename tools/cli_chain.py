@@ -11,10 +11,11 @@ own ``python -m xtalssl.cli`` process on that checkout's ``src``:
     pretrain_best.ckpt, evaluate, embed with each pretrain checkpoint, ablate,
     then featurize on three CIFs with symmetry loops
 
-The toy CIFs are P1, so the last step is the one that compares the parser's
-symmetry expansion: the script writes a P-1, a P2_1/c and a P-3 cell (whose
-ops have x-y rows), each with sites on special positions whose images
-merge, into ``sym/`` before the chain starts.
+The toy CIFs are P1, which the parser expands by the identity op alone, so
+the last step is the one that compares the expansion under real symmetry
+ops: the script writes a P-1, a P2_1/c and a P-3 cell (whose ops have x-y
+rows), each with sites on special positions whose images merge, into
+``sym/`` before the chain starts.
 
 Each step runs with ``OPENBLAS_NUM_THREADS=1``.  Current versions pin the
 BLAS to one thread inside each call anyway; the variable makes a checkout
