@@ -4,8 +4,10 @@ Every operation is a deterministic function of (input, rng state).  The
 perturbation moves atoms in cartesian space before graph construction;
 masking flips mask bits on an already-built graph and never touches
 topology or feature values.  Both views of a structure take their
-neighbor lists from one skin candidate list (``geometry.candidate_list``),
-which gives each view exactly the list a fresh search of it would.
+neighbor lists from one skin candidate list (``view_candidates``, through
+``geometry.candidate_list``), which gives each view exactly the list a
+fresh search of it would.  A caller may build that list once and pass it
+to every ``make_views`` call of the structure, as pretraining does.
 """
 
 from __future__ import annotations
@@ -121,17 +123,29 @@ def _augment(
     return g
 
 
+def view_candidates(s: CrystalStructure, cfg: AugmentConfig,
+                    neighbor_cfg: NeighborConfig) -> CandidateList:
+    """The candidate list that every view of ``s`` under ``cfg`` takes its neighbor list from."""
+    if not cfg.any_enabled:
+        raise NoAugmentationEnabled("at least one augmentation must be enabled")
+    return candidate_list(s, neighbor_cfg, _displacement(cfg))
+
+
 def make_views(
     s: CrystalStructure,
     cfg: AugmentConfig,
     neighbor_cfg: NeighborConfig,
     basis: GaussianBasis,
     rng: np.random.Generator,
+    candidates: CandidateList | None = None,
 ) -> tuple[CrystalGraph, CrystalGraph]:
-    """Two independently augmented graphs of the same structure, from one neighbor search."""
-    if not cfg.any_enabled:
-        raise NoAugmentationEnabled("at least one augmentation must be enabled")
-    candidates = candidate_list(s, neighbor_cfg, _displacement(cfg))
+    """Two independently augmented graphs of the same structure, from one neighbor search.
+
+    ``candidates`` is ``view_candidates(s, cfg, neighbor_cfg)`` for a
+    caller that holds it already; without it, this call searches.
+    """
+    if candidates is None:
+        candidates = view_candidates(s, cfg, neighbor_cfg)
     view_a = _augment(s, cfg, candidates, basis, rng)
     view_b = _augment(s, cfg, candidates, basis, rng)
     return view_a, view_b

@@ -14,6 +14,10 @@ outputs do not depend on the BLAS thread variable.  The worker runs when
 BLAS is pinned and two cores are usable; otherwise the calling thread does
 both parts in turn, with the same results.
 
+- Pretraining first builds each crystal's neighbor candidate list, once
+  for the whole call, splitting the crystals into two contiguous halves,
+  one per thread (``_view_candidates``).  Every epoch and validation pass
+  takes its views from these lists.
 - Pretraining encodes view a of a batch on the calling thread and view b
   on the worker, forward and backward (``_twin_embeddings``).  Each view
   records on its own tape and accumulates into its own gradients, which are
@@ -45,10 +49,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentConfig, make_views
+from .augment import AugmentConfig, make_views, view_candidates
 from .autodiff import Tape, Tensor, active_tape
 from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
-from .geometry import DegenerateCell, NeighborConfig, SingularLattice, build_neighbor_list
+from .geometry import (
+    CandidateList,
+    DegenerateCell,
+    NeighborConfig,
+    SingularLattice,
+    build_neighbor_list,
+)
 from .loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mae_metric, mse_loss
 from .model import (
     ModelConfig,
@@ -320,6 +330,16 @@ def _on_both_threads(worker, run_a, run_b):
     return a, future.result()
 
 
+def _on_halves(worker, items, run) -> tuple:
+    """(run(first ceil(n/2) items), run(the rest)), the rest on ``worker``.
+
+    An empty second half is not submitted.
+    """
+    half = (len(items) + 1) // 2
+    return _on_both_threads(worker if half < len(items) else None,
+                            lambda: run(items[:half]), lambda: run(items[half:]))
+
+
 def _encode_halves(worker, params: ModelParams, items: list, batch: int,
                    graph_of=None) -> np.ndarray:
     """Latents (len(items), hidden_dim) of ``items`` in order, the second half on ``worker``.
@@ -336,7 +356,6 @@ def _encode_halves(worker, params: ModelParams, items: list, batch: int,
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    half = (len(items) + 1) // 2
 
     def run(part):
         latents = []
@@ -347,8 +366,7 @@ def _encode_halves(worker, params: ModelParams, items: list, batch: int,
             latents.append(encode(params, merged, seg, len(graphs)).data)
         return latents
 
-    a, b = _on_both_threads(worker if half < len(items) else None,
-                            lambda: run(items[:half]), lambda: run(items[half:]))
+    a, b = _on_halves(worker, items, run)
     if not a:
         return np.zeros((0, params.config.hidden_dim))
     return np.concatenate(a + b)
@@ -388,12 +406,31 @@ def _twin_embeddings(worker, params: ModelParams, merged,
     return za, zb
 
 
-def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, rng) -> Tensor:
-    """Barlow Twins loss between two augmented views of each entry, view b on any ``worker``."""
-    views = []
-    for e in entries:
-        with _naming(e.id):
-            views.append(make_views(e.structure, pcfg.augment, pcfg.neighbor, pcfg.basis, rng))
+def _view_candidates(worker, pcfg: PretrainConfig, entries) -> list[CandidateList]:
+    """Each entry's candidate list, in order, the second half on ``worker``.
+
+    A bad cell raises before any later entry of its half is touched, the
+    first half's error before the second's, each naming its entry.
+    """
+    def run(part):
+        out = []
+        for e in part:
+            with _naming(e.id):
+                out.append(view_candidates(e.structure, pcfg.augment, pcfg.neighbor))
+        return out
+
+    a, b = _on_halves(worker, entries, run)
+    return a + b
+
+
+def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, candidates,
+                   rng) -> Tensor:
+    """Barlow Twins loss between two augmented views of each entry, view b on any ``worker``.
+
+    ``candidates`` holds each entry's ``view_candidates`` list.
+    """
+    views = [make_views(e.structure, pcfg.augment, pcfg.neighbor, pcfg.basis, rng, c)
+             for e, c in zip(entries, candidates)]
     merged = [merge_graphs(list(side)) for side in zip(*views)]
     del views  # the merged copies hold the same data; free these before the forward pass
     za, zb = _twin_embeddings(worker, params, merged, len(entries))
@@ -482,7 +519,8 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     augment_rng = rng_for(pcfg.seed, _AUGMENT)
 
     def batch_loss(batch_idx, rng):
-        return _bt_batch_loss(worker, params, pcfg, [data.entries[i] for i in batch_idx], rng)
+        return _bt_batch_loss(worker, params, pcfg, [data.entries[i] for i in batch_idx],
+                              [candidates[i] for i in batch_idx], rng)
 
     def val_loss():
         # fresh stream each epoch -> identical validation views every epoch
@@ -493,6 +531,9 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
 
     # the thread that encodes view b of every batch, for the whole run
     with _second_thread() as worker:
+        # one search per crystal per call serves the views of every epoch
+        # and validation pass
+        candidates = _view_candidates(worker, pcfg, data.entries)
         epochs_log, best_epoch, best_state = _fit(
             "pretrain", params, pcfg, data.entries, train_idx, 2,
             lambda b: batch_loss(b, augment_rng), val_loss)

@@ -4,6 +4,10 @@ Most of these are written against the mathematical definitions, not the
 package internals: brute-force supercell neighbor search, double-loop
 cross-correlation, naive loss sums, and a hand-rolled Kolmogorov-Smirnov
 statistic. Tests compare package outputs against these.
+``dense_neighbor_list`` is the neighbor search before it ran in two
+passes: one dense pass over the cutoff's whole image block, then the
+per-source selection. The two-pass search must return its arrays to the
+last bit.
 ``expand_symmetry_loop`` is the CIF parser's former symmetry expansion, a
 loop over (site, op) images that checks each against every kept image; the
 array code in ``structure_io`` must give its sites to the last bit.
@@ -31,6 +35,7 @@ from xtalssl.autodiff import (
     _sigmoid,
     _softplus,
 )
+from xtalssl.geometry import NeighborList, _axis_spans, _check_lattice, _image_counts
 from xtalssl.structure_io import SYMMETRY_DEDUP_TOL, wrap_frac
 
 
@@ -62,6 +67,37 @@ def supercell_neighbors(lattice, frac, cutoff, max_neighbors):
         mine.sort(key=lambda c: (c[3], c[1], c[2]))
         edges.extend(mine[:max_neighbors])
     return edges
+
+
+def dense_neighbor_list(s, cfg):
+    """One pass over every site pair and every image of the cutoff's block, then selection.
+
+    The block's images, in lexicographic order, times the lattice in one
+    (M, 3) @ (3, 3) product give the image translations, as in the package.
+    The distance of atom j in image m from atom i is ((cart_j + image_m) -
+    cart_i) squared and summed over the axes in order, then square-rooted;
+    each source keeps its nearest ``max_neighbors`` by (distance, dst,
+    lexicographic image).
+    """
+    lattice = _check_lattice(s.lattice)
+    n1, n2, n3 = _image_counts(_axis_spans(lattice), cfg.cutoff)
+    grid = np.meshgrid(np.arange(-n1, n1 + 1), np.arange(-n2, n2 + 1), np.arange(-n3, n3 + 1),
+                       indexing="ij")
+    images = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+    image_carts = images.astype(np.float64) @ lattice
+    cart = s.frac_coords @ lattice
+    n, m = cart.shape[0], images.shape[0]
+    diff = (cart[None, :, None, :] + image_carts[None, None, :, :]) - cart[:, None, None, :]
+    d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] + diff[..., 2] * diff[..., 2]
+    within = d2 <= cfg.cutoff * cfg.cutoff
+    within[np.arange(n), np.arange(n), m // 2] = False  # the zero image is the middle one
+    src, dst, idx = np.nonzero(within)
+    dist = np.sqrt(d2[src, dst, idx])
+    order = np.lexsort((idx, dst, dist, src))
+    src, dst, idx, dist = src[order], dst[order], idx[order], dist[order]
+    keep = np.arange(src.size) - np.searchsorted(src, src) < cfg.max_neighbors
+    return NeighborList(src=src[keep].astype(np.int64), dst=dst[keep].astype(np.int64),
+                        dist=dist[keep], image=images[idx[keep]])
 
 
 def periodic_distance(lattice, fa, fb, image=(0, 0, 0)):

@@ -10,6 +10,7 @@ from xtalssl.augment import (
     mask_atoms,
     mask_edges,
     random_perturb,
+    view_candidates,
 )
 from xtalssl import geometry
 from xtalssl.featurize import GaussianBasis, build_graph
@@ -142,6 +143,8 @@ class TestMakeViews:
                             enable_edge_mask=False)
         with pytest.raises(NoAugmentationEnabled):
             make_views(perovskite(), cfg, NCFG, BASIS, np.random.default_rng(0))
+        with pytest.raises(NoAugmentationEnabled):
+            view_candidates(perovskite(), cfg, NCFG)
 
     def test_views_differ(self):
         va, vb = make_views(perovskite(), AugmentConfig(), NCFG, BASIS,
@@ -154,9 +157,11 @@ class TestMakeViews:
         assert not (same_feat and same_masks)
 
     def test_deterministic_under_seed(self):
-        cfg = AugmentConfig()
-        a1, b1 = make_views(perovskite(), cfg, NCFG, BASIS, np.random.default_rng(42))
-        a2, b2 = make_views(perovskite(), cfg, NCFG, BASIS, np.random.default_rng(42))
+        # a candidate list built beforehand gives the views a search of their own gives
+        cfg, s = AugmentConfig(), perovskite()
+        a1, b1 = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(42))
+        a2, b2 = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(42),
+                            view_candidates(s, cfg, NCFG))
         for x, y in ((a1, a2), (b1, b2)):
             npt.assert_array_equal(x.node_mask, y.node_mask)
             npt.assert_array_equal(x.edge_mask, y.edge_mask)

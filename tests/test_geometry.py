@@ -9,13 +9,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from xtalssl import geometry
 from xtalssl.augment import _perturb
 from xtalssl.geometry import (
+    FIRST_PASS_SCALE,
     DegenerateCell,
     NeighborConfig,
     SingularLattice,
     _check_lattice,
-    _images_per_axis,
+    _axis_spans,
+    _image_counts,
     build_neighbor_list,
     candidate_list,
     view_neighbor_list,
@@ -23,7 +26,7 @@ from xtalssl.geometry import (
 from xtalssl.structure_io import CrystalStructure
 
 from helpers import canonical_edges, draw_unambiguous_structure
-from oracles import supercell_neighbors
+from oracles import dense_neighbor_list, supercell_neighbors
 
 
 def cubic(a, z=11):
@@ -287,12 +290,113 @@ class TestCandidateList:
             candidate_list(thin, cfg, 0.05)
 
 
+@st.composite
+def isolated_site_cells(draw, min_cluster=8, max_cluster=24):
+    """A tight cluster of sites and one site far from it, at any index.
+
+    The cluster sets the cell's mean density, so the lone site's nearest
+    neighbors lie beyond the first pass's radius and it searches again.
+    """
+    a = draw(st.floats(5.0, 7.0))
+    skew = draw(st.floats(-0.5, 0.5))
+    n = draw(st.integers(min_cluster, max_cluster))
+    frac = [[draw(st.floats(0.0, 0.15)) for _ in range(3)] for _ in range(n)]
+    frac.insert(draw(st.integers(0, n)), [draw(st.floats(0.45, 0.55)) for _ in range(3)])
+    return CrystalStructure(lattice=[[a, 0.0, 0.0], [skew, a, 0.0], [0.0, skew, a]],
+                            atomic_numbers=[6] * (n + 1), frac_coords=frac)
+
+
+def _check_against_dense(s, cfg, kind, seed):
+    """Both searches, and the views built from a candidate list, against one dense pass."""
+    _assert_same_list(build_neighbor_list(s, cfg), dense_neighbor_list(s, cfg))
+    max_disp = _displacement(kind, s)
+    candidates = candidate_list(s, cfg, max_disp)
+    with pytest.MonkeyPatch.context() as mp:
+        # a first radius this wide covers the whole block: one dense pass
+        mp.setattr(geometry, "FIRST_PASS_SCALE", 1e6)
+        dense = candidate_list(s, cfg, max_disp)
+    for field in ("src", "dst", "image"):
+        assert np.array_equal(getattr(candidates, field), getattr(dense, field)), field
+    view, shift = _perturb(s, np.random.default_rng(seed), max_disp)
+    _assert_same_list(view_neighbor_list(candidates, view, shift), dense_neighbor_list(view, cfg))
+
+
+class TestTwoPassSearch:
+    @_PROPERTY
+    @given(triclinic_cells(), st.floats(3.0, 8.0), st.integers(1, 16), _DISPLACEMENTS,
+           st.integers(0, 2**32 - 1))
+    def test_equals_dense_oracle_triclinic(self, s, cutoff, k, kind, seed):
+        _check_against_dense(s, NeighborConfig(cutoff=cutoff, max_neighbors=k), kind, seed)
+
+    @_PROPERTY
+    @given(one_site_cubic_cells(), st.floats(2.0, 8.0), st.integers(1, 40), _DISPLACEMENTS,
+           st.integers(0, 2**32 - 1))
+    def test_equals_dense_oracle_with_ties(self, s, cutoff, k, kind, seed):
+        _check_against_dense(s, NeighborConfig(cutoff=cutoff, max_neighbors=k), kind, seed)
+
+    @_PROPERTY
+    @given(isolated_site_cells(), st.floats(6.0, 9.0), st.integers(1, 16), _DISPLACEMENTS,
+           st.integers(0, 2**32 - 1))
+    def test_equals_dense_oracle_with_an_isolated_site(self, s, cutoff, k, kind, seed):
+        _check_against_dense(s, NeighborConfig(cutoff=cutoff, max_neighbors=k), kind, seed)
+
+    @_PROPERTY
+    @given(isolated_site_cells(40, 80), st.floats(6.0, 9.0), st.integers(17, 40),
+           _DISPLACEMENTS, st.integers(0, 2**32 - 1))
+    def test_equals_dense_oracle_when_the_first_radius_holds_too_few(self, s, cutoff, k, kind,
+                                                                       seed):
+        # the lone site's first radius holds fewer than max_neighbors sites
+        _check_against_dense(s, NeighborConfig(cutoff=cutoff, max_neighbors=k), kind, seed)
+
+    @staticmethod
+    def passes(monkeypatch, s, cfg):
+        """(images, source rows or None) of each dense-kernel call one search makes."""
+        calls = []
+        dense = geometry._pairs_within
+
+        def counted(cart, image_carts, cutoff, rows=None):
+            calls.append((image_carts.shape[0], None if rows is None else rows.tolist()))
+            return dense(cart, image_carts, cutoff, rows)
+
+        monkeypatch.setattr(geometry, "_pairs_within", counted)
+        _assert_same_list(build_neighbor_list(s, cfg), dense_neighbor_list(s, cfg))
+        return calls
+
+    def test_second_pass_runs_only_on_the_rows_that_need_it(self, monkeypatch):
+        # 32 sites within 1.3 A of the origin and one at the cell's centre,
+        # 5.2 A or more from them: each cluster site has its 12 nearest in
+        # the cluster, the lone site has them beyond the first radius
+        rng = np.random.default_rng(0)
+        cluster = rng.uniform(0.0, 0.1, (32, 3))
+        s = CrystalStructure(lattice=7.5 * np.eye(3), atomic_numbers=[6] * 33,
+                             frac_coords=np.vstack([cluster, [[0.5, 0.5, 0.5]]]))
+        cfg = NeighborConfig(cutoff=8.0, max_neighbors=12)
+        nl = dense_neighbor_list(s, cfg)
+        kth = np.array([nl.dist[nl.src == i][-1] for i in range(s.n_sites)])
+        radius = FIRST_PASS_SCALE * (3 * 13 * 7.5**3 / (4 * np.pi * 33)) ** (1 / 3)
+        assert (kth[:32] < radius).all() and kth[32] > radius
+        assert self.passes(monkeypatch, s, cfg) == [(27, None), (125, [32])]
+
+    def test_one_pass_when_every_source_finds_its_nearest(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        s = CrystalStructure(lattice=np.diag([7.9, 8.3, 8.6]), atomic_numbers=[6] * 40,
+                             frac_coords=rng.uniform(0.0, 1.0, (40, 3)))
+        cfg = NeighborConfig(cutoff=8.0, max_neighbors=12)
+        assert self.passes(monkeypatch, s, cfg) == [(27, None)]
+
+    def test_one_pass_over_the_whole_block_when_the_first_radius_covers_it(self, monkeypatch):
+        s = CrystalStructure(lattice=np.diag([3.9, 4.1, 4.3]), atomic_numbers=[6] * 5,
+                             frac_coords=np.random.default_rng(2).uniform(0.0, 1.0, (5, 3)))
+        assert self.passes(monkeypatch, s, NeighborConfig(cutoff=8.0, max_neighbors=12)) == \
+            [(125, None)]
+
+
 class TestDenseKernelAgainstOracle:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(triclinic_cells(max_sites=4, min_length=4.0, max_skew=1.0), st.floats(3.0, 8.0),
            st.integers(1, 14))
     def test_matches_supercell_oracle(self, s, cutoff, k):
-        assume((_images_per_axis(s.lattice, cutoff) <= 2).all())
+        assume(max(_image_counts(_axis_spans(s.lattice), cutoff)) <= 2)
         full = supercell_neighbors(s.lattice, s.frac_coords, cutoff + 1e-6, 10_000)
         dist = np.array([e[3] for e in full])
         src = np.array([e[0] for e in full], dtype=np.int64)
@@ -312,7 +416,7 @@ class TestImagesPerAxis:
     def test_exact_ratio(self):
         # a 4 A cube at an 8 A cutoff: the sphere reaches exactly the second
         # plane along each axis, so two images each way, not three
-        npt.assert_array_equal(_images_per_axis(4.0 * np.eye(3), 8.0), [2, 2, 2])
+        assert _image_counts(_axis_spans(4.0 * np.eye(3)), 8.0) == [2, 2, 2]
 
     @settings(max_examples=200, deadline=None)
     @given(triclinic_cells(max_sites=1), st.floats(0.5, 20.0))
@@ -320,9 +424,9 @@ class TestImagesPerAxis:
         # ceil(cutoff / spacing), spacing = volume / |cross product of the
         # other two cell vectors|; both sides round, so a ratio within
         # 1e-12 of an integer may land on either side of it
-        counts = _images_per_axis(s.lattice, cutoff)
-        assert counts.dtype == np.int64
-        for n, spacing in zip(counts.tolist(), _spacings(s.lattice)):
+        counts = _image_counts(_axis_spans(s.lattice), cutoff)
+        assert all(type(n) is int for n in counts)
+        for n, spacing in zip(counts, _spacings(s.lattice)):
             ratio = cutoff / spacing
             assert math.ceil(ratio * (1 - 1e-12)) <= n <= math.ceil(ratio * (1 + 1e-12))
 

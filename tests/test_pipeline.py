@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xtalssl import geometry, pipeline
+from xtalssl import augment, geometry, pipeline
 from xtalssl.augment import AugmentConfig, make_views
 from xtalssl.autodiff import Tape, Tensor, active_tape
 from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
@@ -554,10 +554,14 @@ def with_bad_entry(data, structure, entry_id="bad_cell"):
 
 
 class TestErrorsNameTheEntry:
-    def test_pretrain(self):
+    def test_pretrain(self, monkeypatch):
+        # every crystal's neighbor search runs before the first step
+        steps = []
+        monkeypatch.setattr(pipeline, "_twin_embeddings", lambda *args: steps.append(args))
         data = with_bad_entry(gen_toy_dataset(6, seed=30), THIN)
         with pytest.raises(DegenerateCell, match="entry 'bad_cell': cutoff 4.5 needs"):
             pretrain(data, TINY, tiny_pcfg())
+        assert steps == []
 
     def test_finetune(self):
         data = with_bad_entry(gen_toy_dataset(6, seed=31), THIN)
@@ -710,16 +714,46 @@ class TestTwinViews:
         spy = SpyWorker()
         workers = {"threaded": lambda: spy, "inline": InlineWorker,
                    "none": contextlib.nullcontext}
+        searched_on = {run: {} for run in workers}
+        search = pipeline.view_candidates
+
+        def recorded(run):
+            def view_candidates(s, *args):
+                searched_on[run][id(s)] = threading.current_thread()
+                return search(s, *args)
+            return view_candidates
+
         reports = {}
         for run, worker in workers.items():
             monkeypatch.setattr(pipeline, "_second_thread", worker)
+            monkeypatch.setattr(pipeline, "view_candidates", recorded(run))
             reports[run] = pretrain(data, TWIN, pcfg, out_dir=tmp_path / run).report.to_json()
-        assert spy.futures  # steps, backward walks and validation passes
+        # candidate lists, steps, backward walks and validation passes
+        assert spy.futures
+        # the first half of the crystals' lists on this thread, the second on the worker
+        main = threading.current_thread()
+        for run, on_main in (("threaded", [True] * 5 + [False] * 5), ("inline", [True] * 10),
+                             ("none", [True] * 10)):
+            assert [searched_on[run][id(e.structure)] is main for e in data.entries] == on_main
         for run in ("inline", "none"):
             for name in ("pretrain_final.ckpt", "pretrain_best.ckpt"):
                 assert (tmp_path / "threaded" / name).read_bytes() == \
                     (tmp_path / run / name).read_bytes()
             assert reports[run] == reports["threaded"]
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_one_candidate_list_per_crystal_per_call(self, monkeypatch, epochs):
+        calls = []
+        search = augment.candidate_list
+
+        def counted(s, *args):
+            calls.append(s)
+            return search(s, *args)
+
+        monkeypatch.setattr(augment, "candidate_list", counted)
+        data = gen_toy_dataset(10, seed=8)
+        pretrain(data, TWIN, tiny_pcfg(epochs=epochs, val_fraction=0.3, seed=4))
+        assert sorted(map(id, calls)) == sorted(id(e.structure) for e in data.entries)
 
     @pytest.mark.parametrize("blas, cores, threaded", [
         (1, 2, True), (1, 8, True), (2, 2, True), (1, 1, False), (None, 8, False)])

@@ -14,6 +14,16 @@ ratio of the medians.  Per phase it also records the median of each run's
 raw call times (``samples.<phase>.wall_s`` in the run's
 ``perfbench/_out`` file, wall time less the in-call probes) and the same
 summary of those.
+
+Each summary states two verdicts:
+
+- ``claim_rule_met``: the change wins at least nine tenths of the pairs,
+  ties counting for neither side, and its median is better than the
+  parent's by more than the parent's interquartile range.  A gain may be
+  claimed only where this holds.
+- ``within_bound`` (end-to-end metrics only): the change's median is worse
+  than the parent's by no more than the metric's ``bound`` in
+  ``BENCHMARK.json``, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -61,9 +71,24 @@ def summary(values: list[float]) -> dict:
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
     wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
-    return {"parent": summary(parent), "change": summary(change), "change_wins": wins,
-            "median_ratio_change_over_parent":
-                statistics.median(change) / statistics.median(parent)}
+    sides = {"parent": summary(parent), "change": summary(change)}
+    gain = sides["change"]["median"] - sides["parent"]["median"]
+    if better == "lower":
+        gain = -gain
+    return sides | {
+        "change_wins": wins,
+        "median_ratio_change_over_parent": sides["change"]["median"] / sides["parent"]["median"],
+        "claim_rule_met": 10 * wins >= 9 * len(parent)
+                          and gain > sides["parent"]["q3"] - sides["parent"]["q1"],
+    }
+
+
+def within_bound(result: dict, better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by at most ``bound`` of it."""
+    parent, change = result["parent"]["median"], result["change"]["median"]
+    if better == "higher":
+        return change >= parent * (1.0 - bound)
+    return change <= parent * (1.0 + bound)
 
 
 def cpu_model() -> str | None:
@@ -110,8 +135,10 @@ def main(argv=None) -> int:
             metrics = {}
             for m in end_to_end:
                 per_side = [[r["metrics"][m["name"]]["value"] for r in results[s]] for s in SIDES]
+                result = compare(*per_side, m["better"])
                 metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
-                                      "bound": m["bound"]} | compare(*per_side, m["better"])
+                                      "bound": m["bound"]} | result | {
+                    "within_bound": within_bound(result, m["better"], m["bound"])}
             phases = results["parent"][0]["wall_s"]
             walls = {phase: {"unit": "s", "better": "lower"}
                      | compare(*[[r["wall_s"][phase] for r in results[s]] for s in SIDES], "lower")
