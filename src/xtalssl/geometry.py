@@ -10,12 +10,18 @@ It runs in two passes (``_pairs_near``).  The first covers the sub-block
 of images for a radius R of 1.5 times that of the sphere holding
 ``max_neighbors`` + 1 sites at the cell's mean density, plus the margin
 the caller keeps beyond each source's ``max_neighbors``-th distance D_i
-(0 for ``build_neighbor_list``).  A source with D_i + margin <= R has
-found every pair it can keep; only the others search the whole block
-again.  A cell whose sub-block is the whole block takes one pass.  Both
-passes compute distances from rows of the whole block's image
+(0 for ``build_neighbor_list``), and keeps only the pairs within R.  A
+source with D_i + margin <= R has found every pair it can keep; only the
+others search the whole block again, out to the cutoff.  The sub-block
+may be the whole block; only when R reaches the cutoff is there one pass.
+Both passes compute distances from rows of the whole block's image
 translations with the same operands in the same order, so the lists are
 those of one dense pass over the whole block, bit for bit.
+
+The dense kernel (``_pairs_within``) takes the sources in blocks of rows,
+so its (rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements
+and peak memory grows with the pairs found, not with sites squared times
+images.
 
 Perturbed views share one search, a Verlet list with a skin (Verlet,
 Phys. Rev. 159, 98, 1967).  A view moves each site by at most delta, so
@@ -62,6 +68,11 @@ MAX_IMAGES = 100_000
 # sites at the cell's mean density: wide enough that most sources of real
 # cells find their nearest within it
 FIRST_PASS_SCALE = 1.5
+
+# elements of each (source rows, N, M) array of the dense kernel, 512 KB of
+# float64: small enough for one block's arrays to stay in cache, large
+# enough that 100-site cells take about ten blocks per pass
+BLOCK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -154,33 +165,43 @@ def _pairs_within(cart: np.ndarray, image_carts: np.ndarray, cutoff: float,
 
     Sources are the sites ``rows`` (sorted; all sites by default).  Pairs
     come in (src, dst, image index) order; the zero-image self pair is
-    left out.  The distance of atom j in image m from atom i is built axis
-    by axis as (cart_j + image_m) - cart_i in (sources, N, M) arrays.
+    left out.  The targets cart_j + image_m are built once per axis; the
+    sources then go through in blocks of rows whose (rows, N, M) arrays
+    hold at most ``BLOCK_ELEMENTS`` elements, or one row when a row holds
+    more.  The distance of atom j in image m from atom i is built axis by
+    axis as (cart_j + image_m) - cart_i, so no block changes a bit of it.
     """
     n, m = cart.shape[0], image_carts.shape[0]
     sources = np.arange(n) if rows is None else rows
-    origin = cart if rows is None else cart[rows]
-    d2 = _sum_of_squares(
-        lambda a: ((cart[:, a, None] + image_carts[:, a])[None], origin[:, a, None, None]))
-    within = d2 <= cutoff * cutoff
-    # the zero image is the middle one
-    within[np.arange(sources.size), sources, m // 2] = False
-    flat = np.flatnonzero(within)
-    src, rest = np.divmod(flat, n * m)
-    dst, idx = np.divmod(rest, m)
-    return src if rows is None else rows[src], dst, idx, d2.ravel()[flat]
+    targets = [cart[:, a, None] + image_carts[:, a] for a in range(3)]
+    step = max(1, BLOCK_ELEMENTS // (n * m))
+    parts = []
+    for start in range(0, sources.size, step):
+        block = sources[start:start + step]
+        origin = cart[block]
+        d2 = _sum_of_squares(lambda a: (targets[a], origin[:, a, None, None]))
+        within = d2 <= cutoff * cutoff
+        # the zero image is the middle one
+        within[np.arange(block.size), block, m // 2] = False
+        flat = np.flatnonzero(within)
+        src, rest = np.divmod(flat, n * m)
+        dst, idx = np.divmod(rest, m)
+        parts.append((block[src], dst, idx, d2.ravel()[flat]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _pairs_near(lattice: np.ndarray, spans: list[float], cart: np.ndarray, counts: list[int],
                 image_carts: np.ndarray, reach: float, k: int, margin: float) -> tuple:
-    """``_pairs_within(cart, image_carts, reach)`` for what each source's nearest k can use.
+    """Per source, at least the pairs its nearest k can use, in (src, dst, image index) order.
 
     ``image_carts`` holds the block of ``counts`` images per axis that
-    covers ``reach``.  Per source this returns every pair within reach, or
-    at least every pair within its k-th smallest distance plus ``margin``,
-    in (src, dst, image index) order.  A first pass searches the sub-block
-    that covers ``radius``; only sources whose k-th distance plus margin
-    lies beyond it search the whole block again.  Both passes take rows of
+    covers ``reach``.  Per source this returns every pair within its k-th
+    smallest distance plus ``margin``, or every pair within reach, and
+    only pairs within reach.  A first pass searches the sub-block that
+    covers ``radius``, which may be the whole block, and keeps the pairs
+    within radius.  Only sources whose k-th distance plus margin lies
+    beyond radius search the whole block again, out to reach; a radius
+    that reaches ``reach`` leaves one pass.  Both passes take rows of
     ``image_carts``, so every distance has the dense kernel's bits.
     """
     n = cart.shape[0]
@@ -189,17 +210,17 @@ def _pairs_near(lattice: np.ndarray, spans: list[float], cart: np.ndarray, count
     volume = abs(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0))
     radius = FIRST_PASS_SCALE * (
         3.0 * (k + 1) * volume / (4.0 * math.pi * n)) ** (1.0 / 3.0) + margin
-    sub = [min(a, b) for a, b in zip(_image_counts(spans, radius), counts)]
-    if sub == counts:
+    if radius >= reach:
         return _pairs_within(cart, image_carts, reach)
     # the sub-block's images are in lexicographic order, so its pairs keep
     # the (src, dst, image index) order of the whole block
+    sub = [min(a, b) for a, b in zip(_image_counts(spans, radius), counts)]
     width = [2 * c + 1 for c in counts]
     axes = [np.arange(c - s, c + s + 1) for c, s in zip(counts, sub)]
     block = ((axes[0][:, None, None] * width[1] + axes[1][:, None]) * width[2] + axes[2]).ravel()
-    src, dst, idx, d2 = _pairs_within(cart, image_carts[block], reach)
+    src, dst, idx, d2 = _pairs_within(cart, image_carts[block], radius)
     idx = block[idx]
-    # the sub-block holds every pair within radius; the 1e-9 slack is far
+    # the first pass holds every pair within radius; the 1e-9 slack is far
     # above the rounding of computed distances and image counts
     redo = np.flatnonzero(
         _kth_smallest(src, np.sqrt(d2), k, n) + margin > radius * (1.0 - 1e-9))

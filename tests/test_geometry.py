@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import time
@@ -213,6 +214,22 @@ def _assert_same_list(got, want):
         assert np.array_equal(a, b), field
 
 
+def _at_both_block_sizes(check):
+    """``check`` at the real block size, then again at one source row per dense-kernel block.
+
+    Most cells the tests draw fit in one block, so the second run is the
+    one that crosses block boundaries.
+    """
+    @functools.wraps(check)
+    def run(*args, **kwargs):
+        check(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "BLOCK_ELEMENTS", 1)
+            check(*args, **kwargs)
+    return run
+
+
+@_at_both_block_sizes
 def _check_views(s, cfg, kind, seed):
     max_disp = _displacement(kind, s)
     candidates = candidate_list(s, cfg, max_disp)
@@ -306,6 +323,7 @@ def isolated_site_cells(draw, min_cluster=8, max_cluster=24):
                             atomic_numbers=[6] * (n + 1), frac_coords=frac)
 
 
+@_at_both_block_sizes
 def _check_against_dense(s, cfg, kind, seed):
     """Both searches, and the views built from a candidate list, against one dense pass."""
     _assert_same_list(build_neighbor_list(s, cfg), dense_neighbor_list(s, cfg))
@@ -348,6 +366,16 @@ class TestTwoPassSearch:
         # the lone site's first radius holds fewer than max_neighbors sites
         _check_against_dense(s, NeighborConfig(cutoff=cutoff, max_neighbors=k), kind, seed)
 
+    @pytest.mark.parametrize("a, n_origin, k", [(5.0, 8, 1), (6.0, 48, 17)])
+    def test_done_test_counts_the_margin(self, a, n_origin, k):
+        # hypothesis's shrunk cases for a done test without the margin: the
+        # centre site's k-th distance, a * sqrt(3) / 2, lies within the first
+        # radius, but its candidates reach 4 * delta = 2 A beyond that and
+        # out of the first pass, so it must search again
+        s = CrystalStructure(lattice=a * np.eye(3), atomic_numbers=[6] * (n_origin + 1),
+                             frac_coords=[[0.5, 0.5, 0.5]] + [[0.0, 0.0, 0.0]] * n_origin)
+        _check_against_dense(s, NeighborConfig(cutoff=6.0, max_neighbors=k), 0.5, seed=0)
+
     @staticmethod
     def passes(monkeypatch, s, cfg):
         """(images, source rows or None) of each dense-kernel call one search makes."""
@@ -389,6 +417,40 @@ class TestTwoPassSearch:
                              frac_coords=np.random.default_rng(2).uniform(0.0, 1.0, (5, 3)))
         assert self.passes(monkeypatch, s, NeighborConfig(cutoff=8.0, max_neighbors=12)) == \
             [(125, None)]
+
+
+def _random_cell(lattice, n, seed):
+    return CrystalStructure(lattice=lattice, atomic_numbers=[6] * n,
+                            frac_coords=np.random.default_rng(seed).uniform(0.0, 1.0, (n, 3)))
+
+
+class TestSourceBlocks:
+    def test_skewed_cell_with_a_short_axis_equals_dense_oracle(self):
+        # 100 sites at 11.7 A^3 each, like the benchmark's triclinic cells:
+        # the 3.6 A axis needs 7 images at the cutoff, so the whole block has
+        # 63 and each block of the dense kernel holds 10 source rows
+        s = _random_cell([[3.6, 0.0, 0.0], [1.2, 18.0, 0.0], [-1.0, 2.5, 18.0]], 100, 7)
+        cfg = NeighborConfig()
+        n_images = math.prod(2 * c + 1 for c in _image_counts(_axis_spans(s.lattice), cfg.cutoff))
+        assert n_images == 63
+        assert geometry.BLOCK_ELEMENTS // (s.n_sites * n_images) < s.n_sites // 2
+        for kind in (0.0, 0.05, 0.5):
+            _check_against_dense(s, cfg, kind, seed=0)
+
+    @pytest.mark.parametrize("search", [
+        lambda s: build_neighbor_list(s, NeighborConfig()),
+        lambda s: candidate_list(s, NeighborConfig(), 0.05),
+    ], ids=["build_neighbor_list", "candidate_list"])
+    def test_peak_memory_does_not_grow_with_sites_times_images(self, search):
+        # one dense pass would hold (320, 320, 27) float64 arrays, 22 MB each
+        s = _random_cell(15.66 * np.eye(3), 320, 0)
+        tracemalloc.start()
+        try:
+            search(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDenseKernelAgainstOracle:
