@@ -22,6 +22,11 @@ from .geometry import CandidateList, NeighborConfig, candidate_list, view_neighb
 from .structure_io import CrystalStructure, wrap_frac
 
 
+# largest perturbation cap, angstrom (20x the paper's 0.05): the skin widens the
+# neighbor search by twice the cap, and 1000 would ask for gigabytes of images
+MAX_DISPLACEMENT = 1.0
+
+
 class NoAugmentationEnabled(ValueError):
     pass
 
@@ -35,8 +40,9 @@ class AugmentConfig:
     mask_fraction: float = 0.10
 
     def __post_init__(self):
-        if not (np.isfinite(self.max_displacement) and self.max_displacement >= 0):
-            raise ValueError(f"max_displacement must be finite and >= 0, got {self.max_displacement}")
+        if not 0 <= self.max_displacement <= MAX_DISPLACEMENT:
+            raise ValueError(f"max_displacement must be finite and in [0, {MAX_DISPLACEMENT}] "
+                             f"angstrom, got {self.max_displacement}")
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ValueError("mask_fraction must lie in [0, 1]")
 

@@ -6,7 +6,9 @@ Configuration lives in a flat UTF-8 key-value file ("pretrain.lr = 1e-5",
 '#' comments), overridden by repeatable --set KEY=VALUE flags and then by
 the named convenience flags (--seed, --out-dir, ...).  Unknown keys are
 rejected, never ignored.  Every command is a pure function of (config file,
-flags, seed, input files); outputs land under out_dir.
+flags, seed, input files).  ``main`` alone loads the dataset for each ``_cmd_*``
+function and writes the text files it returns ({name: text}) under out_dir;
+checkpoints and ablation tables are written by ``pipeline``.
 
 Env: CT_LOG_LEVEL in {error, info, debug} (default info).
 """
@@ -35,7 +37,7 @@ from .pipeline import (
     finetune,
     pretrain,
 )
-from .structure_io import atomic_open, load_dataset
+from .structure_io import Dataset, atomic_open, load_dataset, read_utf8
 from .toydata import gen_toy_dataset, write_toy_dataset
 
 logger = logging.getLogger("xtalssl")
@@ -47,9 +49,6 @@ class UnknownCommand(ValueError):
 
 class InvalidConfig(ValueError):
     pass
-
-
-_COMMANDS = ("featurize", "pretrain", "finetune", "evaluate", "embed", "ablate", "gen-toy")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -195,8 +194,7 @@ def _setup_logging() -> None:
 def _gather_kv(args: argparse.Namespace) -> dict[str, str]:
     kv: dict[str, str] = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            kv.update(parse_config_text(fh.read()))
+        kv.update(parse_config_text(read_utf8(args.config, InvalidConfig)))
     for pair in getattr(args, "set", None) or []:
         if "=" not in pair:
             raise InvalidConfig(f"--set expects KEY=VALUE, got {pair!r}")
@@ -218,45 +216,24 @@ def _require(cfg: RunConfig, field: str) -> str:
     return value
 
 
-def _load_data(cfg: RunConfig):
-    return load_dataset(_require(cfg, "data_root"), index_file=cfg.index_file)
-
-
-def _write(path: str, content: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(content.encode("utf-8"))
-
-
-def _cmd_featurize(cfg: RunConfig) -> int:
-    data = _load_data(cfg)
-    out_dir = _require(cfg, "out_dir")
-    os.makedirs(out_dir, exist_ok=True)
+def _cmd_featurize(cfg: RunConfig, data: Dataset) -> dict[str, str]:
     lines = [graph_to_json(entry_graph(entry, cfg.neighbor, cfg.basis), id=entry.id)
              for entry in data.entries]
-    _write(os.path.join(out_dir, "graphs.jsonl"), "\n".join(lines) + "\n")
     logger.info("featurized %d structures", len(data.entries))
-    return 0
+    return {"graphs.jsonl": "\n".join(lines) + "\n"}
 
 
-def _cmd_pretrain(cfg: RunConfig) -> int:
-    data = _load_data(cfg)
-    out_dir = _require(cfg, "out_dir")
-    result = pretrain(data, cfg.model, cfg.pretrain, out_dir=out_dir)
-    _write(os.path.join(out_dir, "report.json"), result.report.to_json())
-    return 0
+def _cmd_pretrain(cfg: RunConfig, data: Dataset) -> dict[str, str]:
+    result = pretrain(data, cfg.model, cfg.pretrain, out_dir=cfg.out_dir)
+    return {"report.json": result.report.to_json()}
 
 
-def _cmd_finetune(cfg: RunConfig) -> int:
-    data = _load_data(cfg)
-    out_dir = _require(cfg, "out_dir")
-    result = finetune(data, cfg.model, cfg.finetune, out_dir=out_dir)
-    _write(os.path.join(out_dir, "report.json"), result.report.to_json())
-    return 0
+def _cmd_finetune(cfg: RunConfig, data: Dataset) -> dict[str, str]:
+    result = finetune(data, cfg.model, cfg.finetune, out_dir=cfg.out_dir)
+    return {"report.json": result.report.to_json()}
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    data = _load_data(cfg)
-    out_dir = _require(cfg, "out_dir")
+def _cmd_evaluate(cfg: RunConfig, data: Dataset) -> dict[str, str]:
     path = _require(cfg, "checkpoint")
     params, label_stats = load_model(path)
     if params.head is None or label_stats is None:
@@ -264,30 +241,20 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
                                 "(missing head or label stats)")
     metrics = evaluate(params, data, *label_stats,
                        batch=cfg.finetune.batch, neighbor=cfg.neighbor, basis=cfg.basis)
-    os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, "evaluation.json"),
-           json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     print(f"mae {metrics['mae']!r} over {metrics['n_entries']} entries")
-    return 0
+    return {"evaluation.json": json.dumps(metrics, sort_keys=True, indent=2) + "\n"}
 
 
-def _cmd_embed(cfg: RunConfig) -> int:
-    data = _load_data(cfg)
-    out_dir = _require(cfg, "out_dir")
+def _cmd_embed(cfg: RunConfig, data: Dataset) -> dict[str, str]:
     params, _ = load_model(_require(cfg, "checkpoint"))
-    os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, "embeddings.csv"),
-           export_embeddings(params, data, neighbor=cfg.neighbor, basis=cfg.basis,
-                             batch=cfg.finetune.batch))
-    return 0
+    return {"embeddings.csv": export_embeddings(params, data, neighbor=cfg.neighbor,
+                                                basis=cfg.basis, batch=cfg.finetune.batch)}
 
 
-def _cmd_ablate(cfg: RunConfig) -> int:
-    data = _load_data(cfg)
-    out_dir = _require(cfg, "out_dir")
+def _cmd_ablate(cfg: RunConfig, data: Dataset) -> dict[str, str]:
     ablation_run(data, data, cfg.model, cfg.pretrain, cfg.finetune,
-                 seeds=cfg.ablate_seeds, out_dir=out_dir)
-    return 0
+                 seeds=cfg.ablate_seeds, out_dir=cfg.out_dir)
+    return {}
 
 
 _HANDLERS = {
@@ -298,6 +265,7 @@ _HANDLERS = {
     "embed": _cmd_embed,
     "ablate": _cmd_ablate,
 }
+_COMMANDS = (*_HANDLERS, "gen-toy")
 
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
@@ -342,7 +310,14 @@ def main(argv=None) -> int:
             logger.info("wrote toy dataset index: %s", index_path)
             return 0
         cfg = build_run_config(_gather_kv(args))
-        return _HANDLERS[command](cfg)
+        data = load_dataset(_require(cfg, "data_root"), index_file=cfg.index_file)
+        out_dir = _require(cfg, "out_dir")
+        files = _HANDLERS[command](cfg, data)
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files.items():
+            with atomic_open(os.path.join(out_dir, name)) as fh:
+                fh.write(text.encode("utf-8"))
+        return 0
     except (UnknownCommand, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

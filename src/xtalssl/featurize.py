@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .elements import MAX_Z
 from .geometry import NeighborList
 from .structure_io import CrystalStructure
 
@@ -53,7 +54,7 @@ class GaussianBasis:
 
 
 class GraphFormatError(ValueError):
-    """A graphs.jsonl line that does not hold a valid graph."""
+    """A graphs.jsonl line or a mask that does not hold valid graph values."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ class CrystalGraph:
     (0 = feature row reads as zero), so topology is stable across
     augmentations.  Only shapes and edge endpoints are checked here; mask
     values are checked where masks come in (``with_node_mask``,
-    ``with_edge_mask``, ``graph_from_json``), not on every merge or copy.
+    ``with_edge_mask``, ``graph_from_json``), and atomic numbers where a
+    graphs.jsonl line comes in, not on every merge or copy.
     """
 
     node_elem: np.ndarray  # (N,) int64 atomic numbers
@@ -127,19 +129,20 @@ def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = Ga
     )
 
 
-def _checked_mask(mask, name: str) -> np.ndarray:
-    mask = np.asarray(mask)
-    if not ((mask == 0) | (mask == 1)).all():
-        raise ValueError(f"{name} must be {{0,1}}-valued")
-    return mask.astype(np.int8, copy=False)
+def _checked_ints(values, name: str, low: int, high: int, dtype=np.int64) -> np.ndarray:
+    """Integers in [low, high] as ``dtype``; floats, even 1.0, are a GraphFormatError."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind != "i" or arr.min() < low or arr.max() > high):
+        raise GraphFormatError(f"{name} must hold integers in [{low}, {high}]")
+    return arr.astype(dtype, copy=False)
 
 
 def with_node_mask(g: CrystalGraph, node_mask: np.ndarray) -> CrystalGraph:
-    return replace(g, node_mask=_checked_mask(node_mask, "node_mask"))
+    return replace(g, node_mask=_checked_ints(node_mask, "node_mask", 0, 1, np.int8))
 
 
 def with_edge_mask(g: CrystalGraph, edge_mask: np.ndarray) -> CrystalGraph:
-    return replace(g, edge_mask=_checked_mask(edge_mask, "edge_mask"))
+    return replace(g, edge_mask=_checked_ints(edge_mask, "edge_mask", 0, 1, np.int8))
 
 
 def merge_graphs(graphs: list[CrystalGraph]) -> tuple[CrystalGraph, np.ndarray]:
@@ -190,12 +193,13 @@ def graph_from_json(line: str) -> tuple[CrystalGraph, str | None]:
     dist = np.array(record["dist"], dtype=np.float64)
     if dist.shape != (n_edges,) or not (np.isfinite(dist) & (dist >= 0)).all():
         raise GraphFormatError("dist must hold one finite, nonnegative length per edge")
+    node_elem = _checked_ints(record["node_elem"], "node_elem", 1, MAX_Z)
     graph = CrystalGraph(
-        node_elem=np.array(record["node_elem"], dtype=np.int64),
-        node_mask=_checked_mask(record["node_mask"], "node_mask"),
-        edges=np.array(record["edges"], dtype=np.int64).reshape(n_edges, 2),
+        node_elem=node_elem,
+        node_mask=_checked_ints(record["node_mask"], "node_mask", 0, 1, np.int8),
+        edges=_checked_ints(record["edges"], "edges", 0, len(node_elem) - 1).reshape(n_edges, 2),
         dist=dist,
-        edge_mask=_checked_mask(record["edge_mask"], "edge_mask"),
+        edge_mask=_checked_ints(record["edge_mask"], "edge_mask", 0, 1, np.int8),
         basis=GaussianBasis(**{f.name: float(record["basis"][f.name])
                                for f in fields(GaussianBasis)}),
     )

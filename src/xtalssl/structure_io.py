@@ -523,10 +523,20 @@ def naming(source, *errors: type[Exception]):
         raise type(exc)(f"{source}: {exc}") from None
 
 
+def read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                    f"at offset {exc.start}") from None
+
+
 def _read_cif(path: Path) -> CrystalStructure:
     """parse_cif on a file; a CifParseError keeps its type and gains the path."""
+    text = read_utf8(path, CifParseError)
     with naming(path, CifParseError):
-        return parse_cif(path.read_text(encoding="utf-8"))
+        return parse_cif(text)
 
 
 def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Dataset:
@@ -552,7 +562,7 @@ def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Data
     index_file = Path(index_file)
     seen: set[str] = set()
     entries = []
-    for line_no, line in enumerate(index_file.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_utf8(index_file, UnparseableLabel).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

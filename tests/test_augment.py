@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from xtalssl.augment import (
+    MAX_DISPLACEMENT,
     AugmentConfig,
     NoAugmentationEnabled,
     _mask_count,
@@ -41,6 +42,9 @@ class TestAugmentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AugmentConfig(max_displacement=-0.1)
+        with pytest.raises(ValueError, match="in \\[0, 1.0\\] angstrom"):
+            AugmentConfig(max_displacement=MAX_DISPLACEMENT * 1.001)
+        assert AugmentConfig(max_displacement=MAX_DISPLACEMENT).max_displacement == 1.0
         with pytest.raises(ValueError):
             AugmentConfig(mask_fraction=1.5)
 

@@ -1,0 +1,83 @@
+"""The verdicts ``tools/bench_pairs.py`` writes into each BENCH_*.json summary."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+# ten parent runs: median 104.5, quartiles 102.25 and 106.75, so an IQR of 4.5
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+def _shifted(by, losses=0):
+    """PARENT moved by ``by``, with the last ``losses`` pairs moved the other way."""
+    return [p + (by if i < len(PARENT) - losses else -by) for i, p in enumerate(PARENT)]
+
+
+def test_a_tie_is_not_a_win():
+    result = bench_pairs.compare(PARENT, list(PARENT), "higher")
+    assert result["change_wins"] == 0
+    assert result["median_ratio_change_over_parent"] == 1.0
+    assert not result["claim_rule_met"]
+
+
+@pytest.mark.parametrize("losses, met", [(0, True), (1, True), (2, False)])
+def test_nine_tenths_of_the_pairs_must_be_won(losses, met):
+    result = bench_pairs.compare(PARENT, _shifted(20.0, losses), "higher")
+    assert result["change_wins"] == 10 - losses
+    assert result["change"]["median"] - result["parent"]["median"] > 4.5
+    assert result["claim_rule_met"] is met
+
+
+@pytest.mark.parametrize("by, met", [(4.0, False), (5.0, True)])
+def test_the_median_gap_must_exceed_the_parents_interquartile_range(by, met):
+    result = bench_pairs.compare(PARENT, _shifted(by), "higher")
+    assert result["parent"]["q3"] - result["parent"]["q1"] == 4.5
+    assert result["change_wins"] == 10
+    assert result["claim_rule_met"] is met
+
+
+@pytest.mark.parametrize("better, by", [("higher", 20.0), ("lower", -20.0)])
+def test_better_sets_which_way_wins(better, by):
+    wins = bench_pairs.compare(PARENT, _shifted(by), better)
+    losses = bench_pairs.compare(PARENT, _shifted(-by), better)
+    assert (wins["change_wins"], wins["claim_rule_met"]) == (10, True)
+    assert (losses["change_wins"], losses["claim_rule_met"]) == (0, False)
+
+
+@pytest.mark.parametrize("better, ratio, within", [
+    ("higher", 0.76, True), ("higher", 0.74, False), ("higher", 2.0, True),
+    ("lower", 1.24, True), ("lower", 1.26, False), ("lower", 0.5, True),
+])
+def test_within_bound_measures_the_worse_direction(better, ratio, within):
+    change = [p * ratio for p in PARENT]
+    result = bench_pairs.compare(PARENT, change, better)
+    assert bench_pairs.within_bound(result, better, 0.25) is within
+
+
+WIDE = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0, 150.0]  # IQR 45 of 105
+
+
+@pytest.mark.parametrize("better, change, unresolved", [
+    ("higher", [p + 1.0 for p in WIDE], True),
+    ("higher", [151.0 + i for i in range(10)], False),
+    ("higher", [150.0 + i for i in range(10)], True),
+    ("lower", [p - 1.0 for p in WIDE], True),
+    ("lower", [59.0 - i for i in range(10)], False),
+])
+def test_a_spread_wider_than_the_bound_is_unresolved(better, change, unresolved):
+    result = bench_pairs.compare(WIDE, change, better)
+    assert bench_pairs.unresolved(result, better, 0.25) is unresolved
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_a_spread_within_the_bound_is_resolved(better):
+    # PARENT's IQR is 4.5 of 104.5; the change overlaps it and still resolves
+    result = bench_pairs.compare(PARENT, list(reversed(PARENT)), better)
+    assert not bench_pairs.unresolved(result, better, 0.25)
+    assert bench_pairs.unresolved(result, better, 0.04)

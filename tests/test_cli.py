@@ -1,14 +1,20 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xtalssl import pipeline
+from xtalssl.augment import MAX_DISPLACEMENT
 from xtalssl.cli import (
+    _SCHEMA,
     InvalidConfig,
     build_run_config,
     main,
@@ -102,6 +108,27 @@ class TestBuildRunConfig:
             build_run_config({"augment.enable_perturb": "nope"})
 
 
+def _readme_config_keys():
+    """Keys of the README "Configuration" table, with 'a.b/c' read as 'a.b' and 'a.c'."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = []
+    for row in section.splitlines():
+        if not row.startswith("| `"):
+            continue
+        for cell in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            prefix, _, names = cell.rpartition(".")
+            keys += [f"{prefix}.{name}" if prefix else name for name in names.split("/")]
+    return keys
+
+
+def test_the_readme_table_lists_every_config_key():
+    keys = _readme_config_keys()
+    assert len(keys) == len(set(keys))
+    assert sorted(keys) == sorted(_SCHEMA)
+    assert len(keys) == 32
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -156,6 +183,32 @@ class TestExitCodes:
                  else ["--data-root", str(tmp_path), "--out-dir", str(tmp_path)])
         assert main([command, *paths, *args]) == 2
         assert f"error: invalid configuration: {key} must be >= 0" in capsys.readouterr().err
+
+    def test_a_displacement_above_the_cap_is_rejected_before_any_work(self, tmp_path, capsys):
+        # 1000 A widens the skin's image block of 8 toy cells to about 7 GiB
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code = main(["pretrain", "--data-root", str(tmp_path), "--out-dir", str(tmp_path),
+                         "--set", "augment.max_displacement=1000"])
+            seconds = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert seconds < 0.5
+        assert peak < 1 << 20
+        assert (f"error: invalid configuration: max_displacement must be finite and in "
+                f"[0, {MAX_DISPLACEMENT}] angstrom, got 1000.0") in capsys.readouterr().err
+        build_run_config({"augment.max_displacement": str(MAX_DISPLACEMENT)})
+
+    def test_a_config_file_that_is_not_utf8_is_invalid(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert main(["pretrain", "--config", str(config), "--data-root", str(tmp_path),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: not UTF-8 text: byte 0xe9 at offset 14\n")
 
     def test_gen_toy_rejects_an_empty_dataset(self, tmp_path, capsys):
         assert main(["gen-toy", "--n", "0", "--out", str(tmp_path)]) == 2
@@ -237,6 +290,23 @@ class TestCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: cell lengths must be positive")
         assert not (out / "graphs.jsonl").exists()
+
+    def test_featurize_names_a_cif_that_is_not_utf8_and_leaves_no_out_dir(
+            self, toy_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("toy_0000.cif", "toy_0001.cif"):
+            (data / name).write_bytes((toy_dir / name).read_bytes())
+        bad = data / "toy_0001.cif"
+        offset = bad.stat().st_size
+        with open(bad, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        out = tmp_path / "feat"
+        code = main(["featurize", "--data-root", str(data), "--out-dir", str(out)] + tiny_args())
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text: byte 0xff at offset {offset}\n")
+        assert not out.exists()
 
     def test_pretrain_then_finetune_then_evaluate_then_embed(self, toy_dir, tmp_path):
         pre = tmp_path / "pre"

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from xtalssl.elements import MAX_Z
 from xtalssl.featurize import (
     MAX_CENTERS,
     CrystalGraph,
@@ -324,6 +325,20 @@ class TestGraphJson:
             tracemalloc.stop()
         assert seconds < 0.5
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_elem", 1.7), ("node_elem", 0), ("node_elem", 101), ("node_elem", 300),
+        ("node_elem", "Na"), ("edges", [0.9, 1]), ("edges", [-1, 0]), ("edges", [0, 6]),
+    ])
+    def test_a_node_or_edge_value_that_is_not_a_valid_integer_is_rejected(self, field, value):
+        # 1.7 and 0.9 used to read back truncated, as 1 and 0
+        record = json.loads(graph_to_json(skewed_graph(0)))
+        assert len(record["node_elem"]) == 6
+        record[field][0] = value
+        with pytest.raises(GraphFormatError, match=f"^{field} must hold integers in"):
+            graph_from_json(json.dumps(record))
+        record[field][0] = MAX_Z if field == "node_elem" else [0, 5]
+        assert graph_from_json(json.dumps(record))[0].node_elem.dtype == np.int64
 
     @pytest.mark.parametrize("field, value", [
         ("dist", "nan"), ("dist", "inf"), ("dist", -1.0), ("dist", "short"),

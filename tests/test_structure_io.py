@@ -552,6 +552,25 @@ class TestLoadDataset:
         with pytest.raises(UnknownElementSymbol, match="s2.cif"):
             load_dataset(tmp_path)
 
+    def test_a_cif_that_is_not_utf8_names_the_file(self, tmp_path):
+        _write_cifs(tmp_path, ["s1"])
+        bad = tmp_path / "s2.cif"
+        bad.write_bytes(CUBIC_NA.encode("utf-8") + b"\xff\xfe")
+        index = tmp_path / "index.csv"
+        index.write_text("s1,0.5\ns2,1.0\n", encoding="utf-8")
+        message = f"{bad}: not UTF-8 text: byte 0xff at offset {len(CUBIC_NA.encode('utf-8'))}"
+        for kwargs in ({"index_file": index}, {}):
+            with pytest.raises(CifParseError, match=f"^{re.escape(message)}$"):
+                load_dataset(tmp_path, **kwargs)
+
+    def test_an_index_that_is_not_utf8_names_the_file(self, tmp_path):
+        _write_cifs(tmp_path, ["s1", "s2"])
+        index = tmp_path / "index.csv"
+        index.write_bytes(b"s1,0.5\ns\xff,1.0\n")
+        message = f"{index}: not UTF-8 text: byte 0xff at offset 8"
+        with pytest.raises(UnparseableLabel, match=f"^{re.escape(message)}$"):
+            load_dataset(tmp_path, index_file=index)
+
     @pytest.mark.parametrize("old, new, message", [
         ("_cell_length_a 4.0", "_cell_length_a 0", "cell lengths must be positive"),
         ("_cell_length_a 4.0", "_cell_length_a -4.0", "cell lengths must be positive"),

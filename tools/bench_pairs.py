@@ -15,7 +15,7 @@ raw call times (``samples.<phase>.wall_s`` in the run's
 ``perfbench/_out`` file, wall time less the in-call probes) and the same
 summary of those.
 
-Each summary states two verdicts:
+Each summary states up to three verdicts:
 
 - ``claim_rule_met``: the change wins at least nine tenths of the pairs,
   ties counting for neither side, and its median is better than the
@@ -24,6 +24,11 @@ Each summary states two verdicts:
 - ``within_bound`` (end-to-end metrics only): the change's median is worse
   than the parent's by no more than the metric's ``bound`` in
   ``BENCHMARK.json``, a fraction of the parent's median.
+- ``unresolved`` (end-to-end metrics only): the parent's interquartile
+  range is wider than ``bound`` times its median, so a regression within
+  the bound cannot be told from noise, and not every run of the change
+  beats every run of the parent.  Such a metric is reported as unresolved,
+  not as unchanged.
 """
 
 from __future__ import annotations
@@ -91,6 +96,16 @@ def within_bound(result: dict, better: str, bound: float) -> bool:
     return change <= parent * (1.0 + bound)
 
 
+def unresolved(result: dict, better: str, bound: float) -> bool:
+    """Whether the parent's spread exceeds ``bound`` while the change does not beat every run."""
+    parent, change = result["parent"], result["change"]
+    if parent["q3"] - parent["q1"] <= bound * parent["median"]:
+        return False
+    if better == "higher":
+        return min(change["runs"]) <= max(parent["runs"])
+    return max(change["runs"]) >= min(parent["runs"])
+
+
 def cpu_model() -> str | None:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -138,7 +153,8 @@ def main(argv=None) -> int:
                 result = compare(*per_side, m["better"])
                 metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
                                       "bound": m["bound"]} | result | {
-                    "within_bound": within_bound(result, m["better"], m["bound"])}
+                    "within_bound": within_bound(result, m["better"], m["bound"]),
+                    "unresolved": unresolved(result, m["better"], m["bound"])}
             phases = results["parent"][0]["wall_s"]
             walls = {phase: {"unit": "s", "better": "lower"}
                      | compare(*[[r["wall_s"][phase] for r in results[s]] for s in SIDES], "lower")
