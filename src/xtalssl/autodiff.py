@@ -11,7 +11,8 @@ innermost tape its own thread entered, so two threads can each record a
 computation on their own tape at once and neither record lands on the
 other's tape.  ``Tape.walk`` runs the reverse walk from gradients already
 on the recorded outputs, so a sub-tape can be walked on its own once
-another walk has set them.
+another walk has set them.  ``on_both_threads`` is the one way work runs on
+two threads: the calling thread and a caller's one-thread worker.
 
 Only the primitives the model records are implemented, one per fused stage
 of the forward pass, each with a hand-written backward whose gradients are
@@ -23,7 +24,9 @@ pass.
 
 from __future__ import annotations
 
+import contextvars
 import threading
+from concurrent.futures import wait
 
 import numpy as np
 
@@ -52,6 +55,24 @@ def active_tape() -> "Tape | None":
     """The innermost tape the calling thread has entered, or None."""
     tapes = _ACTIVE.tapes
     return tapes[-1] if tapes else None
+
+
+def on_both_threads(worker, run_a, run_b):
+    """(run_a(), run_b()), run_b on ``worker`` in a copy of this thread's context.
+
+    The copy carries ``np.errstate`` over.  An exception from either side
+    is raised only once both have finished, a's before b's.  Without a
+    worker both run here in turn.  ``run_b`` must not wait on ``worker``
+    itself: a one-thread worker would never start that job.
+    """
+    if worker is None:
+        return run_a(), run_b()
+    future = worker.submit(contextvars.copy_context().run, run_b)
+    try:
+        a = run_a()
+    finally:
+        wait([future])
+    return a, future.result()
 
 
 class Tensor:
@@ -234,8 +255,29 @@ def softplus_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     return _maybe_record(Tensor(out), (x, w1, b1, w2, b2), backward)
 
 
+def _row_blocks(src: np.ndarray, dst: np.ndarray, n: int, split: int | None) -> list[tuple]:
+    """The conv's row blocks ``(nodes, edges, src, dst)``, endpoints from the block's first node.
+
+    Two blocks when node ``split`` lies inside the graph and no edge
+    crosses it: the first ``k`` edges join nodes below it and the rest join
+    nodes at or above it, so each block's gathers and segment sums stay
+    inside it.  Otherwise one block.
+    """
+    n_edges = len(src)
+    whole = [(slice(0, n), slice(0, n_edges), src, dst)]
+    if split is None or not 0 < split < n:
+        return whole
+    below = src < split
+    k = int(np.count_nonzero(below))
+    if not (below[:k].all() and (dst[:k] < split).all() and (dst[k:] >= split).all()):
+        return whole
+    return [(slice(0, split), slice(0, k), src[:k], dst[:k]),
+            (slice(split, n), slice(k, n_edges), src[k:] - split, dst[k:] - split)]
+
+
 def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
-               w_f: Tensor, b_f: Tensor, w_s: Tensor, b_s: Tensor) -> Tensor:
+               w_f: Tensor, b_f: Tensor, w_s: Tensor, b_s: Tensor,
+               split: int | None = None, worker=None) -> Tensor:
     """Gated graph convolution with a residual update, as one primitive.
 
     For each edge src -> dst with constant features e, the message
@@ -244,6 +286,22 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
     The gate and core weights are stacked into one (2H + K, 2H) matrix
     and ``z W`` is evaluated as ``(h W_src)[src] + (h W_dst)[dst] + e W_e``,
     so the (E, 2H + K) matrix z is never built.
+
+    With ``split``, a node index that no edge crosses, the row work runs as
+    two blocks, the nodes below it with their edges and the rest, the
+    second on ``worker`` (after the first without one): the gathers, the
+    gate, the core and the src segment sum, and in the backward the edge
+    gradients and both segment sums, each block into its own rows of the
+    output and of the edge gradients.  Every row's arithmetic, and each
+    segment sum's order, is that of one block.  No matrix product is
+    split by rows: OpenBLAS picks its kernels by shape, and a block of rows
+    can round differently from the same rows of the whole product (with
+    OpenBLAS 0.3.31, for outputs a few columns wide, and for a transposed
+    operand on blocks below about 150,000 multiply-adds).  So the products,
+    and the weight gradients that sum over every row, run whole, two at a
+    time, one per thread.  Every output and gradient is therefore bit for
+    bit that of one block.  A ``split`` outside the graph, or one that an
+    edge crosses, runs one block.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -264,42 +322,86 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
     if n_edges and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         raise IndexOutOfRange(f"edge endpoint outside [0, {n})")
 
+    blocks = _row_blocks(src, dst, n, split)
+
+    def each_block(run) -> list:
+        if len(blocks) == 1:
+            return [run(0)]
+        return list(on_both_threads(worker, lambda: run(0), lambda: run(1)))
+
     w = np.concatenate([w_f.data, w_s.data], axis=1)
     w_src, w_dst, w_e = w[:width], w[width:2 * width], w[2 * width:]
-    pre = (h.data @ w_src)[src]
-    pre += (h.data @ w_dst)[dst]
-    pre += e @ w_e
-    pre += np.concatenate([b_f.data, b_s.data])
-    gate = _sigmoid(pre[:, :width])
-    core = _softplus(pre[:, width:])
+    bias = np.concatenate([b_f.data, b_s.data])
     inputs = (h, w_f, b_f, w_s, b_s)
     # the backward needs softplus'(pre_s) = sigmoid(pre_s), not the (E, 2H) pre
     taped = active_tape() is not None and any(t.requires_grad for t in inputs)
-    sig_s = _sigmoid(pre[:, width:]) if taped else None
-    del pre
-    out = Tensor(h.data + _segment_sum(gate * core, src, n))
+    if len(blocks) == 1:
+        # e W_e is made where it is added, after the gathers, so its (E, 2H)
+        # block is the last temporary alive: less memory and cache traffic
+        e_w_rows = None
+        h_w_src, h_w_dst = h.data @ w_src, h.data @ w_dst
+    else:
+        e_w, (h_w_src, h_w_dst) = on_both_threads(
+            worker, lambda: e @ w_e, lambda: (h.data @ w_src, h.data @ w_dst))
+        # each block drops its rows once added, so both blocks' gates can
+        # reuse the memory
+        e_w_rows = [e_w[edges] for _, edges, _, _ in blocks]
+        del e_w
+    out = np.empty((n, width))
+
+    def forward(i):
+        nodes, _, s, d = blocks[i]
+        pre = np.take(h_w_src[nodes], s, axis=0)
+        pre += np.take(h_w_dst[nodes], d, axis=0)
+        if e_w_rows is None:
+            pre += e @ w_e
+        else:
+            pre += e_w_rows[i]
+            e_w_rows[i] = None
+        pre += bias
+        gate = _sigmoid(pre[:, :width])
+        core = _softplus(pre[:, width:])
+        sig_s = _sigmoid(pre[:, width:]) if taped else None
+        del pre
+        np.add(h.data[nodes], _segment_sum(gate * core, s, nodes.stop - nodes.start),
+               out=out[nodes])
+        return gate, core, sig_s
+
+    acts = each_block(forward)
 
     def backward(g):
-        g_msg = g[src]
         g_pre = np.empty((n_edges, 2 * width))
-        g_f = g_pre[:, :width]
-        np.multiply(g_msg, core, out=g_f)
-        g_f *= gate
-        g_f *= 1.0 - gate
-        g_s = g_pre[:, width:]
-        np.multiply(g_msg, gate, out=g_s)
-        g_s *= sig_s
-        g_at_src = _segment_sum(g_pre, src, n)
-        g_at_dst = _segment_sum(g_pre, dst, n)
-        g_w = np.concatenate([h.data.T @ g_at_src, h.data.T @ g_at_dst, e.T @ g_pre])
-        g_b = g_at_src.sum(axis=0)  # every edge row lands in exactly one src row
+
+        def block(i):
+            nodes, edges, s, d = blocks[i]
+            gate, core, sig_s = acts[i]
+            g_msg = np.take(g[nodes], s, axis=0)
+            g_f = g_pre[edges, :width]
+            np.multiply(g_msg, core, out=g_f)
+            g_f *= gate
+            g_f *= 1.0 - gate
+            g_s = g_pre[edges, width:]
+            np.multiply(g_msg, gate, out=g_s)
+            g_s *= sig_s
+            rows = nodes.stop - nodes.start
+            return _segment_sum(g_pre[edges], s, rows), _segment_sum(g_pre[edges], d, rows)
+
+        g_at_src, g_at_dst = (np.concatenate(parts) if len(parts) > 1 else parts[0]
+                              for parts in zip(*each_block(block)))
+        # every edge row lands in exactly one src row, so g_at_src sums to the bias gradient
+        (g_w_h, g_b, g_h), g_w_e = on_both_threads(
+            worker,
+            lambda: ((h.data.T @ g_at_src, h.data.T @ g_at_dst), g_at_src.sum(axis=0),
+                     g + g_at_src @ w_src.T + g_at_dst @ w_dst.T),
+            lambda: e.T @ g_pre)
+        g_w = np.concatenate([*g_w_h, g_w_e])
         _accum(w_f, g_w[:, :width])
         _accum(w_s, g_w[:, width:])
         _accum(b_f, g_b[:width])
         _accum(b_s, g_b[width:])
-        _accum(h, g + g_at_src @ w_src.T + g_at_dst @ w_dst.T)
+        _accum(h, g_h)
 
-    return _maybe_record(out, inputs, backward)
+    return _maybe_record(Tensor(out), inputs, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .pipeline import (
     finetune,
     pretrain,
 )
-from .structure_io import Dataset, atomic_open, load_dataset, read_utf8
+from .structure_io import Dataset, atomic_open, load_dataset, naming, read_utf8
 from .toydata import gen_toy_dataset, write_toy_dataset
 
 logger = logging.getLogger("xtalssl")
@@ -118,11 +118,16 @@ def parse_config_text(text: str) -> dict[str, str]:
     return kv
 
 
-def _typed(kv: dict[str, str]) -> dict[str, object]:
-    typed: dict[str, object] = {}
-    for key, raw in kv.items():
+def _check_keys(kv: dict[str, str]) -> None:
+    for key in kv:
         if key not in _SCHEMA:
             raise InvalidConfig(f"unknown config key: {key!r}")
+
+
+def _typed(kv: dict[str, str]) -> dict[str, object]:
+    _check_keys(kv)
+    typed: dict[str, object] = {}
+    for key, raw in kv.items():
         try:
             typed[key] = _SCHEMA[key](raw)
         except (ValueError, TypeError):
@@ -194,7 +199,11 @@ def _setup_logging() -> None:
 def _gather_kv(args: argparse.Namespace) -> dict[str, str]:
     kv: dict[str, str] = {}
     if getattr(args, "config", None):
-        kv.update(parse_config_text(read_utf8(args.config, InvalidConfig)))
+        text = read_utf8(args.config, InvalidConfig)
+        with naming(args.config, InvalidConfig):
+            from_file = parse_config_text(text)
+            _check_keys(from_file)
+        kv.update(from_file)
     for pair in getattr(args, "set", None) or []:
         if "=" not in pair:
             raise InvalidConfig(f"--set expects KEY=VALUE, got {pair!r}")

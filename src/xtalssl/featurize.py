@@ -129,8 +129,18 @@ def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = Ga
     )
 
 
+def _holds_bool(values) -> bool:
+    """Whether a list, or a list of lists, holds a ``True`` or ``False``."""
+    return any(isinstance(v, bool) or (isinstance(v, list) and _holds_bool(v)) for v in values)
+
+
 def _checked_ints(values, name: str, low: int, high: int, dtype=np.int64) -> np.ndarray:
-    """Integers in [low, high] as ``dtype``; floats, even 1.0, are a GraphFormatError."""
+    """Integers in [low, high] as ``dtype``; floats, even 1.0, and booleans are a GraphFormatError.
+
+    A list is searched for booleans first: numpy reads ``[1, True]`` as integers.
+    """
+    if isinstance(values, list) and _holds_bool(values):
+        raise GraphFormatError(f"{name} must hold integers in [{low}, {high}], not booleans")
     arr = np.asarray(values)
     if arr.size and (arr.dtype.kind != "i" or arr.min() < low or arr.max() > high):
         raise GraphFormatError(f"{name} must hold integers in [{low}, {high}]")

@@ -195,8 +195,14 @@ def _readout_weights(node_mask: np.ndarray, seg: np.ndarray, n_graphs: int) -> n
 
 
 def encode(params: ModelParams, graph: CrystalGraph,
-           seg: np.ndarray | None = None, n_graphs: int = 1) -> Tensor:
-    """Latent (n_graphs, hidden_dim) matrix for a graph or a merged batch."""
+           seg: np.ndarray | None = None, n_graphs: int = 1, worker=None) -> Tensor:
+    """Latent (n_graphs, hidden_dim) matrix for a graph or a merged batch.
+
+    With a ``worker``, each conv layer splits its row work at the first node
+    of graph ceil(n_graphs/2), read from ``seg``, and runs the second block
+    on the worker (see ``gated_conv``); the result is bit for bit the same.
+    ``worker`` must be one the caller is not itself running on.
+    """
     n = graph.n_nodes
     if n == 0:
         raise EmptyGraph("cannot encode a graph with zero nodes")
@@ -211,8 +217,10 @@ def encode(params: ModelParams, graph: CrystalGraph,
     h = scaled_gather(params.elem_embed, graph.node_elem - 1, graph.node_mask.astype(np.float64))
     # on zero edges gated_conv is the identity, and its weights get zero gradients
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    split = None if worker is None else int(np.searchsorted(seg, (n_graphs + 1) // 2))
     for conv in params.convs:
-        h = gated_conv(h, src, dst, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
+        h = gated_conv(h, src, dst, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s,
+                       split, worker)
     return scaled_segment_sum(h, _readout_weights(graph.node_mask, seg, n_graphs), seg, n_graphs)
 
 

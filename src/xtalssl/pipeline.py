@@ -9,15 +9,15 @@ canonical report JSON so reports stay byte-identical across reruns.
 
 Every call runs its encoder on two threads: the calling thread and one
 worker thread that lives as long as the call (``_second_thread``), both
-through ``_on_both_threads``.  For the whole call BLAS runs one thread, so
-outputs do not depend on the BLAS thread variable.  The worker runs when
-BLAS is pinned and two cores are usable; otherwise the calling thread does
-both parts in turn, with the same results.
+through ``autodiff.on_both_threads``.  For the whole call BLAS runs one
+thread, so outputs do not depend on the BLAS thread variable.  The worker
+runs when BLAS is pinned and two cores are usable; otherwise the calling
+thread does both parts in turn, with the same results.
 
 - Pretraining first builds each crystal's neighbor candidate list, once
-  for the whole call, splitting the crystals into two contiguous halves,
-  one per thread (``_view_candidates``).  Every epoch and validation pass
-  takes its views from these lists.
+  for the whole call, and fine-tuning each crystal's graph, splitting the
+  crystals into two contiguous halves, one per thread (``_map_halves``).
+  Every epoch and validation pass takes its views or graphs from these.
 - Pretraining encodes view a of a batch on the calling thread and view b
   on the worker, forward and backward (``_twin_embeddings``).  Each view
   records on its own tape and accumulates into its own gradients, which are
@@ -28,13 +28,18 @@ both parts in turn, with the same results.
   contiguous halves, one per thread (``_encode_halves``).  The encoder has
   no batch norm, so a graph's latent does not depend on what it is merged
   with, and the split is the same whether or not the worker runs.
-  Fine-tuning's training steps run on the calling thread alone.
+- Fine-tuning's training steps split each conv layer's row work at a graph
+  boundary (``encode`` with the worker, see ``autodiff.gated_conv``): the
+  worker runs the second block of graphs, and the weight gradients, which
+  sum over the rows of both, are taken over the whole batch once both are
+  done.  No sum changes order, so a step is bit for bit one thread's.
+  Pretraining and inference do not split: their two halves already run
+  on both threads, and a job on the worker cannot wait on the worker.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import dataclasses
 import functools
@@ -44,16 +49,15 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import AugmentConfig, make_views, view_candidates
-from .autodiff import Tape, Tensor, active_tape
+from .autodiff import Tape, Tensor, active_tape, on_both_threads
 from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
 from .geometry import (
-    CandidateList,
     DegenerateCell,
     NeighborConfig,
     SingularLattice,
@@ -313,31 +317,25 @@ def _second_thread():
                 set_(_pin_restore)
 
 
-def _on_both_threads(worker, run_a, run_b):
-    """(run_a(), run_b()), run_b on ``worker`` in a copy of this thread's context.
-
-    The copy carries ``np.errstate`` over.  An exception from either side
-    is raised only once both have finished, a's before b's.  Without a
-    worker both run here in turn.
-    """
-    if worker is None:
-        return run_a(), run_b()
-    future = worker.submit(contextvars.copy_context().run, run_b)
-    try:
-        a = run_a()
-    finally:
-        wait([future])
-    return a, future.result()
-
-
 def _on_halves(worker, items, run) -> tuple:
     """(run(first ceil(n/2) items), run(the rest)), the rest on ``worker``.
 
     An empty second half is not submitted.
     """
     half = (len(items) + 1) // 2
-    return _on_both_threads(worker if half < len(items) else None,
-                            lambda: run(items[:half]), lambda: run(items[half:]))
+    return on_both_threads(worker if half < len(items) else None,
+                           lambda: run(items[:half]), lambda: run(items[half:]))
+
+
+def _map_halves(worker, items, fn) -> list:
+    """``[fn(x) for x in items]``, the second half on ``worker``.
+
+    An exception raises before any later item of its half is touched, the
+    first half's before the second's, so the first bad item in order is
+    the one that raises.
+    """
+    a, b = _on_halves(worker, items, lambda part: [fn(x) for x in part])
+    return a + b
 
 
 def _encode_halves(worker, params: ModelParams, items: list, batch: int,
@@ -392,10 +390,10 @@ def _twin_embeddings(worker, params: ModelParams, merged,
         with contextlib.nullcontext() if tape is None else subs[i]:
             return project(p, encode(p, graph, seg, n_graphs))
 
-    za, zb = _on_both_threads(worker, lambda: embed(0), lambda: embed(1))
+    za, zb = on_both_threads(worker, lambda: embed(0), lambda: embed(1))
     if tape is not None:
         def backward(_):
-            _on_both_threads(worker, subs[0].walk, subs[1].walk)
+            on_both_threads(worker, subs[0].walk, subs[1].walk)
             for alias in reversed(aliases):
                 for real, t in zip(params.trainable(), alias.trainable()):
                     if t.grad is not None:
@@ -404,23 +402,6 @@ def _twin_embeddings(worker, params: ModelParams, merged,
         # the loss reads both embeddings, so za has a gradient whenever zb has
         tape.record(za, backward)
     return za, zb
-
-
-def _view_candidates(worker, pcfg: PretrainConfig, entries) -> list[CandidateList]:
-    """Each entry's candidate list, in order, the second half on ``worker``.
-
-    A bad cell raises before any later entry of its half is touched, the
-    first half's error before the second's, each naming its entry.
-    """
-    def run(part):
-        out = []
-        for e in part:
-            with _naming(e.id):
-                out.append(view_candidates(e.structure, pcfg.augment, pcfg.neighbor))
-        return out
-
-    a, b = _on_halves(worker, entries, run)
-    return a + b
 
 
 def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, candidates,
@@ -518,6 +499,10 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     params = init_params(mcfg, rng_for(pcfg.seed, _INIT), with_projector=True, with_head=False)
     augment_rng = rng_for(pcfg.seed, _AUGMENT)
 
+    def candidate_list(entry):
+        with _naming(entry.id):
+            return view_candidates(entry.structure, pcfg.augment, pcfg.neighbor)
+
     def batch_loss(batch_idx, rng):
         return _bt_batch_loss(worker, params, pcfg, [data.entries[i] for i in batch_idx],
                               [candidates[i] for i in batch_idx], rng)
@@ -533,7 +518,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     with _second_thread() as worker:
         # one search per crystal per call serves the views of every epoch
         # and validation pass
-        candidates = _view_candidates(worker, pcfg, data.entries)
+        candidates = _map_halves(worker, data.entries, candidate_list)
         epochs_log, best_epoch, best_state = _fit(
             "pretrain", params, pcfg, data.entries, train_idx, 2,
             lambda b: batch_loss(b, augment_rng), val_loss)
@@ -591,9 +576,6 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     if not train_d.entries:
         raise EmptyDataset("finetune training split is empty")
 
-    graphs_train = [entry_graph(e, fcfg.neighbor, fcfg.basis) for e in train_d.entries]
-    graphs_val = [entry_graph(e, fcfg.neighbor, fcfg.basis) for e in val_d.entries]
-    graphs_test = [entry_graph(e, fcfg.neighbor, fcfg.basis) for e in test_d.entries]
     y_train = np.array([e.label for e in train_d.entries], dtype=np.float64)
     y_val = np.array([e.label for e in val_d.entries], dtype=np.float64)
     y_test = np.array([e.label for e in test_d.entries], dtype=np.float64)
@@ -611,7 +593,7 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
 
     def batch_loss(batch_idx):
         merged, seg = merge_graphs([graphs_train[i] for i in batch_idx])
-        pred = regress(params, encode(params, merged, seg, len(batch_idx)))
+        pred = regress(params, encode(params, merged, seg, len(batch_idx), worker))
         return mse_loss(pred, y_train_std[batch_idx])
 
     def val_loss():
@@ -620,8 +602,16 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
         pred = _predict_std(worker, params, graphs_val, fcfg.batch)
         return float(np.mean((pred - y_val_std) ** 2))
 
-    # the thread that encodes the second half of every prediction, for the whole run
+    # the thread that builds the second half of the graphs, runs the second
+    # block of every training step and encodes the second half of every
+    # prediction, for the whole run
     with _second_thread() as worker:
+        # in split order, so the first bad entry of train, val and test is named
+        graphs = _map_halves(worker, train_d.entries + val_d.entries + test_d.entries,
+                             lambda e: entry_graph(e, fcfg.neighbor, fcfg.basis))
+        n_train, n_val = len(train_d.entries), len(val_d.entries)
+        graphs_train, graphs_val = graphs[:n_train], graphs[n_train:n_train + n_val]
+        graphs_test = graphs[n_train + n_val:]
         epochs_log, best_epoch, best_state = _fit(
             "finetune", params, fcfg, train_d.entries, np.arange(len(graphs_train)), 1,
             batch_loss, val_loss)

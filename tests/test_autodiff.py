@@ -1,4 +1,5 @@
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -511,6 +512,79 @@ class TestGatedConv:
             ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, Tensor(np.zeros(2)))
         with pytest.raises(IndexOutOfRange):
             ad.gated_conv(h, src, np.where(dst == 3, 5, dst), e, w_f, b_f, w_s, b_s)
+
+
+def merged_conv_case(seed, sizes, edge_counts, width, k):
+    """A merged batch as ``merge_graphs`` lays it out, the split at its middle graph.
+
+    Graph i has ``sizes[i]`` nodes and ``edge_counts[i]`` random edges
+    among them, self-loops and repeats included, listed after the edges of
+    graph i - 1.  Some nodes (masked atoms) and edge rows (masked edges)
+    are zero.  Returns the edges, features, ``[h, w_f, b_f, w_s, b_s]``
+    arrays, an output weight and the first node of graph ceil(n/2).
+    """
+    rng = np.random.default_rng(seed)
+    offsets = np.cumsum([0] + list(sizes))
+    edges = [rng.integers(lo, hi, size=(m, 2)) for lo, hi, m in
+             zip(offsets[:-1], offsets[1:], edge_counts)]
+    src, dst = np.concatenate(edges).T
+    e = rng.normal(size=(src.size, k)) * (rng.uniform(size=(src.size, 1)) < 0.8)
+    n, z_dim = offsets[-1], 2 * width + k
+    h = rng.normal(size=(n, width)) * (rng.uniform(size=(n, 1)) < 0.8)
+    arrays = [h] + [rng.normal(size=s) for s in ((z_dim, width), (width,), (z_dim, width), (width,))]
+    return src, dst, e, arrays, rng.normal(size=(n, width)), int(offsets[(len(sizes) + 1) // 2])
+
+
+def conv_bytes(src, dst, e, arrays, w_out, split=None, worker=None):
+    """The output and the five gradients of a taped gated_conv, as bytes."""
+    params = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = ad.gated_conv(params[0], src, dst, e, *params[1:], split=split, worker=worker)
+        tape.backward(sum_all(mul(out, Tensor(w_out))))
+    return [out.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+
+class TestSplitConv:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           graphs=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 7)), min_size=2,
+                           max_size=6),
+           width=st.integers(1, 6), k=st.integers(1, 4))
+    def test_two_blocks_equal_one_bitwise(self, seed, graphs, width, k):
+        # blocks of one node or no edges, and graphs with no edges, included
+        sizes, edge_counts = zip(*graphs)
+        src, dst, e, arrays, w_out, split = merged_conv_case(seed, sizes, edge_counts, width, k)
+        assert len(ad._row_blocks(src, dst, len(arrays[0]), split)) == 2
+        assert conv_bytes(src, dst, e, arrays, w_out, split) == \
+            conv_bytes(src, dst, e, arrays, w_out)
+
+    def test_two_threads_equal_one_at_model_width(self):
+        # the widths of the default model and the benchmark's larger batches
+        sizes, edge_counts = [37, 41, 40, 29, 44], [451, 480, 470, 300, 512]
+        src, dst, e, arrays, w_out, split = merged_conv_case(7, sizes, edge_counts, 64, 41)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            assert conv_bytes(src, dst, e, arrays, w_out, split, worker) == \
+                conv_bytes(src, dst, e, arrays, w_out)
+
+    @pytest.mark.parametrize("move, split", [
+        (None, 0), (None, 9), (None, None),
+        ("src", 4),  # an edge of the first block that ends in the second
+        ("dst", 4),  # an edge of the second block that ends in the first
+        ("order", 4),  # two crossing edges that only their order gives away
+    ])
+    def test_a_split_that_an_edge_crosses_or_outside_the_graph_runs_one_block(
+            self, move, split):
+        src, dst, e, arrays, w_out, _ = merged_conv_case(3, [4, 5], [6, 6], 3, 2)
+        src, dst = src.copy(), dst.copy()
+        if move == "src":
+            dst[0] = 6
+        elif move == "dst":
+            dst[-1] = 1
+        elif move == "order":
+            src[[5, 6]] = src[[6, 5]]
+        assert ad._row_blocks(src, dst, 9, split) == [(slice(0, 9), slice(0, 12), src, dst)]
+        assert conv_bytes(src, dst, e, arrays, w_out, split) == \
+            conv_bytes(src, dst, e, arrays, w_out)
 
 
 def node_mask(rng, seg, n_graphs, kind):

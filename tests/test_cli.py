@@ -210,6 +210,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {config}: not UTF-8 text: byte 0xe9 at offset 14\n")
 
+    @pytest.mark.parametrize("text, sets, message", [
+        ("seed = 1\nbogus line\n", [], "line 2: expected 'key = value', got 'bogus line'"),
+        ("seed = 1\nbogus.key = 2\n", [], "unknown config key: 'bogus.key'"),
+        ("seed = 1\n", ["bogus.key=2"], None),  # the flag's key is not the file's
+    ], ids=["line", "file key", "flag key"])
+    def test_a_config_file_error_names_the_file(self, tmp_path, capsys, text, sets, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main(["pretrain", "--config", str(config), "--data-root", str(tmp_path),
+                     "--out-dir", str(tmp_path), *(a for s in sets for a in ("--set", s))]) == 2
+        expected = (f"{config}: {message}" if message is not None
+                    else "unknown config key: 'bogus.key'")
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
     def test_gen_toy_rejects_an_empty_dataset(self, tmp_path, capsys):
         assert main(["gen-toy", "--n", "0", "--out", str(tmp_path)]) == 2
         assert "error: invalid configuration: n must be >= 1, got 0" in capsys.readouterr().err

@@ -341,6 +341,17 @@ class TestGraphJson:
         assert graph_from_json(json.dumps(record))[0].node_elem.dtype == np.int64
 
     @pytest.mark.parametrize("field, value", [
+        ("node_elem", True), ("edges", [0, True]), ("edges", [False, 1]),
+        ("node_mask", True), ("edge_mask", False),
+    ])
+    def test_a_boolean_among_integers_is_rejected(self, field, value):
+        # numpy reads [True, 1] as the integers [1, 1]
+        record = json.loads(graph_to_json(skewed_graph(0)))
+        record[field][0] = value
+        with pytest.raises(GraphFormatError, match=f"^{field} must hold integers in .*booleans"):
+            graph_from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("field, value", [
         ("dist", "nan"), ("dist", "inf"), ("dist", -1.0), ("dist", "short"),
         ("node_mask", 2), ("edge_mask", 3), ("basis", {"step": 0.0}),
         ("basis", {"var": "nan"}),

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xtalssl import augment, geometry, pipeline
+from xtalssl import augment, autodiff, geometry, pipeline
 from xtalssl.augment import AugmentConfig, make_views
 from xtalssl.autodiff import Tape, Tensor, active_tape
 from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
@@ -1007,6 +1007,100 @@ class TestInferenceHalves:
         with pytest.raises(InvalidLabelStats, match="label_std > 0, got"):
             evaluate(self.params(), gen_toy_dataset(3, seed=37), mean, std,
                      neighbor=NEIGHBOR, basis=BASIS)
+
+
+class TestSplitSteps:
+    """Fine-tuning steps split each conv layer's rows at a graph boundary, one block per thread."""
+
+    def test_finetune_outputs_do_not_depend_on_the_worker(self, tmp_path, monkeypatch):
+        data = gen_toy_dataset(20, seed=10)  # 12 training crystals: batches of 4
+        fcfg = tiny_fcfg(epochs=2, seed=6)
+        spy = SpyWorker()
+        workers = {"threaded": lambda: spy, "inline": InlineWorker,
+                   "none": contextlib.nullcontext}
+        main = threading.current_thread()
+        second_blocks, on_worker, built_on = [], [], {run: {} for run in workers}
+        row_blocks, segment_sum, graph = autodiff._row_blocks, autodiff._segment_sum, \
+            pipeline.entry_graph
+
+        def blocks(*args):
+            out = row_blocks(*args)
+            if len(out) == 2:
+                second_blocks.append(out[1][2])  # the second block's src, as the sums get it
+            return out
+
+        def summed(x, index, n_rows):
+            if threading.current_thread() is not main:
+                on_worker.append(index)
+            return segment_sum(x, index, n_rows)
+
+        def recorded(run):
+            def entry_graph(e, *args):
+                built_on[run][e.id] = threading.current_thread() is main
+                return graph(e, *args)
+            return entry_graph
+
+        monkeypatch.setattr(autodiff, "_row_blocks", blocks)
+        monkeypatch.setattr(autodiff, "_segment_sum", summed)
+        out, split_runs = {}, {}
+        for run, worker in workers.items():
+            del second_blocks[:], on_worker[:]
+            monkeypatch.setattr(pipeline, "_second_thread", worker)
+            monkeypatch.setattr(pipeline, "entry_graph", recorded(run))
+            ft = finetune(data, TWIN, fcfg, out_dir=tmp_path / run)
+            out[run] = (ft.report.to_json(), (tmp_path / run / "finetune_model.ckpt").read_bytes())
+            split_runs[run] = (len(second_blocks),
+                               any(i is s for s in second_blocks for i in on_worker))
+        assert out["inline"] == out["threaded"] and out["none"] == out["threaded"]
+        # a split in each of 2 conv layers x 3 batches x 2 epochs, and the
+        # second block's segment sums ran on the worker
+        assert split_runs == {"threaded": (12, True), "inline": (12, False), "none": (0, False)}
+        # train, val and test graphs in split order: the first half here, the rest on the worker
+        train, val, test = split_dataset(data, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))
+        in_order = [e.id for e in train.entries + val.entries + test.entries]
+        assert [built_on["threaded"][i] for i in in_order] == [True] * 10 + [False] * 10
+        assert all(built_on["inline"].values()) and all(built_on["none"].values())
+
+    @pytest.mark.parametrize("raises_on", ["worker", "caller"])
+    def test_an_error_in_either_block_reaches_the_caller_once_both_have_finished(
+            self, monkeypatch, raises_on):
+        src, dst = np.array([0, 1, 1, 2, 3, 3]), np.array([1, 0, 1, 3, 2, 2])
+        rng = np.random.default_rng(5)
+        h, w_f, b_f, w_s, b_s = (Tensor(rng.normal(size=s), requires_grad=True)
+                                 for s in ((4, 2), (5, 2), (2,), (5, 2), (2,)))
+        main, finished, segment_sum = threading.current_thread(), [], autodiff._segment_sum
+
+        def summed(x, index, n_rows):
+            on_worker = threading.current_thread() is not main
+            if on_worker == (raises_on == "worker"):
+                raise FloatingPointError("block failed")
+            time.sleep(0.2)  # the other block is still running when the error is raised
+            out = segment_sum(x, index, n_rows)
+            finished.append(on_worker)
+            return out
+
+        monkeypatch.setattr(autodiff, "_segment_sum", summed)
+        with SpyWorker() as spy:
+            with pytest.raises(FloatingPointError, match="block failed"):
+                autodiff.gated_conv(h, src, dst, rng.normal(size=(6, 1)), w_f, b_f, w_s, b_s,
+                                    split=2, worker=spy)
+            assert finished == [raises_on == "caller"]
+            assert all(f.done() for f in spy.futures)
+
+    @pytest.mark.parametrize("bad", [(0, 19), (13, 7), (16, 19)])
+    def test_finetune_names_the_first_bad_entry_in_split_order(self, bad):
+        # entries in split order: train 0-11, val 12-15, test 16-19; halves 0-9 and 10-19
+        toy = gen_toy_dataset(20, seed=11)
+        fcfg = tiny_fcfg(epochs=1)
+        parts = split_dataset(toy, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))
+        in_order = [e.id for part in parts for e in part.entries]
+        bad_ids = {in_order[i] for i in bad}
+        data = Dataset(entries=tuple(dataclasses.replace(e, structure=THIN)
+                                     if e.id in bad_ids else e for e in toy.entries),
+                       kind="labeled")
+        first = in_order[min(bad)]
+        with pytest.raises(DegenerateCell, match=f"^entry '{first}': cutoff 4.5 needs"):
+            finetune(data, TINY, fcfg)
 
 
 @pytest.fixture

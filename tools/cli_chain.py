@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the fixed-seed CLI chain from two checkouts and compare every output byte for byte.
 
-    python3 tools/cli_chain.py --parent ../parent --change .
+    python3 tools/cli_chain.py --parent ../parent --change . [--one-core]
 
 Both arguments are checkouts of this repository.  From each, in a fresh
 working directory and at the same relative paths, every step runs as its
@@ -20,6 +20,11 @@ rows), each with sites on special positions whose images merge, into
 Each step runs with ``OPENBLAS_NUM_THREADS=1``.  Current versions pin the
 BLAS to one thread inside each call anyway; the variable makes a checkout
 from before that pin compute the same products, so the two still compare.
+
+With ``--one-core`` each step of the change side runs pinned to one CPU
+(``os.sched_setaffinity`` in the child before it starts the interpreter),
+so its calls see one usable core and run without their worker thread.
+Its outputs must still match the parent's byte for byte.
 
 The script prints each file whose bytes differ or that only one side
 wrote, and exits 1 if there is any; then it keeps the working directory
@@ -106,13 +111,19 @@ STEPS = [
 ]
 
 
-def run_chain(checkout: str, workdir: str) -> None:
+def run_chain(checkout: str, workdir: str, one_core: bool = False) -> None:
+    """Every step from ``checkout`` in ``workdir``; with ``one_core``, each pinned to one CPU."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(checkout, "src"))
     os.makedirs(workdir)
     write_symmetric_cifs(os.path.join(workdir, "sym"))
+    pin = None
+    if one_core:
+        cpu = min(os.sched_getaffinity(0))
+        pin = lambda: os.sched_setaffinity(0, {cpu})  # noqa: E731
     for step in STEPS:
         cmd = [sys.executable, "-m", "xtalssl.cli", *step]
-        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,
+                              preexec_fn=pin)
         if proc.returncode != 0:
             raise RuntimeError(f"{checkout}: {' '.join(step)} exited with {proc.returncode}:\n"
                                f"{proc.stderr[-2000:]}")
@@ -127,11 +138,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--one-core", action="store_true",
+                        help="run each step of the change side pinned to one CPU")
     args = parser.parse_args(argv)
     root = tempfile.mkdtemp(prefix="cli_chain_")
     workdirs = {side: os.path.join(root, side) for side in SIDES}
     for side in SIDES:
-        run_chain(os.path.abspath(getattr(args, side)), workdirs[side])
+        run_chain(os.path.abspath(getattr(args, side)), workdirs[side],
+                  args.one_core and side == "change")
 
     files = {side: outputs(workdirs[side]) for side in SIDES}
     differ = sorted(f for f in files["parent"] & files["change"]
