@@ -7,6 +7,7 @@ once per merged batch in the encoder.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -129,21 +130,19 @@ def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = Ga
     )
 
 
-def _holds_bool(values) -> bool:
-    """Whether a list, or a list of lists, holds a ``True`` or ``False``."""
-    return any(isinstance(v, bool) or (isinstance(v, list) and _holds_bool(v)) for v in values)
+def _checked_ints(values, name: str, low: int, high: int, dtype=np.int64,
+                  shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Integers in [low, high] as ``dtype``, of ``shape`` if given; else a GraphFormatError.
 
-
-def _checked_ints(values, name: str, low: int, high: int, dtype=np.int64) -> np.ndarray:
-    """Integers in [low, high] as ``dtype``; floats, even 1.0, and booleans are a GraphFormatError.
-
-    A list is searched for booleans first: numpy reads ``[1, True]`` as integers.
+    A list's items are checked one by one: numpy reads ``[1, True]`` as integers.
     """
-    if isinstance(values, list) and _holds_bool(values):
-        raise GraphFormatError(f"{name} must hold integers in [{low}, {high}], not booleans")
-    arr = np.asarray(values)
-    if arr.size and (arr.dtype.kind != "i" or arr.min() < low or arr.max() > high):
-        raise GraphFormatError(f"{name} must hold integers in [{low}, {high}]")
+    arr = np.asarray(values, dtype=object if isinstance(values, list) else None)
+    if arr.size and not ((arr.dtype.kind == "i" or all(type(v) is int for v in arr.flat))
+                         and low <= arr.min() and arr.max() <= high):
+        raise GraphFormatError(f"{name} must hold integers in [{low}, {high}], "
+                               "not floats or booleans")
+    if shape is not None and arr.shape != shape:
+        raise GraphFormatError(f"{name} has shape {arr.shape}, not {shape}")
     return arr.astype(dtype, copy=False)
 
 
@@ -193,24 +192,57 @@ def graph_to_json(g: CrystalGraph, id: str | None = None) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """A JSON list of numbers as float64; booleans, strings and ints past float range are not."""
+    if isinstance(values, list) and all(type(v) in (int, float) for v in values):
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=np.float64)
+    raise GraphFormatError(f"{name} must hold finite numbers")
+
+
 def graph_from_json(line: str) -> tuple[CrystalGraph, str | None]:
-    """Inverse of ``graph_to_json``: the graph (bit for bit) and its id, or None."""
-    record = json.loads(line)
+    """Inverse of ``graph_to_json``: the graph (bit for bit) and its id, or None.
+
+    Any line ``graph_to_json`` could not have written, but for keys it does
+    not write, is a GraphFormatError that names the field at fault.
+    """
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise GraphFormatError(f"graph line is not JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise GraphFormatError("graph line must be a JSON object")
     if "edge_feat" in record and "dist" not in record:
         raise GraphFormatError("graph line has edge_feat and no dist: this is the old "
                                "graphs.jsonl format; run featurize again to rewrite it")
-    n_edges = len(record["edges"])
-    dist = np.array(record["dist"], dtype=np.float64)
-    if dist.shape != (n_edges,) or not (np.isfinite(dist) & (dist >= 0)).all():
-        raise GraphFormatError("dist must hold one finite, nonnegative length per edge")
+    for name in ("node_elem", "node_mask", "edges", "dist", "basis", "edge_mask"):
+        if name not in record:
+            raise GraphFormatError(f"graph line has no {name}")
+    if not isinstance(record.get("id", ""), str):
+        raise GraphFormatError("id must be a string")
     node_elem = _checked_ints(record["node_elem"], "node_elem", 1, MAX_Z)
+    if node_elem.ndim != 1 or not node_elem.size:
+        raise GraphFormatError("node_elem must be a nonempty list of atomic numbers")
+    n = len(node_elem)
+    dist = _numbers(record["dist"], "dist")
+    if not (np.isfinite(dist) & (dist >= 0)).all():
+        raise GraphFormatError("dist must hold finite, nonnegative lengths")
+    # graph_to_json writes no edges as [], not as a (0, 2) list
+    edges = record["edges"] if record["edges"] != [] else np.zeros((0, 2), dtype=np.int64)
+    basis = record["basis"]
+    if not isinstance(basis, dict) or sorted(basis) != sorted(f.name for f in fields(GaussianBasis)):
+        raise GraphFormatError("basis must hold exactly d_min, d_max, step and var")
+    values = _numbers(list(basis.values()), "basis").tolist()
+    try:
+        basis = GaussianBasis(**dict(zip(basis, values)))
+    except ValueError as exc:
+        raise GraphFormatError(f"basis: {exc}") from None
     graph = CrystalGraph(
         node_elem=node_elem,
-        node_mask=_checked_ints(record["node_mask"], "node_mask", 0, 1, np.int8),
-        edges=_checked_ints(record["edges"], "edges", 0, len(node_elem) - 1).reshape(n_edges, 2),
+        node_mask=_checked_ints(record["node_mask"], "node_mask", 0, 1, np.int8, (n,)),
+        edges=_checked_ints(edges, "edges", 0, n - 1, shape=(len(dist), 2)),
         dist=dist,
-        edge_mask=_checked_ints(record["edge_mask"], "edge_mask", 0, 1, np.int8),
-        basis=GaussianBasis(**{f.name: float(record["basis"][f.name])
-                               for f in fields(GaussianBasis)}),
+        edge_mask=_checked_ints(record["edge_mask"], "edge_mask", 0, 1, np.int8, (len(dist),)),
+        basis=basis,
     )
     return graph, record.get("id")

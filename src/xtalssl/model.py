@@ -10,11 +10,11 @@ the layer runs and evaluates ``z W`` decomposed, as
 matrix, so z itself is never built.  ``encode`` expands and masks the edge
 features once per batch, and every layer reads that one block.  The
 checkpoint keeps ``w_f``, ``b_f``, ``w_s`` and ``b_s`` as separate arrays.
-No batch normalization anywhere, so a graph's encoding never depends on what
-it is batched with.  Readout is the mean over active (unmasked) nodes; a
-fully masked graph falls back to the mean over all of its nodes.  The masked
-embedding and the readout are one autodiff primitive each, so ``encode``
-records ``n_conv + 2`` tape entries; each head records one.
+No batch normalization anywhere, so what a graph is batched with moves its
+encoding by round-off only.  Readout is the mean over active (unmasked)
+nodes; a fully masked graph falls back to the mean over all of its nodes.
+The masked embedding and the readout are one autodiff primitive each, so
+``encode`` records ``n_conv + 2`` tape entries; each head records one.
 
 One parameter layout, ``_build``, fixes every tensor's checkpoint name, shape
 and init draw order; ``init_params`` draws through it and ``load_model``
@@ -22,11 +22,12 @@ reads through it, so a loaded array whose shape disagrees with the header's
 configuration is rejected at load, by name.  ``alias_params`` builds through
 it too: new tensors over the same arrays, so two threads can each run a
 forward and backward pass on the same weights and accumulate gradients
-apart.  Only this module knows what a checkpoint holds: a versioned binary
-file, a fixed header carrying the model configuration followed by named
-float64 little-endian arrays with shape prefixes (the layout's, then a
-fine-tuned model's 0-d ``label_mean`` and ``label_std``), so round trips are
-bit-exact.  Every load error names the file.
+apart; ``copy_params`` over copies.  Only this module knows what a
+checkpoint holds: a versioned binary file, a fixed header carrying the
+model configuration followed by named float64 little-endian arrays with
+shape prefixes (the layout's, then a fine-tuned model's 0-d
+``label_mean`` and ``label_std``), so round trips are bit-exact.  Every
+load error names the file.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class MLPParams:
 
 @dataclass
 class ModelParams:
-    """Built only by :func:`init_params`, :func:`alias_params` and :func:`load_model`."""
+    """Built only through :func:`_build`."""
 
     config: ModelConfig
     elem_embed: Tensor
@@ -172,6 +173,12 @@ def alias_params(params: ModelParams) -> ModelParams:
     """New tensors, with no gradients, over the arrays of ``params``."""
     return _build(params.config, params.projector is not None, params.head is not None,
                   lambda name, shape: params._named[name].data)
+
+
+def copy_params(params: ModelParams) -> ModelParams:
+    """New tensors, with no gradients, over copies of the arrays of ``params``."""
+    return _build(params.config, params.projector is not None, params.head is not None,
+                  lambda name, shape: params._named[name].data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +348,22 @@ def load_model(path) -> tuple[ModelParams, tuple[float, float] | None]:
     return params, (mean, std)
 
 
-def load_encoder(params: ModelParams, path) -> None:
-    """Overwrite the encoder tensors of ``params`` bitwise with those of the checkpoint at ``path``."""
-    donor, _ = load_model(path)
+def copy_encoder(params: ModelParams, donor: ModelParams, source) -> None:
+    """Overwrite the encoder tensors of ``params`` bitwise with copies of ``donor``'s.
+
+    A ``hidden_dim``, ``n_conv`` or ``edge_feat_dim`` that differs is a
+    ConfigMismatch naming ``source``, where the donor came from."""
     for name in ("hidden_dim", "n_conv", "edge_feat_dim"):
         mine, theirs = getattr(params.config, name), getattr(donor.config, name)
         if mine != theirs:
-            raise ConfigMismatch(f"{path}: {name} differs: {mine} vs {theirs}")
+            raise ConfigMismatch(f"{source}: {name} differs: {mine} vs {theirs}")
     for name in params.encoder_tensor_names():
-        params._named[name].data = donor._named[name].data
+        params._named[name].data = donor._named[name].data.copy()
+
+
+def load_encoder(params: ModelParams, path) -> None:
+    """Overwrite the encoder tensors of ``params`` bitwise with those of the checkpoint at ``path``."""
+    copy_encoder(params, load_model(path)[0], path)
 
 
 def check_basis_width(cfg: ModelConfig, basis: GaussianBasis) -> None:

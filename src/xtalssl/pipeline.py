@@ -25,9 +25,8 @@ thread does both parts in turn, with the same results.
   thread timing.
 - Inference (``export_embeddings``, ``evaluate`` and fine-tuning's
   validation and test predictions) splits its ordered crystals into two
-  contiguous halves, one per thread (``_encode_halves``).  The encoder has
-  no batch norm, so a graph's latent does not depend on what it is merged
-  with, and the split is the same whether or not the worker runs.
+  contiguous halves, one per thread (``_encode_halves``).  The split is
+  the same whether or not the worker runs, so the latents are too.
 - Fine-tuning's training steps split each conv layer's row work at a graph
   boundary (``encode`` with the worker, see ``autodiff.gated_conv``): the
   worker runs the second block of graphs, and the weight gradients, which
@@ -46,7 +45,6 @@ import functools
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +67,8 @@ from .model import (
     ModelParams,
     alias_params,
     check_basis_width,
+    copy_encoder,
+    copy_params,
     encode,
     init_params,
     load_encoder,
@@ -205,18 +205,8 @@ class RunReport:
 
     def to_json(self) -> str:
         """Canonical JSON; wall clock is logged, not serialized, so reruns match byte for byte."""
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-        }
-        if self.n_test is not None:
-            payload["n_test"] = self.n_test
-        if self.test_mae is not None:
-            payload["test_mae"] = self.test_mae
+        payload = {name: value for name, value in dataclasses.asdict(self).items()
+                   if name != "wall_clock_seconds" and value is not None}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -224,15 +214,6 @@ def _config_echo(mcfg: ModelConfig, tcfg) -> dict:
     echo = {"model": dataclasses.asdict(mcfg)}
     echo.update(dataclasses.asdict(tcfg))
     return json.loads(json.dumps(echo))  # tuples -> lists, everything jsonable
-
-
-def _snapshot(params: ModelParams) -> list[np.ndarray]:
-    return [t.data.copy() for t in params.trainable()]
-
-
-def _restore(params: ModelParams, snapshot: list[np.ndarray]) -> None:
-    for t, data in zip(params.trainable(), snapshot):
-        t.data = data.copy()
 
 
 def _batches(order: np.ndarray, batch: int, drop_below: int) -> list[np.ndarray]:
@@ -347,10 +328,11 @@ def _encode_halves(worker, params: ModelParams, items: list, batch: int,
     (if any; an empty half is not submitted).  Each half builds the graphs
     of at most ``batch`` items at a time and encodes them merged, so a bad
     entry raises before any later entry of its half is touched, and the
-    first half's error is raised before the second's.  A graph of two or
-    more nodes encodes to the same bits alone or merged; a lone one-node
-    graph takes a one-row product and may differ from its merged latent by
-    round-off.
+    first half's error is raised before the second's.  The halves do not
+    depend on the worker, so neither do the latents.  Alone or merged, a
+    graph's latent can differ by round-off: BLAS rounds a one-row product,
+    and at some widths a block of rows, apart from the whole (see README,
+    "Determinism").
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -420,24 +402,24 @@ def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, c
 
 def _fit(stage: str, params: ModelParams, tcfg: PretrainConfig | FinetuneConfig, entries,
          train_idx: np.ndarray, drop_below: int,
-         batch_loss, val_loss) -> tuple[list[dict], int, list[np.ndarray]]:
+         batch_loss, val_loss) -> tuple[list[dict], int, ModelParams]:
     """The Adam loop both stages share.
 
     Each epoch shuffles ``train_idx`` (indices into ``entries``) with the
     ``_SHUFFLE`` stream, takes one Adam step on ``batch_loss(batch_idx)``
     per batch of at least ``drop_below`` entries, then one ``val_loss()``
     (None without validation data).  Returns the epoch log, the
-    best-validation epoch and its weights, or the last epoch and its
-    weights when no epoch was validated.  A non-finite loss or gradient
-    raises NonFiniteLoss before the step that would apply it.  Those checks
-    report a divergence, so numpy's floating-point warnings are off while
-    losses and gradients are computed; the Adam step, whose result nothing
-    checks, keeps them.
+    best-validation epoch and a copy of its weights, taken when validation
+    improves, or the last epoch and ``params`` itself when no epoch was
+    validated.  A non-finite loss or gradient raises NonFiniteLoss before
+    the step that would apply it.  Those checks report a divergence, so
+    numpy's floating-point warnings are off while losses and gradients are
+    computed; the Adam step, whose result nothing checks, keeps them.
     """
     adam = Adam(params.trainable(), tcfg.lr)
     shuffle_rng = rng_for(tcfg.seed, _SHUFFLE)
     epochs_log: list[dict] = []
-    best_epoch, best_val, best_state = tcfg.epochs, np.inf, None
+    best_epoch, best_val, best = tcfg.epochs, np.inf, params
 
     for epoch in range(1, tcfg.epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
@@ -464,14 +446,12 @@ def _fit(stage: str, params: ModelParams, tcfg: PretrainConfig | FinetuneConfig,
         if val is not None and not np.isfinite(val):
             raise NonFiniteLoss(f"{stage} epoch {epoch}: validation loss is {val}")
         if val is not None and val < best_val:
-            best_val, best_epoch, best_state = val, epoch, _snapshot(params)
+            best_val, best_epoch, best = val, epoch, copy_params(params)
         epochs_log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val})
         logger.info("%s epoch %d/%d train_loss=%.6f val_loss=%s", stage, epoch, tcfg.epochs,
                     train_loss, "n/a" if val is None else f"{val:.6f}")
 
-    if best_state is None:
-        best_state = _snapshot(params)
-    return epochs_log, best_epoch, best_state
+    return epochs_log, best_epoch, best
 
 
 @dataclass
@@ -519,7 +499,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
         # one search per crystal per call serves the views of every epoch
         # and validation pass
         candidates = _map_halves(worker, data.entries, candidate_list)
-        epochs_log, best_epoch, best_state = _fit(
+        epochs_log, best_epoch, best = _fit(
             "pretrain", params, pcfg, data.entries, train_idx, 2,
             lambda b: batch_loss(b, augment_rng), val_loss)
 
@@ -529,10 +509,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
         final_path = os.path.join(out_dir, "pretrain_final.ckpt")
         best_path = os.path.join(out_dir, "pretrain_best.ckpt")
         save_checkpoint(final_path, params)
-        final_state = _snapshot(params)
-        _restore(params, best_state)
-        save_checkpoint(best_path, params)
-        _restore(params, final_state)
+        save_checkpoint(best_path, best)
 
     wall = time.perf_counter() - t_start
     logger.info("pretrain wall clock: %.2fs", wall)
@@ -567,6 +544,14 @@ def _predict_std(worker, params: ModelParams, items: list, batch: int,
 def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
              out_dir=None) -> FinetuneResult:
     """Supervised fine-tuning; reports test MAE of the best-validation epoch."""
+    path = fcfg.init_checkpoint
+    return _finetune(data, mcfg, fcfg, out_dir,
+                     None if path is None else lambda params: load_encoder(params, path))
+
+
+def _finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig, out_dir,
+              init_encoder) -> FinetuneResult:
+    """``finetune``'s body; ``init_encoder(params)``, if not None, sets the fresh encoder."""
     t_start = time.perf_counter()
     if data.kind != "labeled":
         raise UnlabeledDataset("finetune needs a labeled dataset")
@@ -588,8 +573,8 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     y_val_std = (y_val - label_mean) / label_std
 
     params = init_params(mcfg, rng_for(fcfg.seed, _INIT), with_projector=False, with_head=True)
-    if fcfg.init_checkpoint is not None:
-        load_encoder(params, fcfg.init_checkpoint)
+    if init_encoder is not None:
+        init_encoder(params)
 
     def batch_loss(batch_idx):
         merged, seg = merge_graphs([graphs_train[i] for i in batch_idx])
@@ -612,14 +597,13 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
         n_train, n_val = len(train_d.entries), len(val_d.entries)
         graphs_train, graphs_val = graphs[:n_train], graphs[n_train:n_train + n_val]
         graphs_test = graphs[n_train + n_val:]
-        epochs_log, best_epoch, best_state = _fit(
+        epochs_log, best_epoch, best = _fit(
             "finetune", params, fcfg, train_d.entries, np.arange(len(graphs_train)), 1,
             batch_loss, val_loss)
-        _restore(params, best_state)
 
         test_mae = None
         if len(graphs_test) > 0:
-            test_pred = _predict_std(worker, params, graphs_test, fcfg.batch)
+            test_pred = _predict_std(worker, best, graphs_test, fcfg.batch)
             test_mae = mae_metric(test_pred * label_std + label_mean, y_test)
             logger.info("finetune test MAE (original units): %.6f", test_mae)
 
@@ -627,7 +611,7 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         ckpt_path = os.path.join(out_dir, "finetune_model.ckpt")
-        save_checkpoint(ckpt_path, params, label_stats=(label_mean, label_std))
+        save_checkpoint(ckpt_path, best, label_stats=(label_mean, label_std))
 
     wall = time.perf_counter() - t_start
     logger.info("finetune wall clock: %.2fs", wall)
@@ -635,7 +619,7 @@ def finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig,
                        best_epoch=best_epoch, n_train=len(train_d.entries),
                        n_val=len(val_d.entries), n_test=len(test_d.entries),
                        test_mae=test_mae, wall_clock_seconds=wall)
-    return FinetuneResult(params=params, report=report, label_mean=label_mean,
+    return FinetuneResult(params=best, report=report, label_mean=label_mean,
                           label_std=label_std, checkpoint_path=ckpt_path)
 
 
@@ -716,7 +700,12 @@ class AblationRow:
 def ablation_run(pretrain_data: Dataset, finetune_data: Dataset, mcfg: ModelConfig,
                  pcfg: PretrainConfig, fcfg: FinetuneConfig, seeds: list[int],
                  out_dir=None, arms: dict[str, AugmentConfig] | None = None) -> list[AblationRow]:
-    """One pretrain+finetune per (arm, seed); aggregates test MAE per arm."""
+    """One pretrain+finetune per (arm, seed); aggregates test MAE per arm.
+
+    Each fine-tune starts from its pretrained model's final encoder, copied
+    in memory (``copy_encoder``): bit for bit what saving that model and
+    fine-tuning with ``init_checkpoint`` set to the file would give.
+    """
     if not seeds:
         raise ValueError("ablation needs at least one seed")
     arms = ABLATION_ARMS if arms is None else arms
@@ -729,12 +718,10 @@ def ablation_run(pretrain_data: Dataset, finetune_data: Dataset, mcfg: ModelConf
         for seed in seeds:
             logger.info("ablation arm=%s seed=%d", arm_name, seed)
             arm_pcfg = dataclasses.replace(pcfg, augment=augment, seed=seed)
-            result = pretrain(pretrain_data, mcfg, arm_pcfg, out_dir=None)
-            with tempfile.TemporaryDirectory() as tmp:
-                ckpt = os.path.join(tmp, "pretrain.ckpt")
-                save_checkpoint(ckpt, result.params)
-                arm_fcfg = dataclasses.replace(fcfg, seed=seed, init_checkpoint=ckpt)
-                ft = finetune(finetune_data, mcfg, arm_fcfg, out_dir=None)
+            pretrained = pretrain(pretrain_data, mcfg, arm_pcfg, out_dir=None).params
+            ft = _finetune(finetune_data, mcfg, dataclasses.replace(fcfg, seed=seed), None,
+                           lambda params: copy_encoder(params, pretrained,
+                                                       f"pretrain arm {arm_name} seed {seed}"))
             maes.append(ft.report.test_mae)
         rows.append(AblationRow(arm=arm_name, seeds=list(seeds), maes=maes))
     if out_dir is not None:

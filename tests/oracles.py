@@ -21,6 +21,9 @@ of records the package once built from them: 2 for the masked embedding,
 ``model.py``; 9 for the Barlow Twins loss and 4 for the MSE in
 ``loss.py``. The fused primitives must give the same outputs and
 gradients to the last bit.
+
+``grad_check``, last, is the finite-difference oracle behind C1: it
+compares a tape's analytic gradients with central differences.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from xtalssl.autodiff import (
     IndexOutOfRange,
     ShapeMismatch,
+    Tape,
     Tensor,
     _accum,
     _maybe_record,
@@ -373,3 +377,39 @@ def chain_mse(pred, target):
     target = np.asarray(target, dtype=np.float64).reshape(-1, 1)
     diff = add(pred, Tensor(-target))
     return scale(sum_all(mul(diff, diff)), 1.0 / target.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# finite-difference checker
+
+
+def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-6,
+               rel_tol: float = 1e-4, abs_tol: float = 1e-7) -> list[tuple[int, int, float, float]]:
+    """Compare analytic gradients of loss_fn() against central differences.
+
+    loss_fn must be a deterministic function of params' current data.
+    Returns a list of (param_index, flat_index, numeric, analytic) failures;
+    an empty list means every component agreed within tolerance.
+    """
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    failures = []
+    for pi, p in enumerate(params):
+        flat = p.data.reshape(-1)
+        ana = analytic[pi].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(loss_fn().data)
+            flat[i] = orig - eps
+            f_minus = float(loss_fn().data)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            if abs(numeric - ana[i]) > abs_tol + rel_tol * max(abs(numeric), abs(ana[i])):
+                failures.append((pi, i, numeric, float(ana[i])))
+    return failures

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 
 from xtalssl.augment import AugmentConfig, make_views, mask_atoms, mask_edges, random_perturb
-from xtalssl.autodiff import Tensor, grad_check
+from xtalssl.autodiff import Tensor
 from xtalssl.featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
 from xtalssl.geometry import NeighborConfig, build_neighbor_list
 from xtalssl.loss import LossConfig, barlow_twins_loss, bt_loss_from_embeddings, cross_correlation, mse_loss
@@ -34,7 +34,12 @@ from xtalssl.structure_io import CrystalStructure
 from xtalssl.toydata import gen_toy_dataset
 
 from helpers import canonical_edges, draw_unambiguous_structure
-from oracles import ks_statistic_uniform, naive_cross_correlation, supercell_neighbors
+from oracles import (
+    grad_check,
+    ks_statistic_uniform,
+    naive_cross_correlation,
+    supercell_neighbors,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 

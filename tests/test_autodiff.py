@@ -14,7 +14,6 @@ from xtalssl.autodiff import (
     ShapeMismatch,
     Tape,
     Tensor,
-    grad_check,
 )
 from xtalssl.model import _readout_weights
 
@@ -25,6 +24,7 @@ from oracles import (
     chain_softplus_mlp,
     column_standardize,
     gather_rows,
+    grad_check,
     matmul,
     mul,
     scale,

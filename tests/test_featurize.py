@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtalssl.elements import MAX_Z
 from xtalssl.featurize import (
@@ -369,3 +371,137 @@ class TestGraphJson:
         with pytest.raises(ValueError):
             graph_from_json(json.dumps(record))
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda r: [], "^graph line must be a JSON object$"),
+        (lambda r: "{" + json.dumps(r), "^graph line is not JSON"),
+        (lambda r: "[" * 100_000, "^graph line is not JSON"),
+        (lambda r: {k: v for k, v in r.items() if k != "edge_mask"}, "^graph line has no edge_mask$"),
+        (lambda r: {**r, "basis": {k: v for k, v in r["basis"].items() if k != "d_min"}},
+         "^basis must hold exactly"),
+        (lambda r: {**r, "basis": {**r["basis"], "step": True}}, "^basis must hold finite"),
+        (lambda r: {**r, "basis": {**r["basis"], "var": 10 ** 400}}, "^basis must hold finite"),
+        (lambda r: {**r, "edges": [[0, 1, 1]], "dist": [1.0], "edge_mask": [1]},
+         r"^edges has shape \(1, 3\), not \(1, 2\)$"),
+        (lambda r: {**r, "node_mask": r["node_mask"][1:]}, "^node_mask has shape"),
+        (lambda r: {**r, "edge_mask": r["edge_mask"] + [1]}, "^edge_mask has shape"),
+        (lambda r: {**r, "node_elem": [[z] for z in r["node_elem"]]}, "^node_elem must be a"),
+        (lambda r: {**r, "node_elem": 11}, "^node_elem must be a"),
+        (lambda r: {**r, "id": 5}, "^id must be a string$"),
+        (lambda r: {**r, "id": None}, "^id must be a string$"),
+        (lambda r: {**r, "node_elem": [], "node_mask": [], "edges": [], "dist": [],
+                    "edge_mask": []}, "^node_elem must be a nonempty list"),
+        (lambda r: {**r, "dist": [True] + r["dist"][1:]}, "^dist must hold finite numbers$"),
+        (lambda r: {**r, "dist": ["1.5"] + r["dist"][1:]}, "^dist must hold finite numbers$"),
+        (lambda r: {**r, "dist": [10 ** 400] + r["dist"][1:]}, "^dist must hold finite numbers$"),
+        (lambda r: {**r, "edges": [[0, 1], [0]] + r["edges"][2:]}, "^edges must hold integers"),
+        (lambda r: {**r, "node_mask": [None] + r["node_mask"][1:]}, "^node_mask must hold"),
+    ])
+    def test_a_malformed_line_is_a_graph_format_error_naming_the_field(self, mutate, message):
+        mutated = mutate(json.loads(graph_to_json(skewed_graph(0), id="x")))
+        line = mutated if isinstance(mutated, str) else json.dumps(mutated)
+        with pytest.raises(GraphFormatError, match=message):
+            graph_from_json(line)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_a_mutated_line_reads_as_what_it_says_or_raises_graph_format_error(self, data):
+        line = data.draw(st.sampled_from(_BASE_LINES))
+        for _ in range(data.draw(st.integers(1, 3))):
+            line = _mutate(data, line)
+        try:
+            graph, gid = graph_from_json(line)
+        except GraphFormatError:
+            return
+        # accepted: the line held exactly the graph read back, nothing coerced
+        assert _typed(json.loads(graph_to_json(graph, gid))) == _typed(_as_written(json.loads(line)))
+
+
+def _base_lines():
+    """Valid graphs.jsonl lines: masked nodes and edges, and a cell with no edges."""
+    s = CrystalStructure(lattice=3.1 * np.eye(3), atomic_numbers=[11, 17],
+                         frac_coords=[[0, 0, 0], [0.5, 0.5, 0.5]])
+    g = build_graph(s, build_neighbor_list(s, NeighborConfig(cutoff=3.0, max_neighbors=3)),
+                    GaussianBasis(d_min=0.5, d_max=3.0, step=0.5, var=0.25))
+    g = with_edge_mask(with_node_mask(g, np.array([1, 0], dtype=np.int8)),
+                       (np.arange(g.n_edges) % 3 != 0).astype(np.int8))
+    lone = CrystalStructure(lattice=9.0 * np.eye(3), atomic_numbers=[14], frac_coords=[[0, 0, 0]])
+    edgeless = build_graph(lone, build_neighbor_list(lone, NeighborConfig(cutoff=3.0)))
+    return [graph_to_json(g, id="nacl"), graph_to_json(g), graph_to_json(edgeless, id="si")]
+
+
+_BASE_LINES = _base_lines()
+_FIELDS = ("id", "node_elem", "node_mask", "edges", "dist", "basis", "edge_mask")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 101) | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of everything inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+def _mutate(data, line: str) -> str:
+    """``line`` with one edit drawn: to its text, or to a value anywhere in its JSON."""
+    kind = data.draw(st.sampled_from(["text", "replace", "replace", "delete", "insert", "insert"]))
+    try:
+        record = json.loads(line)
+    except ValueError:
+        kind = "text"
+    if kind == "text":
+        at = data.draw(st.integers(0, len(line)))
+        char = data.draw(st.sampled_from(list('0123456789-.,:[]{}" eEtfn')))
+        return data.draw(st.sampled_from([line[:at], line[:at] + line[at + 1:],
+                                          line[:at] + char + line[at:]]))
+    path = data.draw(st.sampled_from(list(_paths(record))))
+    # small numbers keep many edits valid: a value a field may hold, or one of another type
+    value = data.draw(st.integers(0, 2) | st.floats(0.0, 5.0) | _JSON)
+    if kind == "replace" and not path:
+        return json.dumps(value)
+    if kind == "insert" and isinstance(_at(record, path), (dict, list)):
+        container = _at(record, path)
+        if isinstance(container, dict):
+            container[data.draw(st.sampled_from(list(_FIELDS) + ["extra"]))] = value
+        else:
+            container.insert(data.draw(st.integers(0, len(container))), value)
+    elif path:
+        parent = _at(record, path[:-1])
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return json.dumps(record)
+
+
+def _at(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+def _as_written(record: dict) -> dict:
+    """What ``graph_to_json`` writes for the graph ``record`` describes, if it describes one.
+
+    Keys it does not write are dropped, and integers in ``dist`` and
+    ``basis`` become floats; booleans stay booleans.
+    """
+    out = {key: record[key] for key in _FIELDS if key in record}
+    out["dist"] = [float(v) if type(v) is int else v for v in out["dist"]]
+    out["basis"] = {k: float(v) if type(v) is int else v for k, v in out["basis"].items()}
+    return out
+
+
+def _typed(value):
+    """``value`` with each number, boolean and string tagged with its type: 1, 1.0 and True differ."""
+    if isinstance(value, dict):
+        return {key: _typed(inner) for key, inner in value.items()}
+    if isinstance(value, list):
+        return [_typed(inner) for inner in value]
+    return type(value).__name__, value

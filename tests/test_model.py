@@ -29,6 +29,8 @@ from xtalssl.model import (
     EmptyGraph,
     ModelConfig,
     _readout_weights,
+    copy_encoder,
+    copy_params,
     encode,
     init_params,
     load_checkpoint,
@@ -604,3 +606,38 @@ class TestEncoderTransfer:
         target = init_params(SMALL, np.random.default_rng(57), with_projector=False)
         load_encoder(target, path)
         assert target.elem_embed.data.tobytes() == donor.elem_embed.data.tobytes()
+
+    def test_copy_encoder_copies_bitwise_and_leaves_the_donor_alone(self):
+        donor = init_params(SMALL, np.random.default_rng(58), with_head=False)
+        target = init_params(SMALL, np.random.default_rng(59), with_projector=False)
+        head_before = target.head.w1.data.copy()
+        copy_encoder(target, donor, "pretrained model")
+        for name in target.encoder_tensor_names():
+            mine, theirs = target._named[name].data, donor._named[name].data
+            assert mine.tobytes() == theirs.tobytes() and not np.shares_memory(mine, theirs)
+        npt.assert_array_equal(target.head.w1.data, head_before)
+
+    @pytest.mark.parametrize("field, value", [("hidden_dim", 6), ("n_conv", 3),
+                                              ("edge_feat_dim", 40)])
+    def test_copy_encoder_names_the_source_of_a_mismatch(self, field, value):
+        donor = init_params(dataclasses.replace(SMALL, **{field: value}),
+                            np.random.default_rng(60), with_head=False)
+        target = init_params(SMALL, np.random.default_rng(61), with_projector=False)
+        with pytest.raises(ConfigMismatch, match=f"^pretrain arm RP seed 2: {field} differs: "
+                                                 f"{getattr(SMALL, field)} vs {value}$"):
+            copy_encoder(target, donor, "pretrain arm RP seed 2")
+
+
+class TestCopyParams:
+    def test_new_tensors_over_copies_without_gradients(self):
+        params = init_params(SMALL, np.random.default_rng(62))
+        for t in params.trainable():
+            t.grad = np.ones_like(t.data)
+        copy = copy_params(params)
+        assert [n for n, _ in copy.named_tensors()] == [n for n, _ in params.named_tensors()]
+        for (_, mine), (_, theirs) in zip(copy.named_tensors(), params.named_tensors()):
+            assert mine is not theirs and mine.grad is None and mine.requires_grad
+            assert mine.data.tobytes() == theirs.data.tobytes()
+            assert not np.shares_memory(mine.data, theirs.data)
+        assert copy.config == params.config
+        assert copy.projector is not None and copy.head is not None

@@ -18,7 +18,7 @@ from xtalssl.augment import AugmentConfig, make_views
 from xtalssl.autodiff import Tape, Tensor, active_tape
 from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
 from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
-from xtalssl.loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings
+from xtalssl.loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mse_loss
 from xtalssl.model import (
     ConfigMismatch,
     CorruptCheckpoint,
@@ -520,6 +520,31 @@ class TestAblation:
         assert len(text.strip().split("\n")) == 3
         assert (tmp_path / "ablation_runs.csv").exists()
 
+    def test_the_in_memory_handoff_is_the_checkpoint_path_bit_for_bit(self, tmp_path):
+        # ablation_run hands each pretrained encoder to its fine-tune in memory;
+        # the same arm and seeds through a checkpoint file give the same bits
+        pre_data, fine_data = gen_toy_dataset(6, seed=20), gen_toy_dataset(10, seed=21)
+        arms = {"RP+AM+EM": ABLATION_ARMS["RP+AM+EM"]}
+        pcfg, fcfg, seeds = tiny_pcfg(epochs=2), tiny_fcfg(epochs=2), [0, 3]
+        rows = ablation_run(pre_data, fine_data, TINY, pcfg, fcfg, seeds=seeds,
+                            out_dir=tmp_path / "ablate", arms=arms)
+        maes, fresh = [], []
+        for seed in seeds:
+            pre = pretrain(pre_data, TINY,
+                           dataclasses.replace(pcfg, augment=arms["RP+AM+EM"], seed=seed))
+            ckpt = tmp_path / f"pretrain_{seed}.ckpt"
+            save_checkpoint(ckpt, pre.params)
+            arm_fcfg = dataclasses.replace(fcfg, seed=seed)
+            maes.append(finetune(fine_data, TINY, dataclasses.replace(
+                arm_fcfg, init_checkpoint=str(ckpt))).report.test_mae)
+            fresh.append(finetune(fine_data, TINY, arm_fcfg).report.test_mae)
+        assert [m.hex() for m in rows[0].maes] == [m.hex() for m in maes]
+        assert maes[0] != fresh[0] and maes[1] != fresh[1]  # the encoder was handed over
+        expected = [AblationRow(arm="RP+AM+EM", seeds=seeds, maes=maes)]
+        assert (tmp_path / "ablate" / "ablation.csv").read_text() == ablation_csv(expected)
+        assert (tmp_path / "ablate" / "ablation_runs.csv").read_text() == \
+            ablation_runs_csv(expected)
+
     @pytest.mark.parametrize("split", [(0.5, 0.5, 0.0), (0.5, 0.5, 5e-10)])
     def test_an_empty_test_split_is_rejected_before_any_training(self, monkeypatch, split):
         calls = []
@@ -642,6 +667,48 @@ class TestNonFiniteLoss:
             _fit("test", params, tiny_fcfg(batch=2), entries, np.arange(2), 1,
                  batch_loss, lambda: None)
         assert sorted(listed_ids(info)) == ["toy_0000", "toy_0001"]
+
+
+class TestBestWeights:
+    @staticmethod
+    def fit(val_losses):
+        """_fit over one epoch per validation loss, and each epoch's weights when validated."""
+        data = gen_toy_dataset(4, seed=0)
+        params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=True)
+        graphs = [pipeline.entry_graph(e, NEIGHBOR, BASIS) for e in data.entries]
+        seen, losses = [], iter(val_losses)
+
+        def batch_loss(idx):
+            merged, seg = merge_graphs([graphs[i] for i in idx])
+            pred = regress(params, encode(params, merged, seg, len(idx)))
+            return mse_loss(pred, np.ones(len(idx)))
+
+        def val_loss():
+            seen.append([t.data.copy() for t in params.trainable()])
+            return next(losses)
+
+        fcfg = tiny_fcfg(epochs=len(val_losses), batch=2)
+        return params, seen, _fit("test", params, fcfg, data.entries, np.arange(4), 1,
+                                  batch_loss, val_loss)
+
+    def test_a_copy_of_the_best_validated_weights_is_handed_back(self):
+        params, seen, (_, best_epoch, best) = self.fit([3.0, 1.0, 2.0])
+        assert best_epoch == 2 and best is not params
+        assert [t.data.tobytes() for t in best.trainable()] == [a.tobytes() for a in seen[1]]
+        assert all(t.grad is None for t in best.trainable())
+        # the model itself trained on to the last epoch
+        assert [t.data.tobytes() for t in params.trainable()] == [a.tobytes() for a in seen[2]]
+        assert seen[2][0].tobytes() != seen[1][0].tobytes()
+
+    def test_without_validation_the_trained_model_itself_is_handed_back(self):
+        params, _, (_, best_epoch, best) = self.fit([None, None])
+        assert best_epoch == 2 and best is params
+
+    def test_finetune_returns_the_weights_it_saves(self, tmp_path):
+        ft = finetune(gen_toy_dataset(12, seed=3), TINY, tiny_fcfg(epochs=3), out_dir=tmp_path)
+        save_checkpoint(tmp_path / "again.ckpt", ft.params, (ft.label_mean, ft.label_std))
+        assert (tmp_path / "again.ckpt").read_bytes() == \
+            (tmp_path / "finetune_model.ckpt").read_bytes()
 
 
 class InlineWorker:
@@ -943,6 +1010,48 @@ class TestInferenceHalves:
         halves = _encode_halves(None, params, [data.entries[0], one_atom], 128,
                                 lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
         assert halves[1].tobytes() == alone.tobytes()
+
+    def test_multi_node_cells_encode_alone_as_merged_at_the_default_width(self):
+        # 64 wide, on the default basis and cutoff: only a one-node graph's
+        # lone products round apart from its merged ones
+        neighbor, basis = NeighborConfig(), GaussianBasis()
+        data = random_cells(40, atoms=range(2, 9), seed=0)
+        params = init_params(ModelConfig(), np.random.default_rng(0), with_projector=False,
+                             with_head=False)
+        alone = [encode(params, pipeline.entry_graph(e, neighbor, basis)).data[0]
+                 for e in data.entries]
+        merged = _encode_halves(None, params, list(data.entries), 128,
+                                lambda e: pipeline.entry_graph(e, neighbor, basis))
+        assert merged.tobytes() == np.array(alone).tobytes()
+
+    def test_embeddings_do_not_depend_on_the_worker_where_merging_moves_latents(
+            self, monkeypatch):
+        # 10 wide, BLAS rounds row blocks of the 41-column e @ W_e apart from
+        # the whole product, so merged latents of multi-node cells move by
+        # round-off; the halves, and so embeddings.csv, still do not depend
+        # on the worker
+        neighbor, basis = NeighborConfig(), GaussianBasis()
+        data = random_cells(40, atoms=range(4, 9), seed=0)
+        params = init_params(ModelConfig(hidden_dim=10), np.random.default_rng(0),
+                             with_projector=False, with_head=False)
+        spies = []
+
+        def spy():
+            spies.append(SpyWorker())
+            return spies[-1]
+
+        csv = {}
+        for run, worker in {"threaded": spy, "inline": InlineWorker,
+                            "none": contextlib.nullcontext}.items():
+            monkeypatch.setattr(pipeline, "_second_thread", worker)
+            csv[run] = export_embeddings(params, data, neighbor, basis)
+        assert spies[0].futures
+        assert csv["inline"] == csv["threaded"] and csv["none"] == csv["threaded"]
+        rows = [line.split(",")[1:11] for line in csv["none"].splitlines()[1:]]
+        alone = [[repr(float(v)) for v in
+                  encode(params, pipeline.entry_graph(e, neighbor, basis)).data[0]]
+                 for e in data.entries]
+        assert sum(row != lone for row, lone in zip(rows, alone)) > 0
 
     @pytest.mark.parametrize("bad, named", [((3,), "toy_0003"), ((1, 4), "toy_0001")])
     def test_the_first_bad_entry_in_order_is_named(self, bad, named):

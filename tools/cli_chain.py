@@ -134,6 +134,27 @@ def outputs(workdir: str) -> set[str]:
             for root, _, names in os.walk(workdir) for name in names}
 
 
+def compare(workdirs: dict[str, str]) -> int:
+    """Print each file whose bytes differ or that one side alone wrote; 1 if any, else 0.
+
+    ``workdirs`` maps each of ``SIDES`` to its working directory.  When
+    every file matches, it prints how many there are.
+    """
+    files = {side: outputs(workdirs[side]) for side in SIDES}
+    differ = sorted(f for f in files["parent"] & files["change"]
+                    if not filecmp.cmp(*(os.path.join(workdirs[s], f) for s in SIDES),
+                                       shallow=False))
+    for f in differ:
+        print(f"differs: {f}")
+    for side, other in (SIDES, SIDES[::-1]):
+        for f in sorted(files[side] - files[other]):
+            print(f"only in {side}: {f}")
+    if differ or files["parent"] != files["change"]:
+        return 1
+    print(f"all {len(files['change'])} files identical")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -147,21 +168,12 @@ def main(argv=None) -> int:
         run_chain(os.path.abspath(getattr(args, side)), workdirs[side],
                   args.one_core and side == "change")
 
-    files = {side: outputs(workdirs[side]) for side in SIDES}
-    differ = sorted(f for f in files["parent"] & files["change"]
-                    if not filecmp.cmp(*(os.path.join(workdirs[s], f) for s in SIDES),
-                                       shallow=False))
-    for f in differ:
-        print(f"differs: {f}")
-    for side, other in (SIDES, SIDES[::-1]):
-        for f in sorted(files[side] - files[other]):
-            print(f"only in {side}: {f}")
-    if differ or files["parent"] != files["change"]:
+    status = compare(workdirs)
+    if status:
         print(f"outputs kept in {root}")
-        return 1
-    print(f"all {len(files['change'])} files identical")
-    shutil.rmtree(root)
-    return 0
+    else:
+        shutil.rmtree(root)
+    return status
 
 
 if __name__ == "__main__":
