@@ -2,12 +2,19 @@
 
 Every operation is a deterministic function of (input, rng state).  The
 perturbation moves atoms in cartesian space before graph construction;
-masking flips mask bits on an already-built graph and never touches
-topology or feature values.  Both views of a structure take their
-neighbor lists from one skin candidate list (``view_candidates``, through
-``geometry.candidate_list``), which gives each view exactly the list a
-fresh search of it would.  A caller may build that list once and pass it
-to every ``make_views`` call of the structure, as pretraining does.
+masking zeroes mask bits and never touches topology or feature values.
+Both views of a structure take their neighbor lists from one skin
+candidate list (``view_candidates``, through ``geometry.candidate_list``),
+which gives each view exactly the list a fresh search of it would.  A
+caller may build that list once and pass it to every ``make_views`` call
+of the structure, as pretraining does.
+
+A view is the chain ``random_perturb``, neighbor list, ``build_graph``,
+``mask_atoms``, ``mask_edges``, with the same draws in the same order and
+the same arithmetic (``_displace``, ``_drop``), but built from arrays
+checked once per structure: the candidate list's lattice and its inverse,
+and masks the view draws itself.  It makes no ``CrystalStructure`` and
+checks no mask, and builds one graph.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurize import CrystalGraph, GaussianBasis, build_graph, with_edge_mask, with_node_mask
+from .featurize import CrystalGraph, GaussianBasis, _graph, with_edge_mask, with_node_mask
 from .geometry import CandidateList, NeighborConfig, candidate_list, view_neighbor_list
 from .structure_io import CrystalStructure, wrap_frac
 
@@ -51,27 +58,36 @@ class AugmentConfig:
         return self.enable_perturb or self.enable_atom_mask or self.enable_edge_mask
 
 
+def _displace(frac: np.ndarray, inv_lattice: np.ndarray, rng: np.random.Generator,
+              max_disp: float) -> tuple[np.ndarray, np.ndarray]:
+    """random_perturb's sites from ``frac``, and the whole-cell shift (N, 3) that wrapped each back.
+
+    ``inv_lattice`` is the inverse of the structure's lattice.
+    """
+    n = frac.shape[0]
+    if max_disp == 0:
+        return frac, np.zeros((n, 3), dtype=np.int64)
+    directions = rng.normal(size=(n, 3))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms < 1e-300] = 1.0
+    directions /= norms
+    radii = rng.uniform(0.0, max_disp, size=(n, 1))
+    unwrapped = frac + (radii * directions) @ inv_lattice
+    wrapped = wrap_frac(unwrapped)
+    # exact whatever the displacement: a site may cross a face by a whole cell
+    return wrapped, np.rint(unwrapped - wrapped).astype(np.int64)
+
+
 def _perturb(s: CrystalStructure, rng: np.random.Generator,
              max_disp: float) -> tuple[CrystalStructure, np.ndarray]:
     """random_perturb, and the whole-cell shift (N, 3) that wrapped each site back."""
     if max_disp < 0:
         raise ValueError("max_disp must be >= 0")
+    frac, shift = _displace(s.frac_coords, np.linalg.inv(s.lattice), rng, max_disp)
     if max_disp == 0:
-        return s, np.zeros((s.n_sites, 3), dtype=np.int64)
-    directions = rng.normal(size=(s.n_sites, 3))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms < 1e-300] = 1.0
-    directions /= norms
-    radii = rng.uniform(0.0, max_disp, size=(s.n_sites, 1))
-    cart_disp = radii * directions
-    unwrapped = s.frac_coords + cart_disp @ np.linalg.inv(s.lattice)
-    view = CrystalStructure(
-        lattice=s.lattice,
-        atomic_numbers=s.atomic_numbers,
-        frac_coords=wrap_frac(unwrapped),
-    )
-    # exact whatever the displacement: a site may cross a face by a whole cell
-    return view, np.rint(unwrapped - view.frac_coords).astype(np.int64)
+        return s, shift
+    return CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers,
+                            frac_coords=frac), shift
 
 
 def random_perturb(s: CrystalStructure, rng: np.random.Generator, max_disp: float) -> CrystalStructure:
@@ -87,26 +103,24 @@ def _mask_count(n: int, fraction: float) -> int:
     return max(1, int(math.floor(fraction * n + 0.5)))
 
 
+def _drop(mask: np.ndarray, rng: np.random.Generator, fraction: float) -> bool:
+    """Zero max(1, round(fraction*n)) uniformly chosen of the n entries of ``mask``; whether any."""
+    m = _mask_count(mask.shape[0], fraction)
+    if m:
+        mask[rng.choice(mask.shape[0], size=m, replace=False)] = 0
+    return m > 0
+
+
 def mask_atoms(g: CrystalGraph, rng: np.random.Generator, fraction: float) -> CrystalGraph:
     """Zero the node_mask of max(1, round(fraction*N)) uniformly chosen nodes."""
-    m = _mask_count(g.n_nodes, fraction)
-    if m == 0:
-        return g
-    chosen = rng.choice(g.n_nodes, size=m, replace=False)
     mask = g.node_mask.copy()
-    mask[chosen] = 0
-    return with_node_mask(g, mask)
+    return with_node_mask(g, mask) if _drop(mask, rng, fraction) else g
 
 
 def mask_edges(g: CrystalGraph, rng: np.random.Generator, fraction: float) -> CrystalGraph:
     """Zero the edge_mask of max(1, round(fraction*|E|)) uniformly chosen edges."""
-    m = _mask_count(g.n_edges, fraction)
-    if m == 0:
-        return g
-    chosen = rng.choice(g.n_edges, size=m, replace=False)
     mask = g.edge_mask.copy()
-    mask[chosen] = 0
-    return with_edge_mask(g, mask)
+    return with_edge_mask(g, mask) if _drop(mask, rng, fraction) else g
 
 
 def _displacement(cfg: AugmentConfig) -> float:
@@ -120,13 +134,16 @@ def _augment(
     basis: GaussianBasis,
     rng: np.random.Generator,
 ) -> CrystalGraph:
-    view, shift = _perturb(s, rng, _displacement(cfg))
-    g = build_graph(view, view_neighbor_list(candidates, view, shift), basis)
+    """One view of ``s``, built as the module docstring says."""
+    frac, shift = _displace(s.frac_coords, candidates.inv_lattice, rng, _displacement(cfg))
+    nl = view_neighbor_list(candidates, frac, shift)
+    node_mask = np.ones(s.n_sites, dtype=np.int8)
+    edge_mask = np.ones(nl.n_edges, dtype=np.int8)
     if cfg.enable_atom_mask:
-        g = mask_atoms(g, rng, cfg.mask_fraction)
+        _drop(node_mask, rng, cfg.mask_fraction)
     if cfg.enable_edge_mask:
-        g = mask_edges(g, rng, cfg.mask_fraction)
-    return g
+        _drop(edge_mask, rng, cfg.mask_fraction)
+    return _graph(s.atomic_numbers, nl, basis, node_mask, edge_mask)
 
 
 def view_candidates(s: CrystalStructure, cfg: AugmentConfig,

@@ -69,7 +69,8 @@ class CrystalGraph:
     augmentations.  Only shapes and edge endpoints are checked here; mask
     values are checked where masks come in (``with_node_mask``,
     ``with_edge_mask``, ``graph_from_json``), and atomic numbers where a
-    graphs.jsonl line comes in, not on every merge or copy.
+    graphs.jsonl line comes in, not on every merge or copy.  Augmented
+    views draw their own masks and are not checked again.
     """
 
     node_elem: np.ndarray  # (N,) int64 atomic numbers
@@ -120,12 +121,19 @@ def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = Ga
 
     Both masks start all-ones, so they need no value check here.
     """
+    return _graph(s.atomic_numbers, nl, basis, np.ones(s.n_sites, dtype=np.int8),
+                  np.ones(nl.n_edges, dtype=np.int8))
+
+
+def _graph(atomic_numbers: np.ndarray, nl: NeighborList, basis: GaussianBasis,
+           node_mask: np.ndarray, edge_mask: np.ndarray) -> CrystalGraph:
+    """``build_graph``'s graph with the given int8 masks of 0s and 1s, which are not checked."""
     return CrystalGraph(
-        node_elem=s.atomic_numbers.copy(),
-        node_mask=np.ones(s.n_sites, dtype=np.int8),
+        node_elem=atomic_numbers.copy(),
+        node_mask=node_mask,
         edges=np.stack([nl.src, nl.dst], axis=1).astype(np.int64),
         dist=nl.dist,
-        edge_mask=np.ones(nl.n_edges, dtype=np.int8),
+        edge_mask=edge_mask,
         basis=basis,
     )
 
@@ -147,11 +155,13 @@ def _checked_ints(values, name: str, low: int, high: int, dtype=np.int64,
 
 
 def with_node_mask(g: CrystalGraph, node_mask: np.ndarray) -> CrystalGraph:
-    return replace(g, node_mask=_checked_ints(node_mask, "node_mask", 0, 1, np.int8))
+    return replace(g, node_mask=_checked_ints(node_mask, "node_mask", 0, 1, np.int8,
+                                              g.node_mask.shape))
 
 
 def with_edge_mask(g: CrystalGraph, edge_mask: np.ndarray) -> CrystalGraph:
-    return replace(g, edge_mask=_checked_ints(edge_mask, "edge_mask", 0, 1, np.int8))
+    return replace(g, edge_mask=_checked_ints(edge_mask, "edge_mask", 0, 1, np.int8,
+                                              g.edge_mask.shape))
 
 
 def merge_graphs(graphs: list[CrystalGraph]) -> tuple[CrystalGraph, np.ndarray]:

@@ -286,9 +286,13 @@ class CandidateList:
     for.  ``image`` is relative to the structure's own sites; ``counts``,
     ``images`` and ``image_carts`` describe the cutoff's image block,
     which every view shares because perturbation leaves the lattice alone.
+    ``lattice`` is the structure's checked lattice, ``inv_lattice`` its
+    inverse, which maps a view's cartesian displacements to fractional ones.
     """
 
     cfg: NeighborConfig
+    lattice: np.ndarray  # (3, 3) float64
+    inv_lattice: np.ndarray  # (3, 3) float64
     src: np.ndarray  # (K,) int32
     dst: np.ndarray  # (K,) int32
     image: np.ndarray  # (K, 3) int32
@@ -318,18 +322,20 @@ def candidate_list(s: CrystalStructure, cfg: NeighborConfig, max_disp: float) ->
                                     reach, cfg.max_neighbors, 2.0 * skin + slack)
     dist = np.sqrt(d2)
     keep = dist <= _kth_smallest(src, dist, cfg.max_neighbors, s.n_sites)[src] + 2.0 * skin + slack
-    return CandidateList(cfg=cfg, src=src[keep].astype(np.int32), dst=dst[keep].astype(np.int32),
+    return CandidateList(cfg=cfg, lattice=lattice, inv_lattice=np.linalg.inv(lattice),
+                         src=src[keep].astype(np.int32), dst=dst[keep].astype(np.int32),
                          image=skin_images[idx[keep]].astype(np.int32),
                          counts=np.array(counts, dtype=np.int64), images=images,
                          image_carts=image_carts)
 
 
-def view_neighbor_list(c: CandidateList, view: CrystalStructure, shift: np.ndarray) -> NeighborList:
-    """``build_neighbor_list(view, c.cfg)`` from the candidates of the unperturbed structure.
+def view_neighbor_list(c: CandidateList, frac_coords: np.ndarray, shift: np.ndarray) -> NeighborList:
+    """A view's ``build_neighbor_list`` under ``c.cfg``, from the structure's candidates.
 
-    The view's sites are the structure's sites displaced by at most the
-    list's ``max_disp`` and then wrapped into the cell by subtracting the
-    integer translations ``shift`` (N, 3).
+    The view's sites ``frac_coords`` (N, 3) are the structure's sites
+    displaced by at most the list's ``max_disp`` and then wrapped into the
+    cell by subtracting the integer translations ``shift`` (N, 3).  The
+    view shares the structure's lattice, checked when the list was built.
     """
     image = c.image + (shift[c.dst] - shift[c.src])
     inside = (np.abs(image) <= c.counts).all(axis=1)
@@ -340,9 +346,9 @@ def view_neighbor_list(c: CandidateList, view: CrystalStructure, shift: np.ndarr
     width = 2 * c.counts + 1
     corner = image + c.counts
     idx = (corner[:, 0] * width[1] + corner[:, 1]) * width[2] + corner[:, 2]
-    cart = view.frac_coords @ _check_lattice(view.lattice)
+    cart = frac_coords @ c.lattice
     # the dense kernel's arithmetic, operand for operand, on these pairs only
     d2 = _sum_of_squares(lambda a: (cart[dst, a] + c.image_carts[idx, a], cart[src, a]))
     within = d2 <= c.cfg.cutoff * c.cfg.cutoff
     return _select(src[within], dst[within], idx[within], d2[within], c.images,
-                   c.cfg.max_neighbors, view.n_sites)
+                   c.cfg.max_neighbors, frac_coords.shape[0])

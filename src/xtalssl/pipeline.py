@@ -115,30 +115,57 @@ def rng_for(seed: int, purpose_id: int) -> np.random.Generator:
 
 
 class Adam:
-    """Standard Adam with bias-corrected moments."""
+    """Standard Adam with bias-corrected moments, over every tensor as one flat vector.
+
+    The moments ``m`` and ``v`` are flat float64 vectors, updated in place;
+    a step concatenates the gradients once (``gradient``).  Element for
+    element, the operations are those of a per-tensor Adam, in its order.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, tensors: list[Tensor], lr: float):
         self.tensors = list(tensors)
         self.lr = float(lr)
-        self.m = [np.zeros_like(t.data) for t in self.tensors]
-        self.v = [np.zeros_like(t.data) for t in self.tensors]
+        self.m = np.zeros(sum(t.data.size for t in self.tensors))
+        self.v = np.zeros_like(self.m)
         self.step_count = 0
 
+    def gradient(self) -> np.ndarray:
+        """The tensors' gradients as one flat vector, in order; zeros for a tensor with none."""
+        return np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                               for t in self.tensors])
+
     def step(self) -> None:
-        self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        self._step(self.gradient())
+
+    def _step(self, g: np.ndarray) -> None:
+        """One update from ``g``, the ``gradient()`` the tensors hold now, overwritten as scratch."""
         for i, t in enumerate(self.tensors):
             if t.grad is None:
                 raise MissingGradient(f"parameter {i} has no gradient")
-            g = t.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            t.data = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
+        update = np.multiply(g, 1.0 - self.beta1)
+        self.m *= self.beta1
+        self.m += update
+        g *= g
+        g *= 1.0 - self.beta2
+        self.v *= self.beta2
+        self.v += g
+        # lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(self.m, bc1, out=update)
+        update *= self.lr
+        denom = np.divide(self.v, bc2, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        start = 0
+        for t in self.tensors:
+            end = start + t.data.size
+            t.data = t.data - update[start:end].reshape(t.data.shape)
+            start = end
 
 
 def _check_lr_and_seed(stage: str, cfg) -> None:
@@ -429,13 +456,12 @@ def _fit(stage: str, params: ModelParams, tcfg: PretrainConfig | FinetuneConfig,
             with Tape() as tape, np.errstate(all="ignore"):
                 loss = batch_loss(batch_idx)
                 tape.backward(loss)
-            if not (np.isfinite(loss.data).all()
-                    and all(t.grad is None or np.isfinite(t.grad).all()
-                            for t in params.trainable())):
+            grad = adam.gradient()
+            if not (np.isfinite(loss.data).all() and np.isfinite(grad).all()):
                 ids = ", ".join(entries[i].id for i in batch_idx)
                 raise NonFiniteLoss(f"{stage} epoch {epoch} batch {number}: non-finite loss "
                                     f"or gradient on entries {ids}")
-            adam.step()
+            adam._step(grad)
             batch_losses.append(float(loss.data))
         if not batch_losses:
             raise BatchTooSmall(f"training split yields no batch of size >= {drop_below}")

@@ -160,8 +160,14 @@ class SplitSpec:
 
 
 def wrap_frac(frac: np.ndarray) -> np.ndarray:
-    """Wrap fractional coordinates into [0, 1) as x - floor(x)."""
-    return np.asarray(frac, dtype=np.float64) - np.floor(frac)
+    """Wrap an array of fractional coordinates into [0, 1) as x - floor(x), 0 where that rounds to 1.
+
+    A tiny negative x, such as -1e-17, gives 1 - 1e-17, which rounds to 1.
+    The fold makes the wrap idempotent.
+    """
+    out = np.asarray(frac, dtype=np.float64) - np.floor(frac)
+    out[out == 1.0] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

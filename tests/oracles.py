@@ -413,3 +413,36 @@ def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-6,
             if abs(numeric - ana[i]) > abs_tol + rel_tol * max(abs(numeric), abs(ana[i])):
                 failures.append((pi, i, numeric, float(ana[i])))
     return failures
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+class PerTensorAdam:
+    """Adam with one pair of moment arrays per tensor, each updated out of place.
+
+    ``pipeline.Adam`` keeps flat moments and updates them in place; it must
+    give these weights and moments bit for bit.
+    """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors: list[Tensor], lr: float):
+        self.tensors = list(tensors)
+        self.lr = float(lr)
+        self.m = [np.zeros_like(t.data) for t in self.tensors]
+        self.v = [np.zeros_like(t.data) for t in self.tensors]
+        self.step_count = 0
+
+    def step(self) -> None:
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
+        for i, t in enumerate(self.tensors):
+            g = t.grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            t.data = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

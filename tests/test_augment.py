@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from xtalssl.augment import (
     MAX_DISPLACEMENT,
@@ -15,7 +17,7 @@ from xtalssl.augment import (
 )
 from xtalssl import geometry
 from xtalssl.featurize import GaussianBasis, build_graph
-from xtalssl.geometry import NeighborConfig, build_neighbor_list
+from xtalssl.geometry import NeighborConfig, _axis_spans, build_neighbor_list, view_neighbor_list
 from xtalssl.structure_io import CrystalStructure
 
 from oracles import periodic_distance
@@ -229,3 +231,77 @@ class TestMakeViews:
             ref = build_graph(p, build_neighbor_list(p, NCFG), BASIS)
             npt.assert_array_equal(v.edges, ref.edges)
             npt.assert_array_equal(v.edge_feat, ref.edge_feat)
+
+
+_FRAC = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def small_cells(draw):
+    """One-site cubic cells, whose self images tie, or skewed cells of two to eight sites."""
+    if draw(st.booleans()):
+        return CrystalStructure(lattice=draw(st.floats(2.0, 4.0)) * np.eye(3),
+                                atomic_numbers=[draw(st.integers(1, 100))],
+                                frac_coords=[[draw(_FRAC) for _ in range(3)]])
+    a, b, c = (draw(st.floats(3.0, 6.0)) for _ in range(3))
+    bx, cx, cy = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    n = draw(st.integers(2, 8))
+    return CrystalStructure(lattice=[[a, 0.0, 0.0], [bx, b, 0.0], [cx, cy, c]],
+                            atomic_numbers=[draw(st.integers(1, 100)) for _ in range(n)],
+                            frac_coords=[[draw(_FRAC) for _ in range(3)] for _ in range(n)])
+
+
+def _public_chain(s, cfg, ncfg, basis, rng):
+    """Two views through the public functions, in the draw order make_views keeps."""
+    candidates = view_candidates(s, cfg, ncfg)
+    views = []
+    for _ in range(2):
+        view = random_perturb(s, rng, cfg.max_displacement if cfg.enable_perturb else 0.0)
+        # each site moved by less than half a cell, so this is the shift that wrapped it
+        shift = np.rint(s.frac_coords - view.frac_coords).astype(np.int64)
+        g = build_graph(view, view_neighbor_list(candidates, view.frac_coords, shift), basis)
+        if cfg.enable_atom_mask:
+            g = mask_atoms(g, rng, cfg.mask_fraction)
+        if cfg.enable_edge_mask:
+            g = mask_edges(g, rng, cfg.mask_fraction)
+        views.append(g)
+    return views
+
+
+class TestViewsAreThePublicChain:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_cells(), st.booleans(), st.sampled_from([0.0, 0.05, 0.3]), st.booleans(),
+           st.booleans(), st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([1.0, 3.0, 6.0]),
+           st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_make_views_equals_the_chain(self, s, perturb, delta, atom_mask, edge_mask,
+                                         fraction, cutoff, k, seed):
+        cfg = AugmentConfig(enable_perturb=perturb, max_displacement=delta,
+                            enable_atom_mask=atom_mask, enable_edge_mask=edge_mask,
+                            mask_fraction=fraction)
+        assume(cfg.any_enabled)
+        assume(delta * max(_axis_spans(s.lattice)) < 0.5)
+        ncfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
+        rng, chain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = make_views(s, cfg, ncfg, BASIS, rng)
+        want = _public_chain(s, cfg, ncfg, BASIS, chain_rng)
+        for g, w in zip(got, want):
+            for field in ("node_elem", "node_mask", "edges", "dist", "edge_mask"):
+                a, b = getattr(g, field), getattr(w, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                assert a.tobytes() == b.tobytes(), field
+            assert g.basis == w.basis
+        assert rng.bit_generator.state == chain_rng.bit_generator.state
+
+    def test_covers_a_cell_with_no_edge(self):
+        # the 2 A cell's nearest self images lie beyond a 1 A cutoff, in every view
+        s = CrystalStructure(lattice=2.0 * np.eye(3), atomic_numbers=[11],
+                             frac_coords=[[0.1, 0.2, 0.3]])
+        ncfg = NeighborConfig(cutoff=1.0, max_neighbors=4)
+        for fraction in (0.0, 0.1, 1.0):
+            cfg = AugmentConfig(max_displacement=0.3, mask_fraction=fraction)
+            got = make_views(s, cfg, ncfg, BASIS, np.random.default_rng(0))
+            want = _public_chain(s, cfg, ncfg, BASIS, np.random.default_rng(0))
+            for g, w in zip(got, want):
+                assert g.n_edges == w.n_edges == 0
+                npt.assert_array_equal(g.node_mask, w.node_mask)
+                assert g.node_mask.tolist() == [0 if fraction else 1]

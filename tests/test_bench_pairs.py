@@ -1,11 +1,13 @@
 """The verdicts ``tools/bench_pairs.py`` writes into each BENCH_*.json summary."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -81,3 +83,39 @@ def test_a_spread_within_the_bound_is_resolved(better):
     result = bench_pairs.compare(PARENT, list(reversed(PARENT)), better)
     assert not bench_pairs.unresolved(result, better, 0.25)
     assert bench_pairs.unresolved(result, better, 0.04)
+
+
+def test_main_prints_one_row_per_workload_and_metric(tmp_path, monkeypatch, capsys):
+    # canned runs, no benchmark: the change is 10% faster at pretraining and
+    # reads the parent's values on every other metric
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = iter(range(1000))
+
+    def run_once(checkout, workload, seed):
+        i = next(calls)
+        pretrain = 100.0 + i // 2 + (10.0 if checkout == str(ROOT) else 0.0)
+        return {"correct": True, "failed": 0, "attempted": 4,
+                "metrics": {n: {"value": pretrain if n == "pretrain_xtals_per_s" else 50.0}
+                            for n in names},
+                "environment": {"git_sha": checkout[-6:]}, "seconds": 20, "wall_s": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(ROOT), "--workloads",
+                             "toy5", "tric", "--seeds", "3", "--pairs", "4", "--title", "canned",
+                             "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    table = printed[-(1 + 2 * len(names)):]
+    assert table[0].split() == ["workload", "seed", "metric", "parent_median", "parent_iqr",
+                                "change_median", "ratio", "wins", "claim_rule_met",
+                                "within_bound", "unresolved"]
+    rows = [row.split() for row in table[1:]]
+    assert [(r[0], r[1], r[2]) for r in rows] == [(w, "3", n) for w in ("toy5", "tric")
+                                                  for n in names]
+    pretrain = rows[names.index("pretrain_xtals_per_s")]
+    # toy5 parent runs 100, 101, 102, 103 against the change's 110..113
+    assert pretrain[3:] == ["101.5", "1.5", "111.5", "1.099", "4/4", "True", "True", "False"]
+    flat = rows[names.index("setup_s")]
+    assert flat[3:] == ["50", "0", "50", "1.000", "0/4", "False", "True", "False"]
+    assert json.loads(out.read_text())["runs"][0]["metrics"]["pretrain_xtals_per_s"][
+        "claim_rule_met"]

@@ -191,11 +191,13 @@ class TestMasks:
 
     def test_mask_validation(self):
         g = self.g()
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphFormatError, match="node_mask must hold integers in"):
             with_node_mask(g, np.full(8, 2, dtype=np.int8))
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphFormatError, match=r"edge_mask has shape \(5,\), not \(48,\)"):
             with_edge_mask(g, np.ones(5, dtype=np.int8))
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphFormatError, match=r"node_mask has shape \(3,\), not \(8,\)"):
+            with_node_mask(g, np.ones(3, dtype=np.int8))
+        with pytest.raises(GraphFormatError, match="edge_mask must hold integers in"):
             with_edge_mask(g, np.full(48, -1))
 
 

@@ -236,7 +236,7 @@ def _check_views(s, cfg, kind, seed):
     rng = np.random.default_rng(seed)
     for _ in range(2):  # one list serves both views
         view, shift = _perturb(s, rng, max_disp)
-        _assert_same_list(view_neighbor_list(candidates, view, shift),
+        _assert_same_list(view_neighbor_list(candidates, view.frac_coords, shift),
                           build_neighbor_list(view, cfg))
 
 
@@ -264,7 +264,8 @@ class TestCandidateList:
         view = CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers,
                                 frac_coords=(cart + moves) / a)
         cfg = NeighborConfig(cutoff=6.0, max_neighbors=1)
-        got = view_neighbor_list(candidate_list(s, cfg, delta), view, np.zeros((3, 3), np.int64))
+        got = view_neighbor_list(candidate_list(s, cfg, delta), view.frac_coords,
+                                 np.zeros((3, 3), np.int64))
         want = build_neighbor_list(view, cfg)
         assert want.dst[0] == 2  # the pair 3 * delta past i's nearest distance
         _assert_same_list(got, want)
@@ -276,7 +277,7 @@ class TestCandidateList:
         want = supercell_neighbors(s.lattice, s.frac_coords, cfg.cutoff, cfg.max_neighbors)
         candidates = candidate_list(s, cfg, 0.0)
         for nl in (build_neighbor_list(s, cfg),
-                   view_neighbor_list(candidates, s, np.zeros((1, 3), np.int64))):
+                   view_neighbor_list(candidates, s.frac_coords, np.zeros((1, 3), np.int64))):
             assert [tuple(int(v) for v in m) for m in nl.image] == [e[2] for e in want]
             npt.assert_array_equal(nl.dist, [e[3] for e in want])
 
@@ -290,7 +291,7 @@ class TestCandidateList:
         for _ in range(10):
             view, shift = _perturb(s, rng, 3.0)
             shifts.append(shift)
-            _assert_same_list(view_neighbor_list(candidates, view, shift),
+            _assert_same_list(view_neighbor_list(candidates, view.frac_coords, shift),
                               build_neighbor_list(view, cfg))
         assert np.abs(shifts).max() >= 1
 
@@ -336,7 +337,7 @@ def _check_against_dense(s, cfg, kind, seed):
     for field in ("src", "dst", "image"):
         assert np.array_equal(getattr(candidates, field), getattr(dense, field)), field
     view, shift = _perturb(s, np.random.default_rng(seed), max_disp)
-    _assert_same_list(view_neighbor_list(candidates, view, shift), dense_neighbor_list(view, cfg))
+    _assert_same_list(view_neighbor_list(candidates, view.frac_coords, shift), dense_neighbor_list(view, cfg))
 
 
 class TestTwoPassSearch:

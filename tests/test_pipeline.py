@@ -67,7 +67,7 @@ from xtalssl.structure_io import (
 )
 from xtalssl.toydata import gen_toy_dataset
 
-from oracles import mul, scale, sum_all
+from oracles import PerTensorAdam, mul, scale, sum_all
 
 # small enough that every pipeline test stays in the sub-second range
 BASIS = GaussianBasis(d_min=0.0, d_max=4.5, step=0.5)
@@ -143,6 +143,41 @@ class TestAdam:
         t.grad = np.array([7.0])
         Adam([t], lr=0.0).step()
         npt.assert_array_equal(t.data, [3.0])
+
+    @pytest.mark.parametrize("lr", [0.05, 1e-3, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_update_is_the_per_tensor_update_bit_for_bit(self, seed, lr):
+        rng = np.random.default_rng(seed)
+        shapes = [(3, 2), (5,), (), (4, 1, 3), (1,), (7, 7)]
+        weights = [rng.normal(size=shape) for shape in shapes]
+        flat = [Tensor(w.copy(), requires_grad=True) for w in weights]
+        per = [Tensor(w.copy(), requires_grad=True) for w in weights]
+        opt, ref = Adam(flat, lr), PerTensorAdam(per, lr)
+        for _ in range(6):
+            # gradients across many magnitudes, some exactly zero
+            for a, b in zip(flat, per):
+                g = rng.normal(size=a.shape) * 10.0 ** rng.integers(-150, 150, size=a.shape)
+                g = np.where(rng.uniform(size=a.shape) < 0.1, 0.0, g)
+                a.grad, b.grad = g.copy(), g.copy()
+            opt.step()
+            ref.step()
+            for a, b in zip(flat, per):
+                assert a.data.shape == b.data.shape
+                assert a.data.tobytes() == b.data.tobytes()
+            for moment, moments in ((opt.m, ref.m), (opt.v, ref.v)):
+                assert moment.tobytes() == np.concatenate([x.ravel() for x in moments]).tobytes()
+
+    def test_gradient_is_one_flat_vector_with_zeros_where_none(self):
+        a = Tensor(np.zeros((2, 2)), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        a.grad = np.arange(4.0).reshape(2, 2)
+        opt = Adam([a, b], lr=0.1)
+        npt.assert_array_equal(opt.gradient(), [0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
+        assert opt.gradient() is not a.grad
+        with pytest.raises(MissingGradient, match="parameter 1 has no gradient"):
+            opt.step()
+        assert opt.step_count == 0
+        npt.assert_array_equal(a.data, np.zeros((2, 2)))
 
 
 class TestSeedFanOut:

@@ -121,6 +121,26 @@ class TestCrystalStructure:
         x = np.array([[-1.75, 0.0, 2.5]])
         npt.assert_array_equal(wrap_frac(x), x - np.floor(x))
 
+    def test_tiny_negative_coordinate_wraps_to_zero(self):
+        # -1e-17 - floor(-1e-17) = 1 - 1e-17 rounds to 1.0
+        s = CrystalStructure(lattice=np.eye(3), atomic_numbers=[1],
+                             frac_coords=[[-1e-17, 0.5, 0.25]])
+        assert s.frac_coords.tolist() == [[0.0, 0.5, 0.25]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(-1e-15, 0.0), st.integers(-3, 3).map(float)),
+                    min_size=1, max_size=12))
+    def test_wrap_frac_lands_in_the_unit_interval(self, values):
+        x = np.array(values)
+        got = wrap_frac(x)
+        assert ((got >= 0.0) & (got < 1.0)).all()
+        plain = x - np.floor(x)
+        npt.assert_array_equal(got[plain < 1.0], plain[plain < 1.0])
+        # idempotent, and bit for bit the old x - floor(x) applied twice
+        assert wrap_frac(got).tobytes() == got.tobytes()
+        assert (plain - np.floor(plain)).tobytes() == got.tobytes()
+
 
 class TestParseCif:
     def test_cubic_p1(self):

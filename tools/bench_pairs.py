@@ -15,6 +15,11 @@ raw call times (``samples.<phase>.wall_s`` in the run's
 ``perfbench/_out`` file, wall time less the in-call probes) and the same
 summary of those.
 
+After the pairs the script prints one row per workload, seed and
+end-to-end metric: the parent's median and interquartile range, the
+change's median, their ratio, the pairs the change won and the three
+verdicts below.
+
 Each summary states up to three verdicts:
 
 - ``claim_rule_met``: the change wins at least nine tenths of the pairs,
@@ -106,6 +111,23 @@ def unresolved(result: dict, better: str, bound: float) -> bool:
     return max(change["runs"]) >= min(parent["runs"])
 
 
+def table(runs: list[dict]) -> str:
+    """One row per workload, seed and end-to-end metric of ``runs``, as ``main`` records them."""
+    rows = [("workload", "seed", "metric", "parent_median", "parent_iqr", "change_median",
+             "ratio", "wins", "claim_rule_met", "within_bound", "unresolved")]
+    for run in runs:
+        for name, m in run["metrics"].items():
+            parent = m["parent"]
+            rows.append((run["workload"], str(run["seed"]), name, f"{parent['median']:.4g}",
+                         f"{parent['q3'] - parent['q1']:.3g}", f"{m['change']['median']:.4g}",
+                         f"{m['median_ratio_change_over_parent']:.3f}",
+                         f"{m['change_wins']}/{run['pairs']}", str(m["claim_rule_met"]),
+                         str(m["within_bound"]), str(m["unresolved"])))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                     for row in rows)
+
+
 def cpu_model() -> str | None:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -185,6 +207,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
+    print(table(runs))
     return 0
 
 
