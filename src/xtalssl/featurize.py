@@ -105,9 +105,13 @@ class CrystalGraph:
 
 
 def gaussian_expand(dist, basis: GaussianBasis) -> np.ndarray:
-    """exp(-(d - mu_k)^2 / var) in (0, 1] for each distance: (...,) -> (..., K).
+    """exp(-(d - mu_k)^2 / var) in [0, 1] for each distance: (...,) -> (..., K).
 
-    Each step works in place on the one fresh (..., K) buffer.
+    Far tails underflow: past |d - mu_k| = 26.6 sqrt(var) (5.32 A at the
+    default var) a value is subnormal, below DBL_MIN, and past 27.3 sqrt(var)
+    (5.46 A) exactly 0.  They are returned as they are; ``model.encode``
+    zeroes the subnormal ones in its own copy.  Each step works in place on
+    the one fresh (..., K) buffer.
     """
     out = np.subtract(np.asarray(dist, dtype=np.float64)[..., None], basis.centers)
     np.multiply(out, out, out=out)

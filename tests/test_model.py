@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from xtalssl import model as model_module
 from xtalssl.autodiff import (
     ShapeMismatch,
     Tape,
@@ -23,6 +24,7 @@ from xtalssl.featurize import (
     with_node_mask,
 )
 from xtalssl.geometry import NeighborConfig, build_neighbor_list
+from xtalssl.loss import mse_loss
 from xtalssl.model import (
     ConfigMismatch,
     CorruptCheckpoint,
@@ -40,6 +42,7 @@ from xtalssl.model import (
     regress,
     save_checkpoint,
 )
+from xtalssl.pipeline import Adam
 from xtalssl.structure_io import CrystalStructure
 from xtalssl.toydata import gen_toy_dataset
 
@@ -53,6 +56,7 @@ from oracles import (
 )
 
 SMALL = ModelConfig(hidden_dim=5, n_conv=2, proj_dim=4, head_hidden=3, edge_feat_dim=41)
+TINY = np.finfo(np.float64).tiny  # DBL_MIN
 
 
 def single_atom_graph(a=1.0, z=29, cutoff=1.1):
@@ -331,6 +335,73 @@ class TestMaskSemantics:
         got = encode(p, gm).data
         npt.assert_allclose(got, manual_encode(p, gm), rtol=1e-12, atol=1e-12)
         assert np.isfinite(got).all()
+
+
+def subnormal_count(a):
+    return int(((a != 0) & (np.abs(a) < TINY)).sum())
+
+
+def subnormal_cells():
+    # a one-site cubic cell at a = 5.38 A: its 6 edges at 5.38 A and 6 at
+    # 7.61 A each reach one center so far off that the feature is subnormal
+    graphs = [single_atom_graph(a=5.38, z=z, cutoff=8.0) for z in (29, 11)]
+    assert [subnormal_count(g.edge_feat) for g in graphs] == [12, 12]
+    merged, seg = merge_graphs(graphs)
+    mask = np.ones(merged.n_edges, dtype=np.int8)
+    mask[[0, 13]] = 0
+    return with_edge_mask(merged, mask), seg
+
+
+class TestSubnormalTails:
+    def test_every_conv_layer_reads_no_subnormal_edge_feature(self, monkeypatch):
+        seen = []
+
+        def spy(h, src, dst, edge_feat, *rest):
+            seen.append(subnormal_count(edge_feat))
+            return gated_conv(h, src, dst, edge_feat, *rest)
+
+        monkeypatch.setattr(model_module, "gated_conv", spy)
+        g, seg = subnormal_cells()
+        encode(init_params(SMALL, np.random.default_rng(44)), g, seg, 2)
+        assert seen == [0] * SMALL.n_conv
+
+    def test_outputs_and_adam_step_equal_the_unflushed_path(self):
+        # the unflushed path feeds gated_conv the masked expansion as it is:
+        # latent, loss and one Adam step are bitwise equal; a gradient entry
+        # may differ only where both sides are below 1e-290
+        g, seg = subnormal_cells()
+        target = np.array([[0.3], [-1.2]])
+
+        def unflushed_encode(p):
+            h = scaled_gather(p.elem_embed, g.node_elem - 1, g.node_mask.astype(np.float64))
+            feat = g.edge_feat * g.edge_mask[:, None]
+            for conv in p.convs:
+                h = gated_conv(h, g.edges[:, 0], g.edges[:, 1], feat,
+                               conv.w_f, conv.b_f, conv.w_s, conv.b_s)
+            return scaled_segment_sum(h, _readout_weights(g.node_mask, seg, 2), seg, 2)
+
+        def run(flushed):
+            p = init_params(SMALL, np.random.default_rng(45), with_projector=False)
+            with Tape() as tape:
+                latent = encode(p, g, seg, 2) if flushed else unflushed_encode(p)
+                loss = mse_loss(regress(p, latent), target)
+                tape.backward(loss)
+            grads = [t.grad for _, t in p.named_tensors()]
+            Adam(p.trainable(), lr=1e-3).step()
+            return latent.data, loss.data, grads, [t.data for _, t in p.named_tensors()]
+
+        latent, loss, grads, weights = run(True)
+        want_latent, want_loss, want_grads, want_weights = run(False)
+        assert latent.tobytes() == want_latent.tobytes()
+        assert loss.tobytes() == want_loss.tobytes()
+        for a, b in zip(grads, want_grads, strict=True):
+            assert ((a == b) | ((np.abs(a) < 1e-290) & (np.abs(b) < 1e-290))).all()
+        # the unflushed path does carry subnormal gradient entries; this one none
+        assert sum(map(subnormal_count, want_grads)) > 0
+        assert sum(map(subnormal_count, grads)) == 0
+        for a, b in zip(weights, want_weights, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert subnormal_count(g.edge_feat) == 24  # encode flushed its own copy only
 
 
 class TestBatching:
