@@ -6,15 +6,23 @@ masking zeroes mask bits and never touches topology or feature values.
 Both views of a structure take their neighbor lists from one skin
 candidate list (``view_candidates``, through ``geometry.candidate_list``),
 which gives each view exactly the list a fresh search of it would.  A
-caller may build that list once and pass it to every ``make_views`` call
-of the structure, as pretraining does.
+caller may build that list once and pass it to every call, as pretraining
+does; a list made under another neighbor config, or for a smaller
+displacement, is rejected.
 
-A view is the chain ``random_perturb``, neighbor list, ``build_graph``,
-``mask_atoms``, ``mask_edges``, with the same draws in the same order and
-the same arithmetic (``_displace``, ``_drop``), but built from arrays
-checked once per structure: the candidate list's lattice and its inverse,
-and masks the view draws itself.  It makes no ``CrystalStructure`` and
-checks no mask, and builds one graph.
+``batch_views`` builds views a and b of every structure of a batch and
+merges each side, in one pass.  Per view it does only what follows the
+random stream, in the chain's order, entry by entry, view a then view b:
+the displacement draws and the wrap (``_displace``), the node-mask draw
+and the edge-mask draw.  The edge-mask draw needs the view's edge count,
+which ``geometry.view_sites`` takes from the list's few boundary
+candidates alone.  Everything else runs once over all the batch's views
+(``geometry.view_neighbor_lists``): shifted images, distances, each
+source's nearest neighbors, the masks and the merged arrays.  Each side
+is ``merge_graphs`` of the chain ``random_perturb``,
+``build_neighbor_list``, ``build_graph``, ``mask_atoms``, ``mask_edges``
+run view by view, bit for bit, and the generator ends in the same state.
+``make_views`` is the one-structure case.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurize import CrystalGraph, GaussianBasis, _graph, with_edge_mask, with_node_mask
-from .geometry import CandidateList, NeighborConfig, candidate_list, view_neighbor_list
+from .featurize import CrystalGraph, GaussianBasis, with_edge_mask, with_node_mask
+from .geometry import CandidateList, NeighborConfig, candidate_list, view_neighbor_lists, view_sites
 from .structure_io import CrystalStructure, wrap_frac
 
 
@@ -103,47 +111,34 @@ def _mask_count(n: int, fraction: float) -> int:
     return max(1, int(math.floor(fraction * n + 0.5)))
 
 
-def _drop(mask: np.ndarray, rng: np.random.Generator, fraction: float) -> bool:
-    """Zero max(1, round(fraction*n)) uniformly chosen of the n entries of ``mask``; whether any."""
-    m = _mask_count(mask.shape[0], fraction)
-    if m:
-        mask[rng.choice(mask.shape[0], size=m, replace=False)] = 0
-    return m > 0
+def _dropped(n: int, rng: np.random.Generator, fraction: float) -> np.ndarray:
+    """max(1, round(fraction*n)) uniformly chosen of n indices, drawn without replacement."""
+    m = _mask_count(n, fraction)
+    return rng.choice(n, size=m, replace=False) if m else np.zeros(0, dtype=np.int64)
 
 
 def mask_atoms(g: CrystalGraph, rng: np.random.Generator, fraction: float) -> CrystalGraph:
     """Zero the node_mask of max(1, round(fraction*N)) uniformly chosen nodes."""
+    drop = _dropped(g.n_nodes, rng, fraction)
+    if not drop.size:
+        return g
     mask = g.node_mask.copy()
-    return with_node_mask(g, mask) if _drop(mask, rng, fraction) else g
+    mask[drop] = 0
+    return with_node_mask(g, mask)
 
 
 def mask_edges(g: CrystalGraph, rng: np.random.Generator, fraction: float) -> CrystalGraph:
     """Zero the edge_mask of max(1, round(fraction*|E|)) uniformly chosen edges."""
+    drop = _dropped(g.n_edges, rng, fraction)
+    if not drop.size:
+        return g
     mask = g.edge_mask.copy()
-    return with_edge_mask(g, mask) if _drop(mask, rng, fraction) else g
+    mask[drop] = 0
+    return with_edge_mask(g, mask)
 
 
 def _displacement(cfg: AugmentConfig) -> float:
     return cfg.max_displacement if cfg.enable_perturb else 0.0
-
-
-def _augment(
-    s: CrystalStructure,
-    cfg: AugmentConfig,
-    candidates: CandidateList,
-    basis: GaussianBasis,
-    rng: np.random.Generator,
-) -> CrystalGraph:
-    """One view of ``s``, built as the module docstring says."""
-    frac, shift = _displace(s.frac_coords, candidates.inv_lattice, rng, _displacement(cfg))
-    nl = view_neighbor_list(candidates, frac, shift)
-    node_mask = np.ones(s.n_sites, dtype=np.int8)
-    edge_mask = np.ones(nl.n_edges, dtype=np.int8)
-    if cfg.enable_atom_mask:
-        _drop(node_mask, rng, cfg.mask_fraction)
-    if cfg.enable_edge_mask:
-        _drop(edge_mask, rng, cfg.mask_fraction)
-    return _graph(s.atomic_numbers, nl, basis, node_mask, edge_mask)
 
 
 def view_candidates(s: CrystalStructure, cfg: AugmentConfig,
@@ -152,6 +147,77 @@ def view_candidates(s: CrystalStructure, cfg: AugmentConfig,
     if not cfg.any_enabled:
         raise NoAugmentationEnabled("at least one augmentation must be enabled")
     return candidate_list(s, neighbor_cfg, _displacement(cfg))
+
+
+def _check_candidates(c: CandidateList, s: CrystalStructure, cfg: AugmentConfig,
+                      neighbor_cfg: NeighborConfig) -> None:
+    """Reject a list that cannot hold every neighbor of every view of ``s`` under these configs."""
+    max_disp = _displacement(cfg)
+    if c.cfg != neighbor_cfg or c.max_disp < max_disp:
+        raise ValueError(f"candidate list built for {c.cfg} and max_disp {c.max_disp} cannot "
+                         f"serve views under {neighbor_cfg} and max_disp {max_disp}")
+    if c.n_candidates.shape[0] != s.n_sites:
+        raise ValueError(f"candidate list of {c.n_candidates.shape[0]} sites cannot serve "
+                         f"a structure of {s.n_sites}")
+
+
+def _side_mask(sizes: list[int], drops: list[np.ndarray]) -> np.ndarray:
+    """One side's int8 mask over its views' items, ``sizes[v]`` of view v, 0 at its ``drops[v]``."""
+    sizes = np.array(sizes)
+    mask = np.ones(sizes.sum(), dtype=np.int8)
+    mask[np.concatenate([d + o for d, o in zip(drops, np.cumsum(sizes) - sizes)])] = 0
+    return mask
+
+
+def batch_views(
+    structures: list[CrystalStructure],
+    cfg: AugmentConfig,
+    neighbor_cfg: NeighborConfig,
+    basis: GaussianBasis,
+    rng: np.random.Generator,
+    candidates: list[CandidateList] | None = None,
+) -> tuple[tuple[CrystalGraph, np.ndarray], tuple[CrystalGraph, np.ndarray]]:
+    """Views a and b of every structure, each side merged: ``merge_graphs`` of ``make_views``.
+
+    Returns (graph, segment ids) per side, as ``merge_graphs`` of the a
+    views and of the b views would, built as the module docstring says.
+    ``candidates`` holds ``view_candidates(s, cfg, neighbor_cfg)`` per
+    structure for a caller that holds them already; without it, this call
+    searches.  A list made under another neighbor config, or for a smaller
+    displacement, is a ValueError.
+    """
+    if not cfg.any_enabled:
+        raise NoAugmentationEnabled("at least one augmentation must be enabled")
+    if candidates is None:
+        candidates = [view_candidates(s, cfg, neighbor_cfg) for s in structures]
+    for s, c in zip(structures, candidates, strict=True):
+        _check_candidates(c, s, cfg, neighbor_cfg)
+    max_disp = _displacement(cfg)
+    # a mask that is off drops nothing and draws nothing, as at fraction 0
+    node_fraction = cfg.mask_fraction if cfg.enable_atom_mask else 0.0
+    edge_fraction = cfg.mask_fraction if cfg.enable_edge_mask else 0.0
+    views, node_drops, edge_drops = ([], []), ([], []), ([], [])
+    for s, c in zip(structures, candidates):
+        for side in (0, 1):
+            view = view_sites(c, *_displace(s.frac_coords, c.inv_lattice, rng, max_disp))
+            views[side].append(view)
+            node_drops[side].append(_dropped(s.n_sites, rng, node_fraction))
+            edge_drops[side].append(_dropped(view.n_edges, rng, edge_fraction))
+    nl = view_neighbor_lists(views[0] + views[1])
+    edges = np.stack([nl.src, nl.dst], axis=1)
+    n_nodes, n_edges = sum(s.n_sites for s in structures), sum(v.n_edges for v in views[0])
+    # view_neighbor_lists numbers the b views' sites after the a views'
+    edges[n_edges:] -= n_nodes
+    sizes = [s.n_sites for s in structures]
+    seg = np.repeat(np.arange(len(structures), dtype=np.int64), sizes)
+    merged = []
+    for side, part in enumerate((slice(None, n_edges), slice(n_edges, None))):
+        graph = CrystalGraph(
+            node_elem=np.concatenate([s.atomic_numbers for s in structures]),
+            node_mask=_side_mask(sizes, node_drops[side]), edges=edges[part], dist=nl.dist[part],
+            edge_mask=_side_mask([v.n_edges for v in views[side]], edge_drops[side]), basis=basis)
+        merged.append((graph, seg.copy()))
+    return merged[0], merged[1]
 
 
 def make_views(
@@ -164,11 +230,10 @@ def make_views(
 ) -> tuple[CrystalGraph, CrystalGraph]:
     """Two independently augmented graphs of the same structure, from one neighbor search.
 
-    ``candidates`` is ``view_candidates(s, cfg, neighbor_cfg)`` for a
-    caller that holds it already; without it, this call searches.
+    The one-structure case of ``batch_views``; ``candidates`` is
+    ``view_candidates(s, cfg, neighbor_cfg)`` for a caller that holds it
+    already.
     """
-    if candidates is None:
-        candidates = view_candidates(s, cfg, neighbor_cfg)
-    view_a = _augment(s, cfg, candidates, basis, rng)
-    view_b = _augment(s, cfg, candidates, basis, rng)
+    (view_a, _), (view_b, _) = batch_views([s], cfg, neighbor_cfg, basis, rng,
+                                           None if candidates is None else [candidates])
     return view_a, view_b

@@ -125,19 +125,12 @@ def build_graph(s: CrystalStructure, nl: NeighborList, basis: GaussianBasis = Ga
 
     Both masks start all-ones, so they need no value check here.
     """
-    return _graph(s.atomic_numbers, nl, basis, np.ones(s.n_sites, dtype=np.int8),
-                  np.ones(nl.n_edges, dtype=np.int8))
-
-
-def _graph(atomic_numbers: np.ndarray, nl: NeighborList, basis: GaussianBasis,
-           node_mask: np.ndarray, edge_mask: np.ndarray) -> CrystalGraph:
-    """``build_graph``'s graph with the given int8 masks of 0s and 1s, which are not checked."""
     return CrystalGraph(
-        node_elem=atomic_numbers.copy(),
-        node_mask=node_mask,
+        node_elem=s.atomic_numbers.copy(),
+        node_mask=np.ones(s.n_sites, dtype=np.int8),
         edges=np.stack([nl.src, nl.dst], axis=1).astype(np.int64),
         dist=nl.dist,
-        edge_mask=edge_mask,
+        edge_mask=np.ones(nl.n_edges, dtype=np.int8),
         basis=basis,
     )
 

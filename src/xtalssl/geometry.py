@@ -36,16 +36,25 @@ cutoff there, so within cutoff + 2 delta before.  The source's
 ``max_neighbors`` nearest pairs lie within D_i + 2 delta in the view, so
 every pair the view keeps, ties at its truncation distance included,
 does too, and lay within D_i + 4 delta before.  Both bounds carry a
-slack of 1e-9 * (cutoff + 2 delta) for rounding.  ``view_neighbor_list``
-recomputes the candidates' distances from the view's coordinates with
-the dense kernel's arithmetic and selects as ``build_neighbor_list``
-does, so both return the same arrays, bit for bit.
+slack of 1e-9 * (cutoff + 2 delta) for rounding.
+
+The same bound tells which candidates a view can lose.  One within
+cutoff - 2 delta - slack before lies within the cutoff, and inside the
+cutoff's image block, in every view.  The list records the others, its
+boundary candidates, so a view keeps per source min(max_neighbors,
+candidates - lost) edges, and only the boundary candidates' distances
+decide how many are lost (``view_sites``).  ``view_neighbor_lists`` then
+selects the neighbors of many views at once.  It recomputes every
+candidate's distance from its view's coordinates with the dense kernel's
+arithmetic and sorts each (view, source) row stably by distance, so each
+view gets the arrays ``build_neighbor_list`` returns for it, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,20 +291,28 @@ def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfi
 class CandidateList:
     """Pairs of one structure that can be neighbors in any view of it.
 
-    A view moves each site by at most the ``max_disp`` the list was built
-    for.  ``image`` is relative to the structure's own sites; ``counts``,
-    ``images`` and ``image_carts`` describe the cutoff's image block,
-    which every view shares because perturbation leaves the lattice alone.
-    ``lattice`` is the structure's checked lattice, ``inv_lattice`` its
-    inverse, which maps a view's cartesian displacements to fractional ones.
+    A view moves each site by at most ``max_disp``, the displacement the
+    list was built for, and is searched under ``cfg``.  ``image`` is
+    relative to the structure's own sites; ``counts``, ``images`` and
+    ``image_carts`` describe the cutoff's image block, which every view
+    shares because perturbation leaves the lattice alone.  ``lattice`` is
+    the structure's checked lattice, ``inv_lattice`` its inverse, which maps
+    a view's cartesian displacements to fractional ones.  Candidates come
+    grouped by source in (dst, lexicographic image) order, ``n_candidates``
+    of source i.  ``boundary`` indexes those farther than
+    cutoff - 2 max_disp - slack before, slack being 1e-9 * (cutoff +
+    2 max_disp): the only ones a view can lose.
     """
 
     cfg: NeighborConfig
+    max_disp: float
     lattice: np.ndarray  # (3, 3) float64
     inv_lattice: np.ndarray  # (3, 3) float64
     src: np.ndarray  # (K,) int32
     dst: np.ndarray  # (K,) int32
     image: np.ndarray  # (K, 3) int32
+    n_candidates: np.ndarray  # (N,) int64
+    boundary: np.ndarray  # (L,) int64, ascending
     counts: np.ndarray  # (3,) images per axis direction
     images: np.ndarray  # (M, 3) int64, lexicographic
     image_carts: np.ndarray  # (M, 3) float64
@@ -322,33 +339,118 @@ def candidate_list(s: CrystalStructure, cfg: NeighborConfig, max_disp: float) ->
                                     reach, cfg.max_neighbors, 2.0 * skin + slack)
     dist = np.sqrt(d2)
     keep = dist <= _kth_smallest(src, dist, cfg.max_neighbors, s.n_sites)[src] + 2.0 * skin + slack
-    return CandidateList(cfg=cfg, lattice=lattice, inv_lattice=np.linalg.inv(lattice),
-                         src=src[keep].astype(np.int32), dst=dst[keep].astype(np.int32),
+    src = src[keep]
+    return CandidateList(cfg=cfg, max_disp=max_disp, lattice=lattice,
+                         inv_lattice=np.linalg.inv(lattice), src=src.astype(np.int32),
+                         dst=dst[keep].astype(np.int32),
                          image=skin_images[idx[keep]].astype(np.int32),
+                         n_candidates=np.bincount(src, minlength=s.n_sites),
+                         boundary=np.flatnonzero(dist[keep] > cfg.cutoff - skin - slack),
                          counts=np.array(counts, dtype=np.int64), images=images,
                          image_carts=image_carts)
 
 
-def view_neighbor_list(c: CandidateList, frac_coords: np.ndarray, shift: np.ndarray) -> NeighborList:
-    """A view's ``build_neighbor_list`` under ``c.cfg``, from the structure's candidates.
+class ViewSites(NamedTuple):
+    """A view's sites, and per source how many of its candidates the view keeps.
+
+    ``cart`` (N, 3) holds the view's cartesian sites and ``shift`` (N, 3)
+    the whole cells that wrapped them.  ``lost`` indexes the candidates
+    that lie outside the cutoff or the image block in the view, all of them
+    boundary candidates.  ``kept`` (N,) is each source's
+    min(max_neighbors, candidates - lost), and ``n_edges`` their sum.
+    """
+
+    candidates: CandidateList
+    cart: np.ndarray
+    shift: np.ndarray
+    kept: np.ndarray
+    lost: np.ndarray
+    n_edges: int
+
+
+def _block_index(image: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each image's row in the lexicographic block of ``counts`` (3,) images per axis, or per image."""
+    width = 2 * counts + 1
+    corner = image + counts
+    return (corner[..., 0] * width[..., 1] + corner[..., 1]) * width[..., 2] + corner[..., 2]
+
+
+def _view_d2(cart, src, dst, image_carts, idx) -> np.ndarray:
+    # the dense kernel's arithmetic, operand for operand, on these pairs only;
+    # a gather from one column is about twice as fast as cart[dst, a]
+    return _sum_of_squares(
+        lambda a: (cart[:, a][dst] + image_carts[:, a][idx], cart[:, a][src]))
+
+
+def view_sites(c: CandidateList, frac_coords: np.ndarray, shift: np.ndarray) -> ViewSites:
+    """A view's sites and edge counts, from the distances of its boundary candidates alone.
 
     The view's sites ``frac_coords`` (N, 3) are the structure's sites
-    displaced by at most the list's ``max_disp`` and then wrapped into the
-    cell by subtracting the integer translations ``shift`` (N, 3).  The
-    view shares the structure's lattice, checked when the list was built.
+    displaced by at most ``c.max_disp`` and then wrapped into the cell by
+    subtracting the integer translations ``shift`` (N, 3).  The view
+    shares the structure's lattice, checked when the list was built.
+    Every pair distance moves by at most 2 max_disp, so a candidate within
+    cutoff - 2 max_disp - slack before lies within the cutoff, and inside
+    the image block, in every view.  Only the boundary candidates are
+    measured here, with ``view_neighbor_lists``' arithmetic.
     """
-    image = c.image + (shift[c.dst] - shift[c.src])
-    inside = (np.abs(image) <= c.counts).all(axis=1)
-    src, dst = c.src[inside].astype(np.int64), c.dst[inside].astype(np.int64)
-    image = image[inside]
-    # within one (src, dst) the same shift moves every image, so the
-    # candidates keep their (src, dst, lexicographic image) order
-    width = 2 * c.counts + 1
-    corner = image + c.counts
-    idx = (corner[:, 0] * width[1] + corner[:, 1]) * width[2] + corner[:, 2]
     cart = frac_coords @ c.lattice
-    # the dense kernel's arithmetic, operand for operand, on these pairs only
-    d2 = _sum_of_squares(lambda a: (cart[dst, a] + c.image_carts[idx, a], cart[src, a]))
-    within = d2 <= c.cfg.cutoff * c.cfg.cutoff
-    return _select(src[within], dst[within], idx[within], d2[within], c.images,
-                   c.cfg.max_neighbors, frac_coords.shape[0])
+    lost = c.boundary
+    if lost.size:
+        src, dst = c.src[lost], c.dst[lost]
+        image = c.image[lost] + (shift[dst] - shift[src])
+        inside = (np.abs(image) <= c.counts).all(axis=1)
+        measured = lost[inside]
+        d2 = _view_d2(cart, src[inside], dst[inside], c.image_carts,
+                      _block_index(image[inside], c.counts))
+        lost = np.concatenate((lost[~inside], measured[d2 > c.cfg.cutoff * c.cfg.cutoff]))
+        n_candidates = c.n_candidates - np.bincount(c.src[lost], minlength=frac_coords.shape[0])
+    else:
+        n_candidates = c.n_candidates
+    kept = np.minimum(n_candidates, c.cfg.max_neighbors)
+    return ViewSites(c, cart, shift, kept, lost, int(kept.sum()))
+
+
+def view_neighbor_lists(views: list[ViewSites]) -> NeighborList:
+    """The views' ``build_neighbor_list`` lists, one after another, in one pass over all of them.
+
+    Sites are numbered across the views in order, so view v's site i is
+    ``i`` plus the sites of the views before v.  Every candidate's image,
+    distance and rank are computed at once: per (view, source) row the
+    candidates lie in (dst, lexicographic image) order, since one shift
+    moves every image of a (src, dst) pair alike, so a stable sort of the
+    row by distance gives the (dist, dst, image) order of
+    ``build_neighbor_list``, and the row keeps its first ``kept``.
+    """
+    lists = [v.candidates for v in views]
+    n_cand = np.array([c.src.size for c in lists])
+    n_sites = np.array([v.cart.shape[0] for v in views])
+    base = np.repeat(np.cumsum(n_sites) - n_sites, n_cand)
+    src = np.concatenate([c.src for c in lists]) + base
+    dst = np.concatenate([c.dst for c in lists]) + base
+    cart = np.concatenate([v.cart for v in views])
+    shift = np.concatenate([v.shift for v in views])
+    image = np.concatenate([c.image for c in lists]) + (shift[dst] - shift[src])
+    first = np.cumsum(n_cand) - n_cand
+    lost = np.concatenate([v.lost + f for v, f in zip(views, first)])
+    # each view's image block, and all their translations in one table; a
+    # lost candidate may lie outside its block, so it reads row 0 of its own
+    idx = _block_index(image, np.repeat(np.stack([c.counts for c in lists]), n_cand, axis=0))
+    idx[lost] = 0
+    n_images = np.array([c.images.shape[0] for c in lists])
+    idx += np.repeat(np.cumsum(n_images) - n_images, n_cand)
+    table = np.concatenate([c.image_carts for c in lists])
+    dist = np.sqrt(_view_d2(cart, src, dst, table, idx))
+    dist[lost] = np.inf
+    # one row per (view, source), inf past its candidates and at those it lost
+    n_row = np.concatenate([c.n_candidates for c in lists])
+    row_first = np.cumsum(n_row) - n_row
+    rows = np.full((n_row.size, int(n_row.max())), np.inf)
+    rows[src, np.arange(src.size) - row_first[src]] = dist
+    kept = np.concatenate([v.kept for v in views])
+    width = int(kept.max())
+    order = np.argsort(rows, axis=1, kind="stable")[:, :width]
+    row, rank = np.nonzero(np.arange(width) < kept[:, None])
+    pick = row_first[row] + order[row, rank]
+    return NeighborList(src=row, dst=dst[pick], dist=dist[pick], image=image[pick])
+

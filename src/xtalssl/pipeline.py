@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentConfig, make_views, view_candidates
+from .augment import AugmentConfig, batch_views, view_candidates
 from .autodiff import Tape, Tensor, active_tape, on_both_threads
 from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
 from .geometry import (
@@ -419,10 +419,8 @@ def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, c
 
     ``candidates`` holds each entry's ``view_candidates`` list.
     """
-    views = [make_views(e.structure, pcfg.augment, pcfg.neighbor, pcfg.basis, rng, c)
-             for e, c in zip(entries, candidates)]
-    merged = [merge_graphs(list(side)) for side in zip(*views)]
-    del views  # the merged copies hold the same data; free these before the forward pass
+    merged = batch_views([e.structure for e in entries], pcfg.augment, pcfg.neighbor,
+                         pcfg.basis, rng, candidates)
     za, zb = _twin_embeddings(worker, params, merged, len(entries))
     return bt_loss_from_embeddings(za, zb, pcfg.loss)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from xtalssl.geometry import view_neighbor_lists, view_sites
 from xtalssl.structure_io import CrystalStructure
 
 from oracles import supercell_neighbors
@@ -13,6 +14,16 @@ def canonical_edges(edges):
            for a, b, im, d in edges]
     out.sort(key=lambda e: e[:3])
     return out
+
+
+def view_neighbor_list(c, frac_coords, shift):
+    """One view's neighbor list from the candidate list ``c``: the one-view batch selection.
+
+    ``frac_coords`` (N, 3) are the structure's sites displaced by at most
+    ``c.max_disp`` and wrapped into the cell by subtracting the integer
+    translations ``shift`` (N, 3).
+    """
+    return view_neighbor_lists([view_sites(c, frac_coords, shift)])
 
 
 def draw_unambiguous_structure(rng, cfg, n_max=8):

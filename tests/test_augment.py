@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from xtalssl.augment import (
     AugmentConfig,
     NoAugmentationEnabled,
     _mask_count,
+    batch_views,
     make_views,
     mask_atoms,
     mask_edges,
@@ -16,10 +19,11 @@ from xtalssl.augment import (
     view_candidates,
 )
 from xtalssl import geometry
-from xtalssl.featurize import GaussianBasis, build_graph
-from xtalssl.geometry import NeighborConfig, _axis_spans, build_neighbor_list, view_neighbor_list
+from xtalssl.featurize import GaussianBasis, build_graph, merge_graphs
+from xtalssl.geometry import NeighborConfig, _axis_spans, build_neighbor_list
 from xtalssl.structure_io import CrystalStructure
 
+from helpers import view_neighbor_list
 from oracles import periodic_distance
 
 
@@ -219,6 +223,45 @@ class TestMakeViews:
                 make_views(s, cfg, NCFG, BASIS, rng)
                 assert len(calls) == 1
 
+    @pytest.mark.parametrize("built_for, cfg, ncfg", [
+        # a list for another neighbor config: 20 edges where the views have 60
+        (dict(ncfg=NeighborConfig(cutoff=5.0, max_neighbors=4), max_disp=0.05),
+         AugmentConfig(), NeighborConfig()),
+        # a zero-skin list for views that move sites by up to 0.8 A
+        (dict(ncfg=NeighborConfig(cutoff=4.0, max_neighbors=6), max_disp=0.0),
+         AugmentConfig(max_displacement=0.8), NeighborConfig(cutoff=4.0, max_neighbors=6)),
+    ], ids=["neighbor config", "displacement"])
+    def test_rejects_a_candidate_list_made_for_other_views(self, built_for, cfg, ncfg):
+        s = perovskite()
+        candidates = geometry.candidate_list(s, built_for["ncfg"], built_for["max_disp"])
+        message = (f"built for {built_for['ncfg']!r} and max_disp {built_for['max_disp']} "
+                   f"cannot serve views under {ncfg!r} and max_disp {cfg.max_displacement}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_views(s, cfg, ncfg, BASIS, np.random.default_rng(0), candidates)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            batch_views([s, s], cfg, ncfg, BASIS, np.random.default_rng(0),
+                         [view_candidates(s, cfg, ncfg), candidates])
+
+    def test_accepts_a_list_with_a_wider_skin(self):
+        # a list built for a larger displacement holds every pair of a smaller one
+        s, cfg = perovskite(), AugmentConfig()
+        wide = geometry.candidate_list(s, NCFG, 0.3)
+        got = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(4), wide)
+        want = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(4))
+        for g, w in zip(got, want):
+            npt.assert_array_equal(g.edges, w.edges)
+            npt.assert_array_equal(g.dist, w.dist)
+            npt.assert_array_equal(g.edge_mask, w.edge_mask)
+
+    def test_rejects_a_candidate_list_of_another_structure(self):
+        cfg, other = AugmentConfig(), CrystalStructure(lattice=4.0 * np.eye(3),
+                                                       atomic_numbers=[11],
+                                                       frac_coords=[[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="candidate list of 1 sites cannot serve a "
+                                             "structure of 5"):
+            make_views(perovskite(), cfg, NCFG, BASIS, np.random.default_rng(0),
+                       view_candidates(other, cfg, NCFG))
+
     def test_views_match_fresh_search(self):
         # make_views draws what random_perturb draws, in the same order
         s = perovskite()
@@ -305,3 +348,58 @@ class TestViewsAreThePublicChain:
                 assert g.n_edges == w.n_edges == 0
                 npt.assert_array_equal(g.node_mask, w.node_mask)
                 assert g.node_mask.tolist() == [0 if fraction else 1]
+
+
+def _chain_batch(structures, cfg, ncfg, basis, rng):
+    """Each side's ``merge_graphs`` of the public chain, entry by entry, view a then b."""
+    sides = ([], [])
+    for s in structures:
+        for side in sides:
+            view = random_perturb(s, rng, cfg.max_displacement) if cfg.enable_perturb else s
+            g = build_graph(view, build_neighbor_list(view, ncfg), basis)
+            if cfg.enable_atom_mask:
+                g = mask_atoms(g, rng, cfg.mask_fraction)
+            if cfg.enable_edge_mask:
+                g = mask_edges(g, rng, cfg.mask_fraction)
+            side.append(g)
+    return [merge_graphs(side) for side in sides]
+
+
+class TestBatchViews:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(small_cells(), min_size=1, max_size=6),
+           st.sampled_from(["off", "at 0", "on"]), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.1, 1.0]), st.floats(1.0, 6.0), st.integers(1, 16),
+           st.integers(0, 2**32 - 1))
+    def test_equals_merge_graphs_of_the_public_chain(self, structures, perturb, atom_mask,
+                                                     edge_mask, fraction, cutoff, k, seed):
+        cfg = AugmentConfig(enable_perturb=perturb != "off",
+                            max_displacement=0.0 if perturb == "at 0" else 0.3,
+                            enable_atom_mask=atom_mask, enable_edge_mask=edge_mask,
+                            mask_fraction=fraction)
+        assume(cfg.any_enabled)
+        ncfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
+        rng, chain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = batch_views(structures, cfg, ncfg, BASIS, rng)
+        want = _chain_batch(structures, cfg, ncfg, BASIS, chain_rng)
+        for (g, g_seg), (w, w_seg) in zip(got, want):
+            for a, b in [(getattr(g, f), getattr(w, f)) for f in
+                         ("node_elem", "node_mask", "edges", "dist", "edge_mask")] + [(g_seg, w_seg)]:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert g.basis == w.basis
+        assert rng.bit_generator.state == chain_rng.bit_generator.state
+
+    def test_views_lose_boundary_candidates(self):
+        # at a 3 A cutoff and 0.3 A, pairs from 2.4 to 3.6 A can cross the cutoff:
+        # the perovskite's 2.83 A O-O and Cs-O pairs and its 3.46 A Cs-Ti pairs
+        s = perovskite()
+        cfg, ncfg = AugmentConfig(max_displacement=0.3), NeighborConfig(cutoff=3.0)
+        candidates = view_candidates(s, cfg, ncfg)
+        assert candidates.boundary.size
+        got = batch_views([s] * 8, cfg, ncfg, BASIS, np.random.default_rng(2), [candidates] * 8)
+        want = _chain_batch([s] * 8, cfg, ncfg, BASIS, np.random.default_rng(2))
+        for (g, seg), (w, _) in zip(got, want):
+            for field in ("edges", "dist", "edge_mask", "node_mask"):
+                npt.assert_array_equal(getattr(g, field), getattr(w, field))
+            assert len(set(np.bincount(seg[g.edges[:, 0]], minlength=8).tolist())) > 1

@@ -119,3 +119,38 @@ def test_main_prints_one_row_per_workload_and_metric(tmp_path, monkeypatch, caps
     assert flat[3:] == ["50", "0", "50", "1.000", "0/4", "False", "True", "False"]
     assert json.loads(out.read_text())["runs"][0]["metrics"]["pretrain_xtals_per_s"][
         "claim_rule_met"]
+
+
+def test_main_prints_the_raw_call_walls_before_the_metrics(tmp_path, monkeypatch, capsys):
+    # canned raw walls: the change's pretrain call is 20% slower while its
+    # probe-scaled throughput reads 10% faster, and featurize is unchanged
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = iter(range(1000))
+
+    def run_once(checkout, workload, seed):
+        i, change = next(calls), checkout == str(ROOT)
+        return {"correct": True, "failed": 0, "attempted": 4,
+                "metrics": {n: {"value": 110.0 if change and n == "pretrain_xtals_per_s"
+                                else 100.0} for n in names},
+                "environment": {"git_sha": checkout[-6:]}, "seconds": 20,
+                "wall_s": {"pretrain": (0.24 if change else 0.20) + 0.001 * (i // 2),
+                           "featurize": 0.05}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(ROOT), "--workloads",
+                             "toy5", "--pairs", "4", "--title", "canned", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    start = printed.index(next(line for line in printed if line.startswith("workload")))
+    assert printed[start].split() == ["workload", "seed", "raw_wall_s", "parent_median",
+                                      "parent_iqr", "change_median", "ratio", "wins"]
+    rows = [row.split() for row in printed[start + 1:start + 3]]
+    # parent walls 0.200, 0.201, 0.202, 0.203 against the change's 0.240..0.243
+    assert rows[0] == ["toy5", "0", "pretrain", "0.2015", "0.0015", "0.2415", "1.199", "0/4"]
+    assert rows[1] == ["toy5", "0", "featurize", "0.05", "0", "0.05", "1.000", "0/4"]
+    assert printed[start + 3] == ""
+    # the metric table follows, as before
+    assert printed[start + 4].split()[:3] == ["workload", "seed", "metric"]
+    assert len(printed) == start + 5 + len(names)
+    saved = json.loads(out.read_text())["runs"][0]["raw_call_wall_s_median"]
+    assert saved["pretrain"]["change_wins"] == 0

@@ -22,11 +22,10 @@ from xtalssl.geometry import (
     _image_counts,
     build_neighbor_list,
     candidate_list,
-    view_neighbor_list,
 )
 from xtalssl.structure_io import CrystalStructure
 
-from helpers import canonical_edges, draw_unambiguous_structure
+from helpers import canonical_edges, draw_unambiguous_structure, view_neighbor_list
 from oracles import dense_neighbor_list, supercell_neighbors
 
 

@@ -15,10 +15,13 @@ raw call times (``samples.<phase>.wall_s`` in the run's
 ``perfbench/_out`` file, wall time less the in-call probes) and the same
 summary of those.
 
-After the pairs the script prints one row per workload, seed and
-end-to-end metric: the parent's median and interquartile range, the
-change's median, their ratio, the pairs the change won and the three
-verdicts below.
+After the pairs the script prints one row per workload, seed and phase
+of the raw call walls: the parent's median and interquartile range, the
+change's median, their ratio and the pairs the change won.  These are
+what the end-to-end throughputs scale by the in-call probes, so a row
+whose ratio disagrees with its metric's shows the probes moved the
+metric.  Then it prints one row per workload, seed and end-to-end metric:
+the same columns and the three verdicts below.
 
 Each summary states up to three verdicts:
 
@@ -111,21 +114,38 @@ def unresolved(result: dict, better: str, bound: float) -> bool:
     return max(change["runs"]) >= min(parent["runs"])
 
 
+def _cells(run: dict, name: str, m: dict) -> tuple[str, ...]:
+    """Workload, seed, name, parent median and IQR, change median, ratio, and wins."""
+    parent = m["parent"]
+    return (run["workload"], str(run["seed"]), name, f"{parent['median']:.4g}",
+            f"{parent['q3'] - parent['q1']:.3g}", f"{m['change']['median']:.4g}",
+            f"{m['median_ratio_change_over_parent']:.3f}", f"{m['change_wins']}/{run['pairs']}")
+
+
+def _aligned(rows: list[tuple[str, ...]]) -> str:
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                     for row in rows)
+
+
 def table(runs: list[dict]) -> str:
     """One row per workload, seed and end-to-end metric of ``runs``, as ``main`` records them."""
     rows = [("workload", "seed", "metric", "parent_median", "parent_iqr", "change_median",
              "ratio", "wins", "claim_rule_met", "within_bound", "unresolved")]
-    for run in runs:
-        for name, m in run["metrics"].items():
-            parent = m["parent"]
-            rows.append((run["workload"], str(run["seed"]), name, f"{parent['median']:.4g}",
-                         f"{parent['q3'] - parent['q1']:.3g}", f"{m['change']['median']:.4g}",
-                         f"{m['median_ratio_change_over_parent']:.3f}",
-                         f"{m['change_wins']}/{run['pairs']}", str(m["claim_rule_met"]),
-                         str(m["within_bound"]), str(m["unresolved"])))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                     for row in rows)
+    rows += [_cells(run, name, m) + (str(m["claim_rule_met"]), str(m["within_bound"]),
+                                     str(m["unresolved"]))
+             for run in runs for name, m in run["metrics"].items()]
+    return _aligned(rows)
+
+
+def wall_table(runs: list[dict]) -> str:
+    """One row per workload, seed and phase of ``runs``' raw call walls (s); "" without any."""
+    rows = [_cells(run, phase, m) for run in runs
+            for phase, m in run["raw_call_wall_s_median"].items()]
+    if not rows:
+        return ""
+    return _aligned([("workload", "seed", "raw_wall_s", "parent_median", "parent_iqr",
+                      "change_median", "ratio", "wins")] + rows)
 
 
 def cpu_model() -> str | None:
@@ -207,6 +227,9 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
+    walls = wall_table(runs)
+    if walls:
+        print(walls + "\n")
     print(table(runs))
     return 0
 
