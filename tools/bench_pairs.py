@@ -17,11 +17,11 @@ summary of those.
 
 After the pairs the script prints one row per workload, seed and phase
 of the raw call walls: the parent's median and interquartile range, the
-change's median, their ratio and the pairs the change won.  These are
-what the end-to-end throughputs scale by the in-call probes, so a row
-whose ratio disagrees with its metric's shows the probes moved the
-metric.  Then it prints one row per workload, seed and end-to-end metric:
-the same columns and the three verdicts below.
+change's median, their ratio and the pairs the change won.  The
+end-to-end throughputs are these walls scaled by the in-call probes, so a
+phase whose ratio disagrees with its metric's shows that the probes moved
+the metric.  Then it prints one row per workload, seed and end-to-end
+metric: the same columns and the three verdicts below.
 
 Each summary states up to three verdicts:
 
