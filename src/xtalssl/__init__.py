@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .structure_io import CrystalStructure, Dataset, DatasetEntry, parse_cif
 from .geometry import NeighborConfig, build_neighbor_list
 from .featurize import CrystalGraph, GaussianBasis, build_graph
-from .augment import AugmentConfig, make_views
+from .augment import AugmentConfig
 from .model import ModelConfig, encode, init_params
 from .pipeline import FinetuneConfig, PretrainConfig, finetune, pretrain
 
@@ -20,7 +20,7 @@ __all__ = [
     "CrystalStructure", "Dataset", "DatasetEntry", "parse_cif",
     "NeighborConfig", "build_neighbor_list",
     "CrystalGraph", "GaussianBasis", "build_graph",
-    "AugmentConfig", "make_views",
+    "AugmentConfig",
     "ModelConfig", "encode", "init_params",
     "FinetuneConfig", "PretrainConfig", "finetune", "pretrain",
     "__version__",

@@ -22,7 +22,6 @@ source's nearest neighbors, the masks and the merged arrays.  Each side
 is ``merge_graphs`` of the chain ``random_perturb``,
 ``build_neighbor_list``, ``build_graph``, ``mask_atoms``, ``mask_edges``
 run view by view, bit for bit, and the generator ends in the same state.
-``make_views`` is the one-structure case.
 """
 
 from __future__ import annotations
@@ -86,21 +85,14 @@ def _displace(frac: np.ndarray, inv_lattice: np.ndarray, rng: np.random.Generato
     return wrapped, np.rint(unwrapped - wrapped).astype(np.int64)
 
 
-def _perturb(s: CrystalStructure, rng: np.random.Generator,
-             max_disp: float) -> tuple[CrystalStructure, np.ndarray]:
-    """random_perturb, and the whole-cell shift (N, 3) that wrapped each site back."""
-    if max_disp < 0:
-        raise ValueError("max_disp must be >= 0")
-    frac, shift = _displace(s.frac_coords, np.linalg.inv(s.lattice), rng, max_disp)
-    if max_disp == 0:
-        return s, shift
-    return CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers,
-                            frac_coords=frac), shift
-
-
 def random_perturb(s: CrystalStructure, rng: np.random.Generator, max_disp: float) -> CrystalStructure:
     """Displace every site by r * u, r ~ Uniform[0, max_disp], u uniform on the sphere."""
-    return _perturb(s, rng, max_disp)[0]
+    if max_disp < 0:
+        raise ValueError("max_disp must be >= 0")
+    if max_disp == 0:
+        return s
+    frac, _ = _displace(s.frac_coords, np.linalg.inv(s.lattice), rng, max_disp)
+    return CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers, frac_coords=frac)
 
 
 def _mask_count(n: int, fraction: float) -> int:
@@ -177,7 +169,7 @@ def batch_views(
     rng: np.random.Generator,
     candidates: list[CandidateList] | None = None,
 ) -> tuple[tuple[CrystalGraph, np.ndarray], tuple[CrystalGraph, np.ndarray]]:
-    """Views a and b of every structure, each side merged: ``merge_graphs`` of ``make_views``.
+    """Views a and b of every structure, each side merged.
 
     Returns (graph, segment ids) per side, as ``merge_graphs`` of the a
     views and of the b views would, built as the module docstring says.
@@ -218,22 +210,3 @@ def batch_views(
             edge_mask=_side_mask([v.n_edges for v in views[side]], edge_drops[side]), basis=basis)
         merged.append((graph, seg.copy()))
     return merged[0], merged[1]
-
-
-def make_views(
-    s: CrystalStructure,
-    cfg: AugmentConfig,
-    neighbor_cfg: NeighborConfig,
-    basis: GaussianBasis,
-    rng: np.random.Generator,
-    candidates: CandidateList | None = None,
-) -> tuple[CrystalGraph, CrystalGraph]:
-    """Two independently augmented graphs of the same structure, from one neighbor search.
-
-    The one-structure case of ``batch_views``; ``candidates`` is
-    ``view_candidates(s, cfg, neighbor_cfg)`` for a caller that holds it
-    already.
-    """
-    (view_a, _), (view_b, _) = batch_views([s], cfg, neighbor_cfg, basis, rng,
-                                           None if candidates is None else [candidates])
-    return view_a, view_b

@@ -23,6 +23,14 @@ so its (rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements
 and peak memory grows with the pairs found, not with sites squared times
 images.
 
+From the pairs found, one routine, ``_nearest``, decides which neighbors
+a source keeps and in which order, for the plain search and for every
+perturbed view alike.  It takes the distances one row per source
+(``_per_source``), each row in (dst, lexicographic image) order, sorts
+each row stably by distance and keeps its first ones, so ties at the
+last distance kept go to the lower (dst, image).  A different tie rule,
+such as keeping whole neighbor shells, belongs there.
+
 Perturbed views share one search, a Verlet list with a skin (Verlet,
 Phys. Rev. 159, 98, 1967).  A view moves each site by at most delta, so
 each pair distance by at most 2 delta.  ``candidate_list`` searches the
@@ -46,8 +54,8 @@ candidates - lost) edges, and only the boundary candidates' distances
 decide how many are lost (``view_sites``).  ``view_neighbor_lists`` then
 selects the neighbors of many views at once.  It recomputes every
 candidate's distance from its view's coordinates with the dense kernel's
-arithmetic and sorts each (view, source) row stably by distance, so each
-view gets the arrays ``build_neighbor_list`` returns for it, bit for bit.
+arithmetic and hands each (view, source) row to ``_nearest``, so each view
+gets the arrays ``build_neighbor_list`` returns for it, bit for bit.
 """
 
 from __future__ import annotations
@@ -245,28 +253,38 @@ def _pairs_near(lattice: np.ndarray, spans: list[float], cart: np.ndarray, count
     return tuple(a[order] for a in merged)
 
 
+def _per_source(src: np.ndarray, values: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` one row per source, padded with inf, and each row's first index; src is sorted.
+
+    The first indices have ``n_sources`` + 1 entries, the last being the
+    number of values, so source i holds values first[i]:first[i + 1].
+    """
+    first = np.searchsorted(src, np.arange(n_sources + 1))
+    rows = np.full((n_sources, int(np.diff(first).max())), np.inf)
+    rows[src, np.arange(src.size) - first[src]] = values
+    return rows, first
+
+
 def _kth_smallest(src: np.ndarray, dist: np.ndarray, k: int, n_sites: int) -> np.ndarray:
     """Per source, the k-th smallest distance, or inf with fewer than k pairs; src is sorted."""
-    first = np.searchsorted(src, np.arange(n_sites + 1))
-    width = int(np.diff(first).max())
-    if width < k:
+    rows, _ = _per_source(src, dist, n_sites)
+    if rows.shape[1] < k:
         return np.full(n_sites, np.inf)
-    rows = np.full((n_sites, width), np.inf)
-    rows[src, np.arange(src.size) - first[src]] = dist
     return np.partition(rows, k - 1, axis=1)[:, k - 1]
 
 
-def _select(src, dst, idx, d2, images: np.ndarray, max_neighbors: int, n_sites: int) -> NeighborList:
-    """Each source's nearest max_neighbors of pairs given in (src, dst, image) order."""
-    dist = np.sqrt(d2)
-    near = dist <= _kth_smallest(src, dist, max_neighbors, n_sites)[src]
-    src, dst, idx, dist = src[near], dst[near], idx[near], dist[near]
-    # a stable sort by (src, dist) breaks ties by (dst, lexicographic image)
-    order = np.lexsort((dist, src))
-    sorted_src = src[order]
-    rank = np.arange(order.size) - np.searchsorted(sorted_src, np.arange(n_sites))[sorted_src]
-    keep = order[rank < max_neighbors]
-    return NeighborList(src=src[keep], dst=dst[keep], dist=dist[keep], image=images[idx[keep]])
+def _nearest(rows: np.ndarray, first: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor selection: each row's ``kept`` nearest, as (row, flat index) pairs.
+
+    ``rows`` and ``first`` are ``_per_source``'s layout of the distances,
+    each row's entries in (dst, lexicographic image) order, so a stable
+    sort by distance gives the (dist, dst, image) order.  Row i keeps its
+    first ``kept[i]``, no more than it holds finite entries.
+    """
+    width = int(kept.max())
+    order = np.argsort(rows, axis=1, kind="stable")[:, :width]
+    row, rank = np.nonzero(np.arange(width) < kept[:, None])
+    return row, first[row] + order[row, rank]
 
 
 def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfig()) -> NeighborList:
@@ -284,7 +302,10 @@ def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfi
     images, image_carts = _image_block(lattice, counts)
     src, dst, idx, d2 = _pairs_near(lattice, spans, s.frac_coords @ lattice, counts, image_carts,
                                     cfg.cutoff, cfg.max_neighbors, 0.0)
-    return _select(src, dst, idx, d2, images, cfg.max_neighbors, s.n_sites)
+    dist = np.sqrt(d2)
+    rows, first = _per_source(src, dist, s.n_sites)
+    row, pick = _nearest(rows, first, np.minimum(np.diff(first), cfg.max_neighbors))
+    return NeighborList(src=row, dst=dst[pick], dist=dist[pick], image=images[idx[pick]])
 
 
 @dataclass(frozen=True)
@@ -415,12 +436,12 @@ def view_neighbor_lists(views: list[ViewSites]) -> NeighborList:
     """The views' ``build_neighbor_list`` lists, one after another, in one pass over all of them.
 
     Sites are numbered across the views in order, so view v's site i is
-    ``i`` plus the sites of the views before v.  Every candidate's image,
-    distance and rank are computed at once: per (view, source) row the
-    candidates lie in (dst, lexicographic image) order, since one shift
-    moves every image of a (src, dst) pair alike, so a stable sort of the
-    row by distance gives the (dist, dst, image) order of
-    ``build_neighbor_list``, and the row keeps its first ``kept``.
+    ``i`` plus the sites of the views before v.  Every candidate's image
+    and distance are computed at once, and ``_nearest`` picks each (view,
+    source) row's first ``kept``: the row's candidates lie in (dst,
+    lexicographic image) order, since one shift moves every image of a
+    (src, dst) pair alike, so it picks as it does for
+    ``build_neighbor_list``.
     """
     lists = [v.candidates for v in views]
     n_cand = np.array([c.src.size for c in lists])
@@ -442,15 +463,7 @@ def view_neighbor_lists(views: list[ViewSites]) -> NeighborList:
     table = np.concatenate([c.image_carts for c in lists])
     dist = np.sqrt(_view_d2(cart, src, dst, table, idx))
     dist[lost] = np.inf
-    # one row per (view, source), inf past its candidates and at those it lost
-    n_row = np.concatenate([c.n_candidates for c in lists])
-    row_first = np.cumsum(n_row) - n_row
-    rows = np.full((n_row.size, int(n_row.max())), np.inf)
-    rows[src, np.arange(src.size) - row_first[src]] = dist
-    kept = np.concatenate([v.kept for v in views])
-    width = int(kept.max())
-    order = np.argsort(rows, axis=1, kind="stable")[:, :width]
-    row, rank = np.nonzero(np.arange(width) < kept[:, None])
-    pick = row_first[row] + order[row, rank]
+    # one row per (view, source); a lost candidate sorts after those kept
+    row, pick = _nearest(*_per_source(src, dist, int(n_sites.sum())),
+                         np.concatenate([v.kept for v in views]))
     return NeighborList(src=row, dst=dst[pick], dist=dist[pick], image=image[pick])
-

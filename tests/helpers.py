@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from xtalssl.augment import _displace
 from xtalssl.geometry import view_neighbor_lists, view_sites
 from xtalssl.structure_io import CrystalStructure
 
@@ -24,6 +25,17 @@ def view_neighbor_list(c, frac_coords, shift):
     translations ``shift`` (N, 3).
     """
     return view_neighbor_lists([view_sites(c, frac_coords, shift)])
+
+
+def perturbed(s, rng, max_disp):
+    """``random_perturb(s, rng, max_disp)``'s sites, and the whole-cell shift (N, 3) that wrapped each back.
+
+    The same draws from ``rng`` as ``random_perturb``; returns a new
+    structure even at ``max_disp`` 0.
+    """
+    frac, shift = _displace(s.frac_coords, np.linalg.inv(s.lattice), rng, max_disp)
+    return CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers,
+                            frac_coords=frac), shift
 
 
 def draw_unambiguous_structure(rng, cfg, n_max=8):

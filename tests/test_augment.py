@@ -12,7 +12,6 @@ from xtalssl.augment import (
     NoAugmentationEnabled,
     _mask_count,
     batch_views,
-    make_views,
     mask_atoms,
     mask_edges,
     random_perturb,
@@ -23,7 +22,7 @@ from xtalssl.featurize import GaussianBasis, build_graph, merge_graphs
 from xtalssl.geometry import NeighborConfig, _axis_spans, build_neighbor_list
 from xtalssl.structure_io import CrystalStructure
 
-from helpers import view_neighbor_list
+from helpers import perturbed, view_neighbor_list
 from oracles import periodic_distance
 
 
@@ -98,6 +97,16 @@ class TestRandomPerturb:
         npt.assert_array_equal(s2.lattice, s.lattice)
         npt.assert_array_equal(s2.atomic_numbers, s.atomic_numbers)
 
+    @pytest.mark.parametrize("max_disp", [0.0, 0.05, 3.0])
+    def test_helpers_perturbed_draws_its_sites_and_their_shift(self, max_disp):
+        # the geometry tests take a view and its wrapping shift from helpers.perturbed
+        s, rng, helper_rng = perovskite(), np.random.default_rng(9), np.random.default_rng(9)
+        view, shift = perturbed(s, helper_rng, max_disp)
+        assert view.frac_coords.tobytes() == random_perturb(s, rng, max_disp).frac_coords.tobytes()
+        assert rng.bit_generator.state == helper_rng.bit_generator.state
+        moved = (view.frac_coords + shift - s.frac_coords) @ s.lattice
+        assert np.linalg.norm(moved, axis=1).max() <= max_disp + 1e-9
+
 
 class TestMaskCount:
     def test_table_small_n(self):
@@ -147,18 +156,18 @@ class TestMasking:
             assert int((g2.edge_mask == 0).sum()) == _mask_count(g.n_edges, 0.5)
 
 
-class TestMakeViews:
+class TestOneStructureViews:
     def test_requires_an_augmentation(self):
         cfg = AugmentConfig(enable_perturb=False, enable_atom_mask=False,
                             enable_edge_mask=False)
         with pytest.raises(NoAugmentationEnabled):
-            make_views(perovskite(), cfg, NCFG, BASIS, np.random.default_rng(0))
+            batch_views([perovskite()], cfg, NCFG, BASIS, np.random.default_rng(0))
         with pytest.raises(NoAugmentationEnabled):
             view_candidates(perovskite(), cfg, NCFG)
 
     def test_views_differ(self):
-        va, vb = make_views(perovskite(), AugmentConfig(), NCFG, BASIS,
-                            np.random.default_rng(0))
+        (va, _), (vb, _) = batch_views([perovskite()], AugmentConfig(), NCFG, BASIS,
+                                       np.random.default_rng(0))
         same_feat = (va.edge_feat.shape == vb.edge_feat.shape
                      and np.array_equal(va.edge_feat, vb.edge_feat))
         same_masks = (np.array_equal(va.node_mask, vb.node_mask)
@@ -169,10 +178,10 @@ class TestMakeViews:
     def test_deterministic_under_seed(self):
         # a candidate list built beforehand gives the views a search of their own gives
         cfg, s = AugmentConfig(), perovskite()
-        a1, b1 = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(42))
-        a2, b2 = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(42),
-                            view_candidates(s, cfg, NCFG))
-        for x, y in ((a1, a2), (b1, b2)):
+        first = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(42))
+        second = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(42),
+                             [view_candidates(s, cfg, NCFG)])
+        for (x, _), (y, _) in zip(first, second):
             npt.assert_array_equal(x.node_mask, y.node_mask)
             npt.assert_array_equal(x.edge_mask, y.edge_mask)
             npt.assert_array_equal(x.edge_feat, y.edge_feat)
@@ -181,8 +190,7 @@ class TestMakeViews:
         cfg = AugmentConfig(enable_perturb=False)
         s = perovskite()
         base = build_graph(s, build_neighbor_list(s, NCFG), BASIS)
-        va, vb = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(5))
-        for v in (va, vb):
+        for v, _ in batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(5)):
             npt.assert_array_equal(v.edges, base.edges)
             npt.assert_array_equal(v.edge_feat, base.edge_feat)
             npt.assert_array_equal(v.node_elem, base.node_elem)
@@ -193,14 +201,14 @@ class TestMakeViews:
         s = perovskite()
         base = build_graph(s, build_neighbor_list(s, NCFG), BASIS)
         cfg = AugmentConfig(enable_perturb=False, enable_edge_mask=False)
-        va, _ = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(1))
+        (va, _), _ = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(1))
         npt.assert_array_equal(va.edge_mask, base.edge_mask)
         assert (va.node_mask == 0).sum() == 1
 
     def test_augment_once_perturb_only(self):
         s = perovskite()
         cfg = AugmentConfig(enable_atom_mask=False, enable_edge_mask=False)
-        for g in make_views(s, cfg, NCFG, BASIS, np.random.default_rng(3)):
+        for g, _ in batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(3)):
             assert (g.node_mask == 1).all()
             assert (g.edge_mask == 1).all()
 
@@ -220,7 +228,7 @@ class TestMakeViews:
                     AugmentConfig(enable_atom_mask=False, enable_edge_mask=False)):
             for s in (perovskite(), perovskite(4.4)):
                 calls.clear()
-                make_views(s, cfg, NCFG, BASIS, rng)
+                batch_views([s], cfg, NCFG, BASIS, rng)
                 assert len(calls) == 1
 
     @pytest.mark.parametrize("built_for, cfg, ncfg", [
@@ -237,7 +245,7 @@ class TestMakeViews:
         message = (f"built for {built_for['ncfg']!r} and max_disp {built_for['max_disp']} "
                    f"cannot serve views under {ncfg!r} and max_disp {cfg.max_displacement}")
         with pytest.raises(ValueError, match=re.escape(message)):
-            make_views(s, cfg, ncfg, BASIS, np.random.default_rng(0), candidates)
+            batch_views([s], cfg, ncfg, BASIS, np.random.default_rng(0), [candidates])
         with pytest.raises(ValueError, match=re.escape(message)):
             batch_views([s, s], cfg, ncfg, BASIS, np.random.default_rng(0),
                          [view_candidates(s, cfg, ncfg), candidates])
@@ -246,9 +254,9 @@ class TestMakeViews:
         # a list built for a larger displacement holds every pair of a smaller one
         s, cfg = perovskite(), AugmentConfig()
         wide = geometry.candidate_list(s, NCFG, 0.3)
-        got = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(4), wide)
-        want = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(4))
-        for g, w in zip(got, want):
+        got = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(4), [wide])
+        want = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(4))
+        for (g, _), (w, _) in zip(got, want):
             npt.assert_array_equal(g.edges, w.edges)
             npt.assert_array_equal(g.dist, w.dist)
             npt.assert_array_equal(g.edge_mask, w.edge_mask)
@@ -259,17 +267,17 @@ class TestMakeViews:
                                                        frac_coords=[[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="candidate list of 1 sites cannot serve a "
                                              "structure of 5"):
-            make_views(perovskite(), cfg, NCFG, BASIS, np.random.default_rng(0),
-                       view_candidates(other, cfg, NCFG))
+            batch_views([perovskite()], cfg, NCFG, BASIS, np.random.default_rng(0),
+                        [view_candidates(other, cfg, NCFG)])
 
     def test_views_match_fresh_search(self):
-        # make_views draws what random_perturb draws, in the same order
+        # batch_views draws what random_perturb draws, in the same order
         s = perovskite()
         cfg = AugmentConfig(max_displacement=0.3, enable_atom_mask=False,
                             enable_edge_mask=False)
-        va, vb = make_views(s, cfg, NCFG, BASIS, np.random.default_rng(8))
+        views = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(8))
         rng = np.random.default_rng(8)
-        for v in (va, vb):
+        for v, _ in views:
             p = random_perturb(s, rng, cfg.max_displacement)
             ref = build_graph(p, build_neighbor_list(p, NCFG), BASIS)
             npt.assert_array_equal(v.edges, ref.edges)
@@ -295,7 +303,7 @@ def small_cells(draw):
 
 
 def _public_chain(s, cfg, ncfg, basis, rng):
-    """Two views through the public functions, in the draw order make_views keeps."""
+    """Two views through the public functions, in the draw order batch_views keeps."""
     candidates = view_candidates(s, cfg, ncfg)
     views = []
     for _ in range(2):
@@ -316,8 +324,8 @@ class TestViewsAreThePublicChain:
     @given(small_cells(), st.booleans(), st.sampled_from([0.0, 0.05, 0.3]), st.booleans(),
            st.booleans(), st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([1.0, 3.0, 6.0]),
            st.integers(1, 16), st.integers(0, 2**32 - 1))
-    def test_make_views_equals_the_chain(self, s, perturb, delta, atom_mask, edge_mask,
-                                         fraction, cutoff, k, seed):
+    def test_one_structure_batch_equals_the_chain(self, s, perturb, delta, atom_mask,
+                                                  edge_mask, fraction, cutoff, k, seed):
         cfg = AugmentConfig(enable_perturb=perturb, max_displacement=delta,
                             enable_atom_mask=atom_mask, enable_edge_mask=edge_mask,
                             mask_fraction=fraction)
@@ -325,9 +333,9 @@ class TestViewsAreThePublicChain:
         assume(delta * max(_axis_spans(s.lattice)) < 0.5)
         ncfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
         rng, chain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = make_views(s, cfg, ncfg, BASIS, rng)
+        got = batch_views([s], cfg, ncfg, BASIS, rng)
         want = _public_chain(s, cfg, ncfg, BASIS, chain_rng)
-        for g, w in zip(got, want):
+        for (g, _), w in zip(got, want):
             for field in ("node_elem", "node_mask", "edges", "dist", "edge_mask"):
                 a, b = getattr(g, field), getattr(w, field)
                 assert a.dtype == b.dtype and a.shape == b.shape, field
@@ -342,9 +350,9 @@ class TestViewsAreThePublicChain:
         ncfg = NeighborConfig(cutoff=1.0, max_neighbors=4)
         for fraction in (0.0, 0.1, 1.0):
             cfg = AugmentConfig(max_displacement=0.3, mask_fraction=fraction)
-            got = make_views(s, cfg, ncfg, BASIS, np.random.default_rng(0))
+            got = batch_views([s], cfg, ncfg, BASIS, np.random.default_rng(0))
             want = _public_chain(s, cfg, ncfg, BASIS, np.random.default_rng(0))
-            for g, w in zip(got, want):
+            for (g, _), w in zip(got, want):
                 assert g.n_edges == w.n_edges == 0
                 npt.assert_array_equal(g.node_mask, w.node_mask)
                 assert g.node_mask.tolist() == [0 if fraction else 1]

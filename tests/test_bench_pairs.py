@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -154,3 +155,25 @@ def test_main_prints_the_raw_call_walls_before_the_metrics(tmp_path, monkeypatch
     assert len(printed) == start + 5 + len(names)
     saved = json.loads(out.read_text())["runs"][0]["raw_call_wall_s_median"]
     assert saved["pretrain"]["change_wins"] == 0
+
+
+def test_main_stops_at_a_run_without_a_commit(tmp_path, monkeypatch):
+    # a git archive copy has no .git, so its runs report git_sha null
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append(checkout)
+        return {"correct": True, "failed": 0, "attempted": 4,
+                "metrics": {n: {"value": 50.0} for n in names},
+                "environment": {"git_sha": None if checkout == str(tmp_path) else "abc123"},
+                "seconds": 20, "wall_s": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_test.json"
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{tmp_path}: perfbench/run.py reported no git commit")):
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(ROOT), "--workloads",
+                          "toy5", "--pairs", "4", "--title", "canned", "--out", str(out)])
+    # the parent runs first, and nothing is written
+    assert calls == [str(tmp_path)]
+    assert not out.exists()

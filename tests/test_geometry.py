@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from xtalssl import geometry
-from xtalssl.augment import _perturb
 from xtalssl.geometry import (
     FIRST_PASS_SCALE,
     DegenerateCell,
@@ -25,7 +24,7 @@ from xtalssl.geometry import (
 )
 from xtalssl.structure_io import CrystalStructure
 
-from helpers import canonical_edges, draw_unambiguous_structure, view_neighbor_list
+from helpers import canonical_edges, draw_unambiguous_structure, perturbed, view_neighbor_list
 from oracles import dense_neighbor_list, supercell_neighbors
 
 
@@ -234,7 +233,7 @@ def _check_views(s, cfg, kind, seed):
     candidates = candidate_list(s, cfg, max_disp)
     rng = np.random.default_rng(seed)
     for _ in range(2):  # one list serves both views
-        view, shift = _perturb(s, rng, max_disp)
+        view, shift = perturbed(s, rng, max_disp)
         _assert_same_list(view_neighbor_list(candidates, view.frac_coords, shift),
                           build_neighbor_list(view, cfg))
 
@@ -288,7 +287,7 @@ class TestCandidateList:
         rng = np.random.default_rng(0)
         shifts = []
         for _ in range(10):
-            view, shift = _perturb(s, rng, 3.0)
+            view, shift = perturbed(s, rng, 3.0)
             shifts.append(shift)
             _assert_same_list(view_neighbor_list(candidates, view.frac_coords, shift),
                               build_neighbor_list(view, cfg))
@@ -335,7 +334,7 @@ def _check_against_dense(s, cfg, kind, seed):
         dense = candidate_list(s, cfg, max_disp)
     for field in ("src", "dst", "image"):
         assert np.array_equal(getattr(candidates, field), getattr(dense, field)), field
-    view, shift = _perturb(s, np.random.default_rng(seed), max_disp)
+    view, shift = perturbed(s, np.random.default_rng(seed), max_disp)
     _assert_same_list(view_neighbor_list(candidates, view.frac_coords, shift), dense_neighbor_list(view, cfg))
 
 

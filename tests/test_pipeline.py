@@ -14,7 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from xtalssl import augment, autodiff, geometry, pipeline
-from xtalssl.augment import AugmentConfig, make_views
+from xtalssl.augment import AugmentConfig, batch_views
 from xtalssl.autodiff import Tape, Tensor, active_tape
 from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
 from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
@@ -798,9 +798,8 @@ class TestTwinViews:
     @staticmethod
     def merged(n=4):
         pcfg, rng = tiny_pcfg(), rng_for(0, _AUGMENT)
-        views = [make_views(e.structure, pcfg.augment, NEIGHBOR, BASIS, rng)
-                 for e in gen_toy_dataset(n, seed=0).entries]
-        return [merge_graphs(list(side)) for side in zip(*views)]
+        structures = [e.structure for e in gen_toy_dataset(n, seed=0).entries]
+        return list(batch_views(structures, pcfg.augment, NEIGHBOR, BASIS, rng))
 
     @staticmethod
     def empty():

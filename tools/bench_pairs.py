@@ -5,10 +5,14 @@
         --workloads super40 tric --seeds 13 --pairs 10 \\
         --title "what the change does" --out BENCH_pretrain.json
 
-Both arguments are checkouts of this repository.  For each workload and
-seed the script runs ``perfbench/run.py`` from each checkout in turn, one
-process at a time: even pairs run the parent first, odd pairs the change
-first.  Per end-to-end metric of ``BENCHMARK.json`` it records every run,
+Both arguments are git checkouts of this repository; make the parent's
+with ``git clone`` and check out the parent commit there.  Each run reads
+its commit from the checkout's ``.git`` directory, and the script stops
+with an error naming the checkout, before it writes any BENCH file, as soon
+as a run reports none, as from a ``git archive`` copy.  For each workload
+and seed the script runs ``perfbench/run.py`` from each checkout in turn,
+one process at a time: even pairs run the parent first, odd pairs the
+change first.  Per end-to-end metric of ``BENCHMARK.json`` it records every run,
 the median and quartiles of each side, the pairs the change wins and the
 ratio of the medians.  Per phase it also records the median of each run's
 raw call times (``samples.<phase>.wall_s`` in the run's
@@ -182,6 +186,10 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     res = run_once(checkouts[side], workload, seed)
+                    if not res["environment"].get("git_sha"):
+                        raise SystemExit(f"{checkouts[side]}: perfbench/run.py reported no git "
+                                         "commit; use a git clone of the commit, not a copy "
+                                         "without .git")
                     results[side].append(res)
                     commits[side] = res["environment"].get("git_sha")
                     seconds.add(res["seconds"])
