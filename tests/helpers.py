@@ -28,10 +28,10 @@ def view_neighbor_list(c, frac_coords, shift):
 
 
 def perturbed(s, rng, max_disp):
-    """``random_perturb(s, rng, max_disp)``'s sites, and the whole-cell shift (N, 3) that wrapped each back.
+    """``random_perturb(s, rng, max_disp)``, and the whole-cell shift (N, 3) that wrapped each site back.
 
-    The same draws from ``rng`` as ``random_perturb``; returns a new
-    structure even at ``max_disp`` 0.
+    The same draws from ``rng``; returns a new structure even at
+    ``max_disp`` 0.
     """
     frac, shift = _displace(s.frac_coords, np.linalg.inv(s.lattice), rng, max_disp)
     return CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers,

@@ -6,7 +6,7 @@
         --title "what the change does" --out BENCH_pretrain.json
 
 Both arguments are git checkouts of this repository; make the parent's
-with ``git clone`` and check out the parent commit there.  Each run reads
+with ``git clone`` and ``git checkout <parent sha>`` there.  Each run reads
 its commit from the checkout's ``.git`` directory, and the script stops
 with an error naming the checkout, before it writes any BENCH file, as soon
 as a run reports none, as from a ``git archive`` copy.  For each workload
@@ -188,8 +188,8 @@ def main(argv=None) -> int:
                     res = run_once(checkouts[side], workload, seed)
                     if not res["environment"].get("git_sha"):
                         raise SystemExit(f"{checkouts[side]}: perfbench/run.py reported no git "
-                                         "commit; use a git clone of the commit, not a copy "
-                                         "without .git")
+                                         "commit; run from a git clone with the commit checked "
+                                         "out (git checkout <sha>), not a copy without .git")
                     results[side].append(res)
                     commits[side] = res["environment"].get("git_sha")
                     seconds.add(res["seconds"])
