@@ -20,6 +20,14 @@ bit for bit those of the chain of single-op records it replaced
 (``tests/oracles.py`` keeps it).  Each op validates its input shapes
 eagerly so a bad graph fails at construction time, not during the backward
 pass.
+
+Every segment sum adds each row's items in item order, starting from +0.0,
+as ``np.add.at`` into zeros does, so no sum's rounding depends on how it
+is computed.  Node-level sums, where one row may hold any number of items,
+are one flat ``np.bincount`` (``_segment_sum``).  The conv's edge sums run
+through an ``_EdgePlan`` built once per batch: for each row block, a
+``_SegmentLayout`` of its src and, when a tape records, of its dst, which
+every layer's forward and backward sums read.
 """
 
 from __future__ import annotations
@@ -145,12 +153,90 @@ def _segment_sum(x: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
     """out[index[e]] += x[e] over rows, accumulated in row order.
 
     One flat bincount over (row, column) cells; it adds in the same order
-    as ``np.add.at`` into zeros, so the two agree bitwise.
+    as ``np.add.at`` into zeros, so the two agree bitwise.  For node-level
+    sums, where one row may hold any number of items: the embedding-table
+    gradient and the readout, and a ``_SegmentLayout``'s sums of one
+    column.  The conv's edge sums go through its ``_EdgePlan``.
     """
     k = x.shape[1]
     flat = (index[:, None] * k + np.arange(k)).ravel()
     out = np.bincount(flat, weights=x.ravel(), minlength=n_rows * k)
     return out.reshape(n_rows, k)
+
+
+# A pass costs a numpy call however few rows it adds, so a layout passes only
+# while each pass adds at least this many rows; a hub's items would otherwise
+# cost a pass each.
+_MIN_PASS_ROWS = 4
+
+
+class _SegmentLayout:
+    """One (E,) index into ``n_rows`` rows, laid out once for many sums.
+
+    ``sum(x)`` is ``out[index[e]] += x[e]`` from +0.0, each row's items
+    added in item order: the order of ``np.add.at`` into zeros and of
+    ``_segment_sum``, so all three agree bitwise.  numpy reduces an axis in
+    order, from ``initial``, unless it is the innermost one, which it sums
+    pairwise.  So each form below reduces an outer axis of a (.., K) block,
+    and a block of one column, K = 1, is one ``_segment_sum``.  The form is
+    chosen from the index:
+
+    - Regular: the index is sorted and every row holds ``depth`` items, as
+      a neighbor list's src is when every site has its k neighbors.  Then
+      ``x`` is an (n_rows, depth, K) view, reduced over its middle axis,
+      with no gather: the passes would copy every item.
+    - Passes: pass j gathers the j-th item of every row that holds more
+      than j; with the rows ordered by count, most first, those rows are a
+      prefix, so a pass is one slice add.  Passes run while each adds at
+      least ``_MIN_PASS_ROWS`` rows.  The longer rows, fewer than that and
+      a hub among them, are each one reduce over their items, a view of
+      ``x`` where they lie in one run.
+
+    A layout holds O(E + n_rows) integers, and a sum allocates at most
+    O(E K) floats, whatever the degrees.
+    """
+
+    def __init__(self, index: np.ndarray, n_rows: int):
+        self.index, self.n_rows = index, n_rows
+        counts = np.bincount(index, minlength=n_rows)
+        self.depth = 0
+        if len(index) and counts.min() == counts.max() and (np.diff(index) >= 0).all():
+            self.depth = len(index) // n_rows
+            return
+        order = np.argsort(index, kind="stable")
+        starts = np.cumsum(counts) - counts
+        by_count = np.argsort(-counts, kind="stable")
+        # rows_above[j]: how many rows hold more than j items
+        rows_above = n_rows - np.cumsum(np.bincount(counts))
+        n_passes = int(np.count_nonzero(rows_above >= _MIN_PASS_ROWS))
+        n_long = int(rows_above[n_passes]) if n_passes < len(rows_above) else 0
+        n_hit = int(rows_above[0]) if len(rows_above) else 0
+        self.rows = by_count[n_long:n_hit]
+        self.passes = [order[starts[self.rows[:w]] + j]
+                       for j, w in enumerate(rows_above[:n_passes] - n_long)]
+        self.long = []
+        for row in by_count[:n_long]:
+            items = order[starts[row]:starts[row] + counts[row]]
+            if items[-1] - items[0] == len(items) - 1:
+                items = slice(items[0], items[-1] + 1)
+            self.long.append((row, items))
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """(n_rows, K) row sums of the (E, K) items ``x``."""
+        x = np.ascontiguousarray(x)  # so that K is the innermost axis
+        k = x.shape[1]
+        if k == 1:
+            return _segment_sum(x, self.index, self.n_rows)
+        if self.depth:
+            return np.add.reduce(x.reshape(self.n_rows, self.depth, k), axis=1, initial=0.0)
+        part = np.zeros((len(self.rows), k))
+        for items in self.passes:
+            part[:len(items)] += np.take(x, items, axis=0)
+        out = np.zeros((self.n_rows, k))
+        out[self.rows] = part
+        for row, items in self.long:
+            out[row] = np.add.reduce(x[items], axis=0, initial=0.0)
+        return out
 
 
 # The two elementwise helpers below work in place on one fresh buffer: on
@@ -275,24 +361,64 @@ def _row_blocks(src: np.ndarray, dst: np.ndarray, n: int, split: int | None) -> 
             (slice(split, n), slice(k, n_edges), src[k:] - split, dst[k:] - split)]
 
 
-def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
-               w_f: Tensor, b_f: Tensor, w_s: Tensor, b_s: Tensor,
-               split: int | None = None, worker=None) -> Tensor:
+def _each_block(blocks: list, worker, run) -> list:
+    """[run(i) for each block], the second block on ``worker``."""
+    if len(blocks) == 1:
+        return [run(0)]
+    return list(on_both_threads(worker, lambda: run(0), lambda: run(1)))
+
+
+class _EdgePlan:
+    """One batch's edges, laid out once for every conv layer.
+
+    ``blocks`` are ``_row_blocks(src, dst, n, split)``, and ``layouts[i]``
+    is block i's ``_SegmentLayout`` of its src and, when a tape records,
+    of its dst (else None): the forward sum runs over src, the backward
+    over both.  The second block runs on ``worker``, and its layouts are
+    built there, where its sums run.  Endpoints are checked here, once
+    per batch.
+    """
+
+    def __init__(self, src, dst, n: int, split: int | None = None, worker=None):
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.ndim != 1 or dst.shape != src.shape:
+            raise ShapeMismatch(f"edge plan expects one src and one dst per edge, "
+                                f"got {src.shape} and {dst.shape}")
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise IndexOutOfRange(f"edge endpoint outside [0, {n})")
+        self.n, self.n_edges, self.worker = n, len(src), worker
+        self.blocks = _row_blocks(src, dst, n, split)
+        self.taped = active_tape() is not None
+
+        def layouts(i):
+            nodes, _, s, d = self.blocks[i]
+            rows = nodes.stop - nodes.start
+            return _SegmentLayout(s, rows), (_SegmentLayout(d, rows) if self.taped else None)
+
+        self.layouts = _each_block(self.blocks, worker, layouts)
+
+
+def gated_conv(h: Tensor, plan: _EdgePlan, e: np.ndarray,
+               w_f: Tensor, b_f: Tensor, w_s: Tensor, b_s: Tensor) -> Tensor:
     """Gated graph convolution with a residual update, as one primitive.
 
-    For each edge src -> dst with constant features e, the message
+    ``plan``, an ``_EdgePlan`` built once per batch, brings the edges and
+    lends every layer its row blocks and segment layouts.  For each edge
+    src -> dst with constant features e, the message
     ``sigmoid(z W_f + b_f) * softplus(z W_s + b_s)`` on
     ``z = [h[src], h[dst], e]`` is summed into node src and added to h.
     The gate and core weights are stacked into one (2H + K, 2H) matrix
     and ``z W`` is evaluated as ``(h W_src)[src] + (h W_dst)[dst] + e W_e``,
     so the (E, 2H + K) matrix z is never built.
 
-    With ``split``, a node index that no edge crosses, the row work runs as
-    two blocks, the nodes below it with their edges and the rest, the
-    second on ``worker`` (after the first without one): the gathers, the
-    gate, the core and the src segment sum, and in the backward the edge
-    gradients and both segment sums, each block into its own rows of the
-    output and of the edge gradients.  Every row's arithmetic, and each
+    With the plan's ``split``, a node index that no edge crosses, the row
+    work runs as two blocks, the nodes below it with their edges and the
+    rest, the second on the plan's ``worker`` (after the first without
+    one): the gathers, the gate, the core and the src segment sum, and in
+    the backward the edge gradients and both segment sums, each block into
+    its own rows of the output and of the edge gradients.  Every row's
+    arithmetic, and each
     segment sum's order, is that of one block.  No matrix product is
     split by rows: OpenBLAS picks its kernels by shape, and a block of rows
     can round differently from the same rows of the whole product (with
@@ -302,16 +428,17 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
     time, one per thread.  Every output and gradient is therefore bit for
     bit that of one block.  A ``split`` outside the graph, or one that an
     edge crosses, runs one block.
+
+    Every segment sum runs through the plan's ``_SegmentLayout`` of its
+    block's src or dst, which adds each node's edges in edge order from
+    +0.0, as ``np.add.at`` does.  A taped call needs a plan built under a
+    tape, which holds the dst layouts.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
     e = np.asarray(e, dtype=np.float64)
     if h.data.ndim != 2 or e.ndim != 2:
         raise ShapeMismatch("gated_conv expects 2-d node and edge features")
     n, width = h.data.shape
     n_edges, k = e.shape
-    if src.shape != (n_edges,) or dst.shape != (n_edges,):
-        raise ShapeMismatch("gated_conv expects one src and one dst per edge row")
     z_dim = 2 * width + k
     for w in (w_f, w_s):
         if w.data.shape != (z_dim, width):
@@ -319,22 +446,20 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
     for b in (b_f, b_s):
         if b.data.shape != (width,):
             raise ShapeMismatch(f"conv bias must be {(width,)}, got {b.data.shape}")
-    if n_edges and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-        raise IndexOutOfRange(f"edge endpoint outside [0, {n})")
-
-    blocks = _row_blocks(src, dst, n, split)
-
-    def each_block(run) -> list:
-        if len(blocks) == 1:
-            return [run(0)]
-        return list(on_both_threads(worker, lambda: run(0), lambda: run(1)))
-
-    w = np.concatenate([w_f.data, w_s.data], axis=1)
-    w_src, w_dst, w_e = w[:width], w[width:2 * width], w[2 * width:]
-    bias = np.concatenate([b_f.data, b_s.data])
     inputs = (h, w_f, b_f, w_s, b_s)
     # the backward needs softplus'(pre_s) = sigmoid(pre_s), not the (E, 2H) pre
     taped = active_tape() is not None and any(t.requires_grad for t in inputs)
+    if (plan.n, plan.n_edges) != (n, n_edges):
+        raise ShapeMismatch(f"gated_conv expects a row per node and per edge of its plan: "
+                            f"{n} node and {n_edges} edge rows against {plan.n} and "
+                            f"{plan.n_edges}")
+    if taped and not plan.taped:
+        raise ShapeMismatch("a taped gated_conv needs the dst layouts of a plan built "
+                            "under a tape")
+    blocks, layouts, worker = plan.blocks, plan.layouts, plan.worker
+    w = np.concatenate([w_f.data, w_s.data], axis=1)
+    w_src, w_dst, w_e = w[:width], w[width:2 * width], w[2 * width:]
+    bias = np.concatenate([b_f.data, b_s.data])
     if len(blocks) == 1:
         # e W_e is made where it is added, after the gathers, so its (E, 2H)
         # block is the last temporary alive: less memory and cache traffic
@@ -363,17 +488,16 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
         core = _softplus(pre[:, width:])
         sig_s = _sigmoid(pre[:, width:]) if taped else None
         del pre
-        np.add(h.data[nodes], _segment_sum(gate * core, s, nodes.stop - nodes.start),
-               out=out[nodes])
+        np.add(h.data[nodes], layouts[i][0].sum(gate * core), out=out[nodes])
         return gate, core, sig_s
 
-    acts = each_block(forward)
+    acts = _each_block(blocks, worker, forward)
 
     def backward(g):
         g_pre = np.empty((n_edges, 2 * width))
 
         def block(i):
-            nodes, edges, s, d = blocks[i]
+            nodes, edges, s, _ = blocks[i]
             gate, core, sig_s = acts[i]
             g_msg = np.take(g[nodes], s, axis=0)
             g_f = g_pre[edges, :width]
@@ -383,11 +507,11 @@ def gated_conv(h: Tensor, src: np.ndarray, dst: np.ndarray, e: np.ndarray,
             g_s = g_pre[edges, width:]
             np.multiply(g_msg, gate, out=g_s)
             g_s *= sig_s
-            rows = nodes.stop - nodes.start
-            return _segment_sum(g_pre[edges], s, rows), _segment_sum(g_pre[edges], d, rows)
+            at_src, at_dst = layouts[i]
+            return at_src.sum(g_pre[edges]), at_dst.sum(g_pre[edges])
 
         g_at_src, g_at_dst = (np.concatenate(parts) if len(parts) > 1 else parts[0]
-                              for parts in zip(*each_block(block)))
+                              for parts in zip(*_each_block(blocks, worker, block)))
         # every edge row lands in exactly one src row, so g_at_src sums to the bias gradient
         (g_w_h, g_b, g_h), g_w_e = on_both_threads(
             worker,

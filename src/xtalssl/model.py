@@ -9,7 +9,10 @@ the layer runs and evaluates ``z W`` decomposed, as
 ``(h W_src)[i] + (h W_dst)[j] + e_ij W_e`` over the row blocks of the stacked
 matrix, so z itself is never built.  ``encode`` expands and masks the edge
 features once per batch and zeroes their subnormal tails (entries below
-DBL_MIN), and every layer reads that one block.  The
+DBL_MIN), and every layer reads that one block.  It lays the edges out once
+per batch too, as an ``autodiff._EdgePlan`` that every layer's segment sums
+read; its dst layouts, which only the backward reads, are built only when a
+tape records.  The
 checkpoint keeps ``w_f``, ``b_f``, ``w_s`` and ``b_s`` as separate arrays.
 No batch normalization anywhere, so what a graph is batched with moves its
 encoding by round-off only.  Readout is the mean over active (unmasked)
@@ -42,6 +45,7 @@ import numpy as np
 from .autodiff import (
     ShapeMismatch,
     Tensor,
+    _EdgePlan,
     gated_conv,
     scaled_gather,
     scaled_segment_sum,
@@ -235,9 +239,10 @@ def encode(params: ModelParams, graph: CrystalGraph,
     # on zero edges gated_conv is the identity, and its weights get zero gradients
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
     split = None if worker is None else int(np.searchsorted(seg, (n_graphs + 1) // 2))
+    # one edge plan for every layer
+    plan = _EdgePlan(src, dst, n, split, worker)
     for conv in params.convs:
-        h = gated_conv(h, src, dst, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s,
-                       split, worker)
+        h = gated_conv(h, plan, masked_feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
     return scaled_segment_sum(h, _readout_weights(graph.node_mask, seg, n_graphs), seg, n_graphs)
 
 

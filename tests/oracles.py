@@ -11,6 +11,8 @@ last bit.
 ``expand_symmetry_loop`` is the CIF parser's former symmetry expansion, a
 loop over (site, op) images that checks each against every kept image; the
 array code in ``structure_io`` must give its sites to the last bit.
+``segment_sum`` is ``np.add.at`` into zeros, the order every segment sum
+of the package must keep to the last bit.
 
 The last two sections are the bitwise reference of the fused primitives.
 They hold the small tape ops (``matmul``, ``add``, ``softplus``,
@@ -183,6 +185,13 @@ def expand_symmetry_loop(lattice, numbers, fracs, ops):
                 out_numbers.append(int(z))
                 out_fracs.append(pos)
     return np.array(out_numbers, dtype=np.int64), np.array(out_fracs, dtype=np.float64)
+
+
+def segment_sum(x, index, n_rows):
+    """out[index[i]] += x[i] item by item into zeros: each row's items in item order from +0.0."""
+    out = np.zeros((n_rows, x.shape[1]))
+    np.add.at(out, index, x)
+    return out
 
 
 # ---------------------------------------------------------------------------

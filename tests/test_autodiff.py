@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
     scale,
     scale_rows,
     scatter_add_rows,
+    segment_sum,
     softplus,
     sum_all,
     transpose,
@@ -410,6 +412,66 @@ class TestSegmentSum:
         npt.assert_array_equal(out.data, np.zeros((2, 3)))
 
 
+def layout_case(seed, n_rows, n_items, width, kind):
+    """An (n_items, width) block with exact and signed zeros, and an index into n_rows rows.
+
+    ``kind``: "sorted" and "unsorted" draw from a random subset of the
+    rows, so some rows are never hit; "regular" gives every row the same
+    count, in row order; "hub" puts every item in one row.  One row, if it
+    holds items, holds only -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_items, width)) * 10.0 ** rng.integers(-8, 9, size=(n_items, width))
+    x[rng.uniform(size=x.shape) < 0.1] = 0.0
+    x[rng.uniform(size=x.shape) < 0.1] = -0.0
+    if kind == "regular":
+        index = np.repeat(np.arange(n_rows), n_items // n_rows)
+        x = x[:index.size]
+    elif kind == "hub":
+        index = np.full(n_items, rng.integers(n_rows))
+    else:
+        hit = rng.choice(n_rows, size=rng.integers(1, n_rows + 1), replace=False)
+        index = rng.choice(hit, size=n_items)
+        if kind == "sorted":
+            index.sort()
+    x[index == rng.integers(n_rows)] = -0.0  # a row of -0.0 items sums to +0.0
+    return x, index
+
+
+class TestSegmentLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 40),
+           n_items=st.integers(0, 300), width=st.integers(1, 128),
+           kind=st.sampled_from(["sorted", "unsorted", "regular", "hub"]))
+    def test_sums_bitwise_as_add_at(self, seed, n_rows, n_items, width, kind):
+        x, index = layout_case(seed, n_rows, n_items, width, kind)
+        layout = ad._SegmentLayout(index, n_rows)
+        # in column-major memory too, where numpy would reduce a row pairwise
+        got = layout.sum(np.asfortranarray(x) if seed % 2 else x)
+        expected = segment_sum(x, index, n_rows)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        # rows that hold no item are +0.0, never -0.0
+        assert not np.signbit(got[np.bincount(index, minlength=n_rows) == 0]).any()
+
+    @pytest.mark.parametrize("kind, n_rows, n_items, form", [
+        ("regular", 30, 300, "regular"),
+        ("sorted", 40, 300, "passes"),
+        ("unsorted", 40, 300, "passes"),
+        ("hub", 40, 300, "long"),
+        ("unsorted", 3, 40, "long"),  # fewer rows than a pass must add
+    ])
+    @pytest.mark.parametrize("width", [1, 2, 128])
+    def test_each_form_runs(self, kind, n_rows, n_items, form, width):
+        # the property above covers these; this pins that each form is reached
+        x, index = layout_case(1, n_rows, n_items, width, kind)
+        layout = ad._SegmentLayout(index, n_rows)
+        forms = {"regular": bool(layout.depth),
+                 "passes": not layout.depth and bool(layout.passes),
+                 "long": not layout.depth and bool(layout.long)}
+        assert forms[form]
+        assert layout.sum(x).tobytes() == segment_sum(x, index, n_rows).tobytes()
+
+
 class TestElementwiseHelpers:
     def test_negative_tail_keeps_relative_precision(self):
         # Adam's steps do not scale with the gradient, so a tail that rounds
@@ -457,7 +519,7 @@ class TestGatedConv:
         rng = np.random.default_rng(40)
         src, dst, e, params = conv_case(rng)
         h, w_f, b_f, w_s, b_s = params
-        got = ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, b_s).data
+        got = ad.gated_conv(h, ad._EdgePlan(src, dst, 5), e, w_f, b_f, w_s, b_s).data
         expected = dense_gated_conv(h.data, src, dst, e, w_f.data, b_f.data, w_s.data, b_s.data)
         npt.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
         # the node without edges passes through unchanged
@@ -470,7 +532,7 @@ class TestGatedConv:
         weight = Tensor(rng.normal(size=h.shape))
 
         def loss_fn():
-            out = ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, b_s)
+            out = ad.gated_conv(h, ad._EdgePlan(src, dst, 5), e, w_f, b_f, w_s, b_s)
             return sum_all(mul(out, weight))
 
         assert grad_check(loss_fn, params, eps=1e-6) == []
@@ -487,7 +549,7 @@ class TestGatedConv:
         src, dst = np.array([0, 0, 1]), np.array([1, 0, 0])
         e = np.ones((3, k))
         with Tape() as tape:
-            out = ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, b_s)
+            out = ad.gated_conv(h, ad._EdgePlan(src, dst, 2), e, w_f, b_f, w_s, b_s)
             tape.backward(sum_all(out))
         assert np.isfinite(out.data).all()
         npt.assert_allclose(out.data[0], 2 * np.array([0.0, 0.5 * np.log(2.0), 800.0]),
@@ -504,14 +566,44 @@ class TestGatedConv:
         rng = np.random.default_rng(42)
         src, dst, e, params = conv_case(rng)
         h, w_f, b_f, w_s, b_s = params
+        plan = ad._EdgePlan(src, dst, 5)
         with pytest.raises(ShapeMismatch):
-            ad.gated_conv(h, src, dst, e[:, :1], w_f, b_f, w_s, b_s)
+            ad.gated_conv(h, plan, e[:, :1], w_f, b_f, w_s, b_s)
         with pytest.raises(ShapeMismatch):
-            ad.gated_conv(h, src[:-1], dst, e, w_f, b_f, w_s, b_s)
+            ad._EdgePlan(src[:-1], dst, 5)
         with pytest.raises(ShapeMismatch):
-            ad.gated_conv(h, src, dst, e, w_f, b_f, w_s, Tensor(np.zeros(2)))
+            ad.gated_conv(h, plan, e, w_f, b_f, w_s, Tensor(np.zeros(2)))
         with pytest.raises(IndexOutOfRange):
-            ad.gated_conv(h, src, np.where(dst == 3, 5, dst), e, w_f, b_f, w_s, b_s)
+            ad._EdgePlan(src, np.where(dst == 3, 5, dst), 5)
+        with pytest.raises(ShapeMismatch, match="5 node and 6 edge rows against 5 and 7"):
+            ad.gated_conv(h, plan, e[:-1], w_f, b_f, w_s, b_s)
+        # a plan laid out without a tape holds no dst layouts for the backward
+        with Tape(), pytest.raises(ShapeMismatch, match="built under a tape"):
+            ad.gated_conv(h, plan, e, w_f, b_f, w_s, b_s)
+
+    def test_a_hub_holds_no_padding(self):
+        # a star: 64 sources with 64 edges each, every edge into node 0.  Rows
+        # padded to the hub's 4,096 edges would hold 65 x 4,096 x 2H floats;
+        # the taped layer, forward and backward, stays within a few E x 2H
+        n_src, per_src, width, k = 64, 64, 8, 4
+        src = np.repeat(np.arange(1, n_src + 1), per_src)
+        dst = np.zeros_like(src)
+        rng = np.random.default_rng(43)
+        z_dim = 2 * width + k
+        params = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((n_src + 1, width), (z_dim, width), (width,), (z_dim, width), (width,))]
+        e, w_out = rng.normal(size=(src.size, k)), Tensor(rng.normal(size=(n_src + 1, width)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ad.gated_conv(params[0], ad._EdgePlan(src, dst, n_src + 1), e, *params[1:])
+                tape.backward(sum_all(mul(out, w_out)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * src.size * 2 * width * 8
+        expected = dense_gated_conv(params[0].data, src, dst, e, *(p.data for p in params[1:]))
+        npt.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
 
 
 def merged_conv_case(seed, sizes, edge_counts, width, k):
@@ -539,7 +631,8 @@ def conv_bytes(src, dst, e, arrays, w_out, split=None, worker=None):
     """The output and the five gradients of a taped gated_conv, as bytes."""
     params = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:
-        out = ad.gated_conv(params[0], src, dst, e, *params[1:], split=split, worker=worker)
+        plan = ad._EdgePlan(src, dst, len(arrays[0]), split, worker)
+        out = ad.gated_conv(params[0], plan, e, *params[1:])
         tape.backward(sum_all(mul(out, Tensor(w_out))))
     return [out.data.tobytes()] + [p.grad.tobytes() for p in params]
 

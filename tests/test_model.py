@@ -1,16 +1,21 @@
+import contextlib
 import dataclasses
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from xtalssl import autodiff
 from xtalssl import model as model_module
 from xtalssl.autodiff import (
     ShapeMismatch,
     Tape,
     Tensor,
+    _EdgePlan,
     gated_conv,
     scaled_gather,
     scaled_segment_sum,
@@ -302,6 +307,42 @@ class TestConvLayer:
         assert len(tape._records) == cfg.n_conv + 2 and latent.requires_grad
         assert held / (g.n_edges * cfg.n_conv) < 4.25 * 8 * cfg.hidden_dim
 
+    def test_encode_lays_the_edges_out_once_and_dst_only_under_a_tape(self, monkeypatch):
+        # every layer reads one plan; the dst layouts serve only the backward
+        main, plans, built_on = threading.current_thread(), [], {}
+        plan_init, layout_init = autodiff._EdgePlan.__init__, autodiff._SegmentLayout.__init__
+
+        def counted_plan(plan, *args, **kwargs):
+            plans.append(plan)
+            plan_init(plan, *args, **kwargs)
+
+        def counted_layout(layout, *args):
+            built_on[layout] = threading.current_thread() is main
+            layout_init(layout, *args)
+
+        monkeypatch.setattr(autodiff._EdgePlan, "__init__", counted_plan)
+        monkeypatch.setattr(autodiff._SegmentLayout, "__init__", counted_layout)
+        cfg = ModelConfig(n_conv=3)
+        p = init_params(cfg, np.random.default_rng(11))
+        graphs = [build_graph(e.structure, build_neighbor_list(e.structure, NeighborConfig()))
+                  for e in gen_toy_dataset(4, seed=2).entries]
+        g, seg = merge_graphs(graphs)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for taped, with_worker in ((True, False), (False, False), (True, True), (False, True)):
+                del plans[:]
+                built_on.clear()
+                with Tape() if taped else contextlib.nullcontext():
+                    encode(p, g, seg, len(graphs), worker if with_worker else None)
+                assert len(plans) == 1
+                blocks = plans[0].layouts
+                assert len(blocks) == (2 if with_worker else 1)
+                assert all((dst is not None) == taped for _, dst in blocks)
+                # each block's layouts, and only they, built on the block's thread
+                on_main = [[built_on.pop(lay) for lay in block if lay is not None]
+                           for block in blocks]
+                assert on_main == [[True] * (1 + taped), [False] * (1 + taped)][:len(blocks)]
+                assert not built_on
+
 
 class TestMaskSemantics:
     def test_masked_edge_equals_zeroed_feature(self):
@@ -356,9 +397,9 @@ class TestSubnormalTails:
     def test_every_conv_layer_reads_no_subnormal_edge_feature(self, monkeypatch):
         seen = []
 
-        def spy(h, src, dst, edge_feat, *rest):
+        def spy(h, plan, edge_feat, *rest):
             seen.append(subnormal_count(edge_feat))
-            return gated_conv(h, src, dst, edge_feat, *rest)
+            return gated_conv(h, plan, edge_feat, *rest)
 
         monkeypatch.setattr(model_module, "gated_conv", spy)
         g, seg = subnormal_cells()
@@ -375,9 +416,9 @@ class TestSubnormalTails:
         def unflushed_encode(p):
             h = scaled_gather(p.elem_embed, g.node_elem - 1, g.node_mask.astype(np.float64))
             feat = g.edge_feat * g.edge_mask[:, None]
+            plan = _EdgePlan(g.edges[:, 0], g.edges[:, 1], g.n_nodes)
             for conv in p.convs:
-                h = gated_conv(h, g.edges[:, 0], g.edges[:, 1], feat,
-                               conv.w_f, conv.b_f, conv.w_s, conv.b_s)
+                h = gated_conv(h, plan, feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
             return scaled_segment_sum(h, _readout_weights(g.node_mask, seg, 2), seg, 2)
 
         def run(flushed):
@@ -475,9 +516,9 @@ class TestHeads:
         def chain_encode(p, g, seg, n_graphs):
             h = chain_scaled_gather(p.elem_embed, g.node_elem - 1, g.node_mask.astype(np.float64))
             feat = g.edge_feat * g.edge_mask[:, None]
+            plan = _EdgePlan(g.edges[:, 0], g.edges[:, 1], g.n_nodes)
             for conv in p.convs:
-                h = gated_conv(h, g.edges[:, 0], g.edges[:, 1], feat,
-                               conv.w_f, conv.b_f, conv.w_s, conv.b_s)
+                h = gated_conv(h, plan, feat, conv.w_f, conv.b_f, conv.w_s, conv.b_s)
             return chain_scaled_segment_sum(h, _readout_weights(g.node_mask, seg, n_graphs),
                                             seg, n_graphs)
 

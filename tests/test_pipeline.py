@@ -1162,20 +1162,23 @@ class TestSplitSteps:
         workers = {"threaded": lambda: spy, "inline": InlineWorker,
                    "none": contextlib.nullcontext}
         main = threading.current_thread()
-        second_blocks, on_worker, built_on = [], [], {run: {} for run in workers}
-        row_blocks, segment_sum, graph = autodiff._row_blocks, autodiff._segment_sum, \
-            pipeline.entry_graph
+        # threads_of[layout]: the thread that built it, then the one of each sum
+        second_blocks, threads_of, built_on = [], {}, {run: {} for run in workers}
+        plan_init, layout_init, layout_sum, graph = autodiff._EdgePlan.__init__, \
+            autodiff._SegmentLayout.__init__, autodiff._SegmentLayout.sum, pipeline.entry_graph
 
-        def blocks(*args):
-            out = row_blocks(*args)
-            if len(out) == 2:
-                second_blocks.append(out[1][2])  # the second block's src, as the sums get it
-            return out
+        def planned(plan, *args, **kwargs):
+            plan_init(plan, *args, **kwargs)
+            if len(plan.blocks) == 2:
+                second_blocks.append(plan.layouts[1])  # the layouts the second block's sums read
 
-        def summed(x, index, n_rows):
-            if threading.current_thread() is not main:
-                on_worker.append(index)
-            return segment_sum(x, index, n_rows)
+        def laid_out(layout, *args):
+            threads_of[layout] = [threading.current_thread()]
+            layout_init(layout, *args)
+
+        def summed(layout, x):
+            threads_of[layout].append(threading.current_thread())
+            return layout_sum(layout, x)
 
         def recorded(run):
             def entry_graph(e, *args):
@@ -1183,21 +1186,29 @@ class TestSplitSteps:
                 return graph(e, *args)
             return entry_graph
 
-        monkeypatch.setattr(autodiff, "_row_blocks", blocks)
-        monkeypatch.setattr(autodiff, "_segment_sum", summed)
+        monkeypatch.setattr(autodiff._EdgePlan, "__init__", planned)
+        monkeypatch.setattr(autodiff._SegmentLayout, "__init__", laid_out)
+        monkeypatch.setattr(autodiff._SegmentLayout, "sum", summed)
         out, split_runs = {}, {}
         for run, worker in workers.items():
-            del second_blocks[:], on_worker[:]
+            del second_blocks[:]
+            threads_of.clear()
             monkeypatch.setattr(pipeline, "_second_thread", worker)
             monkeypatch.setattr(pipeline, "entry_graph", recorded(run))
             ft = finetune(data, TWIN, fcfg, out_dir=tmp_path / run)
             out[run] = (ft.report.to_json(), (tmp_path / run / "finetune_model.ckpt").read_bytes())
-            split_runs[run] = (len(second_blocks),
-                               any(i is s for s in second_blocks for i in on_worker))
+            second = [threads_of[lay] for block in second_blocks for lay in block]
+            split_runs[run] = (len(second_blocks), sum(len(on) - 1 for on in second),
+                               any(t is not main for on in second for t in on))
+            # every layout is summed on the thread that built it, so no
+            # block reads another's
+            assert all(len(set(on)) == 1 for on in threads_of.values())
         assert out["inline"] == out["threaded"] and out["none"] == out["threaded"]
-        # a split in each of 2 conv layers x 3 batches x 2 epochs, and the
-        # second block's segment sums ran on the worker
-        assert split_runs == {"threaded": (12, True), "inline": (12, False), "none": (0, False)}
+        # one split plan per step, 3 batches x 2 epochs, and its second
+        # block's layouts built and summed on the worker: 2 conv layers x
+        # (the forward src sum, the backward src and dst sums) per step
+        assert split_runs == {"threaded": (6, 36, True), "inline": (6, 36, False),
+                              "none": (0, 0, False)}
         # train, val and test graphs in split order: the first half here, the rest on the worker
         train, val, test = split_dataset(data, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))
         in_order = [e.id for e in train.entries + val.entries + test.entries]
@@ -1211,22 +1222,22 @@ class TestSplitSteps:
         rng = np.random.default_rng(5)
         h, w_f, b_f, w_s, b_s = (Tensor(rng.normal(size=s), requires_grad=True)
                                  for s in ((4, 2), (5, 2), (2,), (5, 2), (2,)))
-        main, finished, segment_sum = threading.current_thread(), [], autodiff._segment_sum
+        main, finished, layout_sum = threading.current_thread(), [], autodiff._SegmentLayout.sum
 
-        def summed(x, index, n_rows):
+        def summed(layout, x):
             on_worker = threading.current_thread() is not main
             if on_worker == (raises_on == "worker"):
                 raise FloatingPointError("block failed")
             time.sleep(0.2)  # the other block is still running when the error is raised
-            out = segment_sum(x, index, n_rows)
+            out = layout_sum(layout, x)
             finished.append(on_worker)
             return out
 
-        monkeypatch.setattr(autodiff, "_segment_sum", summed)
+        monkeypatch.setattr(autodiff._SegmentLayout, "sum", summed)
         with SpyWorker() as spy:
+            plan = autodiff._EdgePlan(src, dst, 4, 2, spy)
             with pytest.raises(FloatingPointError, match="block failed"):
-                autodiff.gated_conv(h, src, dst, rng.normal(size=(6, 1)), w_f, b_f, w_s, b_s,
-                                    split=2, worker=spy)
+                autodiff.gated_conv(h, plan, rng.normal(size=(6, 1)), w_f, b_f, w_s, b_s)
             assert finished == [raises_on == "caller"]
             assert all(f.done() for f in spy.futures)
 
