@@ -5,13 +5,14 @@ perturbation moves atoms in cartesian space before graph construction;
 masking zeroes mask bits and never touches topology or feature values.
 Both views of a structure take their neighbor lists from one skin
 candidate list (``view_candidates``, through ``geometry.candidate_list``),
-which gives each view exactly the list a fresh search of it would.  A
-caller may build that list once and pass it to every call, as pretraining
-does; a list made under another neighbor config, or for a smaller
-displacement, is rejected.
+which gives each view exactly the list a fresh search of it would.  The
+list holds the structure it was searched from and its neighbor config, so
+it is the whole input of its views: a caller builds it once and passes it
+to every call, as pretraining does.  Only a list built for a smaller
+displacement than the views' is rejected.
 
-``batch_views`` builds views a and b of every structure of a batch and
-merges each side, in one pass.  Per view it does only what follows the
+``batch_views`` builds views a and b of every list's structure and merges
+each side, in one pass.  Per view it does only what follows the
 random stream, in the chain's order, entry by entry, view a then view b:
 the displacement draws and the wrap (``_displace``), the node-mask draw
 and the edge-mask draw.  The edge-mask draw needs the view's edge count,
@@ -141,18 +142,6 @@ def view_candidates(s: CrystalStructure, cfg: AugmentConfig,
     return candidate_list(s, neighbor_cfg, _displacement(cfg))
 
 
-def _check_candidates(c: CandidateList, s: CrystalStructure, cfg: AugmentConfig,
-                      neighbor_cfg: NeighborConfig) -> None:
-    """Reject a list that cannot hold every neighbor of every view of ``s`` under these configs."""
-    max_disp = _displacement(cfg)
-    if c.cfg != neighbor_cfg or c.max_disp < max_disp:
-        raise ValueError(f"candidate list built for {c.cfg} and max_disp {c.max_disp} cannot "
-                         f"serve views under {neighbor_cfg} and max_disp {max_disp}")
-    if c.n_candidates.shape[0] != s.n_sites:
-        raise ValueError(f"candidate list of {c.n_candidates.shape[0]} sites cannot serve "
-                         f"a structure of {s.n_sites}")
-
-
 def _side_mask(sizes: list[int], drops: list[np.ndarray]) -> np.ndarray:
     """One side's int8 mask over its views' items, ``sizes[v]`` of view v, 0 at its ``drops[v]``."""
     sizes = np.array(sizes)
@@ -162,29 +151,28 @@ def _side_mask(sizes: list[int], drops: list[np.ndarray]) -> np.ndarray:
 
 
 def batch_views(
-    structures: list[CrystalStructure],
+    candidates: list[CandidateList],
     cfg: AugmentConfig,
-    neighbor_cfg: NeighborConfig,
     basis: GaussianBasis,
     rng: np.random.Generator,
-    candidates: list[CandidateList] | None = None,
 ) -> tuple[tuple[CrystalGraph, np.ndarray], tuple[CrystalGraph, np.ndarray]]:
-    """Views a and b of every structure, each side merged.
+    """Views a and b of every list's structure, each side merged.
 
     Returns (graph, segment ids) per side, as ``merge_graphs`` of the a
     views and of the b views would, built as the module docstring says.
-    ``candidates`` holds ``view_candidates(s, cfg, neighbor_cfg)`` per
-    structure for a caller that holds them already; without it, this call
-    searches.  A list made under another neighbor config, or for a smaller
-    displacement, is a ValueError.
+    Each view takes its sites, elements and neighbor config from its list,
+    ``view_candidates(s, cfg, neighbor_cfg)`` or any list of ``s`` built
+    for at least ``cfg``'s displacement; a list built for less is a
+    ValueError.
     """
     if not cfg.any_enabled:
         raise NoAugmentationEnabled("at least one augmentation must be enabled")
-    if candidates is None:
-        candidates = [view_candidates(s, cfg, neighbor_cfg) for s in structures]
-    for s, c in zip(structures, candidates, strict=True):
-        _check_candidates(c, s, cfg, neighbor_cfg)
     max_disp = _displacement(cfg)
+    structures = [c.structure for c in candidates]
+    for c in candidates:
+        if c.max_disp < max_disp:
+            raise ValueError(f"candidate list built for max_disp {c.max_disp} cannot "
+                             f"serve views under max_disp {max_disp}")
     # a mask that is off drops nothing and draws nothing, as at fraction 0
     node_fraction = cfg.mask_fraction if cfg.enable_atom_mask else 0.0
     edge_fraction = cfg.mask_fraction if cfg.enable_edge_mask else 0.0

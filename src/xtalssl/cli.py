@@ -173,6 +173,8 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         ablate_seeds = list(typed.get("ablate.seeds", [0, 1, 2]))
         if any(s < 0 for s in ablate_seeds):
             raise ValueError(f"ablate.seeds must be >= 0, got {ablate_seeds}")
+        if len(set(ablate_seeds)) < len(ablate_seeds):
+            raise ValueError(f"ablate.seeds must not repeat a seed, got {ablate_seeds}")
     except ValueError as exc:
         raise InvalidConfig(f"invalid configuration: {exc}") from None
     return RunConfig(

@@ -310,24 +310,24 @@ def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfi
 
 @dataclass(frozen=True)
 class CandidateList:
-    """Pairs of one structure that can be neighbors in any view of it.
+    """Pairs of ``structure`` that can be neighbors in any view of it.
 
     A view moves each site by at most ``max_disp``, the displacement the
     list was built for, and is searched under ``cfg``.  ``image`` is
-    relative to the structure's own sites; ``counts``, ``images`` and
-    ``image_carts`` describe the cutoff's image block, which every view
-    shares because perturbation leaves the lattice alone.  ``lattice`` is
-    the structure's checked lattice, ``inv_lattice`` its inverse, which maps
-    a view's cartesian displacements to fractional ones.  Candidates come
-    grouped by source in (dst, lexicographic image) order, ``n_candidates``
-    of source i.  ``boundary`` indexes those farther than
-    cutoff - 2 max_disp - slack before, slack being 1e-9 * (cutoff +
-    2 max_disp): the only ones a view can lose.
+    relative to the structure's own sites; ``counts`` and ``image_carts``
+    describe the cutoff's lexicographic image block, which every view
+    shares because perturbation leaves the lattice alone.  ``inv_lattice``
+    is the inverse of the structure's lattice, which maps a view's
+    cartesian displacements to fractional ones.  Candidates come grouped by
+    source in (dst, lexicographic image) order, ``n_candidates`` of source
+    i.  ``boundary`` indexes those farther than cutoff - 2 max_disp - slack
+    before, slack being 1e-9 * (cutoff + 2 max_disp): the only ones a view
+    can lose.
     """
 
+    structure: CrystalStructure
     cfg: NeighborConfig
     max_disp: float
-    lattice: np.ndarray  # (3, 3) float64
     inv_lattice: np.ndarray  # (3, 3) float64
     src: np.ndarray  # (K,) int32
     dst: np.ndarray  # (K,) int32
@@ -335,7 +335,6 @@ class CandidateList:
     n_candidates: np.ndarray  # (N,) int64
     boundary: np.ndarray  # (L,) int64, ascending
     counts: np.ndarray  # (3,) images per axis direction
-    images: np.ndarray  # (M, 3) int64, lexicographic
     image_carts: np.ndarray  # (M, 3) float64
 
 
@@ -349,7 +348,7 @@ def candidate_list(s: CrystalStructure, cfg: NeighborConfig, max_disp: float) ->
     lattice = _check_lattice(s.lattice)
     spans = _axis_spans(lattice)
     counts = _checked_image_counts(spans, cfg.cutoff)
-    images, image_carts = _image_block(lattice, counts)
+    _, image_carts = _image_block(lattice, counts)
     skin = 2.0 * max_disp
     # computed distances carry rounding error on both sides of the bound
     slack = 1e-9 * (cfg.cutoff + skin)
@@ -361,14 +360,13 @@ def candidate_list(s: CrystalStructure, cfg: NeighborConfig, max_disp: float) ->
     dist = np.sqrt(d2)
     keep = dist <= _kth_smallest(src, dist, cfg.max_neighbors, s.n_sites)[src] + 2.0 * skin + slack
     src = src[keep]
-    return CandidateList(cfg=cfg, max_disp=max_disp, lattice=lattice,
+    return CandidateList(structure=s, cfg=cfg, max_disp=max_disp,
                          inv_lattice=np.linalg.inv(lattice), src=src.astype(np.int32),
                          dst=dst[keep].astype(np.int32),
                          image=skin_images[idx[keep]].astype(np.int32),
                          n_candidates=np.bincount(src, minlength=s.n_sites),
                          boundary=np.flatnonzero(dist[keep] > cfg.cutoff - skin - slack),
-                         counts=np.array(counts, dtype=np.int64), images=images,
-                         image_carts=image_carts)
+                         counts=np.array(counts, dtype=np.int64), image_carts=image_carts)
 
 
 class ViewSites(NamedTuple):
@@ -415,7 +413,7 @@ def view_sites(c: CandidateList, frac_coords: np.ndarray, shift: np.ndarray) -> 
     the image block, in every view.  Only the boundary candidates are
     measured here, with ``view_neighbor_lists``' arithmetic.
     """
-    cart = frac_coords @ c.lattice
+    cart = frac_coords @ c.structure.lattice
     lost = c.boundary
     if lost.size:
         src, dst = c.src[lost], c.dst[lost]
@@ -458,7 +456,7 @@ def view_neighbor_lists(views: list[ViewSites]) -> NeighborList:
     # lost candidate may lie outside its block, so it reads row 0 of its own
     idx = _block_index(image, np.repeat(np.stack([c.counts for c in lists]), n_cand, axis=0))
     idx[lost] = 0
-    n_images = np.array([c.images.shape[0] for c in lists])
+    n_images = np.array([c.image_carts.shape[0] for c in lists])
     idx += np.repeat(np.cumsum(n_images) - n_images, n_cand)
     table = np.concatenate([c.image_carts for c in lists])
     dist = np.sqrt(_view_d2(cart, src, dst, table, idx))

@@ -17,7 +17,8 @@ thread does both parts in turn, with the same results.
 - Pretraining first builds each crystal's neighbor candidate list, once
   for the whole call, and fine-tuning each crystal's graph, splitting the
   crystals into two contiguous halves, one per thread (``_map_halves``).
-  Every epoch and validation pass takes its views or graphs from these.
+  Every epoch and validation pass takes its views or graphs from these; a
+  candidate list holds its crystal, so a batch's views need nothing else.
 - Pretraining encodes view a of a batch on the calling thread and view b
   on the worker, forward and backward (``_twin_embeddings``).  Each view
   records on its own tape and accumulates into its own gradients, which are
@@ -413,15 +414,13 @@ def _twin_embeddings(worker, params: ModelParams, merged,
     return za, zb
 
 
-def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, entries, candidates,
-                   rng) -> Tensor:
-    """Barlow Twins loss between two augmented views of each entry, view b on any ``worker``.
+def _bt_batch_loss(worker, params: ModelParams, pcfg: PretrainConfig, candidates, rng) -> Tensor:
+    """Barlow Twins loss between two augmented views of each crystal, view b on any ``worker``.
 
-    ``candidates`` holds each entry's ``view_candidates`` list.
+    ``candidates`` holds each crystal's ``view_candidates`` list.
     """
-    merged = batch_views([e.structure for e in entries], pcfg.augment, pcfg.neighbor,
-                         pcfg.basis, rng, candidates)
-    za, zb = _twin_embeddings(worker, params, merged, len(entries))
+    merged = batch_views(candidates, pcfg.augment, pcfg.basis, rng)
+    za, zb = _twin_embeddings(worker, params, merged, len(candidates))
     return bt_loss_from_embeddings(za, zb, pcfg.loss)
 
 
@@ -508,8 +507,7 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
             return view_candidates(entry.structure, pcfg.augment, pcfg.neighbor)
 
     def batch_loss(batch_idx, rng):
-        return _bt_batch_loss(worker, params, pcfg, [data.entries[i] for i in batch_idx],
-                              [candidates[i] for i in batch_idx], rng)
+        return _bt_batch_loss(worker, params, pcfg, [candidates[i] for i in batch_idx], rng)
 
     def val_loss():
         # fresh stream each epoch -> identical validation views every epoch
@@ -732,6 +730,8 @@ def ablation_run(pretrain_data: Dataset, finetune_data: Dataset, mcfg: ModelConf
     """
     if not seeds:
         raise ValueError("ablation needs at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"ablation seeds must not repeat, got {seeds}")
     arms = ABLATION_ARMS if arms is None else arms
     # partition sizes do not depend on the seed, so one split checks every arm's test set
     if not split_dataset(finetune_data, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))[2].entries:

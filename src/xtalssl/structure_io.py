@@ -545,12 +545,21 @@ def _read_cif(path: Path) -> CrystalStructure:
         return parse_cif(text)
 
 
+def _check_id(entry_id: str, where: str) -> None:
+    """Reject an id that names no file directly under the data root, or splits a CSV row or field."""
+    if entry_id in ("", ".", "..") or set(entry_id) & set("/\\"):
+        raise InvalidEntryId(f"{where}: entry id {entry_id!r} names no file in the data root")
+    if set(entry_id) & set(",\r\n"):
+        raise InvalidEntryId(f"{where}: entry id {entry_id!r} holds a comma or line break")
+
+
 def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Dataset:
     """Load CIF files under ``root``; with an "id,label" CSV, attach labels.
 
     Without an index every ``*.cif`` in root becomes an unlabeled entry
-    whose id is the file stem; a stem with a comma or line break is rejected.
-    With an index only the referenced files are loaded.  Entries are sorted by id.
+    whose id is the file stem.  With an index only the referenced files are
+    loaded.  Either way an id that is empty, ``.`` or ``..``, or holds a
+    ``/``, ``\\``, comma or line break is rejected.  Entries are sorted by id.
     """
     root = Path(root)
     if not root.is_dir():
@@ -558,8 +567,7 @@ def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Data
     if index_file is None:
         entries = []
         for path in sorted(root.glob("*.cif")):
-            if set(path.stem) & set(",\r\n"):
-                raise InvalidEntryId(f"{path}: entry id {path.stem!r} holds a comma or line break")
+            _check_id(path.stem, str(path))
             entries.append(DatasetEntry(id=path.stem, structure=_read_cif(path)))
         if not entries:
             raise EmptyDataset(f"no .cif files under {root}")
@@ -576,6 +584,7 @@ def load_dataset(root: str | Path, index_file: str | Path | None = None) -> Data
         if len(parts) != 2:
             raise UnparseableLabel(f"line {line_no} of {index_file} is not 'id,label'")
         entry_id, label_str = parts[0].strip(), parts[1].strip()
+        _check_id(entry_id, f"line {line_no} of {index_file}")
         if entry_id in seen:
             raise DuplicateId(f"duplicate id {entry_id!r} on line {line_no} of {index_file}")
         seen.add(entry_id)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from xtalssl.augment import _displace
+from xtalssl.augment import _displace, batch_views, view_candidates
 from xtalssl.geometry import view_neighbor_lists, view_sites
 from xtalssl.structure_io import CrystalStructure
 
@@ -25,6 +25,11 @@ def view_neighbor_list(c, frac_coords, shift):
     translations ``shift`` (N, 3).
     """
     return view_neighbor_lists([view_sites(c, frac_coords, shift)])
+
+
+def views_of(structures, cfg, neighbor_cfg, basis, rng):
+    """``batch_views`` of a fresh ``view_candidates`` list for each of ``structures``."""
+    return batch_views([view_candidates(s, cfg, neighbor_cfg) for s in structures], cfg, basis, rng)
 
 
 def perturbed(s, rng, max_disp):

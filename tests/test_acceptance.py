@@ -12,7 +12,7 @@ import time
 import numpy as np
 import numpy.testing as npt
 
-from xtalssl.augment import AugmentConfig, batch_views, mask_atoms, mask_edges, random_perturb
+from xtalssl.augment import AugmentConfig, mask_atoms, mask_edges, random_perturb
 from xtalssl.autodiff import Tensor
 from xtalssl.featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
 from xtalssl.geometry import NeighborConfig, build_neighbor_list
@@ -33,7 +33,7 @@ from xtalssl.pipeline import (
 from xtalssl.structure_io import CrystalStructure
 from xtalssl.toydata import gen_toy_dataset
 
-from helpers import canonical_edges, draw_unambiguous_structure
+from helpers import canonical_edges, draw_unambiguous_structure, views_of
 from oracles import (
     grad_check,
     ks_statistic_uniform,
@@ -68,7 +68,7 @@ def _two_graph_batch(rng, augment=None):
     for _ in range(2):
         s = draw_unambiguous_structure(rng, GRAD_NEIGHBOR, n_max=8)
         if augment is not None:
-            (g, _), _ = batch_views([s], augment, GRAD_NEIGHBOR, GRAD_BASIS, rng)
+            (g, _), _ = views_of([s], augment, GRAD_NEIGHBOR, GRAD_BASIS, rng)
         else:
             g = build_graph(s, build_neighbor_list(s, GRAD_NEIGHBOR), GRAD_BASIS)
         graphs.append(g)

@@ -22,7 +22,7 @@ from xtalssl.featurize import GaussianBasis, build_graph, merge_graphs
 from xtalssl.geometry import NeighborConfig, _axis_spans, build_neighbor_list
 from xtalssl.structure_io import CrystalStructure
 
-from helpers import perturbed, view_neighbor_list
+from helpers import perturbed, view_neighbor_list, views_of
 from oracles import periodic_distance
 
 
@@ -161,13 +161,14 @@ class TestOneStructureViews:
         cfg = AugmentConfig(enable_perturb=False, enable_atom_mask=False,
                             enable_edge_mask=False)
         with pytest.raises(NoAugmentationEnabled):
-            batch_views([perovskite()], cfg, NCFG, BASIS, np.random.default_rng(0))
+            batch_views([geometry.candidate_list(perovskite(), NCFG, 0.0)], cfg, BASIS,
+                        np.random.default_rng(0))
         with pytest.raises(NoAugmentationEnabled):
             view_candidates(perovskite(), cfg, NCFG)
 
     def test_views_differ(self):
-        (va, _), (vb, _) = batch_views([perovskite()], AugmentConfig(), NCFG, BASIS,
-                                       np.random.default_rng(0))
+        (va, _), (vb, _) = views_of([perovskite()], AugmentConfig(), NCFG, BASIS,
+                                    np.random.default_rng(0))
         same_feat = (va.edge_feat.shape == vb.edge_feat.shape
                      and np.array_equal(va.edge_feat, vb.edge_feat))
         same_masks = (np.array_equal(va.node_mask, vb.node_mask)
@@ -178,9 +179,9 @@ class TestOneStructureViews:
     def test_deterministic_under_seed(self):
         # a candidate list built beforehand gives the views a search of their own gives
         cfg, s = AugmentConfig(), perovskite()
-        first = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(42))
-        second = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(42),
-                             [view_candidates(s, cfg, NCFG)])
+        first = views_of([s], cfg, NCFG, BASIS, np.random.default_rng(42))
+        second = batch_views([view_candidates(s, cfg, NCFG)], cfg, BASIS,
+                             np.random.default_rng(42))
         for (x, _), (y, _) in zip(first, second):
             npt.assert_array_equal(x.node_mask, y.node_mask)
             npt.assert_array_equal(x.edge_mask, y.edge_mask)
@@ -190,7 +191,7 @@ class TestOneStructureViews:
         cfg = AugmentConfig(enable_perturb=False)
         s = perovskite()
         base = build_graph(s, build_neighbor_list(s, NCFG), BASIS)
-        for v, _ in batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(5)):
+        for v, _ in views_of([s], cfg, NCFG, BASIS, np.random.default_rng(5)):
             npt.assert_array_equal(v.edges, base.edges)
             npt.assert_array_equal(v.edge_feat, base.edge_feat)
             npt.assert_array_equal(v.node_elem, base.node_elem)
@@ -201,14 +202,14 @@ class TestOneStructureViews:
         s = perovskite()
         base = build_graph(s, build_neighbor_list(s, NCFG), BASIS)
         cfg = AugmentConfig(enable_perturb=False, enable_edge_mask=False)
-        (va, _), _ = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(1))
+        (va, _), _ = views_of([s], cfg, NCFG, BASIS, np.random.default_rng(1))
         npt.assert_array_equal(va.edge_mask, base.edge_mask)
         assert (va.node_mask == 0).sum() == 1
 
     def test_augment_once_perturb_only(self):
         s = perovskite()
         cfg = AugmentConfig(enable_atom_mask=False, enable_edge_mask=False)
-        for g, _ in batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(3)):
+        for g, _ in views_of([s], cfg, NCFG, BASIS, np.random.default_rng(3)):
             assert (g.node_mask == 1).all()
             assert (g.edge_mask == 1).all()
 
@@ -228,54 +229,42 @@ class TestOneStructureViews:
                     AugmentConfig(enable_atom_mask=False, enable_edge_mask=False)):
             for s in (perovskite(), perovskite(4.4)):
                 calls.clear()
-                batch_views([s], cfg, NCFG, BASIS, rng)
+                views_of([s], cfg, NCFG, BASIS, rng)
                 assert len(calls) == 1
 
     @pytest.mark.parametrize("built_for, cfg, ncfg", [
-        # a list for 4 neighbors within 5 A gave these views 20 edges, not 60
-        (dict(ncfg=NeighborConfig(cutoff=5.0, max_neighbors=4), max_disp=0.05),
-         AugmentConfig(), NeighborConfig()),
         # a zero-skin list for views that move sites by up to 0.8 A
         (dict(ncfg=NeighborConfig(cutoff=4.0, max_neighbors=6), max_disp=0.0),
          AugmentConfig(max_displacement=0.8), NeighborConfig(cutoff=4.0, max_neighbors=6)),
-    ], ids=["neighbor config", "displacement"])
+    ], ids=["displacement"])
     def test_rejects_a_candidate_list_made_for_other_views(self, built_for, cfg, ncfg):
         s = perovskite()
         candidates = geometry.candidate_list(s, built_for["ncfg"], built_for["max_disp"])
-        message = (f"built for {built_for['ncfg']!r} and max_disp {built_for['max_disp']} "
-                   f"cannot serve views under {ncfg!r} and max_disp {cfg.max_displacement}")
+        message = (f"built for max_disp {built_for['max_disp']} "
+                   f"cannot serve views under max_disp {cfg.max_displacement}")
         with pytest.raises(ValueError, match=re.escape(message)):
-            batch_views([s], cfg, ncfg, BASIS, np.random.default_rng(0), [candidates])
+            batch_views([candidates], cfg, BASIS, np.random.default_rng(0))
         with pytest.raises(ValueError, match=re.escape(message)):
-            batch_views([s, s], cfg, ncfg, BASIS, np.random.default_rng(0),
-                         [view_candidates(s, cfg, ncfg), candidates])
+            batch_views([view_candidates(s, cfg, ncfg), candidates], cfg, BASIS,
+                        np.random.default_rng(0))
 
     def test_accepts_a_list_with_a_wider_skin(self):
         # a list built for a larger displacement holds every pair of a smaller one
         s, cfg = perovskite(), AugmentConfig()
         wide = geometry.candidate_list(s, NCFG, 0.3)
-        got = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(4), [wide])
-        want = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(4))
+        got = batch_views([wide], cfg, BASIS, np.random.default_rng(4))
+        want = views_of([s], cfg, NCFG, BASIS, np.random.default_rng(4))
         for (g, _), (w, _) in zip(got, want):
             npt.assert_array_equal(g.edges, w.edges)
             npt.assert_array_equal(g.dist, w.dist)
             npt.assert_array_equal(g.edge_mask, w.edge_mask)
-
-    def test_rejects_a_candidate_list_of_another_structure(self):
-        cfg, other = AugmentConfig(), CrystalStructure(lattice=4.0 * np.eye(3),
-                                                       atomic_numbers=[11],
-                                                       frac_coords=[[0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="candidate list of 1 sites cannot serve a "
-                                             "structure of 5"):
-            batch_views([perovskite()], cfg, NCFG, BASIS, np.random.default_rng(0),
-                        [view_candidates(other, cfg, NCFG)])
 
     def test_views_match_fresh_search(self):
         # batch_views draws what random_perturb draws, in the same order
         s = perovskite()
         cfg = AugmentConfig(max_displacement=0.3, enable_atom_mask=False,
                             enable_edge_mask=False)
-        views = batch_views([s], cfg, NCFG, BASIS, np.random.default_rng(8))
+        views = views_of([s], cfg, NCFG, BASIS, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         for v, _ in views:
             p = random_perturb(s, rng, cfg.max_displacement)
@@ -333,7 +322,7 @@ class TestViewsAreThePublicChain:
         assume(delta * max(_axis_spans(s.lattice)) < 0.5)
         ncfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
         rng, chain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = batch_views([s], cfg, ncfg, BASIS, rng)
+        got = views_of([s], cfg, ncfg, BASIS, rng)
         want = _public_chain(s, cfg, ncfg, BASIS, chain_rng)
         for (g, _), w in zip(got, want):
             for field in ("node_elem", "node_mask", "edges", "dist", "edge_mask"):
@@ -350,7 +339,7 @@ class TestViewsAreThePublicChain:
         ncfg = NeighborConfig(cutoff=1.0, max_neighbors=4)
         for fraction in (0.0, 0.1, 1.0):
             cfg = AugmentConfig(max_displacement=0.3, mask_fraction=fraction)
-            got = batch_views([s], cfg, ncfg, BASIS, np.random.default_rng(0))
+            got = views_of([s], cfg, ncfg, BASIS, np.random.default_rng(0))
             want = _public_chain(s, cfg, ncfg, BASIS, np.random.default_rng(0))
             for (g, _), w in zip(got, want):
                 assert g.n_edges == w.n_edges == 0
@@ -388,7 +377,7 @@ class TestBatchViews:
         assume(cfg.any_enabled)
         ncfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
         rng, chain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = batch_views(structures, cfg, ncfg, BASIS, rng)
+        got = views_of(structures, cfg, ncfg, BASIS, rng)
         want = _chain_batch(structures, cfg, ncfg, BASIS, chain_rng)
         for (g, g_seg), (w, w_seg) in zip(got, want):
             fields = ("node_elem", "node_mask", "edges", "dist", "edge_mask")
@@ -398,6 +387,39 @@ class TestBatchViews:
             assert g.basis == w.basis
         assert rng.bit_generator.state == chain_rng.bit_generator.state
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(small_cells(), min_size=1, max_size=3),
+           st.sampled_from([None, 0.0, 0.05, 0.3]), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.1, 1.0]), st.floats(1.0, 6.0), st.integers(1, 16),
+           st.sampled_from([0.0, 1e-9, 0.01, 0.2, 0.7]), st.floats(0.0, 1.0, exclude_max=True),
+           st.integers(0, 2**32 - 1))
+    def test_any_skin_from_the_displacement_up_gives_the_same_views(
+            self, structures, delta, atom_mask, edge_mask, fraction, cutoff, k, wider,
+            narrower, seed):
+        # delta None: perturbation off; the skin is the displacement a list is built for
+        cfg = AugmentConfig(enable_perturb=delta is not None, max_displacement=delta or 0.0,
+                            enable_atom_mask=atom_mask, enable_edge_mask=edge_mask,
+                            mask_fraction=fraction)
+        assume(cfg.any_enabled)
+        ncfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
+        skin = (delta or 0.0) + wider
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = batch_views([geometry.candidate_list(s, ncfg, skin) for s in structures], cfg,
+                          BASIS, rng)
+        want = batch_views([view_candidates(s, cfg, ncfg) for s in structures], cfg, BASIS,
+                           want_rng)
+        for (g, g_seg), (w, w_seg) in zip(got, want):
+            fields = ("node_elem", "node_mask", "edges", "dist", "edge_mask")
+            for a, b in [(getattr(g, f), getattr(w, f)) for f in fields] + [(g_seg, w_seg)]:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert g.basis == w.basis
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        if delta:
+            short = [geometry.candidate_list(s, ncfg, delta * narrower) for s in structures]
+            with pytest.raises(ValueError, match="cannot serve views under max_disp"):
+                batch_views(short, cfg, BASIS, np.random.default_rng(seed))
+
     def test_views_lose_boundary_candidates(self):
         # at a 3 A cutoff and 0.3 A, pairs from 2.4 to 3.6 A can cross the cutoff:
         # the perovskite's 2.83 A O-O and Cs-O pairs and its 3.46 A Cs-Ti pairs
@@ -405,7 +427,7 @@ class TestBatchViews:
         cfg, ncfg = AugmentConfig(max_displacement=0.3), NeighborConfig(cutoff=3.0)
         candidates = view_candidates(s, cfg, ncfg)
         assert candidates.boundary.size
-        got = batch_views([s] * 8, cfg, ncfg, BASIS, np.random.default_rng(2), [candidates] * 8)
+        got = batch_views([candidates] * 8, cfg, BASIS, np.random.default_rng(2))
         want = _chain_batch([s] * 8, cfg, ncfg, BASIS, np.random.default_rng(2))
         for (g, seg), (w, _) in zip(got, want):
             for field in ("edges", "dist", "edge_mask", "node_mask"):

@@ -184,6 +184,15 @@ class TestExitCodes:
         assert main([command, *paths, *args]) == 2
         assert f"error: invalid configuration: {key} must be >= 0" in capsys.readouterr().err
 
+    def test_repeated_ablation_seeds_are_invalid(self, tmp_path, capsys):
+        # a repeated seed reruns one bit-identical run and shrinks the reported std
+        with pytest.raises(InvalidConfig, match=re.escape(
+                "ablate.seeds must not repeat a seed, got [0, 1, 1]")):
+            build_run_config({"ablate.seeds": "0,1,1"})
+        assert main(["ablate", "--data-root", str(tmp_path), "--out-dir", str(tmp_path),
+                     "--set", "ablate.seeds=0,1,1"]) == 2
+        assert "invalid configuration: ablate.seeds must not repeat" in capsys.readouterr().err
+
     def test_a_displacement_above_the_cap_is_rejected_before_any_work(self, tmp_path, capsys):
         # 1000 A widens the skin's image block of 8 toy cells to about 7 GiB
         tracemalloc.start()

@@ -268,6 +268,22 @@ class TestCandidateList:
         assert want.dst[0] == 2  # the pair 3 * delta past i's nearest distance
         _assert_same_list(got, want)
 
+    def test_a_view_loses_a_pair_up_to_two_displacements_inside_the_cutoff(self):
+        # the pair starts 2.45 A apart, 0.05 A past cutoff - 2 * delta, and
+        # ends 3.05 A apart, beyond the cutoff: its sites move delta apart each
+        delta, a = 0.3, 20.0
+        cart = np.array([[10.0, 10.0, 10.0], [12.45, 10.0, 10.0]])
+        s = CrystalStructure(lattice=a * np.eye(3), atomic_numbers=[8, 8], frac_coords=cart / a)
+        moves = delta * np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        view = CrystalStructure(lattice=s.lattice, atomic_numbers=s.atomic_numbers,
+                                frac_coords=(cart + moves) / a)
+        cfg = NeighborConfig(cutoff=3.0, max_neighbors=4)
+        got = view_neighbor_list(candidate_list(s, cfg, delta), view.frac_coords,
+                                 np.zeros((2, 3), np.int64))
+        want = build_neighbor_list(view, cfg)
+        assert build_neighbor_list(s, cfg).src.size == 2 and want.src.size == 0
+        _assert_same_list(got, want)
+
     def test_ties_break_by_dst_then_image(self):
         # 32 neighbors in four shells of exact ties; 20 cut the sqrt(3) shell
         s = CrystalStructure(lattice=np.eye(3), atomic_numbers=[11], frac_coords=[[0.0, 0.0, 0.0]])

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ import numpy.testing as npt
 import pytest
 
 from xtalssl import augment, autodiff, geometry, pipeline
-from xtalssl.augment import AugmentConfig, batch_views
+from xtalssl.augment import AugmentConfig
 from xtalssl.autodiff import Tape, Tensor, active_tape
 from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
 from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
@@ -67,6 +68,7 @@ from xtalssl.structure_io import (
 )
 from xtalssl.toydata import gen_toy_dataset
 
+from helpers import views_of
 from oracles import PerTensorAdam, mul, scale, sum_all
 
 # small enough that every pipeline test stays in the sub-second range
@@ -599,6 +601,16 @@ class TestAblation:
             ablation_run(gen_toy_dataset(4, seed=0), gen_toy_dataset(6, seed=0),
                          TINY, tiny_pcfg(), tiny_fcfg(), seeds=[])
 
+    def test_rejects_a_repeated_seed_before_any_run(self, monkeypatch):
+        # runs are bit-identical per seed, so a repeat would only shrink the std
+        calls = []
+        monkeypatch.setattr(pipeline, "pretrain", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape("ablation seeds must not repeat, "
+                                                       "got [0, 1, 1]")):
+            ablation_run(gen_toy_dataset(4, seed=0), gen_toy_dataset(10, seed=0),
+                         TINY, tiny_pcfg(), tiny_fcfg(), seeds=[0, 1, 1])
+        assert calls == []
+
 
 # 5 x 5 x 1e-4 A passes CrystalStructure but needs 9 x 90,001 images at a
 # 4.5 A cutoff; 1e-5 x 1e-5 x 1e-3 A has volume 1e-13, below the singular bound
@@ -799,7 +811,7 @@ class TestTwinViews:
     def merged(n=4):
         pcfg, rng = tiny_pcfg(), rng_for(0, _AUGMENT)
         structures = [e.structure for e in gen_toy_dataset(n, seed=0).entries]
-        return list(batch_views(structures, pcfg.augment, NEIGHBOR, BASIS, rng))
+        return list(views_of(structures, pcfg.augment, NEIGHBOR, BASIS, rng))
 
     @staticmethod
     def empty():

@@ -617,6 +617,25 @@ class TestLoadDataset:
         with pytest.raises(InvalidEntryId, match=re.escape(f".cif: entry id {stem!r} holds")):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("entry_id", ["../x", "a/b", ""])
+    def test_index_id_must_name_a_file_in_the_data_root(self, tmp_path, entry_id):
+        # each id would read a file that exists, but not one directly under the root
+        root = tmp_path / "root"
+        (root / "a").mkdir(parents=True)
+        _write_cifs(root, ["s1", "a/b", ""])
+        _write_cifs(tmp_path, ["x"])
+        index = tmp_path / "index.csv"
+        index.write_text(f"s1,0.5\n{entry_id},1.0\n", encoding="utf-8")
+        with pytest.raises(InvalidEntryId, match=re.escape(
+                f"line 2 of {index}: entry id {entry_id!r} names no file in the data root")):
+            load_dataset(root, index)
+
+    @pytest.mark.parametrize("stem", ["..", "a\\b"])
+    def test_stem_that_names_no_file_in_the_root_is_rejected(self, tmp_path, stem):
+        (tmp_path / f"{stem}.cif").write_text(CUBIC_NA, encoding="utf-8")
+        with pytest.raises(InvalidEntryId, match=re.escape(f"entry id {stem!r} names no file")):
+            load_dataset(tmp_path)
+
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "absent")
