@@ -4,12 +4,12 @@ Every operation is a deterministic function of (input, rng state).  The
 perturbation moves atoms in cartesian space before graph construction;
 masking zeroes mask bits and never touches topology or feature values.
 Both views of a structure take their neighbor lists from one skin
-candidate list (``view_candidates``, through ``geometry.candidate_list``),
-which gives each view exactly the list a fresh search of it would.  The
-list holds the structure it was searched from and its neighbor config, so
-it is the whole input of its views: a caller builds it once and passes it
-to every call, as pretraining does.  Only a list built for a smaller
-displacement than the views' is rejected.
+candidate list (``view_candidates``, through ``geometry.candidate_lists``,
+one search for many structures), which gives each view exactly the list a
+fresh search of it would.  The list holds the structure it was searched
+from and its neighbor config, so it is the whole input of its views: a
+caller builds it once and passes it to every call, as pretraining does.
+Only a list built for a smaller displacement than the views' is rejected.
 
 ``batch_views`` builds views a and b of every list's structure and merges
 each side, in one pass.  Per view it does only what follows the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import CrystalGraph, GaussianBasis, with_edge_mask, with_node_mask
-from .geometry import CandidateList, NeighborConfig, candidate_list, view_neighbor_lists, view_sites
+from .geometry import CandidateList, NeighborConfig, candidate_lists, view_neighbor_lists, view_sites
 from .structure_io import CrystalStructure, wrap_frac
 
 
@@ -134,12 +134,15 @@ def _displacement(cfg: AugmentConfig) -> float:
     return cfg.max_displacement if cfg.enable_perturb else 0.0
 
 
-def view_candidates(s: CrystalStructure, cfg: AugmentConfig,
-                    neighbor_cfg: NeighborConfig) -> CandidateList:
-    """The candidate list that every view of ``s`` under ``cfg`` takes its neighbor list from."""
+def view_candidates(structures: list[CrystalStructure], cfg: AugmentConfig,
+                    neighbor_cfg: NeighborConfig) -> list[CandidateList]:
+    """Per structure, the candidate list that its every view under ``cfg`` takes its neighbor list from.
+
+    One search serves all of them (``geometry.candidate_lists``).
+    """
     if not cfg.any_enabled:
         raise NoAugmentationEnabled("at least one augmentation must be enabled")
-    return candidate_list(s, neighbor_cfg, _displacement(cfg))
+    return candidate_lists(structures, neighbor_cfg, _displacement(cfg))
 
 
 def _side_mask(sizes: list[int], drops: list[np.ndarray]) -> np.ndarray:

@@ -31,7 +31,7 @@ from .pipeline import (
     FinetuneConfig,
     PretrainConfig,
     ablation_run,
-    entry_graph,
+    entry_graphs,
     evaluate,
     export_embeddings,
     finetune,
@@ -228,8 +228,8 @@ def _require(cfg: RunConfig, field: str) -> str:
 
 
 def _cmd_featurize(cfg: RunConfig, data: Dataset) -> dict[str, str]:
-    lines = [graph_to_json(entry_graph(entry, cfg.neighbor, cfg.basis), id=entry.id)
-             for entry in data.entries]
+    graphs = entry_graphs(data.entries, cfg.neighbor, cfg.basis)
+    lines = [graph_to_json(graph, id=entry.id) for entry, graph in zip(data.entries, graphs)]
     logger.info("featurized %d structures", len(data.entries))
     return {"graphs.jsonl": "\n".join(lines) + "\n"}
 

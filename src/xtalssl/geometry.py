@@ -6,11 +6,18 @@ minimal block of periodic images guaranteed to contain the cutoff
 sphere (bound per axis from the perpendicular interplanar spacing) and
 keeps, per source atom, the nearest ``max_neighbors`` candidates.
 
-It runs in two passes (``_pairs_near``).  The first covers the sub-block
+The search takes a list of structures (``build_neighbor_lists``,
+``candidate_lists``); ``build_neighbor_list`` is its one-structure case.
+It checks every structure's lattice and image count, in order, before it
+searches any (``_cells``), so the first bad structure raises, and its
+error's ``index`` names it.  A structure's lists do not depend on the
+others searched with it.
+
+It runs in two passes (``_search``).  The first covers the sub-block
 of images for a radius R of 1.5 times that of the sphere holding
 ``max_neighbors`` + 1 sites at the cell's mean density, plus the margin
 the caller keeps beyond each source's ``max_neighbors``-th distance D_i
-(0 for ``build_neighbor_list``), and keeps only the pairs within R.  A
+(0 for ``build_neighbor_lists``), and keeps only the pairs within R.  A
 source with D_i + margin <= R has found every pair it can keep; only the
 others search the whole block again, out to the cutoff.  The sub-block
 may be the whole block; only when R reaches the cutoff is there one pass.
@@ -18,10 +25,19 @@ Both passes compute distances from rows of the whole block's image
 translations with the same operands in the same order, so the lists are
 those of one dense pass over the whole block, bit for bit.
 
-The dense kernel (``_pairs_within``) takes the sources in blocks of rows,
-so its (rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements
-and peak memory grows with the pairs found, not with sites squared times
-images.
+The dense kernel (``_pairs_within``) works on blocks whose (structures,
+rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements.  Small
+cells share a block: consecutive structures whose whole first passes fit
+one block, each padded to the block's largest site and image counts with
+NaN coordinates, which no cutoff admits (``_packed``).  Such a run of
+structures makes one kernel call per pass, and one call each of
+``_kth_smallest``, ``_per_source`` and ``_nearest``, with its sites
+numbered across its structures as ``view_neighbor_lists`` numbers them;
+the per-structure work left is a few scalars and two small products.  A
+structure larger than a block runs alone and the kernel takes its
+sources in blocks of rows.  So a toy cell costs a fraction of a search of
+its own, and peak memory grows with the pairs of one run, not with sites
+squared times images, nor with the number of structures.
 
 From the pairs found, one routine, ``_nearest``, decides which neighbors
 a source keeps and in which order, for the plain search and for every
@@ -33,8 +49,8 @@ such as keeping whole neighbor shells, belongs there.
 
 Perturbed views share one search, a Verlet list with a skin (Verlet,
 Phys. Rev. 159, 98, 1967).  A view moves each site by at most delta, so
-each pair distance by at most 2 delta.  ``candidate_list`` searches the
-unperturbed structure once and keeps, per source i, the pairs with
+each pair distance by at most 2 delta.  ``candidate_lists`` searches the
+unperturbed structures once and keeps, per source i, the pairs with
 
     d <= min(cutoff + 2 delta, D_i + 4 delta),
 
@@ -60,6 +76,7 @@ gets the arrays ``build_neighbor_list`` returns for it, bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -123,44 +140,89 @@ class NeighborList:
         return self.src.shape[0]
 
 
-def _check_lattice(lattice: np.ndarray) -> np.ndarray:
-    lattice = np.asarray(lattice, dtype=np.float64).reshape(3, 3)
-    if not (np.isfinite(lattice).all() and abs(np.linalg.det(lattice)) >= 1e-12):
-        raise SingularLattice("lattice matrix is singular")
-    return lattice
+def _rejected(error: ValueError, index: int) -> ValueError:
+    """``error`` for the structure at ``index`` of the searched list, which it keeps as ``index``."""
+    error.index = index
+    return error
 
 
-def _axis_spans(lattice: np.ndarray) -> list[float]:
-    """Per axis, 1 / (perpendicular spacing of the planes spanned by the other two axes)."""
-    # the length of column i of the inverse lattice
-    return np.linalg.norm(np.linalg.inv(lattice), axis=0).tolist()
+def _axis_spans(lattices: np.ndarray) -> np.ndarray:
+    """Per lattice and axis, 1 / (perpendicular spacing of the planes spanned by the other two axes)."""
+    # the length of column i of the inverse lattice, as np.linalg.norm takes it
+    inverses = np.linalg.inv(lattices)
+    return np.sqrt(np.add.reduce(inverses * inverses, axis=-2))
 
 
-def _image_counts(spans: list[float], cutoff: float) -> list[int]:
+def _image_counts(spans, cutoff: float) -> list[int]:
     # ceil(cutoff / spacing) images per direction cover the cutoff sphere
     # even for strongly skewed cells.  Python ints, so a product of counts
     # cannot overflow.
     return [math.ceil(cutoff * r) for r in spans]
 
 
-def _checked_image_counts(spans: list[float], cutoff: float) -> list[int]:
-    counts = _image_counts(spans, cutoff)
-    n_images = math.prod(2 * n + 1 for n in counts)
-    if n_images > MAX_IMAGES:
-        raise DegenerateCell(
-            f"cutoff {cutoff} needs {n_images} periodic images (limit {MAX_IMAGES}); "
-            "the cell is too thin along some axis"
-        )
-    return counts
+class _Cells(NamedTuple):
+    """The searched structures' lattices (B, 3, 3), axis spans (B, 3) and cutoff image counts (B, 3)."""
+
+    lattices: np.ndarray
+    spans: np.ndarray
+    counts: np.ndarray
 
 
-def _image_block(lattice: np.ndarray, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Images -counts..counts per axis in lexicographic order, and their translations."""
-    widths = [2 * n + 1 for n in counts]
-    # image k's digits in the mixed radix of the widths, most significant first
-    k = np.arange(math.prod(widths))[:, None]
-    images = k // [widths[1] * widths[2], widths[2], 1] % widths - counts
-    return images, images.astype(np.float64) @ lattice
+def _cells(structures: list[CrystalStructure], cutoff: float) -> _Cells:
+    """Each structure's lattice checked, then its cutoff's image count, structure by structure.
+
+    The first structure in order that fails a check raises, before any
+    search: SingularLattice for a lattice that is not finite or whose
+    determinant is below 1e-12 in size, DegenerateCell for a cutoff sphere
+    that spans more than ``MAX_IMAGES`` images.  The error's ``index`` is
+    that structure's position in ``structures``.
+    """
+    lattices = np.array([s.lattice for s in structures], dtype=np.float64).reshape(-1, 3, 3)
+    good = np.isfinite(lattices).all(axis=(1, 2))
+    good[good] = np.abs(np.linalg.det(lattices[good])) >= 1e-12
+    n_good = int(good.argmin()) if not good.all() else len(structures)
+    spans = _axis_spans(lattices[:n_good])
+    counts = [_image_counts(r, cutoff) for r in spans.tolist()]
+    for index, c in enumerate(counts):
+        n_images = math.prod(2 * n + 1 for n in c)
+        if n_images > MAX_IMAGES:
+            raise _rejected(DegenerateCell(
+                f"cutoff {cutoff} needs {n_images} periodic images (limit {MAX_IMAGES}); "
+                "the cell is too thin along some axis"), index)
+    if n_good < len(structures):
+        raise _rejected(SingularLattice("lattice matrix is singular"), n_good)
+    return _Cells(lattices, spans, np.array(counts, dtype=np.int64).reshape(-1, 3))
+
+
+class _Blocks:
+    """One search's lexicographic image blocks, each built once for the cells that share it."""
+
+    def __init__(self):
+        self._whole, self._sub = {}, {}
+
+    def whole(self, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The block of ``counts`` images per axis, as (M, 3) int64 and float64."""
+        key = tuple(counts)
+        if key not in self._whole:
+            c0, c1, c2 = counts
+            ints = np.empty((2 * c0 + 1, 2 * c1 + 1, 2 * c2 + 1, 3), dtype=np.int64)
+            ints[..., 0] = np.arange(-c0, c0 + 1)[:, None, None]
+            ints[..., 1] = np.arange(-c1, c1 + 1)[:, None]
+            ints[..., 2] = np.arange(-c2, c2 + 1)
+            ints = ints.reshape(-1, 3)
+            self._whole[key] = ints, ints.astype(np.float64)
+        return self._whole[key]
+
+    def sub(self, counts: list[int], sub: list[int]) -> np.ndarray:
+        """The rows of the block of ``counts`` that hold the block of ``sub``, in order."""
+        key = (*counts, *sub)
+        if key not in self._sub:
+            width = [2 * c + 1 for c in counts]
+            axes = [np.arange(c - s, c + s + 1) for c, s in zip(counts, sub)]
+            self._sub[key] = np.arange(math.prod(width)) if sub == counts else (
+                (axes[0][:, None, None] * width[1] + axes[1][:, None]) * width[2]
+                + axes[2]).ravel()
+        return self._sub[key]
 
 
 def _sum_of_squares(terms) -> np.ndarray:
@@ -176,78 +238,239 @@ def _sum_of_squares(terms) -> np.ndarray:
     return total
 
 
-def _pairs_within(cart: np.ndarray, image_carts: np.ndarray, cutoff: float,
-                  rows: np.ndarray | None = None) -> tuple:
-    """Dense kernel: every (src, dst, image index) within ``cutoff``, and its squared distance.
+def _packed(rows: list[int], cols: list[int], images: list[int]):
+    """Runs (start, stop) of consecutive jobs that share one dense-kernel block.
 
-    Sources are the sites ``rows`` (sorted; all sites by default).  Pairs
-    come in (src, dst, image index) order; the zero-image self pair is
-    left out.  The targets cart_j + image_m are built once per axis; the
-    sources then go through in blocks of rows whose (rows, N, M) arrays
-    hold at most ``BLOCK_ELEMENTS`` elements, or one row when a row holds
-    more.  The distance of atom j in image m from atom i is built axis by
-    axis as (cart_j + image_m) - cart_i, so no block changes a bit of it.
+    Job j takes ``rows[j]`` sources against ``cols[j]`` sites in
+    ``images[j]`` images.  A run's (jobs, rows, sites, images) array, each
+    axis padded to the run's largest job, holds at most ``BLOCK_ELEMENTS``
+    elements, or the run is one job, which the kernel takes in blocks of
+    rows.
     """
-    n, m = cart.shape[0], image_carts.shape[0]
-    sources = np.arange(n) if rows is None else rows
-    targets = [cart[:, a, None] + image_carts[:, a] for a in range(3)]
-    step = max(1, BLOCK_ELEMENTS // (n * m))
+    start, shape = 0, (0, 0, 0)
+    for j, job in enumerate(zip(rows, cols, images)):
+        grown = tuple(map(max, shape, job))
+        if j > start and (j + 1 - start) * math.prod(grown) > BLOCK_ELEMENTS:
+            yield start, j
+            start, grown = j, job
+        shape = grown
+    if start < len(rows):
+        yield start, len(rows)
+
+
+def _starts(lengths: list[int]) -> list[int]:
+    """Where each of consecutive runs of ``lengths`` starts."""
+    return [0, *itertools.accumulate(lengths)][:-1]
+
+
+def _runs(starts: list[int], lengths: list[int]) -> np.ndarray:
+    """(len(starts), max length) table of starts[i] + 0..lengths[i]-1 per row, padded with -1."""
+    ar = np.arange(max(lengths))
+    if len(lengths) == 1:  # one row needs no padding
+        return (starts[0] + ar)[None]
+    return np.where(ar < np.array(lengths)[:, None], np.array(starts)[:, None] + ar, -1)
+
+
+def _ragged(parts: list[np.ndarray], offsets: list[int] | None = None) -> np.ndarray:
+    """(len(parts), longest part) table of parts[i] (+ offsets[i]) per row, padded with -1."""
+    if len(parts) == 1:
+        return (parts[0] if offsets is None else parts[0] + offsets[0])[None]
+    lengths = [len(p) for p in parts]
+    table = np.full((len(parts), max(lengths)), -1)
+    values = np.concatenate(parts)
+    if offsets is not None:
+        values += np.repeat(offsets, lengths)
+    table[np.arange(max(lengths)) < np.array(lengths)[:, None]] = values
+    return table
+
+
+# the row that ends each table of sites and images the dense kernel reads
+# when it pads: a padded index reads it, and no cutoff admits a NaN distance
+_NAN_ROW = np.full((1, 3), np.nan)
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    """The (K, 3) ``parts`` one after another, then ``_NAN_ROW``; one part needs no padding."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts + [_NAN_ROW])
+
+
+def _taken(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]``; one row of indices that takes every row of the table is the table."""
+    if index.shape == (1, len(table)):
+        return table[None]
+    return table[index]
+
+
+def _pairs_within(sites: np.ndarray, image_carts: np.ndarray, cols: np.ndarray,
+                  images: np.ndarray, rows: np.ndarray, zero: np.ndarray,
+                  cutoffs: np.ndarray) -> tuple:
+    """Dense kernel: per job of a block, every (source, dst, image) pair within its cutoff, and its squared distance.
+
+    Job j takes the sources ``sites[rows[j]]``, some of its sites in order,
+    against its sites ``sites[cols[j]]`` in its images
+    ``image_carts[images[j]]``, a lexicographic block whose zero image is
+    column ``zero[j]`` (b, 1), out to ``cutoffs[j]``.  The index tables,
+    (b, R), (b, N) and (b, M), are padded with -1, which reads the NaN row
+    that ends ``sites`` and ``image_carts`` (``_stacked``).  Pairs come in
+    (job, source, dst, image) order, src and image as rows of the tables
+    and dst as a column of ``cols``; the zero-image self pair is left out.
+
+    The targets cart_j + image_m are built once per axis; the sources then
+    go through in blocks of rows whose (b, rows, N, M) arrays hold at most
+    ``BLOCK_ELEMENTS`` elements, or one row when a row holds more.  The
+    distance of atom j in image m from atom i is built axis by axis as
+    (cart_j + image_m) - cart_i, so neither a block nor its padding changes
+    a bit of it.
+    """
+    (b, n), (r, m) = cols.shape, (rows.shape[1], images.shape[1])
+    cart, image_carts = _taken(sites, cols), _taken(image_carts, images)
+    targets = [cart[:, None, :, a, None] + image_carts[:, None, None, :, a] for a in range(3)]
+    cut2 = np.multiply(cutoffs, cutoffs)[:, None, None, None]
+    # each source's column among its job's sites, for the self pair
+    local = np.maximum(rows - cols[:, :1], 0)
+    jobs = np.arange(b)[:, None]
+    step = max(1, BLOCK_ELEMENTS // (b * n * m))
     parts = []
-    for start in range(0, sources.size, step):
-        block = sources[start:start + step]
-        origin = cart[block]
-        d2 = _sum_of_squares(lambda a: (targets[a], origin[:, a, None, None]))
-        within = d2 <= cutoff * cutoff
-        # the zero image is the middle one
-        within[np.arange(block.size), block, m // 2] = False
+    for start in range(0, r, step):
+        block = rows[:, start:start + step]
+        origin = _taken(sites, block)
+        d2 = _sum_of_squares(lambda a: (targets[a], origin[:, :, a, None, None]))
+        within = d2 <= cut2
+        within[jobs, np.arange(block.shape[1]), local[:, start:start + step], zero] = False
         flat = np.flatnonzero(within)
-        src, rest = np.divmod(flat, n * m)
+        row, rest = np.divmod(flat, n * m)
         dst, idx = np.divmod(rest, m)
-        parts.append((block[src], dst, idx, d2.ravel()[flat]))
+        if b > 1:  # a row's job, as an offset into the image table
+            idx += row // block.shape[1] * m
+        parts.append((block.ravel()[row], dst, images.ravel()[idx], d2.ravel()[flat]))
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _pairs_near(lattice: np.ndarray, spans: list[float], cart: np.ndarray, counts: list[int],
-                image_carts: np.ndarray, reach: float, k: int, margin: float) -> tuple:
-    """Per source, at least the pairs its nearest k can use, in (src, dst, image index) order.
+class _Pairs(NamedTuple):
+    """The pairs ``_search`` finds for the run structures[start:stop].
 
-    ``image_carts`` holds the block of ``counts`` images per axis that
-    covers ``reach``.  Per source this returns every pair within its k-th
-    smallest distance plus ``margin``, or every pair within reach, and
-    only pairs within reach.  A first pass searches the sub-block that
-    covers ``radius``, which may be the whole block, and keeps the pairs
-    within radius.  Only sources whose k-th distance plus margin lies
-    beyond radius search the whole block again, out to reach; a radius
-    that reaches ``reach`` leaves one pass.  Both passes take rows of
-    ``image_carts``, so every distance has the dense kernel's bits.
+    ``src`` numbers the sites across the run's structures, in order, and
+    ``dst`` each structure's sites from 0; ``image`` indexes ``images``,
+    the run's lexicographic image blocks one after another.  ``n_sites``
+    holds each structure's sites, and ``rows`` and ``first`` are
+    ``_per_source``'s layout of the distances ``dist``.
     """
-    n = cart.shape[0]
-    # the cell's volume in Python floats, a few times faster than a 3x3 det
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = lattice.tolist()
-    volume = abs(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0))
-    radius = FIRST_PASS_SCALE * (
-        3.0 * (k + 1) * volume / (4.0 * math.pi * n)) ** (1.0 / 3.0) + margin
-    if radius >= reach:
-        return _pairs_within(cart, image_carts, reach)
-    # the sub-block's images are in lexicographic order, so its pairs keep
-    # the (src, dst, image index) order of the whole block
-    sub = [min(a, b) for a, b in zip(_image_counts(spans, radius), counts)]
-    width = [2 * c + 1 for c in counts]
-    axes = [np.arange(c - s, c + s + 1) for c, s in zip(counts, sub)]
-    block = ((axes[0][:, None, None] * width[1] + axes[1][:, None]) * width[2] + axes[2]).ravel()
-    src, dst, idx, d2 = _pairs_within(cart, image_carts[block], radius)
-    idx = block[idx]
+
+    start: int
+    n_sites: list[int]
+    src: np.ndarray
+    dst: np.ndarray
+    image: np.ndarray
+    dist: np.ndarray
+    images: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+
+
+def _first_counts(spans: list[float], reach: float, radius: float) -> list[int]:
+    """The first pass's images per axis: the block of ``radius``, within the block of ``reach``."""
+    return [min(a, b) for a, b in zip(_image_counts(spans, radius), _image_counts(spans, reach))]
+
+
+def _search(structures: list[CrystalStructure], cells: _Cells, reach: float, k: int,
+            margin: float):
+    """Per source, at least the pairs its nearest k can use, in (src, dst, image) order.
+
+    Each structure's block covers ``reach``.  Per source this finds every
+    pair within its k-th smallest distance plus ``margin``, or every pair
+    within reach, and only pairs within reach.  A first pass searches the
+    sub-block that covers a radius, 1.5 times that of the sphere holding
+    k + 1 sites at the cell's mean density, plus margin; it may be the
+    whole block.  It keeps the pairs within that radius.  Only sources
+    whose k-th distance plus margin lies beyond the radius search the whole
+    block again, out to reach; a radius that reaches ``reach`` leaves one
+    pass.  Both passes take rows of the whole block's translations, so
+    every distance has the dense kernel's bits.
+
+    Structures go through in runs whose first passes share one kernel block
+    (``_packed``).  A run makes one kernel call per pass (more only for a
+    structure larger than a block) and yields its ``_Pairs``; nothing of a
+    run outlives it but what the caller keeps of those.
+    """
+    n = [s.n_sites for s in structures]
+    radii, m_first = [], []  # per structure, the first pass's radius and images
+    for lattice, spans, n_sites in zip(cells.lattices.tolist(), cells.spans.tolist(), n):
+        # the cell's volume in Python floats, a few times faster than a 3x3 det
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = lattice
+        volume = abs(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0))
+        radius = min(reach, FIRST_PASS_SCALE * (
+            3.0 * (k + 1) * volume / (4.0 * math.pi * n_sites)) ** (1.0 / 3.0) + margin)
+        radii.append(radius)
+        m_first.append(math.prod(2 * c + 1 for c in _first_counts(spans, reach, radius)))
+    blocks = _Blocks()
+    for start, stop in _packed(n, n, m_first):
+        yield _run_pairs(structures[start:stop], cells.spans[start:stop].tolist(),
+                         radii[start:stop], start, reach, k, margin, blocks)
+
+
+def _run_pairs(structures: list[CrystalStructure], spans: list[list[float]],
+               radii: list[float], start: int, reach: float, k: int, margin: float,
+               blocks: _Blocks) -> _Pairs:
+    """``_search``'s pairs of one run of ``structures``, which start at ``start`` in the search."""
+    n_sites = [s.n_sites for s in structures]
+    counts = [_image_counts(r, reach) for r in spans]
+    ints, floats = zip(*map(blocks.whole, counts))
+    m = [len(x) for x in ints]
+    first_site, first_image = _starts(n_sites), _starts(m)
+    sites = _stacked([s.frac_coords @ s.lattice for s in structures])
+    table = _stacked([x @ s.lattice for x, s in zip(floats, structures)])
+    cols = _runs(first_site, n_sites)
+    # the sub-blocks' images are in lexicographic order, so their pairs keep
+    # the (src, dst, image) order of the whole blocks
+    sub = [blocks.sub(c, _first_counts(r, reach, radius))
+           for c, r, radius in zip(counts, spans, radii)]
+    pairs = _pairs_within(sites, table, cols, _ragged(sub, first_image), cols,
+                          np.array([len(x) // 2 for x in sub])[:, None], np.array(radii))
+    dist, per_source = np.sqrt(pairs[3]), None
     # the first pass holds every pair within radius; the 1e-9 slack is far
     # above the rounding of computed distances and image counts
-    redo = np.flatnonzero(
-        _kth_smallest(src, np.sqrt(d2), k, n) + margin > radius * (1.0 - 1e-9))
-    if redo.size == 0:
-        return src, dst, idx, d2
-    done = np.ones(n, dtype=bool)
+    bounds = [math.inf if radius == reach else radius * (1.0 - 1e-9) for radius in radii]
+    if min(bounds) < math.inf:
+        per_source = _per_source(pairs[0], dist, sum(n_sites))
+        redo = np.flatnonzero(_kth_smallest(per_source[0], k) + margin
+                              > (bounds[0] if len(bounds) == 1 else np.repeat(bounds, n_sites)))
+        if redo.size:
+            pairs = _searched_again(pairs, redo, sites, table, n_sites, m, reach)
+            dist, per_source = np.sqrt(pairs[3]), None
+    if per_source is None:
+        per_source = _per_source(pairs[0], dist, sum(n_sites))
+    return _Pairs(start, n_sites, *pairs[:3], dist,
+                  ints[0] if len(ints) == 1 else np.concatenate(ints), *per_source)
+
+
+def _searched_again(pairs: tuple, redo: np.ndarray, sites: np.ndarray, table: np.ndarray,
+                    n_sites: list[int], m: list[int], reach: float) -> tuple:
+    """``pairs`` with the sources ``redo`` searched again over their whole blocks, out to ``reach``.
+
+    The run's structures have ``n_sites`` sites and whole blocks of ``m``
+    images, laid out in ``sites`` and ``table`` one after another.
+    """
+    first_site, first_image = _starts(n_sites), _starts(m)
+    # the sources to search again, per structure that has any
+    per_job = np.bincount(np.repeat(np.arange(len(n_sites)), n_sites)[redo])
+    jobs = np.flatnonzero(per_job).tolist()
+    sources = np.split(redo, np.cumsum(per_job[jobs])[:-1])
+    again = []
+    for start, stop in _packed([len(x) for x in sources], [n_sites[j] for j in jobs],
+                               [m[j] for j in jobs]):
+        run = jobs[start:stop]
+        again.append(_pairs_within(
+            sites, table, _runs([first_site[j] for j in run], [n_sites[j] for j in run]),
+            _runs([first_image[j] for j in run], [m[j] for j in run]), _ragged(sources[start:stop]),
+            np.array([m[j] // 2 for j in run])[:, None], np.full(len(run), reach)))
+    done = np.ones(sum(n_sites), dtype=bool)
     done[redo] = False
-    first = done[src]
-    merged = [np.concatenate((a[first], b))
-              for a, b in zip((src, dst, idx, d2), _pairs_within(cart, image_carts, reach, redo))]
+    kept = done[pairs[0]]
+    merged = [np.concatenate((a[kept], *b)) for a, b in zip(pairs, zip(*again))]
     # each source's pairs come from one pass, so a stable sort by source suffices
     order = np.argsort(merged[0], kind="stable")
     return tuple(a[order] for a in merged)
@@ -260,16 +483,15 @@ def _per_source(src: np.ndarray, values: np.ndarray, n_sources: int) -> tuple[np
     number of values, so source i holds values first[i]:first[i + 1].
     """
     first = np.searchsorted(src, np.arange(n_sources + 1))
-    rows = np.full((n_sources, int(np.diff(first).max())), np.inf)
+    rows = np.full((n_sources, int((first[1:] - first[:-1]).max())), np.inf)
     rows[src, np.arange(src.size) - first[src]] = values
     return rows, first
 
 
-def _kth_smallest(src: np.ndarray, dist: np.ndarray, k: int, n_sites: int) -> np.ndarray:
-    """Per source, the k-th smallest distance, or inf with fewer than k pairs; src is sorted."""
-    rows, _ = _per_source(src, dist, n_sites)
+def _kth_smallest(rows: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``_per_source``'s layout, the k-th smallest distance, or inf with fewer than k."""
     if rows.shape[1] < k:
-        return np.full(n_sites, np.inf)
+        return np.full(rows.shape[0], np.inf)
     return np.partition(rows, k - 1, axis=1)[:, k - 1]
 
 
@@ -287,25 +509,51 @@ def _nearest(rows: np.ndarray, first: np.ndarray, kept: np.ndarray) -> tuple[np.
     return row, first[row] + order[row, rank]
 
 
-def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfig()) -> NeighborList:
-    """All periodic neighbors within the cutoff, truncated per source.
+def _bounds(keys: np.ndarray, lengths: list[int]) -> list[int]:
+    """0, then where each run's entries of the ascending ``keys`` end, runs being ``lengths`` keys wide."""
+    if len(lengths) == 1:
+        return [0, keys.size]
+    return [0, *np.searchsorted(keys, list(itertools.accumulate(lengths))).tolist()]
+
+
+def _local(keys: np.ndarray, lengths: list[int], bounds: list[int]) -> np.ndarray:
+    """``keys`` counted from the start of their runs of ``lengths``; run i's keys end at bounds[i + 1]."""
+    if len(lengths) == 1:
+        return keys
+    return keys - np.repeat(_starts(lengths), np.diff(bounds))
+
+
+def build_neighbor_lists(structures: list[CrystalStructure],
+                         cfg: NeighborConfig = NeighborConfig()) -> list[NeighborList]:
+    """Each structure's periodic neighbors within the cutoff, truncated per source, in one search.
 
     Self-images at nonzero translation count as neighbors (a one-atom
     cell still has edges); the zero-distance self pair does not.  Per
     source the nearest ``max_neighbors`` are kept, ties broken by
-    (distance, dst index, lexicographic image).  Raises DegenerateCell
-    when the cutoff sphere spans more than ``MAX_IMAGES`` images.
+    (distance, dst index, lexicographic image).  A structure's list does
+    not depend on the others searched with it.  Raises what ``_cells``
+    raises, for the first structure that fails its checks, before any
+    search.
     """
-    lattice = _check_lattice(s.lattice)
-    spans = _axis_spans(lattice)
-    counts = _checked_image_counts(spans, cfg.cutoff)
-    images, image_carts = _image_block(lattice, counts)
-    src, dst, idx, d2 = _pairs_near(lattice, spans, s.frac_coords @ lattice, counts, image_carts,
-                                    cfg.cutoff, cfg.max_neighbors, 0.0)
-    dist = np.sqrt(d2)
-    rows, first = _per_source(src, dist, s.n_sites)
-    row, pick = _nearest(rows, first, np.minimum(np.diff(first), cfg.max_neighbors))
-    return NeighborList(src=row, dst=dst[pick], dist=dist[pick], image=images[idx[pick]])
+    structures = list(structures)
+
+    def nearest(p: _Pairs) -> list[NeighborList]:
+        row, pick = _nearest(p.rows, p.first,
+                             np.minimum(p.first[1:] - p.first[:-1], cfg.max_neighbors))
+        bounds = _bounds(row, p.n_sites)
+        src = _local(row, p.n_sites, bounds)
+        dst, dist, image = p.dst[pick], p.dist[pick], p.images[p.image[pick]]
+        return [NeighborList(src=src[lo:hi], dst=dst[lo:hi], dist=dist[lo:hi], image=image[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    search = _search(structures, _cells(structures, cfg.cutoff), cfg.cutoff, cfg.max_neighbors,
+                     0.0)
+    return list(itertools.chain.from_iterable(map(nearest, search)))
+
+
+def build_neighbor_list(s: CrystalStructure, cfg: NeighborConfig = NeighborConfig()) -> NeighborList:
+    """``build_neighbor_lists`` of the one structure ``s``."""
+    return build_neighbor_lists([s], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -338,35 +586,47 @@ class CandidateList:
     image_carts: np.ndarray  # (M, 3) float64
 
 
-def candidate_list(s: CrystalStructure, cfg: NeighborConfig, max_disp: float) -> CandidateList:
-    """One two-pass search with a skin of 2 * max_disp, pruned per source.
+def candidate_lists(structures: list[CrystalStructure], cfg: NeighborConfig,
+                    max_disp: float) -> list[CandidateList]:
+    """Each structure's candidate list: one two-pass search with a skin of 2 * max_disp, pruned per source.
 
     Holds int32 indices, 20 bytes per candidate.  Raises what
-    ``build_neighbor_list(s, cfg)`` raises, and nothing else: the
+    ``build_neighbor_lists(structures, cfg)`` raises, and nothing else: the
     ``MAX_IMAGES`` limit applies to the cutoff's block, not the skin's.
     """
-    lattice = _check_lattice(s.lattice)
-    spans = _axis_spans(lattice)
-    counts = _checked_image_counts(spans, cfg.cutoff)
-    _, image_carts = _image_block(lattice, counts)
+    structures = list(structures)
+    cells = _cells(structures, cfg.cutoff)
+    inverses = np.linalg.inv(cells.lattices)
     skin = 2.0 * max_disp
     # computed distances carry rounding error on both sides of the bound
     slack = 1e-9 * (cfg.cutoff + skin)
-    reach = cfg.cutoff + skin + slack
-    skin_counts = _image_counts(spans, reach)
-    skin_images, skin_carts = _image_block(lattice, skin_counts)
-    src, dst, idx, d2 = _pairs_near(lattice, spans, s.frac_coords @ lattice, skin_counts, skin_carts,
-                                    reach, cfg.max_neighbors, 2.0 * skin + slack)
-    dist = np.sqrt(d2)
-    keep = dist <= _kth_smallest(src, dist, cfg.max_neighbors, s.n_sites)[src] + 2.0 * skin + slack
-    src = src[keep]
-    return CandidateList(structure=s, cfg=cfg, max_disp=max_disp,
-                         inv_lattice=np.linalg.inv(lattice), src=src.astype(np.int32),
-                         dst=dst[keep].astype(np.int32),
-                         image=skin_images[idx[keep]].astype(np.int32),
-                         n_candidates=np.bincount(src, minlength=s.n_sites),
-                         boundary=np.flatnonzero(dist[keep] > cfg.cutoff - skin - slack),
-                         counts=np.array(counts, dtype=np.int64), image_carts=image_carts)
+    blocks = _Blocks()  # the cutoffs' image blocks, which the lists keep
+
+    def pruned(p: _Pairs) -> list[CandidateList]:
+        keep = p.dist <= _kth_smallest(p.rows, cfg.max_neighbors)[p.src] + 2.0 * skin + slack
+        src = p.src[keep]
+        bounds = _bounds(src, p.n_sites)
+        n_candidates = np.bincount(src, minlength=sum(p.n_sites))
+        src = _local(src, p.n_sites, bounds).astype(np.int32)
+        dst = p.dst[keep].astype(np.int32)
+        image = p.images[p.image[keep]].astype(np.int32)
+        boundary = np.flatnonzero(p.dist[keep] > cfg.cutoff - skin - slack)
+        per_list = np.diff(bounds).tolist()
+        boundary_bounds = _bounds(boundary, per_list)
+        boundary = _local(boundary, per_list, boundary_bounds)
+        site_bounds = [0, *itertools.accumulate(p.n_sites)]
+        return [CandidateList(
+            structure=s, cfg=cfg, max_disp=max_disp, inv_lattice=inverses[i],
+            src=src[lo:hi], dst=dst[lo:hi], image=image[lo:hi],
+            n_candidates=n_candidates[site_lo:site_hi], boundary=boundary[b_lo:b_hi],
+            counts=cells.counts[i], image_carts=blocks.whole(cells.counts[i].tolist())[1] @ s.lattice)
+            for i, s, lo, hi, b_lo, b_hi, site_lo, site_hi in zip(
+                itertools.count(p.start), structures[p.start:], bounds, bounds[1:],
+                boundary_bounds, boundary_bounds[1:], site_bounds, site_bounds[1:])]
+
+    search = _search(structures, cells, cfg.cutoff + skin + slack, cfg.max_neighbors,
+                     2.0 * skin + slack)
+    return list(itertools.chain.from_iterable(map(pruned, search)))
 
 
 class ViewSites(NamedTuple):

@@ -16,9 +16,14 @@ thread does both parts in turn, with the same results.
 
 - Pretraining first builds each crystal's neighbor candidate list, once
   for the whole call, and fine-tuning each crystal's graph, splitting the
-  crystals into two contiguous halves, one per thread (``_map_halves``).
-  Every epoch and validation pass takes its views or graphs from these; a
-  candidate list holds its crystal, so a batch's views need nothing else.
+  crystals into two contiguous halves, one per thread (``_on_halves``).
+  Each half is one neighbor search over all of its crystals
+  (``geometry.candidate_lists``, ``entry_graphs``): a search of a few
+  thousand small numpy operations per cell would have the two threads
+  trade the GIL, one over many cells packs small cells into shared kernel
+  blocks.  Every epoch and validation pass takes its views or graphs from
+  these; a candidate list holds its crystal, so a batch's views need
+  nothing else.
 - Pretraining encodes view a of a batch on the calling thread and view b
   on the worker, forward and backward (``_twin_embeddings``).  Each view
   records on its own tape and accumulates into its own gradients, which are
@@ -26,8 +31,13 @@ thread does both parts in turn, with the same results.
   thread timing.
 - Inference (``export_embeddings``, ``evaluate`` and fine-tuning's
   validation and test predictions) splits its ordered crystals into two
-  contiguous halves, one per thread (``_encode_halves``).  The split is
-  the same whether or not the worker runs, so the latents are too.
+  contiguous halves, one per thread (``_encode_halves``), and each half
+  builds the graphs of a chunk of crystals in one neighbor search before it
+  encodes them.  The split is the same whether or not the worker runs, so
+  the latents are too.
+- The neighbor search checks every crystal of a half or chunk before it
+  searches any; the first bad one in order raises, named by its entry id
+  (``_searched``), and the first half's error before the second's.
 - Fine-tuning's training steps split each conv layer's row work at a graph
   boundary (``encode`` with the worker, see ``autodiff.gated_conv``): the
   worker runs the second block of graphs, and the weight gradients, which
@@ -60,7 +70,7 @@ from .geometry import (
     DegenerateCell,
     NeighborConfig,
     SingularLattice,
-    build_neighbor_list,
+    build_neighbor_lists,
 )
 from .loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mae_metric, mse_loss
 from .model import (
@@ -83,7 +93,6 @@ from .structure_io import (
     EmptyDataset,
     SplitSpec,
     atomic_open,
-    naming,
     split_dataset,
 )
 
@@ -249,15 +258,23 @@ def _batches(order: np.ndarray, batch: int, drop_below: int) -> list[np.ndarray]
     return [b for b in out if len(b) >= drop_below]
 
 
-def _naming(entry_id: str):
-    """Re-raise a cell that the neighbor search rejects with the entry's id in front."""
-    return naming(f"entry {entry_id!r}", DegenerateCell, SingularLattice)
+def _searched(entries, search) -> list:
+    """``search`` over the entries' structures, in order; a cell it rejects names its entry.
+
+    The neighbor search checks every structure before it searches any, and
+    its error carries the first bad one's position.
+    """
+    try:
+        return search([e.structure for e in entries])
+    except (DegenerateCell, SingularLattice) as exc:
+        raise type(exc)(f"entry {entries[exc.index].id!r}: {exc}") from None
 
 
-def entry_graph(entry: DatasetEntry, neighbor: NeighborConfig, basis: GaussianBasis) -> CrystalGraph:
-    """The crystal graph of one dataset entry; a rejected cell names the entry."""
-    with _naming(entry.id):
-        return build_graph(entry.structure, build_neighbor_list(entry.structure, neighbor), basis)
+def entry_graphs(entries: list[DatasetEntry], neighbor: NeighborConfig,
+                 basis: GaussianBasis) -> list[CrystalGraph]:
+    """The crystal graphs of dataset entries, from one neighbor search; a rejected cell names its entry."""
+    lists = _searched(entries, lambda structures: build_neighbor_lists(structures, neighbor))
+    return [build_graph(e.structure, nl, basis) for e, nl in zip(entries, lists)]
 
 
 @functools.cache
@@ -336,26 +353,16 @@ def _on_halves(worker, items, run) -> tuple:
                            lambda: run(items[:half]), lambda: run(items[half:]))
 
 
-def _map_halves(worker, items, fn) -> list:
-    """``[fn(x) for x in items]``, the second half on ``worker``.
-
-    An exception raises before any later item of its half is touched, the
-    first half's before the second's, so the first bad item in order is
-    the one that raises.
-    """
-    a, b = _on_halves(worker, items, lambda part: [fn(x) for x in part])
-    return a + b
-
-
 def _encode_halves(worker, params: ModelParams, items: list, batch: int,
-                   graph_of=None) -> np.ndarray:
+                   graphs_of=None) -> np.ndarray:
     """Latents (len(items), hidden_dim) of ``items`` in order, the second half on ``worker``.
 
-    ``items`` are graphs, or entries that ``graph_of`` turns into graphs.
-    The first ceil(n/2) items run on this thread, the rest on ``worker``
-    (if any; an empty half is not submitted).  Each half builds the graphs
-    of at most ``batch`` items at a time and encodes them merged, so a bad
-    entry raises before any later entry of its half is touched, and the
+    ``items`` are graphs, or entries that ``graphs_of`` turns into graphs,
+    a list of them at a time.  The first ceil(n/2) items run on this
+    thread, the rest on ``worker`` (if any; an empty half is not
+    submitted).  Each half builds the graphs of at most ``batch`` items at
+    a time, in one neighbor search, and encodes them merged, so a bad
+    entry raises before any later chunk of its half is touched, and the
     first half's error is raised before the second's.  The halves do not
     depend on the worker, so neither do the latents.  Alone or merged, a
     graph's latent can differ by round-off: BLAS rounds a one-row product,
@@ -369,7 +376,7 @@ def _encode_halves(worker, params: ModelParams, items: list, batch: int,
         latents = []
         for lo in range(0, len(part), batch):
             chunk = part[lo:lo + batch]
-            graphs = chunk if graph_of is None else [graph_of(x) for x in chunk]
+            graphs = chunk if graphs_of is None else graphs_of(chunk)
             merged, seg = merge_graphs(graphs)
             latents.append(encode(params, merged, seg, len(graphs)).data)
         return latents
@@ -502,9 +509,9 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     params = init_params(mcfg, rng_for(pcfg.seed, _INIT), with_projector=True, with_head=False)
     augment_rng = rng_for(pcfg.seed, _AUGMENT)
 
-    def candidate_list(entry):
-        with _naming(entry.id):
-            return view_candidates(entry.structure, pcfg.augment, pcfg.neighbor)
+    def candidate_lists(entries):
+        return _searched(entries, lambda structures: view_candidates(
+            structures, pcfg.augment, pcfg.neighbor))
 
     def batch_loss(batch_idx, rng):
         return _bt_batch_loss(worker, params, pcfg, [candidates[i] for i in batch_idx], rng)
@@ -518,9 +525,10 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
 
     # the thread that encodes view b of every batch, for the whole run
     with _second_thread() as worker:
-        # one search per crystal per call serves the views of every epoch
-        # and validation pass
-        candidates = _map_halves(worker, data.entries, candidate_list)
+        # one search per half per call serves the views of every epoch and
+        # validation pass
+        a, b = _on_halves(worker, data.entries, candidate_lists)
+        candidates = a + b
         epochs_log, best_epoch, best = _fit(
             "pretrain", params, pcfg, data.entries, train_idx, 2,
             lambda b: batch_loss(b, augment_rng), val_loss)
@@ -551,13 +559,13 @@ class FinetuneResult:
 
 
 def _predict_std(worker, params: ModelParams, items: list, batch: int,
-                 graph_of=None) -> np.ndarray:
+                 graphs_of=None) -> np.ndarray:
     """Inference-mode standardized predictions, one scalar per item of ``_encode_halves``.
 
     The head runs over the latents in chunks of ``batch`` rows from the
     start, not per half: its products round differently on other row counts.
     """
-    latents = _encode_halves(worker, params, items, batch, graph_of)
+    latents = _encode_halves(worker, params, items, batch, graphs_of)
     preds = [regress(params, Tensor(latents[lo:lo + batch])).data[:, 0]
              for lo in range(0, len(latents), batch)]
     return np.concatenate(preds) if preds else np.zeros(0)
@@ -614,8 +622,9 @@ def _finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig, out_dir,
     # prediction, for the whole run
     with _second_thread() as worker:
         # in split order, so the first bad entry of train, val and test is named
-        graphs = _map_halves(worker, train_d.entries + val_d.entries + test_d.entries,
-                             lambda e: entry_graph(e, fcfg.neighbor, fcfg.basis))
+        a, b = _on_halves(worker, train_d.entries + val_d.entries + test_d.entries,
+                          lambda part: entry_graphs(part, fcfg.neighbor, fcfg.basis))
+        graphs = a + b
         n_train, n_val = len(train_d.entries), len(val_d.entries)
         graphs_train, graphs_val = graphs[:n_train], graphs[n_train:n_train + n_val]
         graphs_test = graphs[n_train + n_val:]
@@ -665,7 +674,7 @@ def evaluate(params: ModelParams, data: Dataset, label_mean: float, label_std: f
     labels = np.array([e.label for e in data.entries], dtype=np.float64)
     with _second_thread() as worker:
         pred = _predict_std(worker, params, data.entries, batch,
-                            lambda e: entry_graph(e, neighbor, basis)) * label_std + label_mean
+                            lambda chunk: entry_graphs(chunk, neighbor, basis)) * label_std + label_mean
     return {"n_entries": len(data.entries), "mae": mae_metric(pred, labels)}
 
 
@@ -684,7 +693,7 @@ def export_embeddings(params: ModelParams, data: Dataset,
     entries = sorted(data.entries, key=lambda e: e.id)
     with _second_thread() as worker:
         latents = _encode_halves(worker, params, entries, batch,
-                                 lambda e: entry_graph(e, neighbor, basis))
+                                 lambda chunk: entry_graphs(chunk, neighbor, basis))
     for entry, z in zip(entries, latents):
         row = [entry.id] + [repr(float(v)) for v in z]
         if data.kind == "labeled":

@@ -3,7 +3,7 @@
 import numpy as np
 
 from xtalssl.augment import _displace, batch_views, view_candidates
-from xtalssl.geometry import view_neighbor_lists, view_sites
+from xtalssl.geometry import candidate_lists, view_neighbor_lists, view_sites
 from xtalssl.structure_io import CrystalStructure
 
 from oracles import supercell_neighbors
@@ -17,6 +17,11 @@ def canonical_edges(edges):
     return out
 
 
+def candidate_list(s, cfg, max_disp):
+    """``candidate_lists`` of the one structure ``s``."""
+    return candidate_lists([s], cfg, max_disp)[0]
+
+
 def view_neighbor_list(c, frac_coords, shift):
     """One view's neighbor list from the candidate list ``c``: the one-view batch selection.
 
@@ -28,8 +33,8 @@ def view_neighbor_list(c, frac_coords, shift):
 
 
 def views_of(structures, cfg, neighbor_cfg, basis, rng):
-    """``batch_views`` of a fresh ``view_candidates`` list for each of ``structures``."""
-    return batch_views([view_candidates(s, cfg, neighbor_cfg) for s in structures], cfg, basis, rng)
+    """``batch_views`` of fresh ``view_candidates`` lists of ``structures``."""
+    return batch_views(view_candidates(structures, cfg, neighbor_cfg), cfg, basis, rng)
 
 
 def perturbed(s, rng, max_disp):

@@ -41,7 +41,7 @@ from xtalssl.autodiff import (
     _sigmoid,
     _softplus,
 )
-from xtalssl.geometry import NeighborList, _axis_spans, _check_lattice, _image_counts
+from xtalssl.geometry import NeighborList, _axis_spans, _image_counts
 from xtalssl.structure_io import SYMMETRY_DEDUP_TOL, wrap_frac
 
 
@@ -85,7 +85,7 @@ def dense_neighbor_list(s, cfg):
     each source keeps its nearest ``max_neighbors`` by (distance, dst,
     lexicographic image).
     """
-    lattice = _check_lattice(s.lattice)
+    lattice = s.lattice
     n1, n2, n3 = _image_counts(_axis_spans(lattice), cfg.cutoff)
     grid = np.meshgrid(np.arange(-n1, n1 + 1), np.arange(-n2, n2 + 1), np.arange(-n3, n3 + 1),
                        indexing="ij")

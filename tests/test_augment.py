@@ -22,7 +22,7 @@ from xtalssl.featurize import GaussianBasis, build_graph, merge_graphs
 from xtalssl.geometry import NeighborConfig, _axis_spans, build_neighbor_list
 from xtalssl.structure_io import CrystalStructure
 
-from helpers import perturbed, view_neighbor_list, views_of
+from helpers import candidate_list, perturbed, view_neighbor_list, views_of
 from oracles import periodic_distance
 
 
@@ -161,10 +161,10 @@ class TestOneStructureViews:
         cfg = AugmentConfig(enable_perturb=False, enable_atom_mask=False,
                             enable_edge_mask=False)
         with pytest.raises(NoAugmentationEnabled):
-            batch_views([geometry.candidate_list(perovskite(), NCFG, 0.0)], cfg, BASIS,
+            batch_views([candidate_list(perovskite(), NCFG, 0.0)], cfg, BASIS,
                         np.random.default_rng(0))
         with pytest.raises(NoAugmentationEnabled):
-            view_candidates(perovskite(), cfg, NCFG)
+            view_candidates([perovskite()], cfg, NCFG)
 
     def test_views_differ(self):
         (va, _), (vb, _) = views_of([perovskite()], AugmentConfig(), NCFG, BASIS,
@@ -177,15 +177,22 @@ class TestOneStructureViews:
         assert not (same_feat and same_masks)
 
     def test_deterministic_under_seed(self):
-        # a candidate list built beforehand gives the views a search of their own gives
-        cfg, s = AugmentConfig(), perovskite()
-        first = views_of([s], cfg, NCFG, BASIS, np.random.default_rng(42))
-        second = batch_views([view_candidates(s, cfg, NCFG)], cfg, BASIS,
-                             np.random.default_rng(42))
-        for (x, _), (y, _) in zip(first, second):
-            npt.assert_array_equal(x.node_mask, y.node_mask)
-            npt.assert_array_equal(x.edge_mask, y.edge_mask)
-            npt.assert_array_equal(x.edge_feat, y.edge_feat)
+        # lists from one search over several structures, each list serving two
+        # calls, give the views of fresh lists searched one structure at a time
+        cfg = AugmentConfig()
+        skewed = CrystalStructure(lattice=[[4.2, 0.0, 0.0], [0.9, 4.6, 0.0], [-0.7, 0.4, 5.1]],
+                                  atomic_numbers=[8, 14, 8],
+                                  frac_coords=[[0.1, 0.2, 0.3], [0.5, 0.45, 0.6], [0.8, 0.9, 0.05]])
+        structures = [perovskite(), skewed, perovskite(4.4)]
+        shared = view_candidates(structures, cfg, NCFG)
+        fresh = [view_candidates([s], cfg, NCFG)[0] for s in structures]
+        want = batch_views(fresh, cfg, BASIS, np.random.default_rng(42))
+        for _ in range(2):
+            got = batch_views(shared, cfg, BASIS, np.random.default_rng(42))
+            for (x, x_seg), (y, y_seg) in zip(got, want):
+                for field in ("node_mask", "edges", "dist", "edge_mask"):
+                    npt.assert_array_equal(getattr(x, field), getattr(y, field))
+                npt.assert_array_equal(x_seg, y_seg)
 
     def test_masks_only_preserves_geometry(self):
         cfg = AugmentConfig(enable_perturb=False)
@@ -239,19 +246,19 @@ class TestOneStructureViews:
     ], ids=["displacement"])
     def test_rejects_a_candidate_list_made_for_other_views(self, built_for, cfg, ncfg):
         s = perovskite()
-        candidates = geometry.candidate_list(s, built_for["ncfg"], built_for["max_disp"])
+        candidates = candidate_list(s, built_for["ncfg"], built_for["max_disp"])
         message = (f"built for max_disp {built_for['max_disp']} "
                    f"cannot serve views under max_disp {cfg.max_displacement}")
         with pytest.raises(ValueError, match=re.escape(message)):
             batch_views([candidates], cfg, BASIS, np.random.default_rng(0))
         with pytest.raises(ValueError, match=re.escape(message)):
-            batch_views([view_candidates(s, cfg, ncfg), candidates], cfg, BASIS,
+            batch_views([*view_candidates([s], cfg, ncfg), candidates], cfg, BASIS,
                         np.random.default_rng(0))
 
     def test_accepts_a_list_with_a_wider_skin(self):
         # a list built for a larger displacement holds every pair of a smaller one
         s, cfg = perovskite(), AugmentConfig()
-        wide = geometry.candidate_list(s, NCFG, 0.3)
+        wide = candidate_list(s, NCFG, 0.3)
         got = batch_views([wide], cfg, BASIS, np.random.default_rng(4))
         want = views_of([s], cfg, NCFG, BASIS, np.random.default_rng(4))
         for (g, _), (w, _) in zip(got, want):
@@ -293,7 +300,7 @@ def small_cells(draw):
 
 def _public_chain(s, cfg, ncfg, basis, rng):
     """Two views through the public functions, in the draw order batch_views keeps."""
-    candidates = view_candidates(s, cfg, ncfg)
+    candidates = view_candidates([s], cfg, ncfg)[0]
     views = []
     for _ in range(2):
         view = random_perturb(s, rng, cfg.max_displacement if cfg.enable_perturb else 0.0)
@@ -404,9 +411,8 @@ class TestBatchViews:
         ncfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
         skin = (delta or 0.0) + wider
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = batch_views([geometry.candidate_list(s, ncfg, skin) for s in structures], cfg,
-                          BASIS, rng)
-        want = batch_views([view_candidates(s, cfg, ncfg) for s in structures], cfg, BASIS,
+        got = batch_views(geometry.candidate_lists(structures, ncfg, skin), cfg, BASIS, rng)
+        want = batch_views([view_candidates([s], cfg, ncfg)[0] for s in structures], cfg, BASIS,
                            want_rng)
         for (g, g_seg), (w, w_seg) in zip(got, want):
             fields = ("node_elem", "node_mask", "edges", "dist", "edge_mask")
@@ -416,7 +422,7 @@ class TestBatchViews:
             assert g.basis == w.basis
         assert rng.bit_generator.state == want_rng.bit_generator.state
         if delta:
-            short = [geometry.candidate_list(s, ncfg, delta * narrower) for s in structures]
+            short = geometry.candidate_lists(structures, ncfg, delta * narrower)
             with pytest.raises(ValueError, match="cannot serve views under max_disp"):
                 batch_views(short, cfg, BASIS, np.random.default_rng(seed))
 
@@ -425,7 +431,7 @@ class TestBatchViews:
         # the perovskite's 2.83 A O-O and Cs-O pairs and its 3.46 A Cs-Ti pairs
         s = perovskite()
         cfg, ncfg = AugmentConfig(max_displacement=0.3), NeighborConfig(cutoff=3.0)
-        candidates = view_candidates(s, cfg, ncfg)
+        candidates, = view_candidates([s], cfg, ncfg)
         assert candidates.boundary.size
         got = batch_views([candidates] * 8, cfg, BASIS, np.random.default_rng(2))
         want = _chain_batch([s] * 8, cfg, ncfg, BASIS, np.random.default_rng(2))

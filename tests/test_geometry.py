@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 import time
@@ -16,15 +17,22 @@ from xtalssl.geometry import (
     DegenerateCell,
     NeighborConfig,
     SingularLattice,
-    _check_lattice,
     _axis_spans,
     _image_counts,
     build_neighbor_list,
-    candidate_list,
+    build_neighbor_lists,
+    candidate_lists,
 )
 from xtalssl.structure_io import CrystalStructure
+from xtalssl.toydata import toy_structure
 
-from helpers import canonical_edges, draw_unambiguous_structure, perturbed, view_neighbor_list
+from helpers import (
+    candidate_list,
+    canonical_edges,
+    draw_unambiguous_structure,
+    perturbed,
+    view_neighbor_list,
+)
 from oracles import dense_neighbor_list, supercell_neighbors
 
 
@@ -33,15 +41,27 @@ def cubic(a, z=11):
                             frac_coords=[[0.0, 0.0, 0.0]])
 
 
+def with_lattice(lattice):
+    """A one-site cell whose lattice array is overwritten after the structure's own checks."""
+    s = cubic(4.0)
+    s.lattice[:] = lattice
+    return s
+
+
 class TestCoordinates:
-    def test_singular_lattice(self):
-        bad = np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]])
-        with pytest.raises(SingularLattice):
-            _check_lattice(bad)
+    @pytest.mark.parametrize("search", [build_neighbor_lists,
+                                        lambda structures, cfg: candidate_lists(structures, cfg, 0.05)],
+                             ids=["build_neighbor_lists", "candidate_lists"])
+    def test_singular_lattice(self, search):
+        bad = with_lattice([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]])
+        with pytest.raises(SingularLattice, match="^lattice matrix is singular$") as info:
+            search([cubic(4.0), cubic(5.0), bad, cubic(4.5)], NeighborConfig())
+        assert info.value.index == 2
 
     def test_nan_lattice_is_singular(self):
-        with pytest.raises(SingularLattice):
-            _check_lattice(np.diag([4.0, 4.0, np.nan]))
+        with pytest.raises(SingularLattice) as info:
+            build_neighbor_lists([with_lattice(np.diag([4.0, 4.0, np.nan]))], NeighborConfig())
+        assert info.value.index == 0
 
 
 class TestBuildNeighborList:
@@ -393,13 +413,13 @@ class TestTwoPassSearch:
 
     @staticmethod
     def passes(monkeypatch, s, cfg):
-        """(images, source rows or None) of each dense-kernel call one search makes."""
+        """(images, source rows) of each dense-kernel call one search makes."""
         calls = []
         dense = geometry._pairs_within
 
-        def counted(cart, image_carts, cutoff, rows=None):
-            calls.append((image_carts.shape[0], None if rows is None else rows.tolist()))
-            return dense(cart, image_carts, cutoff, rows)
+        def counted(sites, image_carts, cols, images, rows, *args):
+            calls.append((images.shape[1], rows.ravel().tolist()))
+            return dense(sites, image_carts, cols, images, rows, *args)
 
         monkeypatch.setattr(geometry, "_pairs_within", counted)
         _assert_same_list(build_neighbor_list(s, cfg), dense_neighbor_list(s, cfg))
@@ -418,20 +438,20 @@ class TestTwoPassSearch:
         kth = np.array([nl.dist[nl.src == i][-1] for i in range(s.n_sites)])
         radius = FIRST_PASS_SCALE * (3 * 13 * 7.5**3 / (4 * np.pi * 33)) ** (1 / 3)
         assert (kth[:32] < radius).all() and kth[32] > radius
-        assert self.passes(monkeypatch, s, cfg) == [(27, None), (125, [32])]
+        assert self.passes(monkeypatch, s, cfg) == [(27, list(range(33))), (125, [32])]
 
     def test_one_pass_when_every_source_finds_its_nearest(self, monkeypatch):
         rng = np.random.default_rng(1)
         s = CrystalStructure(lattice=np.diag([7.9, 8.3, 8.6]), atomic_numbers=[6] * 40,
                              frac_coords=rng.uniform(0.0, 1.0, (40, 3)))
         cfg = NeighborConfig(cutoff=8.0, max_neighbors=12)
-        assert self.passes(monkeypatch, s, cfg) == [(27, None)]
+        assert self.passes(monkeypatch, s, cfg) == [(27, list(range(40)))]
 
     def test_one_pass_over_the_whole_block_when_the_first_radius_covers_it(self, monkeypatch):
         s = CrystalStructure(lattice=np.diag([3.9, 4.1, 4.3]), atomic_numbers=[6] * 5,
                              frac_coords=np.random.default_rng(2).uniform(0.0, 1.0, (5, 3)))
         assert self.passes(monkeypatch, s, NeighborConfig(cutoff=8.0, max_neighbors=12)) == \
-            [(125, None)]
+            [(125, list(range(5)))]
 
 
 def _random_cell(lattice, n, seed):
@@ -466,6 +486,130 @@ class TestSourceBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+@st.composite
+def toy_cells(draw):
+    """The toy perovskite: its cubic symmetry ties distances at the 12th neighbor and beyond."""
+    return toy_structure("Cs", "Ti", "O", draw(st.floats(3.5, 4.5)))
+
+
+@st.composite
+def toy_supercells(draw):
+    """2 x 2 x 2 supercells of the toy cell, each site moved by up to 0.01 of the supercell."""
+    s = draw(toy_cells())
+    corners = np.array(list(itertools.product([0, 1], repeat=3)))
+    frac = ((s.frac_coords[None] + corners[:, None]) / 2).reshape(-1, 3)
+    jitter = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-0.01, 0.01, frac.shape)
+    return CrystalStructure(lattice=2 * s.lattice, atomic_numbers=np.tile(s.atomic_numbers, 8),
+                            frac_coords=frac + jitter)
+
+
+@st.composite
+def cells_beyond_one_block(draw):
+    """60 to 100 sites in a skewed cell with a 3.6 A axis: a first pass of several blocks."""
+    return _random_cell([[3.6, 0.0, 0.0], [1.2, 18.0, 0.0], [-1.0, 2.5, 18.0]],
+                        draw(st.integers(60, 100)), draw(st.integers(0, 2**32 - 1)))
+
+
+_MIXED = st.lists(st.one_of(toy_cells(), toy_supercells(), triclinic_cells(),
+                            one_site_cubic_cells(), isolated_site_cells(),
+                            cells_beyond_one_block()), min_size=1, max_size=6)
+
+
+def _assert_same_arrays(got, want, fields):
+    for field in fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class TestManyStructures:
+    """One search over a list of structures gives each the lists of a search of its own."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_MIXED, st.sampled_from([6.0, 8.0]), st.sampled_from([1, 12, 20]),
+           st.sampled_from([0.0, 0.05, 0.5]))
+    def test_lists_equal_one_structure_searches_and_the_dense_oracle(self, structures, cutoff,
+                                                                      k, max_disp):
+        cfg = NeighborConfig(cutoff=cutoff, max_neighbors=k)
+        alone = [build_neighbor_list(s, cfg) for s in structures]
+        alone_candidates = [candidate_list(s, cfg, max_disp) for s in structures]
+        for s, nl in zip(structures, alone):
+            _assert_same_arrays(nl, dense_neighbor_list(s, cfg), ("src", "dst", "dist", "image"))
+        # the real block packs many small cells into one; a small one packs a
+        # few, and takes the larger cells in blocks of rows
+        for block in (geometry.BLOCK_ELEMENTS, 2**12):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geometry, "BLOCK_ELEMENTS", block)
+                lists = build_neighbor_lists(structures, cfg)
+                candidates = candidate_lists(structures, cfg, max_disp)
+            assert len(lists) == len(candidates) == len(structures)
+            for s, nl, want, c, c_want in zip(structures, lists, alone, candidates,
+                                              alone_candidates):
+                _assert_same_arrays(nl, want, ("src", "dst", "dist", "image"))
+                assert (c.structure, c.cfg, c.max_disp) == (s, cfg, max_disp)
+                _assert_same_arrays(c, c_want, ("inv_lattice", "src", "dst", "image",
+                                                "n_candidates", "boundary", "counts",
+                                                "image_carts"))
+
+    def test_small_cells_share_kernel_blocks(self, monkeypatch):
+        calls = []
+        dense = geometry._pairs_within
+
+        def counted(*args):
+            calls.append(args)
+            return dense(*args)
+
+        monkeypatch.setattr(geometry, "_pairs_within", counted)
+        cells = [toy_structure("Cs", "Ti", "O", 3.5 + i / 40) for i in range(40)]
+        lists = build_neighbor_lists(cells, NeighborConfig())
+        # 40 cells of 5 sites: a few blocks, not a search each
+        assert len(lists) == 40 and 1 < len(calls) <= 4
+
+    @pytest.mark.parametrize("search", [
+        lambda structures: build_neighbor_lists(structures, NeighborConfig()),
+        lambda structures: candidate_lists(structures, NeighborConfig(), 0.05),
+    ], ids=["build_neighbor_lists", "candidate_lists"])
+    def test_peak_memory_does_not_grow_with_the_number_of_structures(self, search):
+        def transient(n):
+            """The search's peak memory beyond what its outputs hold at the end."""
+            structures = [toy_structure("Cs", "Ti", "O", 3.5 + (i % 11) / 10) for i in range(n)]
+            tracemalloc.start()
+            try:
+                lists = search(structures)
+                outputs, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(lists) == n
+            return peak - outputs
+
+        # one block's arrays, about 1.5 MB, and a few hundred bytes of
+        # bookkeeping per structure
+        assert transient(400) < 1.1 * transient(20)
+
+    @pytest.mark.parametrize("bad, index, error", [
+        ({1: "thin", 3: "flat"}, 1, DegenerateCell), ({1: "flat", 3: "thin"}, 1, SingularLattice),
+        ({4: "thin"}, 4, DegenerateCell)])
+    def test_the_first_bad_structure_in_order_raises_before_any_search(self, monkeypatch, bad,
+                                                                       index, error):
+        calls = []
+        monkeypatch.setattr(geometry, "_pairs_within", lambda *args: calls.append(args))
+        thin = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-4]), atomic_numbers=[11],
+                                frac_coords=[[0.0, 0.0, 0.0]])
+        flat = CrystalStructure(lattice=np.diag([1e-5, 1e-5, 1e-3]), atomic_numbers=[11],
+                                frac_coords=[[0.0, 0.0, 0.0]])
+        structures = [{"thin": thin, "flat": flat}[bad[i]] if i in bad else cubic(4.0 + i / 10)
+                      for i in range(6)]
+        message = "lattice matrix is singular" if error is SingularLattice else \
+            "cutoff 8.0 needs 1 * 1 * 160001 periodic images"
+        for search in (build_neighbor_lists,
+                       lambda structures, cfg: candidate_lists(structures, cfg, 0.05)):
+            with pytest.raises(error) as info:
+                search(structures, NeighborConfig())
+            assert info.value.index == index
+            assert str(info.value).startswith(message.split(" 1 *")[0])
+        assert calls == []
 
 
 class TestDenseKernelAgainstOracle:

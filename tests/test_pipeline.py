@@ -74,6 +74,11 @@ from oracles import PerTensorAdam, mul, scale, sum_all
 # small enough that every pipeline test stays in the sub-second range
 BASIS = GaussianBasis(d_min=0.0, d_max=4.5, step=0.5)
 NEIGHBOR = NeighborConfig(cutoff=4.5, max_neighbors=8)
+
+
+def graph_of(entry, neighbor, basis):
+    """The crystal graph of one dataset entry, searched on its own."""
+    return pipeline.entry_graphs([entry], neighbor, basis)[0]
 TINY = ModelConfig(hidden_dim=4, n_conv=1, proj_dim=4, head_hidden=4,
                    edge_feat_dim=BASIS.n_centers)
 
@@ -452,7 +457,7 @@ class TestEdgelessBatches:
         data = Dataset(entries=tuple(DatasetEntry(id=e.id, structure=e.structure)
                                      for e in gen_toy_dataset(12, seed=0).entries),
                        kind="unlabeled")
-        assert all(pipeline.entry_graph(e, pcfg.neighbor, BASIS).n_edges == 0 for e in data.entries)
+        assert all(graph_of(e, pcfg.neighbor, BASIS).n_edges == 0 for e in data.entries)
         init = init_params(TINY, rng_for(pcfg.seed, _INIT), with_projector=True, with_head=False)
         result = pretrain(data, TINY, pcfg)
         # Adam steps by zero on zero gradients
@@ -469,7 +474,7 @@ class TestEdgelessBatches:
         fcfg = tiny_fcfg(batch=1, seed=1)
         train, _, _ = split_dataset(data, SplitSpec(fractions=fcfg.split, seed=fcfg.seed))
         assert "lone" in [e.id for e in train.entries]
-        assert pipeline.entry_graph(data.entries[0], NEIGHBOR, BASIS).n_edges == 0
+        assert graph_of(data.entries[0], NEIGHBOR, BASIS).n_edges == 0
         result = finetune(data, TINY, fcfg)
         assert np.isfinite(result.report.test_mae)
 
@@ -653,6 +658,58 @@ class TestErrorsNameTheEntry:
             export_embeddings(params, data, neighbor=NEIGHBOR, basis=BASIS)
 
 
+def with_bad_cells(data, bad):
+    """``data`` with the entry at each position of ``bad`` given a THIN or FLAT cell."""
+    cells = dict(bad)
+    return Dataset(entries=tuple(
+        dataclasses.replace(e, structure={"thin": THIN, "flat": FLAT}[cells[i]]) if i in cells else e
+        for i, e in enumerate(data.entries)), kind=data.kind)
+
+
+def first_bad(data, bad):
+    """The error that the first bad entry in order raises: its type and message pattern."""
+    i, kind = min(bad)
+    name = data.entries[i].id
+    if kind == "flat":
+        return SingularLattice, f"^entry '{name}': lattice matrix is singular$"
+    return DegenerateCell, f"^entry '{name}': cutoff 4.5 needs"
+
+
+# (position, cell) of each bad entry among 20: the first in order sits inside
+# a half, or a chunk of 4, of the search; a FLAT cell after a THIN one in the
+# same search, or before it, is checked in order
+BAD_ENTRIES = [((5, "thin"),), ((14, "thin"), (6, "flat")), ((11, "flat"), (17, "thin")),
+               ((5, "thin"), (6, "flat"))]
+
+
+class TestFirstBadEntryOfABatchedSearch:
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_pretrain(self, monkeypatch, bad):
+        steps = []
+        monkeypatch.setattr(pipeline, "_twin_embeddings", lambda *args: steps.append(args))
+        data = gen_toy_dataset(20, seed=12)  # halves: toy_0000-0009 and toy_0010-0019
+        error, message = first_bad(data, bad)
+        with pytest.raises(error, match=message):
+            pretrain(with_bad_cells(data, bad), TINY, tiny_pcfg())
+        assert steps == []
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_evaluate(self, bad):
+        data = gen_toy_dataset(20, seed=13)  # chunks of 4 within halves of 10
+        params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=True)
+        error, message = first_bad(data, bad)
+        with pytest.raises(error, match=message):
+            evaluate(params, with_bad_cells(data, bad), 0.0, 1.0, 4, NEIGHBOR, BASIS)
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_export_embeddings(self, bad):
+        data = gen_toy_dataset(20, seed=14)  # already in id order
+        params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=False)
+        error, message = first_bad(data, bad)
+        with pytest.raises(error, match=message):
+            export_embeddings(params, with_bad_cells(data, bad), NEIGHBOR, BASIS, 4)
+
+
 def listed_ids(exc) -> list[str]:
     return str(exc.value).split("on entries ")[1].split(", ")
 
@@ -722,7 +779,7 @@ class TestBestWeights:
         """_fit over one epoch per validation loss, and each epoch's weights when validated."""
         data = gen_toy_dataset(4, seed=0)
         params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=True)
-        graphs = [pipeline.entry_graph(e, NEIGHBOR, BASIS) for e in data.entries]
+        graphs = [graph_of(e, NEIGHBOR, BASIS) for e in data.entries]
         seen, losses = [], iter(val_losses)
 
         def batch_loss(idx):
@@ -831,9 +888,10 @@ class TestTwinViews:
         search = pipeline.view_candidates
 
         def recorded(run):
-            def view_candidates(s, *args):
-                searched_on[run][id(s)] = threading.current_thread()
-                return search(s, *args)
+            def view_candidates(structures, *args):
+                for s in structures:
+                    searched_on[run][id(s)] = threading.current_thread()
+                return search(structures, *args)
             return view_candidates
 
         reports = {}
@@ -856,17 +914,19 @@ class TestTwinViews:
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_one_candidate_list_per_crystal_per_call(self, monkeypatch, epochs):
+        # one search per half of the crystals, in order, for the whole call
         calls = []
-        search = augment.candidate_list
+        search = augment.candidate_lists
 
-        def counted(s, *args):
-            calls.append(s)
-            return search(s, *args)
+        def counted(structures, *args):
+            calls.append(list(structures))
+            return search(structures, *args)
 
-        monkeypatch.setattr(augment, "candidate_list", counted)
+        monkeypatch.setattr(augment, "candidate_lists", counted)
         data = gen_toy_dataset(10, seed=8)
         pretrain(data, TWIN, tiny_pcfg(epochs=epochs, val_fraction=0.3, seed=4))
-        assert sorted(map(id, calls)) == sorted(id(e.structure) for e in data.entries)
+        halves = [[e.structure for e in data.entries[:5]], [e.structure for e in data.entries[5:]]]
+        assert sorted(calls, key=lambda c: id(c[0])) == sorted(halves, key=lambda c: id(c[0]))
 
     @pytest.mark.parametrize("blas, cores, threaded", [
         (1, 2, True), (1, 8, True), (2, 2, True), (1, 1, False), (None, 8, False)])
@@ -972,7 +1032,7 @@ def per_crystal_csv(params, data):
     """export_embeddings as one thread wrote it: each crystal encoded on its own."""
     lines = [",".join(["id"] + [f"z{i}" for i in range(params.config.hidden_dim)] + ["label"])]
     for e in sorted(data.entries, key=lambda e: e.id):
-        z = encode(params, pipeline.entry_graph(e, NEIGHBOR, BASIS)).data[0]
+        z = encode(params, graph_of(e, NEIGHBOR, BASIS)).data[0]
         lines.append(",".join([e.id] + [repr(float(v)) for v in z] + [repr(float(e.label))]))
     return "\n".join(lines) + "\n"
 
@@ -1018,7 +1078,7 @@ class TestInferenceHalves:
         csv, metrics = out["none"][:2]
         assert csv == per_crystal_csv(params, data)
         # the head keeps one thread's chunks, whose rounding differs from the halves'
-        graphs = [pipeline.entry_graph(e, NEIGHBOR, BASIS) for e in data.entries]
+        graphs = [graph_of(e, NEIGHBOR, BASIS) for e in data.entries]
         expected = chunked_predictions(params, graphs, 3)
         with ThreadPoolExecutor(max_workers=1) as worker:
             assert pipeline._predict_std(worker, params, graphs, 3).tobytes() == \
@@ -1031,11 +1091,11 @@ class TestInferenceHalves:
     def test_latents_equal_per_crystal_encode_bitwise(self, batch):
         data = random_cells(15, atoms=range(2, 9), seed=batch)
         params = self.params(with_head=False)
-        alone = [encode(params, pipeline.entry_graph(e, NEIGHBOR, BASIS)).data[0]
+        alone = [encode(params, graph_of(e, NEIGHBOR, BASIS)).data[0]
                  for e in data.entries]
         with ThreadPoolExecutor(max_workers=1) as worker:
             latents = _encode_halves(worker, params, list(data.entries), batch,
-                                     lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+                                     lambda chunk: pipeline.entry_graphs(chunk, NEIGHBOR, BASIS))
         assert latents.tobytes() == np.array(alone).tobytes()
         assert export_embeddings(params, data, NEIGHBOR, BASIS, batch) == \
             per_crystal_csv(params, data)
@@ -1046,15 +1106,15 @@ class TestInferenceHalves:
         params = self.params(with_head=False)
         data = random_cells(4, atoms=[3, 1], seed=2)
         one_atom = data.entries[1]
-        alone = encode(params, pipeline.entry_graph(one_atom, NEIGHBOR, BASIS)).data[0]
+        alone = encode(params, graph_of(one_atom, NEIGHBOR, BASIS)).data[0]
         merged = _encode_halves(None, params, list(data.entries), 128,
-                                lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))[1]
-        assert pipeline.entry_graph(one_atom, NEIGHBOR, BASIS).n_edges > 0
+                                lambda chunk: pipeline.entry_graphs(chunk, NEIGHBOR, BASIS))[1]
+        assert graph_of(one_atom, NEIGHBOR, BASIS).n_edges > 0
         assert merged.tobytes() != alone.tobytes()
         npt.assert_allclose(merged, alone, rtol=1e-13)
         # alone in its half, it is encoded alone
         halves = _encode_halves(None, params, [data.entries[0], one_atom], 128,
-                                lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+                                lambda chunk: pipeline.entry_graphs(chunk, NEIGHBOR, BASIS))
         assert halves[1].tobytes() == alone.tobytes()
 
     def test_multi_node_cells_encode_alone_as_merged_at_the_default_width(self):
@@ -1064,10 +1124,10 @@ class TestInferenceHalves:
         data = random_cells(40, atoms=range(2, 9), seed=0)
         params = init_params(ModelConfig(), np.random.default_rng(0), with_projector=False,
                              with_head=False)
-        alone = [encode(params, pipeline.entry_graph(e, neighbor, basis)).data[0]
+        alone = [encode(params, graph_of(e, neighbor, basis)).data[0]
                  for e in data.entries]
         merged = _encode_halves(None, params, list(data.entries), 128,
-                                lambda e: pipeline.entry_graph(e, neighbor, basis))
+                                lambda chunk: pipeline.entry_graphs(chunk, neighbor, basis))
         assert merged.tobytes() == np.array(alone).tobytes()
 
     def test_embeddings_do_not_depend_on_the_worker_where_merging_moves_latents(
@@ -1095,7 +1155,7 @@ class TestInferenceHalves:
         assert csv["inline"] == csv["threaded"] and csv["none"] == csv["threaded"]
         rows = [line.split(",")[1:11] for line in csv["none"].splitlines()[1:]]
         alone = [[repr(float(v)) for v in
-                  encode(params, pipeline.entry_graph(e, neighbor, basis)).data[0]]
+                  encode(params, graph_of(e, neighbor, basis)).data[0]]
                  for e in data.entries]
         assert sum(row != lone for row, lone in zip(rows, alone)) > 0
 
@@ -1110,7 +1170,7 @@ class TestInferenceHalves:
         with SpyWorker(delay=0.1) as spy:
             with pytest.raises(DegenerateCell, match=message):
                 _encode_halves(spy, params, list(entries), 2,
-                               lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+                               lambda chunk: pipeline.entry_graphs(chunk, NEIGHBOR, BASIS))
             assert [f.done() for f in spy.futures] == [True]
         for run in (lambda: export_embeddings(params, data, NEIGHBOR, BASIS, 2),
                     lambda: evaluate(params, data, 0.0, 1.0, 2, NEIGHBOR, BASIS)):
@@ -1133,7 +1193,7 @@ class TestInferenceHalves:
         params = self.params(with_head=False)
         with SpyWorker() as spy:
             latents = _encode_halves(spy, params, list(data.entries), 2,
-                                     lambda e: pipeline.entry_graph(e, NEIGHBOR, BASIS))
+                                     lambda chunk: pipeline.entry_graphs(chunk, NEIGHBOR, BASIS))
         assert len(spy.futures) == (n > 1)
         assert sorted(calls, reverse=True) == encoded
         assert latents.shape == (n, TWIN.hidden_dim)
@@ -1177,7 +1237,7 @@ class TestSplitSteps:
         # threads_of[layout]: the thread that built it, then the one of each sum
         second_blocks, threads_of, built_on = [], {}, {run: {} for run in workers}
         plan_init, layout_init, layout_sum, graph = autodiff._EdgePlan.__init__, \
-            autodiff._SegmentLayout.__init__, autodiff._SegmentLayout.sum, pipeline.entry_graph
+            autodiff._SegmentLayout.__init__, autodiff._SegmentLayout.sum, pipeline.entry_graphs
 
         def planned(plan, *args, **kwargs):
             plan_init(plan, *args, **kwargs)
@@ -1193,10 +1253,11 @@ class TestSplitSteps:
             return layout_sum(layout, x)
 
         def recorded(run):
-            def entry_graph(e, *args):
-                built_on[run][e.id] = threading.current_thread() is main
-                return graph(e, *args)
-            return entry_graph
+            def entry_graphs(entries, *args):
+                for e in entries:
+                    built_on[run][e.id] = threading.current_thread() is main
+                return graph(entries, *args)
+            return entry_graphs
 
         monkeypatch.setattr(autodiff._EdgePlan, "__init__", planned)
         monkeypatch.setattr(autodiff._SegmentLayout, "__init__", laid_out)
@@ -1206,7 +1267,7 @@ class TestSplitSteps:
             del second_blocks[:]
             threads_of.clear()
             monkeypatch.setattr(pipeline, "_second_thread", worker)
-            monkeypatch.setattr(pipeline, "entry_graph", recorded(run))
+            monkeypatch.setattr(pipeline, "entry_graphs", recorded(run))
             ft = finetune(data, TWIN, fcfg, out_dir=tmp_path / run)
             out[run] = (ft.report.to_json(), (tmp_path / run / "finetune_model.ckpt").read_bytes())
             second = [threads_of[lay] for block in second_blocks for lay in block]

@@ -9,13 +9,18 @@ own ``python -m xtalssl.cli`` process on that checkout's ``src``:
 
     gen-toy --n 40 --seed 3, featurize, pretrain, finetune from
     pretrain_best.ckpt, evaluate, embed with each pretrain checkpoint, ablate,
-    then featurize on three CIFs with symmetry loops
+    then featurize on three CIFs with symmetry loops, and on mixed cells
 
 The toy CIFs are P1, which the parser expands by the identity op alone, so
-the last step is the one that compares the expansion under real symmetry
-ops: the script writes a P-1, a P2_1/c and a P-3 cell (whose ops have x-y
-rows), each with sites on special positions whose images merge, into
-``sym/`` before the chain starts.
+the symmetry step is the one that compares the expansion under real
+symmetry ops: the script writes a P-1, a P2_1/c and a P-3 cell (whose ops
+have x-y rows), each with sites on special positions whose images merge,
+into ``sym/`` before the chain starts.  The toy cells all have five sites,
+so the last step is the one whose neighbor search mixes cell sizes: the
+script also writes two toy cells, a one-atom cell, a jittered 2 x 2 x 2 toy
+supercell and a 100-site triclinic cell into ``mixed/``.  One search packs
+the small cells into one kernel block and takes the 100-site cell in
+blocks of rows.
 
 Each step runs with ``OPENBLAS_NUM_THREADS=1``.  Current versions pin the
 BLAS to one thread inside each call anyway; the variable makes a checkout
@@ -37,6 +42,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -84,9 +90,38 @@ SYMMETRIC_CIFS = {
 }
 
 
-def write_symmetric_cifs(out_dir: str) -> None:
+def _mixed_cifs() -> dict:
+    """Cells of 1, 5, 40 and 100 sites, in ``SYMMETRIC_CIFS``' form; the same on every run."""
+    rng = random.Random(7)
+    toy = ["Cs 0 0 0", "Ti 0.5 0.5 0.5", "O 0.5 0.5 0", "O 0.5 0 0.5", "O 0 0.5 0.5"]
+
+    def jittered(x: float, cells: int, width: float) -> str:
+        return f"{(x + rng.uniform(-width, width)) / cells % 1.0:.6f}"
+
+    supercell = [f"{z} {jittered(float(x) + i, 2, 0.01)} {jittered(float(y) + j, 2, 0.01)} "
+                 f"{jittered(float(w) + k, 2, 0.01)}"
+                 for i in (0, 1) for j in (0, 1) for k in (0, 1)
+                 for z, x, y, w in (site.split() for site in toy)]
+    triclinic = [f"{('Si', 'O', 'Mg', 'O')[(i + j + k) % 4]} {jittered(i + 0.5, 4, 0.08)} "
+                 f"{jittered(j + 0.5, 5, 0.08)} {jittered(k + 0.5, 5, 0.08)}"
+                 for i in range(4) for j in range(5) for k in range(5)]
+    cells = {
+        "a-toy": ((4.1, 4.1, 4.1, 90.0, 90.0, 90.0), toy),
+        "b-one-atom": ((3.2, 3.2, 3.2, 90.0, 90.0, 90.0), ["Na 0 0 0"]),
+        "c-supercell": ((7.8, 7.8, 7.8, 90.0, 90.0, 90.0), supercell),
+        "d-toy": ((4.4, 4.4, 4.4, 90.0, 90.0, 90.0), toy),
+        "e-triclinic": ((6.1, 12.4, 15.2, 78.0, 97.0, 72.0), triclinic),
+    }
+    # P1, and each site labelled by its element and number
+    return {name: (cell, ["x, y, z"], [f"{site.split()[0]}{i + 1} {site}"
+                                       for i, site in enumerate(sites)])
+            for name, (cell, sites) in cells.items()}
+
+
+def write_cifs(out_dir: str, cifs: dict) -> None:
+    """One CIF per entry of ``cifs``, which take ``SYMMETRIC_CIFS``' form."""
     os.makedirs(out_dir)
-    for name, ((a, b, c, alpha, beta, gamma), ops, sites) in SYMMETRIC_CIFS.items():
+    for name, ((a, b, c, alpha, beta, gamma), ops, sites) in cifs.items():
         text = _CIF_HEAD.format(name=name, a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
                                 ops="\n".join(f"'{op}'" for op in ops))
         with open(os.path.join(out_dir, f"{name}.cif"), "w", encoding="utf-8") as fh:
@@ -108,6 +143,7 @@ STEPS = [
     ["ablate", "--data-root", "data", "--index-file", "data/index.csv", "--out-dir", "ablate",
      *_sets(*PRETRAIN, *FINETUNE)],
     ["featurize", "--data-root", "sym", "--out-dir", "featurize_sym"],
+    ["featurize", "--data-root", "mixed", "--out-dir", "featurize_mixed"],
 ]
 
 
@@ -115,7 +151,8 @@ def run_chain(checkout: str, workdir: str, one_core: bool = False) -> None:
     """Every step from ``checkout`` in ``workdir``; with ``one_core``, each pinned to one CPU."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(checkout, "src"))
     os.makedirs(workdir)
-    write_symmetric_cifs(os.path.join(workdir, "sym"))
+    write_cifs(os.path.join(workdir, "sym"), SYMMETRIC_CIFS)
+    write_cifs(os.path.join(workdir, "mixed"), _mixed_cifs())
     pin = None
     if one_core:
         cpu = min(os.sched_getaffinity(0))
