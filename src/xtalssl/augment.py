@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import CrystalGraph, GaussianBasis, with_edge_mask, with_node_mask
-from .geometry import CandidateList, NeighborConfig, candidate_lists, view_neighbor_lists, view_sites
+from .geometry import (
+    CandidateList,
+    NeighborConfig,
+    candidate_lists,
+    view_neighbor_lists,
+    view_sites,
+)
 from .structure_io import CrystalStructure, wrap_frac
 
 
@@ -136,7 +142,7 @@ def _displacement(cfg: AugmentConfig) -> float:
 
 def view_candidates(structures: list[CrystalStructure], cfg: AugmentConfig,
                     neighbor_cfg: NeighborConfig) -> list[CandidateList]:
-    """Per structure, the candidate list that its every view under ``cfg`` takes its neighbor list from.
+    """Per structure, the candidate list its every view under ``cfg`` takes its neighbors from.
 
     One search serves all of them (``geometry.candidate_lists``).
     """

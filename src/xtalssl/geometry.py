@@ -87,11 +87,11 @@ from .structure_io import CrystalStructure
 
 
 class SingularLattice(ValueError):
-    pass
+    """A lattice the search rejects; ``index`` is its structure's position in the searched list."""
 
 
 class DegenerateCell(ValueError):
-    pass
+    """A cell too thin for the cutoff; ``index`` is its position in the searched list."""
 
 
 # largest periodic-image block the neighbor search will enumerate; real
@@ -103,9 +103,10 @@ MAX_IMAGES = 100_000
 # cells find their nearest within it
 FIRST_PASS_SCALE = 1.5
 
-# elements of each (source rows, N, M) array of the dense kernel, 512 KB of
-# float64: small enough for one block's arrays to stay in cache, large
-# enough that 100-site cells take about ten blocks per pass
+# elements of each (structures, source rows, N, M) array of the dense kernel,
+# 512 KB of float64: small enough for one block's arrays to stay in cache,
+# large enough that 100-site cells take about ten blocks per pass and that
+# about twenty 5-site cells share one
 BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -141,13 +142,13 @@ class NeighborList:
 
 
 def _rejected(error: ValueError, index: int) -> ValueError:
-    """``error`` for the structure at ``index`` of the searched list, which it keeps as ``index``."""
+    """``error``, raised for the structure at ``index`` of the searched list, as its ``index``."""
     error.index = index
     return error
 
 
 def _axis_spans(lattices: np.ndarray) -> np.ndarray:
-    """Per lattice and axis, 1 / (perpendicular spacing of the planes spanned by the other two axes)."""
+    """Per lattice and axis, 1 / (spacing of the planes spanned by the other two axes)."""
     # the length of column i of the inverse lattice, as np.linalg.norm takes it
     inverses = np.linalg.inv(lattices)
     return np.sqrt(np.add.reduce(inverses * inverses, axis=-2))
@@ -161,11 +162,11 @@ def _image_counts(spans, cutoff: float) -> list[int]:
 
 
 class _Cells(NamedTuple):
-    """The searched structures' lattices (B, 3, 3), axis spans (B, 3) and cutoff image counts (B, 3)."""
+    """The searched structures' lattices (B, 3, 3), axis spans (B, 3) and cutoff image counts."""
 
     lattices: np.ndarray
     spans: np.ndarray
-    counts: np.ndarray
+    counts: list[list[int]]
 
 
 def _cells(structures: list[CrystalStructure], cutoff: float) -> _Cells:
@@ -179,8 +180,11 @@ def _cells(structures: list[CrystalStructure], cutoff: float) -> _Cells:
     """
     lattices = np.array([s.lattice for s in structures], dtype=np.float64).reshape(-1, 3, 3)
     good = np.isfinite(lattices).all(axis=(1, 2))
-    good[good] = np.abs(np.linalg.det(lattices[good])) >= 1e-12
-    n_good = int(good.argmin()) if not good.all() else len(structures)
+    if good.all():
+        good = np.abs(np.linalg.det(lattices)) >= 1e-12
+    else:  # a det of non-finite entries warns
+        good[good] = np.abs(np.linalg.det(lattices[good])) >= 1e-12
+    n_good = len(structures) if good.all() else int(good.argmin())
     spans = _axis_spans(lattices[:n_good])
     counts = [_image_counts(r, cutoff) for r in spans.tolist()]
     for index, c in enumerate(counts):
@@ -191,7 +195,7 @@ def _cells(structures: list[CrystalStructure], cutoff: float) -> _Cells:
                 "the cell is too thin along some axis"), index)
     if n_good < len(structures):
         raise _rejected(SingularLattice("lattice matrix is singular"), n_good)
-    return _Cells(lattices, spans, np.array(counts, dtype=np.int64).reshape(-1, 3))
+    return _Cells(lattices, spans, counts)
 
 
 class _Blocks:
@@ -201,7 +205,7 @@ class _Blocks:
         self._whole, self._sub = {}, {}
 
     def whole(self, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The block of ``counts`` images per axis, as (M, 3) int64 and float64."""
+        """Images -counts..counts per axis in lexicographic order, as (M, 3) int64 and float64."""
         key = tuple(counts)
         if key not in self._whole:
             c0, c1, c2 = counts
@@ -218,10 +222,13 @@ class _Blocks:
         key = (*counts, *sub)
         if key not in self._sub:
             width = [2 * c + 1 for c in counts]
-            axes = [np.arange(c - s, c + s + 1) for c, s in zip(counts, sub)]
-            self._sub[key] = np.arange(math.prod(width)) if sub == counts else (
-                (axes[0][:, None, None] * width[1] + axes[1][:, None]) * width[2]
-                + axes[2]).ravel()
+            if sub == counts:
+                rows = np.arange(math.prod(width))
+            else:
+                axes = [np.arange(c - s, c + s + 1) for c, s in zip(counts, sub)]
+                rows = ((axes[0][:, None, None] * width[1] + axes[1][:, None]) * width[2]
+                        + axes[2]).ravel()
+            self._sub[key] = rows
         return self._sub[key]
 
 
@@ -306,7 +313,7 @@ def _taken(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _pairs_within(sites: np.ndarray, image_carts: np.ndarray, cols: np.ndarray,
                   images: np.ndarray, rows: np.ndarray, zero: np.ndarray,
                   cutoffs: np.ndarray) -> tuple:
-    """Dense kernel: per job of a block, every (source, dst, image) pair within its cutoff, and its squared distance.
+    """Dense kernel: each job's (source, dst, image) pairs within its cutoff, and their squared distances.
 
     Job j takes the sources ``sites[rows[j]]``, some of its sites in order,
     against its sites ``sites[cols[j]]`` in its images
@@ -510,14 +517,14 @@ def _nearest(rows: np.ndarray, first: np.ndarray, kept: np.ndarray) -> tuple[np.
 
 
 def _bounds(keys: np.ndarray, lengths: list[int]) -> list[int]:
-    """0, then where each run's entries of the ascending ``keys`` end, runs being ``lengths`` keys wide."""
+    """0, then where each run's entries of the sorted ``keys`` end; run i holds ``lengths[i]`` keys."""
     if len(lengths) == 1:
         return [0, keys.size]
     return [0, *np.searchsorted(keys, list(itertools.accumulate(lengths))).tolist()]
 
 
 def _local(keys: np.ndarray, lengths: list[int], bounds: list[int]) -> np.ndarray:
-    """``keys`` counted from the start of their runs of ``lengths``; run i's keys end at bounds[i + 1]."""
+    """``keys`` counted from the start of their runs of ``lengths``; run i ends at bounds[i + 1]."""
     if len(lengths) == 1:
         return keys
     return keys - np.repeat(_starts(lengths), np.diff(bounds))
@@ -588,7 +595,7 @@ class CandidateList:
 
 def candidate_lists(structures: list[CrystalStructure], cfg: NeighborConfig,
                     max_disp: float) -> list[CandidateList]:
-    """Each structure's candidate list: one two-pass search with a skin of 2 * max_disp, pruned per source.
+    """Each structure's candidates: one two-pass search with a skin of 2 * max_disp, pruned per source.
 
     Holds int32 indices, 20 bytes per candidate.  Raises what
     ``build_neighbor_lists(structures, cfg)`` raises, and nothing else: the
@@ -597,6 +604,7 @@ def candidate_lists(structures: list[CrystalStructure], cfg: NeighborConfig,
     structures = list(structures)
     cells = _cells(structures, cfg.cutoff)
     inverses = np.linalg.inv(cells.lattices)
+    counts = np.array(cells.counts, dtype=np.int64).reshape(-1, 3)
     skin = 2.0 * max_disp
     # computed distances carry rounding error on both sides of the bound
     slack = 1e-9 * (cfg.cutoff + skin)
@@ -619,7 +627,7 @@ def candidate_lists(structures: list[CrystalStructure], cfg: NeighborConfig,
             structure=s, cfg=cfg, max_disp=max_disp, inv_lattice=inverses[i],
             src=src[lo:hi], dst=dst[lo:hi], image=image[lo:hi],
             n_candidates=n_candidates[site_lo:site_hi], boundary=boundary[b_lo:b_hi],
-            counts=cells.counts[i], image_carts=blocks.whole(cells.counts[i].tolist())[1] @ s.lattice)
+            counts=counts[i], image_carts=blocks.whole(cells.counts[i])[1] @ s.lattice)
             for i, s, lo, hi, b_lo, b_hi, site_lo, site_hi in zip(
                 itertools.count(p.start), structures[p.start:], bounds, bounds[1:],
                 boundary_bounds, boundary_bounds[1:], site_bounds, site_bounds[1:])]

@@ -18,12 +18,11 @@ thread does both parts in turn, with the same results.
   for the whole call, and fine-tuning each crystal's graph, splitting the
   crystals into two contiguous halves, one per thread (``_on_halves``).
   Each half is one neighbor search over all of its crystals
-  (``geometry.candidate_lists``, ``entry_graphs``): a search of a few
-  thousand small numpy operations per cell would have the two threads
-  trade the GIL, one over many cells packs small cells into shared kernel
-  blocks.  Every epoch and validation pass takes its views or graphs from
-  these; a candidate list holds its crystal, so a batch's views need
-  nothing else.
+  (``geometry.candidate_lists``, ``entry_graphs``), which packs small
+  cells into shared kernel blocks; a search per cell, a few dozen numpy
+  calls on small arrays, would leave the two threads trading the GIL.
+  Every epoch and validation pass takes its views or graphs from these; a
+  candidate list holds its crystal, so a batch's views need nothing else.
 - Pretraining encodes view a of a batch on the calling thread and view b
   on the worker, forward and backward (``_twin_embeddings``).  Each view
   records on its own tape and accumulates into its own gradients, which are
@@ -272,7 +271,7 @@ def _searched(entries, search) -> list:
 
 def entry_graphs(entries: list[DatasetEntry], neighbor: NeighborConfig,
                  basis: GaussianBasis) -> list[CrystalGraph]:
-    """The crystal graphs of dataset entries, from one neighbor search; a rejected cell names its entry."""
+    """The entries' crystal graphs, from one neighbor search; a rejected cell names its entry."""
     lists = _searched(entries, lambda structures: build_neighbor_lists(structures, neighbor))
     return [build_graph(e.structure, nl, basis) for e, nl in zip(entries, lists)]
 
@@ -527,8 +526,8 @@ def pretrain(data: Dataset, mcfg: ModelConfig, pcfg: PretrainConfig,
     with _second_thread() as worker:
         # one search per half per call serves the views of every epoch and
         # validation pass
-        a, b = _on_halves(worker, data.entries, candidate_lists)
-        candidates = a + b
+        head, tail = _on_halves(worker, data.entries, candidate_lists)
+        candidates = head + tail
         epochs_log, best_epoch, best = _fit(
             "pretrain", params, pcfg, data.entries, train_idx, 2,
             lambda b: batch_loss(b, augment_rng), val_loss)
@@ -622,9 +621,9 @@ def _finetune(data: Dataset, mcfg: ModelConfig, fcfg: FinetuneConfig, out_dir,
     # prediction, for the whole run
     with _second_thread() as worker:
         # in split order, so the first bad entry of train, val and test is named
-        a, b = _on_halves(worker, train_d.entries + val_d.entries + test_d.entries,
-                          lambda part: entry_graphs(part, fcfg.neighbor, fcfg.basis))
-        graphs = a + b
+        head, tail = _on_halves(worker, train_d.entries + val_d.entries + test_d.entries,
+                                lambda part: entry_graphs(part, fcfg.neighbor, fcfg.basis))
+        graphs = head + tail
         n_train, n_val = len(train_d.entries), len(val_d.entries)
         graphs_train, graphs_val = graphs[:n_train], graphs[n_train:n_train + n_val]
         graphs_test = graphs[n_train + n_val:]
@@ -674,7 +673,8 @@ def evaluate(params: ModelParams, data: Dataset, label_mean: float, label_std: f
     labels = np.array([e.label for e in data.entries], dtype=np.float64)
     with _second_thread() as worker:
         pred = _predict_std(worker, params, data.entries, batch,
-                            lambda chunk: entry_graphs(chunk, neighbor, basis)) * label_std + label_mean
+                            lambda chunk: entry_graphs(chunk, neighbor, basis))
+    pred = pred * label_std + label_mean
     return {"n_entries": len(data.entries), "mae": mae_metric(pred, labels)}
 
 

@@ -49,9 +49,9 @@ def with_lattice(lattice):
 
 
 class TestCoordinates:
-    @pytest.mark.parametrize("search", [build_neighbor_lists,
-                                        lambda structures, cfg: candidate_lists(structures, cfg, 0.05)],
-                             ids=["build_neighbor_lists", "candidate_lists"])
+    @pytest.mark.parametrize("search", [
+        build_neighbor_lists, lambda structures, cfg: candidate_lists(structures, cfg, 0.05)],
+        ids=["build_neighbor_lists", "candidate_lists"])
     def test_singular_lattice(self, search):
         bad = with_lattice([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]])
         with pytest.raises(SingularLattice, match="^lattice matrix is singular$") as info:

@@ -660,10 +660,9 @@ class TestErrorsNameTheEntry:
 
 def with_bad_cells(data, bad):
     """``data`` with the entry at each position of ``bad`` given a THIN or FLAT cell."""
-    cells = dict(bad)
-    return Dataset(entries=tuple(
-        dataclasses.replace(e, structure={"thin": THIN, "flat": FLAT}[cells[i]]) if i in cells else e
-        for i, e in enumerate(data.entries)), kind=data.kind)
+    cells = {i: {"thin": THIN, "flat": FLAT}[kind] for i, kind in bad}
+    return Dataset(entries=tuple(dataclasses.replace(e, structure=cells[i]) if i in cells else e
+                                 for i, e in enumerate(data.entries)), kind=data.kind)
 
 
 def first_bad(data, bad):
