@@ -517,14 +517,14 @@ def _nearest(rows: np.ndarray, first: np.ndarray, kept: np.ndarray) -> tuple[np.
 
 
 def _bounds(keys: np.ndarray, lengths: list[int]) -> list[int]:
-    """0, then where each run's entries of the sorted ``keys`` end; run i holds ``lengths[i]`` keys."""
+    """0, then where each run ends in the sorted ``keys``; run i spans the next ``lengths[i]`` values."""
     if len(lengths) == 1:
         return [0, keys.size]
     return [0, *np.searchsorted(keys, list(itertools.accumulate(lengths))).tolist()]
 
 
 def _local(keys: np.ndarray, lengths: list[int], bounds: list[int]) -> np.ndarray:
-    """``keys`` counted from the start of their runs of ``lengths``; run i ends at bounds[i + 1]."""
+    """``keys`` less the first value of their run (``_bounds``); run i ends at bounds[i + 1]."""
     if len(lengths) == 1:
         return keys
     return keys - np.repeat(_starts(lengths), np.diff(bounds))
