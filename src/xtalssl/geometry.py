@@ -8,22 +8,24 @@ keeps, per source atom, the nearest ``max_neighbors`` candidates.
 
 The search takes a list of structures (``build_neighbor_lists``,
 ``candidate_lists``); ``build_neighbor_list`` is its one-structure case.
-It checks every structure's lattice and image count, in order, before it
-searches any (``_cells``), so the first bad structure raises, and its
-error's ``index`` names it.  A structure's lists do not depend on the
-others searched with it.
+``CrystalStructure`` holds a finite lattice of positive volume, so the
+search checks only each structure's image count, in order, before it
+searches any (``_cells``): the first bad structure raises, and its error's
+``index`` names it.  A structure's lists do not depend on the others
+searched with it.
 
-It runs in two passes (``_search``).  The first covers the sub-block
-of images for a radius R of 1.5 times that of the sphere holding
+It runs in one pass, or two (``_search``).  The first covers the
+sub-block of images for a radius R of 1.5 times that of the sphere holding
 ``max_neighbors`` + 1 sites at the cell's mean density, plus the margin
 the caller keeps beyond each source's ``max_neighbors``-th distance D_i
 (0 for ``build_neighbor_lists``), and keeps only the pairs within R.  A
-source with D_i + margin <= R has found every pair it can keep; only the
-others search the whole block again, out to the cutoff.  The sub-block
-may be the whole block; only when R reaches the cutoff is there one pass.
-Both passes compute distances from rows of the whole block's image
-translations with the same operands in the same order, so the lists are
-those of one dense pass over the whole block, bit for bit.
+source with D_i + margin <= R has found every pair it can keep.  When a
+source of a run (below) has not, the run's structures search their whole
+blocks again, out to the cutoff, and that pass is their search.  The
+sub-block may be the whole block, and where R reaches the cutoff no source
+is checked.  Both passes compute distances from rows of the whole block's
+image translations with the same operands in the same order, so the lists
+are those of one dense pass over the whole block, bit for bit.
 
 The dense kernel (``_pairs_within``) works on blocks whose (structures,
 rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements.  Small
@@ -86,10 +88,6 @@ import numpy as np
 from .structure_io import CrystalStructure
 
 
-class SingularLattice(ValueError):
-    """A lattice the search rejects; ``index`` is its structure's position in the searched list."""
-
-
 class DegenerateCell(ValueError):
     """A cell too thin for the cutoff; ``index`` is its position in the searched list."""
 
@@ -141,12 +139,6 @@ class NeighborList:
         return self.src.shape[0]
 
 
-def _rejected(error: ValueError, index: int) -> ValueError:
-    """``error``, raised for the structure at ``index`` of the searched list, as its ``index``."""
-    error.index = index
-    return error
-
-
 def _axis_spans(lattices: np.ndarray) -> np.ndarray:
     """Per lattice and axis, 1 / (spacing of the planes spanned by the other two axes)."""
     # the length of column i of the inverse lattice, as np.linalg.norm takes it
@@ -170,31 +162,25 @@ class _Cells(NamedTuple):
 
 
 def _cells(structures: list[CrystalStructure], cutoff: float) -> _Cells:
-    """Each structure's lattice checked, then its cutoff's image count, structure by structure.
+    """Each structure's lattice, axis spans and cutoff image counts, its image count checked.
 
-    The first structure in order that fails a check raises, before any
-    search: SingularLattice for a lattice that is not finite or whose
-    determinant is below 1e-12 in size, DegenerateCell for a cutoff sphere
-    that spans more than ``MAX_IMAGES`` images.  The error's ``index`` is
-    that structure's position in ``structures``.
+    The first structure in order whose cutoff sphere spans more than
+    ``MAX_IMAGES`` images raises DegenerateCell, before any search; the
+    error's ``index`` is its position in ``structures``.  A cell of volume
+    V needs at least 8 cutoff**3 / V images, so one below 1e-12 A^3 fails
+    for any cutoff above 0.0024 A.
     """
     lattices = np.array([s.lattice for s in structures], dtype=np.float64).reshape(-1, 3, 3)
-    good = np.isfinite(lattices).all(axis=(1, 2))
-    if good.all():
-        good = np.abs(np.linalg.det(lattices)) >= 1e-12
-    else:  # a det of non-finite entries warns
-        good[good] = np.abs(np.linalg.det(lattices[good])) >= 1e-12
-    n_good = len(structures) if good.all() else int(good.argmin())
-    spans = _axis_spans(lattices[:n_good])
+    spans = _axis_spans(lattices)
     counts = [_image_counts(r, cutoff) for r in spans.tolist()]
     for index, c in enumerate(counts):
         n_images = math.prod(2 * n + 1 for n in c)
         if n_images > MAX_IMAGES:
-            raise _rejected(DegenerateCell(
+            error = DegenerateCell(
                 f"cutoff {cutoff} needs {n_images} periodic images (limit {MAX_IMAGES}); "
-                "the cell is too thin along some axis"), index)
-    if n_good < len(structures):
-        raise _rejected(SingularLattice("lattice matrix is singular"), n_good)
+                "the cell is too thin along some axis")
+            error.index = index
+            raise error
     return _Cells(lattices, spans, counts)
 
 
@@ -278,15 +264,13 @@ def _runs(starts: list[int], lengths: list[int]) -> np.ndarray:
     return np.where(ar < np.array(lengths)[:, None], np.array(starts)[:, None] + ar, -1)
 
 
-def _ragged(parts: list[np.ndarray], offsets: list[int] | None = None) -> np.ndarray:
-    """(len(parts), longest part) table of parts[i] (+ offsets[i]) per row, padded with -1."""
+def _ragged(parts: list[np.ndarray], offsets: list[int]) -> np.ndarray:
+    """(len(parts), longest part) table of parts[i] + offsets[i] per row, padded with -1."""
     if len(parts) == 1:
-        return (parts[0] if offsets is None else parts[0] + offsets[0])[None]
+        return (parts[0] + offsets[0])[None]
     lengths = [len(p) for p in parts]
     table = np.full((len(parts), max(lengths)), -1)
-    values = np.concatenate(parts)
-    if offsets is not None:
-        values += np.repeat(offsets, lengths)
+    values = np.concatenate(parts) + np.repeat(offsets, lengths)
     table[np.arange(max(lengths)) < np.array(lengths)[:, None]] = values
     return table
 
@@ -378,109 +362,84 @@ class _Pairs(NamedTuple):
     first: np.ndarray
 
 
-def _first_counts(spans: list[float], reach: float, radius: float) -> list[int]:
-    """The first pass's images per axis: the block of ``radius``, within the block of ``reach``."""
-    return [min(a, b) for a, b in zip(_image_counts(spans, radius), _image_counts(spans, reach))]
-
-
 def _search(structures: list[CrystalStructure], cells: _Cells, reach: float, k: int,
             margin: float):
     """Per source, at least the pairs its nearest k can use, in (src, dst, image) order.
 
     Each structure's block covers ``reach``.  Per source this finds every
     pair within its k-th smallest distance plus ``margin``, or every pair
-    within reach, and only pairs within reach.  A first pass searches the
-    sub-block that covers a radius, 1.5 times that of the sphere holding
-    k + 1 sites at the cell's mean density, plus margin; it may be the
-    whole block.  It keeps the pairs within that radius.  Only sources
-    whose k-th distance plus margin lies beyond the radius search the whole
-    block again, out to reach; a radius that reaches ``reach`` leaves one
-    pass.  Both passes take rows of the whole block's translations, so
-    every distance has the dense kernel's bits.
+    within reach, and only pairs within reach.  Structures go through in
+    runs whose first passes share one kernel block (``_packed``).  A first
+    pass searches each structure's sub-block that covers a radius, 1.5
+    times that of the sphere holding k + 1 sites at the cell's mean
+    density, plus margin; it may be the whole block.  It keeps the pairs
+    within that radius, and it is the run's search when every source's
+    k-th distance plus margin lies within its radius, or the radius reaches
+    ``reach``.  Otherwise the run's structures search their whole blocks
+    again, out to reach, packed by those blocks.  Both passes take rows of
+    the whole block's translations, so every distance has the dense
+    kernel's bits.
 
-    Structures go through in runs whose first passes share one kernel block
-    (``_packed``).  A run makes one kernel call per pass (more only for a
-    structure larger than a block) and yields its ``_Pairs``; nothing of a
-    run outlives it but what the caller keeps of those.
+    Each run makes one kernel call per pass (more only for a structure
+    larger than a block) and yields its ``_Pairs``; nothing of a run
+    outlives it but what the caller keeps of those.
     """
     n = [s.n_sites for s in structures]
-    radii, m_first = [], []  # per structure, the first pass's radius and images
-    for lattice, spans, n_sites in zip(cells.lattices.tolist(), cells.spans.tolist(), n):
+    radii = []  # per structure, the first pass's radius
+    for lattice, n_sites in zip(cells.lattices.tolist(), n):
         # the cell's volume in Python floats, a few times faster than a 3x3 det
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = lattice
         volume = abs(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0))
-        radius = min(reach, FIRST_PASS_SCALE * (
-            3.0 * (k + 1) * volume / (4.0 * math.pi * n_sites)) ** (1.0 / 3.0) + margin)
-        radii.append(radius)
-        m_first.append(math.prod(2 * c + 1 for c in _first_counts(spans, reach, radius)))
+        radii.append(min(reach, FIRST_PASS_SCALE * (
+            3.0 * (k + 1) * volume / (4.0 * math.pi * n_sites)) ** (1.0 / 3.0) + margin))
+    # ``_image_counts`` of each radius, which is at most reach, so each
+    # first block lies within its whole block
+    first = np.ceil(np.array(radii)[:, None] * cells.spans).astype(np.int64)
     blocks = _Blocks()
-    for start, stop in _packed(n, n, m_first):
-        yield _run_pairs(structures[start:stop], cells.spans[start:stop].tolist(),
-                         radii[start:stop], start, reach, k, margin, blocks)
+    for start, stop in _packed(n, n, np.prod(2 * first + 1, axis=1).tolist()):
+        whole = [_image_counts(r, reach) for r in cells.spans[start:stop].tolist()]
+        pairs = _run_pairs(structures[start:stop], whole, first[start:stop].tolist(),
+                           radii[start:stop], start, reach, k, margin, blocks)
+        if pairs is not None:
+            yield pairs
+            del pairs  # the next run's pairs are built without this one's
+            continue
+        for lo, hi in _packed(n[start:stop], n[start:stop],
+                              [math.prod(2 * c + 1 for c in w) for w in whole]):
+            yield _run_pairs(structures[start + lo:start + hi], whole[lo:hi], whole[lo:hi],
+                             [reach] * (hi - lo), start + lo, reach, k, margin, blocks)
 
 
-def _run_pairs(structures: list[CrystalStructure], spans: list[list[float]],
-               radii: list[float], start: int, reach: float, k: int, margin: float,
-               blocks: _Blocks) -> _Pairs:
-    """``_search``'s pairs of one run of ``structures``, which start at ``start`` in the search."""
+def _run_pairs(structures: list[CrystalStructure], whole: list[list[int]],
+               counts: list[list[int]], radii: list[float], start: int, reach: float, k: int,
+               margin: float, blocks: _Blocks) -> _Pairs | None:
+    """One pass of ``_search`` over a run of ``structures``, which start at ``start`` in the search.
+
+    Each structure's block has ``whole`` images per axis, and its pass
+    covers the sub-block of ``counts`` out to its radius in ``radii``; a
+    radius of ``reach`` covers the whole block.  None when a source's k-th
+    distance plus ``margin`` lies beyond its radius.
+    """
     n_sites = [s.n_sites for s in structures]
-    counts = [_image_counts(r, reach) for r in spans]
-    ints, floats = zip(*map(blocks.whole, counts))
-    m = [len(x) for x in ints]
-    first_site, first_image = _starts(n_sites), _starts(m)
+    ints, floats = zip(*map(blocks.whole, whole))
     sites = _stacked([s.frac_coords @ s.lattice for s in structures])
     table = _stacked([x @ s.lattice for x, s in zip(floats, structures)])
-    cols = _runs(first_site, n_sites)
+    cols = _runs(_starts(n_sites), n_sites)
     # the sub-blocks' images are in lexicographic order, so their pairs keep
     # the (src, dst, image) order of the whole blocks
-    sub = [blocks.sub(c, _first_counts(r, reach, radius))
-           for c, r, radius in zip(counts, spans, radii)]
-    pairs = _pairs_within(sites, table, cols, _ragged(sub, first_image), cols,
+    sub = [blocks.sub(w, c) for w, c in zip(whole, counts)]
+    pairs = _pairs_within(sites, table, cols, _ragged(sub, _starts([len(x) for x in ints])), cols,
                           np.array([len(x) // 2 for x in sub])[:, None], np.array(radii))
-    dist, per_source = np.sqrt(pairs[3]), None
-    # the first pass holds every pair within radius; the 1e-9 slack is far
-    # above the rounding of computed distances and image counts
+    dist = np.sqrt(pairs[3])
+    per_source = _per_source(pairs[0], dist, sum(n_sites))
+    # the pass holds every pair within radius; the 1e-9 slack is far above
+    # the rounding of computed distances and image counts
     bounds = [math.inf if radius == reach else radius * (1.0 - 1e-9) for radius in radii]
-    if min(bounds) < math.inf:
-        per_source = _per_source(pairs[0], dist, sum(n_sites))
-        redo = np.flatnonzero(_kth_smallest(per_source[0], k) + margin
-                              > (bounds[0] if len(bounds) == 1 else np.repeat(bounds, n_sites)))
-        if redo.size:
-            pairs = _searched_again(pairs, redo, sites, table, n_sites, m, reach)
-            dist, per_source = np.sqrt(pairs[3]), None
-    if per_source is None:
-        per_source = _per_source(pairs[0], dist, sum(n_sites))
+    if min(bounds) < math.inf and (_kth_smallest(per_source[0], k) + margin > (
+            bounds[0] if len(bounds) == 1 else np.repeat(bounds, n_sites))).any():
+        return None
     return _Pairs(start, n_sites, *pairs[:3], dist,
                   ints[0] if len(ints) == 1 else np.concatenate(ints), *per_source)
-
-
-def _searched_again(pairs: tuple, redo: np.ndarray, sites: np.ndarray, table: np.ndarray,
-                    n_sites: list[int], m: list[int], reach: float) -> tuple:
-    """``pairs`` with the sources ``redo`` searched again over their whole blocks, out to ``reach``.
-
-    The run's structures have ``n_sites`` sites and whole blocks of ``m``
-    images, laid out in ``sites`` and ``table`` one after another.
-    """
-    first_site, first_image = _starts(n_sites), _starts(m)
-    # the sources to search again, per structure that has any
-    per_job = np.bincount(np.repeat(np.arange(len(n_sites)), n_sites)[redo])
-    jobs = np.flatnonzero(per_job).tolist()
-    sources = np.split(redo, np.cumsum(per_job[jobs])[:-1])
-    again = []
-    for start, stop in _packed([len(x) for x in sources], [n_sites[j] for j in jobs],
-                               [m[j] for j in jobs]):
-        run = jobs[start:stop]
-        again.append(_pairs_within(
-            sites, table, _runs([first_site[j] for j in run], [n_sites[j] for j in run]),
-            _runs([first_image[j] for j in run], [m[j] for j in run]), _ragged(sources[start:stop]),
-            np.array([m[j] // 2 for j in run])[:, None], np.full(len(run), reach)))
-    done = np.ones(sum(n_sites), dtype=bool)
-    done[redo] = False
-    kept = done[pairs[0]]
-    merged = [np.concatenate((a[kept], *b)) for a, b in zip(pairs, zip(*again))]
-    # each source's pairs come from one pass, so a stable sort by source suffices
-    order = np.argsort(merged[0], kind="stable")
-    return tuple(a[order] for a in merged)
 
 
 def _per_source(src: np.ndarray, values: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
@@ -538,9 +497,9 @@ def build_neighbor_lists(structures: list[CrystalStructure],
     cell still has edges); the zero-distance self pair does not.  Per
     source the nearest ``max_neighbors`` are kept, ties broken by
     (distance, dst index, lexicographic image).  A structure's list does
-    not depend on the others searched with it.  Raises what ``_cells``
-    raises, for the first structure that fails its checks, before any
-    search.
+    not depend on the others searched with it.  Raises ``_cells``'
+    DegenerateCell for the first structure whose cutoff needs more than
+    ``MAX_IMAGES`` images, before any search.
     """
     structures = list(structures)
 
@@ -595,7 +554,7 @@ class CandidateList:
 
 def candidate_lists(structures: list[CrystalStructure], cfg: NeighborConfig,
                     max_disp: float) -> list[CandidateList]:
-    """Each structure's candidates: one two-pass search with a skin of 2 * max_disp, pruned per source.
+    """Each structure's candidates: one search with a skin of 2 * max_disp, pruned per source.
 
     Holds int32 indices, 20 bytes per candidate.  Raises what
     ``build_neighbor_lists(structures, cfg)`` raises, and nothing else: the
@@ -675,7 +634,7 @@ def view_sites(c: CandidateList, frac_coords: np.ndarray, shift: np.ndarray) -> 
     The view's sites ``frac_coords`` (N, 3) are the structure's sites
     displaced by at most ``c.max_disp`` and then wrapped into the cell by
     subtracting the integer translations ``shift`` (N, 3).  The view
-    shares the structure's lattice, checked when the list was built.
+    shares the structure's lattice, checked when the structure was built.
     Every pair distance moves by at most 2 max_disp, so a candidate within
     cutoff - 2 max_disp - slack before lies within the cutoff, and inside
     the image block, in every view.  Only the boundary candidates are

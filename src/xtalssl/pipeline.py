@@ -65,12 +65,7 @@ import numpy as np
 from .augment import AugmentConfig, batch_views, view_candidates
 from .autodiff import Tape, Tensor, active_tape, on_both_threads
 from .featurize import CrystalGraph, GaussianBasis, build_graph, merge_graphs
-from .geometry import (
-    DegenerateCell,
-    NeighborConfig,
-    SingularLattice,
-    build_neighbor_lists,
-)
+from .geometry import DegenerateCell, NeighborConfig, build_neighbor_lists
 from .loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mae_metric, mse_loss
 from .model import (
     ModelConfig,
@@ -260,13 +255,14 @@ def _batches(order: np.ndarray, batch: int, drop_below: int) -> list[np.ndarray]
 def _searched(entries, search) -> list:
     """``search`` over the entries' structures, in order; a cell it rejects names its entry.
 
-    The neighbor search checks every structure before it searches any, and
-    its error carries the first bad one's position.
+    The neighbor search checks every structure's image count before it
+    searches any, and its DegenerateCell carries the first bad one's
+    position.
     """
     try:
         return search([e.structure for e in entries])
-    except (DegenerateCell, SingularLattice) as exc:
-        raise type(exc)(f"entry {entries[exc.index].id!r}: {exc}") from None
+    except DegenerateCell as exc:
+        raise DegenerateCell(f"entry {entries[exc.index].id!r}: {exc}") from None
 
 
 def entry_graphs(entries: list[DatasetEntry], neighbor: NeighborConfig,

@@ -83,7 +83,8 @@ class CrystalStructure:
     """A periodic crystal: lattice matrix plus fractional atomic sites.
 
     ``lattice`` rows are the cell vectors in angstrom; ``atomic_numbers``
-    holds Z in [1, 100]; ``frac_coords`` components lie in [0, 1).
+    holds Z in [1, 100]; ``frac_coords`` components lie in [0, 1).  The
+    three are read-only copies of what the structure was built from.
     """
 
     lattice: np.ndarray
@@ -91,8 +92,8 @@ class CrystalStructure:
     frac_coords: np.ndarray
 
     def __post_init__(self):
-        lattice = np.asarray(self.lattice, dtype=np.float64).reshape(3, 3)
-        numbers = np.asarray(self.atomic_numbers, dtype=np.int64).reshape(-1)
+        lattice = np.array(self.lattice, dtype=np.float64).reshape(3, 3)
+        numbers = np.array(self.atomic_numbers, dtype=np.int64).reshape(-1)
         frac = np.asarray(self.frac_coords, dtype=np.float64).reshape(-1, 3)
         if numbers.shape[0] < 1:
             raise ValueError("structure must contain at least one site")
@@ -104,10 +105,11 @@ class CrystalStructure:
             raise ValueError("lattice determinant (cell volume) must be positive")
         if numbers.min() < 1 or numbers.max() > MAX_Z:
             raise ValueError(f"atomic numbers must lie in [1, {MAX_Z}]")
-        frac = wrap_frac(frac)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "atomic_numbers", numbers)
-        object.__setattr__(self, "frac_coords", frac)
+        # the structure's own read-only copies, so the checks hold for its life
+        for name, value in (("lattice", lattice), ("atomic_numbers", numbers),
+                            ("frac_coords", wrap_frac(frac))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_sites(self) -> int:

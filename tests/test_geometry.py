@@ -16,7 +16,6 @@ from xtalssl.geometry import (
     FIRST_PASS_SCALE,
     DegenerateCell,
     NeighborConfig,
-    SingularLattice,
     _axis_spans,
     _image_counts,
     build_neighbor_list,
@@ -39,29 +38,6 @@ from oracles import dense_neighbor_list, supercell_neighbors
 def cubic(a, z=11):
     return CrystalStructure(lattice=a * np.eye(3), atomic_numbers=[z],
                             frac_coords=[[0.0, 0.0, 0.0]])
-
-
-def with_lattice(lattice):
-    """A one-site cell whose lattice array is overwritten after the structure's own checks."""
-    s = cubic(4.0)
-    s.lattice[:] = lattice
-    return s
-
-
-class TestCoordinates:
-    @pytest.mark.parametrize("search", [
-        build_neighbor_lists, lambda structures, cfg: candidate_lists(structures, cfg, 0.05)],
-        ids=["build_neighbor_lists", "candidate_lists"])
-    def test_singular_lattice(self, search):
-        bad = with_lattice([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]])
-        with pytest.raises(SingularLattice, match="^lattice matrix is singular$") as info:
-            search([cubic(4.0), cubic(5.0), bad, cubic(4.5)], NeighborConfig())
-        assert info.value.index == 2
-
-    def test_nan_lattice_is_singular(self):
-        with pytest.raises(SingularLattice) as info:
-            build_neighbor_lists([with_lattice(np.diag([4.0, 4.0, np.nan]))], NeighborConfig())
-        assert info.value.index == 0
 
 
 class TestBuildNeighborList:
@@ -425,20 +401,14 @@ class TestTwoPassSearch:
         _assert_same_list(build_neighbor_list(s, cfg), dense_neighbor_list(s, cfg))
         return calls
 
-    def test_second_pass_runs_only_on_the_rows_that_need_it(self, monkeypatch):
-        # 32 sites within 1.3 A of the origin and one at the cell's centre,
-        # 5.2 A or more from them: each cluster site has its 12 nearest in
-        # the cluster, the lone site has them beyond the first radius
-        rng = np.random.default_rng(0)
-        cluster = rng.uniform(0.0, 0.1, (32, 3))
-        s = CrystalStructure(lattice=7.5 * np.eye(3), atomic_numbers=[6] * 33,
-                             frac_coords=np.vstack([cluster, [[0.5, 0.5, 0.5]]]))
+    def test_a_structure_that_falls_short_searches_its_whole_block_again(self, monkeypatch):
+        s = straggler_cell()
         cfg = NeighborConfig(cutoff=8.0, max_neighbors=12)
         nl = dense_neighbor_list(s, cfg)
         kth = np.array([nl.dist[nl.src == i][-1] for i in range(s.n_sites)])
         radius = FIRST_PASS_SCALE * (3 * 13 * 7.5**3 / (4 * np.pi * 33)) ** (1 / 3)
         assert (kth[:32] < radius).all() and kth[32] > radius
-        assert self.passes(monkeypatch, s, cfg) == [(27, list(range(33))), (125, [32])]
+        assert self.passes(monkeypatch, s, cfg) == [(27, list(range(33))), (125, list(range(33)))]
 
     def test_one_pass_when_every_source_finds_its_nearest(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -452,6 +422,17 @@ class TestTwoPassSearch:
                              frac_coords=np.random.default_rng(2).uniform(0.0, 1.0, (5, 3)))
         assert self.passes(monkeypatch, s, NeighborConfig(cutoff=8.0, max_neighbors=12)) == \
             [(125, list(range(5)))]
+
+
+def straggler_cell():
+    """A 7.5 A cube: 32 sites within 1.3 A of the origin and one at the centre, 5.2 A or more away.
+
+    Each cluster site has its 12 nearest in the cluster; the lone site has
+    them beyond the first radius, so its first pass falls short.
+    """
+    cluster = np.random.default_rng(0).uniform(0.0, 0.1, (32, 3))
+    return CrystalStructure(lattice=7.5 * np.eye(3), atomic_numbers=[6] * 33,
+                            frac_coords=np.vstack([cluster, [[0.5, 0.5, 0.5]]]))
 
 
 def _random_cell(lattice, n, seed):
@@ -567,6 +548,27 @@ class TestManyStructures:
         # 40 cells of 5 sites: a few blocks, not a search each
         assert len(lists) == 40 and 1 < len(calls) <= 4
 
+    def test_a_run_that_falls_short_searches_its_own_structures_again(self, monkeypatch):
+        # at 2**19 elements the 33-site straggler shares a run with two toy
+        # cells, padded to (33, 33, 125) each, and the toy cells before and
+        # after it make runs of their own; every whole block here has 125 images
+        calls = []
+        dense = geometry._pairs_within
+
+        def counted(sites, image_carts, cols, images, *args):
+            calls.append((images >= 0).sum(axis=1).tolist())
+            return dense(sites, image_carts, cols, images, *args)
+
+        monkeypatch.setattr(geometry, "_pairs_within", counted)
+        monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", 2**19)
+        cells = [toy_structure("Cs", "Ti", "O", 4.0 + i / 20) for i in range(8)]
+        cells.insert(4, straggler_cell())
+        cfg = NeighborConfig()
+        for s, nl in zip(cells, build_neighbor_lists(cells, cfg)):
+            _assert_same_arrays(nl, dense_neighbor_list(s, cfg), ("src", "dst", "dist", "image"))
+        # the straggler's run searches its three structures' whole blocks again
+        assert calls == [[125] * 4, [27, 125, 125], [125] * 3, [125] * 2]
+
     @pytest.mark.parametrize("search", [
         lambda structures: build_neighbor_lists(structures, NeighborConfig()),
         lambda structures: candidate_lists(structures, NeighborConfig(), 0.05),
@@ -588,11 +590,10 @@ class TestManyStructures:
         # bookkeeping per structure
         assert transient(400) < 1.1 * transient(20)
 
-    @pytest.mark.parametrize("bad, index, error", [
-        ({1: "thin", 3: "flat"}, 1, DegenerateCell), ({1: "flat", 3: "thin"}, 1, SingularLattice),
-        ({4: "thin"}, 4, DegenerateCell)])
+    @pytest.mark.parametrize("bad, index", [
+        ({1: "thin", 3: "flat"}, 1), ({1: "flat", 3: "thin"}, 1), ({4: "thin"}, 4)])
     def test_the_first_bad_structure_in_order_raises_before_any_search(self, monkeypatch, bad,
-                                                                       index, error):
+                                                                       index):
         calls = []
         monkeypatch.setattr(geometry, "_pairs_within", lambda *args: calls.append(args))
         thin = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-4]), atomic_numbers=[11],
@@ -601,14 +602,12 @@ class TestManyStructures:
                                 frac_coords=[[0.0, 0.0, 0.0]])
         structures = [{"thin": thin, "flat": flat}[bad[i]] if i in bad else cubic(4.0 + i / 10)
                       for i in range(6)]
-        message = "lattice matrix is singular" if error is SingularLattice else \
-            "cutoff 8.0 needs 1 * 1 * 160001 periodic images"
         for search in (build_neighbor_lists,
                        lambda structures, cfg: candidate_lists(structures, cfg, 0.05)):
-            with pytest.raises(error) as info:
+            with pytest.raises(DegenerateCell) as info:
                 search(structures, NeighborConfig())
             assert info.value.index == index
-            assert str(info.value).startswith(message.split(" 1 *")[0])
+            assert str(info.value).startswith("cutoff 8.0 needs")
         assert calls == []
 
 

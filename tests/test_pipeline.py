@@ -18,7 +18,7 @@ from xtalssl import augment, autodiff, geometry, pipeline
 from xtalssl.augment import AugmentConfig
 from xtalssl.autodiff import Tape, Tensor, active_tape
 from xtalssl.featurize import CrystalGraph, GaussianBasis, merge_graphs
-from xtalssl.geometry import DegenerateCell, NeighborConfig, SingularLattice
+from xtalssl.geometry import DegenerateCell, NeighborConfig
 from xtalssl.loss import BatchTooSmall, LossConfig, bt_loss_from_embeddings, mse_loss
 from xtalssl.model import (
     ConfigMismatch,
@@ -618,7 +618,7 @@ class TestAblation:
 
 
 # 5 x 5 x 1e-4 A passes CrystalStructure but needs 9 x 90,001 images at a
-# 4.5 A cutoff; 1e-5 x 1e-5 x 1e-3 A has volume 1e-13, below the singular bound
+# 4.5 A cutoff; 1e-5 x 1e-5 x 1e-3 A, of volume 1e-13, needs 900,001^2 x 9,001
 THIN = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-4]), atomic_numbers=[11],
                         frac_coords=[[0.0, 0.0, 0.0]])
 FLAT = CrystalStructure(lattice=np.diag([1e-5, 1e-5, 1e-3]), atomic_numbers=[11],
@@ -648,7 +648,7 @@ class TestErrorsNameTheEntry:
     def test_evaluate(self):
         data = with_bad_entry(gen_toy_dataset(3, seed=32), FLAT)
         params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=True)
-        with pytest.raises(SingularLattice, match="entry 'bad_cell': lattice matrix is singular"):
+        with pytest.raises(DegenerateCell, match="entry 'bad_cell': cutoff 4.5 needs"):
             evaluate(params, data, 0.0, 1.0, neighbor=NEIGHBOR, basis=BASIS)
 
     def test_export_embeddings(self):
@@ -667,11 +667,8 @@ def with_bad_cells(data, bad):
 
 def first_bad(data, bad):
     """The error that the first bad entry in order raises: its type and message pattern."""
-    i, kind = min(bad)
-    name = data.entries[i].id
-    if kind == "flat":
-        return SingularLattice, f"^entry '{name}': lattice matrix is singular$"
-    return DegenerateCell, f"^entry '{name}': cutoff 4.5 needs"
+    i, _ = min(bad)
+    return DegenerateCell, f"^entry '{data.entries[i].id}': cutoff 4.5 needs"
 
 
 # (position, cell) of each bad entry among 20: the first in order sits inside

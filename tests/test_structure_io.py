@@ -117,6 +117,17 @@ class TestCrystalStructure:
             CrystalStructure(lattice=4.0 * np.eye(3), atomic_numbers=[11, 17],
                              frac_coords=[[0.0, 0.0, 0.0], [0.5, np.nan, 0.5]])
 
+    def test_holds_read_only_copies(self):
+        # float64 and int64 arrays, which np.asarray would hand back as they are
+        lattice, numbers = 4.0 * np.eye(3), np.array([11, 17])
+        frac = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+        s = CrystalStructure(lattice=lattice, atomic_numbers=numbers, frac_coords=frac)
+        for name in ("lattice", "atomic_numbers", "frac_coords"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(s, name)[0] = 0
+        lattice[0, 0], numbers[0], frac[1, 0] = 0.0, 1, 0.75
+        assert (s.lattice[0, 0], s.atomic_numbers[0], s.frac_coords[1, 0]) == (4.0, 11, 0.5)
+
     def test_wrap_frac_is_x_minus_floor(self):
         x = np.array([[-1.75, 0.0, 2.5]])
         npt.assert_array_equal(wrap_frac(x), x - np.floor(x))

@@ -18,9 +18,11 @@ have x-y rows), each with sites on special positions whose images merge,
 into ``sym/`` before the chain starts.  The toy cells all have five sites,
 so the last step is the one whose neighbor search mixes cell sizes: the
 script also writes two toy cells, a one-atom cell, a jittered 2 x 2 x 2 toy
-supercell and a 100-site triclinic cell into ``mixed/``.  One search packs
-the small cells into one kernel block and takes the 100-site cell in
-blocks of rows.
+supercell, a 100-site triclinic cell and a straggler into ``mixed/``.  The
+straggler is a 7.5 A cube with 32 sites near its origin and one at its
+centre, whose nearest neighbors lie beyond its first-pass radius.  One
+search packs the small cells into one kernel block, takes the 100-site
+cell in blocks of rows, and searches the straggler's whole block again.
 
 Each step runs with ``OPENBLAS_NUM_THREADS=1``.  Current versions pin the
 BLAS to one thread inside each call anyway; the variable makes a checkout
@@ -91,7 +93,7 @@ SYMMETRIC_CIFS = {
 
 
 def _mixed_cifs() -> dict:
-    """Cells of 1, 5, 40 and 100 sites, in ``SYMMETRIC_CIFS``' form; the same on every run."""
+    """Cells of 1, 5, 40, 100 and 33 sites, in ``SYMMETRIC_CIFS``' form; the same on every run."""
     rng = random.Random(7)
     toy = ["Cs 0 0 0", "Ti 0.5 0.5 0.5", "O 0.5 0.5 0", "O 0.5 0 0.5", "O 0 0.5 0.5"]
 
@@ -105,12 +107,15 @@ def _mixed_cifs() -> dict:
     triclinic = [f"{('Si', 'O', 'Mg', 'O')[(i + j + k) % 4]} {jittered(i + 0.5, 4, 0.08)} "
                  f"{jittered(j + 0.5, 5, 0.08)} {jittered(k + 0.5, 5, 0.08)}"
                  for i in range(4) for j in range(5) for k in range(5)]
+    straggler = [f"C {rng.uniform(0.0, 0.1):.6f} {rng.uniform(0.0, 0.1):.6f} "
+                 f"{rng.uniform(0.0, 0.1):.6f}" for _ in range(32)] + ["C 0.5 0.5 0.5"]
     cells = {
         "a-toy": ((4.1, 4.1, 4.1, 90.0, 90.0, 90.0), toy),
         "b-one-atom": ((3.2, 3.2, 3.2, 90.0, 90.0, 90.0), ["Na 0 0 0"]),
         "c-supercell": ((7.8, 7.8, 7.8, 90.0, 90.0, 90.0), supercell),
         "d-toy": ((4.4, 4.4, 4.4, 90.0, 90.0, 90.0), toy),
         "e-triclinic": ((6.1, 12.4, 15.2, 78.0, 97.0, 72.0), triclinic),
+        "f-straggler": ((7.5, 7.5, 7.5, 90.0, 90.0, 90.0), straggler),
     }
     # P1, and each site labelled by its element and number
     return {name: (cell, ["x, y, z"], [f"{site.split()[0]}{i + 1} {site}"
