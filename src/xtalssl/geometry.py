@@ -27,19 +27,21 @@ is checked.  Both passes compute distances from rows of the whole block's
 image translations with the same operands in the same order, so the lists
 are those of one dense pass over the whole block, bit for bit.
 
-The dense kernel (``_pairs_within``) works on blocks whose (structures,
-rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements.  Small
-cells share a block: consecutive structures whose whole first passes fit
-one block, each padded to the block's largest site and image counts with
-NaN coordinates, which no cutoff admits (``_packed``).  Such a run of
+The dense kernel (``_pairs_within``) has one job shape: a structure's
+sites, searched against themselves.  It works on blocks whose (structures,
+source rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements,
+the source rows being a block of each structure's own sites.  Small cells
+share a block: consecutive structures whose whole first passes fit one
+block, each padded to the block's largest site and image counts with NaN
+coordinates, which no cutoff admits (``_packed``).  Such a run of
 structures makes one kernel call per pass, and one call each of
 ``_kth_smallest``, ``_per_source`` and ``_nearest``, with its sites
 numbered across its structures as ``view_neighbor_lists`` numbers them;
 the per-structure work left is a few scalars and two small products.  A
-structure larger than a block runs alone and the kernel takes its
-sources in blocks of rows.  So a toy cell costs a fraction of a search of
-its own, and peak memory grows with the pairs of one run, not with sites
-squared times images, nor with the number of structures.
+structure larger than a block runs alone and the kernel takes its sites,
+as sources, in blocks of rows.  So a toy cell costs a fraction of a search
+of its own, and peak memory grows with the pairs of one run, not with
+sites squared times images, nor with the number of structures.
 
 From the pairs found, one routine, ``_nearest``, decides which neighbors
 a source keeps and in which order, for the plain search and for every
@@ -101,10 +103,11 @@ MAX_IMAGES = 100_000
 # cells find their nearest within it
 FIRST_PASS_SCALE = 1.5
 
-# elements of each (structures, source rows, N, M) array of the dense kernel,
-# 512 KB of float64: small enough for one block's arrays to stay in cache,
-# large enough that 100-site cells take about ten blocks per pass and that
-# about twenty 5-site cells share one
+# elements of each (structures, source rows, N sites, M images) array of the
+# dense kernel, whose source rows are a block of each structure's own N
+# sites; 512 KB of float64: small enough for one block's arrays to stay in
+# cache, large enough that 100-site cells take about ten blocks per pass and
+# that about twenty 5-site cells share one
 BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -165,16 +168,22 @@ def _cells(structures: list[CrystalStructure], cutoff: float) -> _Cells:
     """Each structure's lattice, axis spans and cutoff image counts, its image count checked.
 
     The first structure in order whose cutoff sphere spans more than
-    ``MAX_IMAGES`` images raises DegenerateCell, before any search; the
-    error's ``index`` is its position in ``structures``.  A cell of volume
-    V needs at least 8 cutoff**3 / V images, so one below 1e-12 A^3 fails
-    for any cutoff above 0.0024 A.
+    ``MAX_IMAGES`` images, or infinitely many where an axis span, or its
+    product with the cutoff, is not a finite float, raises DegenerateCell,
+    before any search; the error's ``index`` is its position in
+    ``structures``.  A cell of volume V needs at least 8 cutoff**3 / V
+    images, so one below 1e-12 A^3 fails for any cutoff above 0.0024 A.
     """
     lattices = np.array([s.lattice for s in structures], dtype=np.float64).reshape(-1, 3, 3)
-    spans = _axis_spans(lattices)
-    counts = [_image_counts(r, cutoff) for r in spans.tolist()]
-    for index, c in enumerate(counts):
-        n_images = math.prod(2 * n + 1 for n in c)
+    with np.errstate(over="ignore"):
+        spans = _axis_spans(lattices)
+    counts = []
+    for index, r in enumerate(spans.tolist()):
+        try:
+            counts.append(_image_counts(r, cutoff))
+            n_images = math.prod(2 * n + 1 for n in counts[-1])
+        except (OverflowError, ValueError):  # math.ceil of an infinite or NaN span
+            n_images = math.inf
         if n_images > MAX_IMAGES:
             error = DegenerateCell(
                 f"cutoff {cutoff} needs {n_images} periodic images (limit {MAX_IMAGES}); "
@@ -231,37 +240,30 @@ def _sum_of_squares(terms) -> np.ndarray:
     return total
 
 
-def _packed(rows: list[int], cols: list[int], images: list[int]):
+def _packed(sites: list[int], images: list[int]):
     """Runs (start, stop) of consecutive jobs that share one dense-kernel block.
 
-    Job j takes ``rows[j]`` sources against ``cols[j]`` sites in
-    ``images[j]`` images.  A run's (jobs, rows, sites, images) array, each
+    Job j searches its ``sites[j]`` sites against themselves in
+    ``images[j]`` images.  A run's (jobs, sites, sites, images) array, each
     axis padded to the run's largest job, holds at most ``BLOCK_ELEMENTS``
     elements, or the run is one job, which the kernel takes in blocks of
-    rows.
+    source rows.
     """
-    start, shape = 0, (0, 0, 0)
-    for j, job in enumerate(zip(rows, cols, images)):
+    start, shape = 0, (0, 0)
+    for j, job in enumerate(zip(sites, images)):
         grown = tuple(map(max, shape, job))
-        if j > start and (j + 1 - start) * math.prod(grown) > BLOCK_ELEMENTS:
+        n, m = grown
+        if j > start and (j + 1 - start) * n * n * m > BLOCK_ELEMENTS:
             yield start, j
             start, grown = j, job
         shape = grown
-    if start < len(rows):
-        yield start, len(rows)
+    if start < len(sites):
+        yield start, len(sites)
 
 
 def _starts(lengths: list[int]) -> list[int]:
     """Where each of consecutive runs of ``lengths`` starts."""
     return [0, *itertools.accumulate(lengths)][:-1]
-
-
-def _runs(starts: list[int], lengths: list[int]) -> np.ndarray:
-    """(len(starts), max length) table of starts[i] + 0..lengths[i]-1 per row, padded with -1."""
-    ar = np.arange(max(lengths))
-    if len(lengths) == 1:  # one row needs no padding
-        return (starts[0] + ar)[None]
-    return np.where(ar < np.array(lengths)[:, None], np.array(starts)[:, None] + ar, -1)
 
 
 def _ragged(parts: list[np.ndarray], offsets: list[int]) -> np.ndarray:
@@ -295,18 +297,17 @@ def _taken(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _pairs_within(sites: np.ndarray, image_carts: np.ndarray, cols: np.ndarray,
-                  images: np.ndarray, rows: np.ndarray, zero: np.ndarray,
-                  cutoffs: np.ndarray) -> tuple:
+                  images: np.ndarray, zero: np.ndarray, cutoffs: np.ndarray) -> tuple:
     """Dense kernel: each job's (source, dst, image) pairs within its cutoff, and their squared distances.
 
-    Job j takes the sources ``sites[rows[j]]``, some of its sites in order,
-    against its sites ``sites[cols[j]]`` in its images
-    ``image_carts[images[j]]``, a lexicographic block whose zero image is
-    column ``zero[j]`` (b, 1), out to ``cutoffs[j]``.  The index tables,
-    (b, R), (b, N) and (b, M), are padded with -1, which reads the NaN row
-    that ends ``sites`` and ``image_carts`` (``_stacked``).  Pairs come in
-    (job, source, dst, image) order, src and image as rows of the tables
-    and dst as a column of ``cols``; the zero-image self pair is left out.
+    Job j searches its sites ``sites[cols[j]]``, as sources, against
+    themselves in its images ``image_carts[images[j]]``, a lexicographic
+    block whose zero image is column ``zero[j]`` (b, 1), out to
+    ``cutoffs[j]``.  The index tables, (b, N) and (b, M), are padded with
+    -1, which reads the NaN row that ends ``sites`` and ``image_carts``
+    (``_stacked``).  Pairs come in (job, source, dst, image) order, src and
+    image as rows of the tables and dst as a column of ``cols``; the
+    zero-image self pair is left out.
 
     The targets cart_j + image_m are built once per axis; the sources then
     go through in blocks of rows whose (b, rows, N, M) arrays hold at most
@@ -315,26 +316,25 @@ def _pairs_within(sites: np.ndarray, image_carts: np.ndarray, cols: np.ndarray,
     (cart_j + image_m) - cart_i, so neither a block nor its padding changes
     a bit of it.
     """
-    (b, n), (r, m) = cols.shape, (rows.shape[1], images.shape[1])
+    (b, n), m = cols.shape, images.shape[1]
     cart, image_carts = _taken(sites, cols), _taken(image_carts, images)
     targets = [cart[:, None, :, a, None] + image_carts[:, None, None, :, a] for a in range(3)]
     cut2 = np.multiply(cutoffs, cutoffs)[:, None, None, None]
-    # each source's column among its job's sites, for the self pair
-    local = np.maximum(rows - cols[:, :1], 0)
     jobs = np.arange(b)[:, None]
     step = max(1, BLOCK_ELEMENTS // (b * n * m))
     parts = []
-    for start in range(0, r, step):
-        block = rows[:, start:start + step]
-        origin = _taken(sites, block)
+    for start in range(0, n, step):
+        block, origin = cols[:, start:start + step], cart[:, start:start + step]
         d2 = _sum_of_squares(lambda a: (targets[a], origin[:, :, a, None, None]))
         within = d2 <= cut2
-        within[jobs, np.arange(block.shape[1]), local[:, start:start + step], zero] = False
+        # the self pair: the block's row i is its job's site start + i
+        i = np.arange(block.shape[1])
+        within[jobs, i, start + i, zero] = False
         flat = np.flatnonzero(within)
         row, rest = np.divmod(flat, n * m)
         dst, idx = np.divmod(rest, m)
         if b > 1:  # a row's job, as an offset into the image table
-            idx += row // block.shape[1] * m
+            idx += row // i.size * m
         parts.append((block.ravel()[row], dst, images.ravel()[idx], d2.ravel()[flat]))
     if len(parts) == 1:
         return parts[0]
@@ -396,7 +396,7 @@ def _search(structures: list[CrystalStructure], cells: _Cells, reach: float, k: 
     # first block lies within its whole block
     first = np.ceil(np.array(radii)[:, None] * cells.spans).astype(np.int64)
     blocks = _Blocks()
-    for start, stop in _packed(n, n, np.prod(2 * first + 1, axis=1).tolist()):
+    for start, stop in _packed(n, np.prod(2 * first + 1, axis=1).tolist()):
         whole = [_image_counts(r, reach) for r in cells.spans[start:stop].tolist()]
         pairs = _run_pairs(structures[start:stop], whole, first[start:stop].tolist(),
                            radii[start:stop], start, reach, k, margin, blocks)
@@ -404,8 +404,7 @@ def _search(structures: list[CrystalStructure], cells: _Cells, reach: float, k: 
             yield pairs
             del pairs  # the next run's pairs are built without this one's
             continue
-        for lo, hi in _packed(n[start:stop], n[start:stop],
-                              [math.prod(2 * c + 1 for c in w) for w in whole]):
+        for lo, hi in _packed(n[start:stop], [math.prod(2 * c + 1 for c in w) for w in whole]):
             yield _run_pairs(structures[start + lo:start + hi], whole[lo:hi], whole[lo:hi],
                              [reach] * (hi - lo), start + lo, reach, k, margin, blocks)
 
@@ -424,11 +423,11 @@ def _run_pairs(structures: list[CrystalStructure], whole: list[list[int]],
     ints, floats = zip(*map(blocks.whole, whole))
     sites = _stacked([s.frac_coords @ s.lattice for s in structures])
     table = _stacked([x @ s.lattice for x, s in zip(floats, structures)])
-    cols = _runs(_starts(n_sites), n_sites)
+    cols = _ragged([np.arange(n) for n in n_sites], _starts(n_sites))
     # the sub-blocks' images are in lexicographic order, so their pairs keep
     # the (src, dst, image) order of the whole blocks
     sub = [blocks.sub(w, c) for w, c in zip(whole, counts)]
-    pairs = _pairs_within(sites, table, cols, _ragged(sub, _starts([len(x) for x in ints])), cols,
+    pairs = _pairs_within(sites, table, cols, _ragged(sub, _starts([len(x) for x in ints])),
                           np.array([len(x) // 2 for x in sub])[:, None], np.array(radii))
     dist = np.sqrt(pairs[3])
     per_source = _per_source(pairs[0], dist, sum(n_sites))
@@ -475,18 +474,18 @@ def _nearest(rows: np.ndarray, first: np.ndarray, kept: np.ndarray) -> tuple[np.
     return row, first[row] + order[row, rank]
 
 
-def _bounds(keys: np.ndarray, lengths: list[int]) -> list[int]:
-    """0, then where each run ends in the sorted ``keys``; run i spans the next ``lengths[i]`` values."""
-    if len(lengths) == 1:
-        return [0, keys.size]
-    return [0, *np.searchsorted(keys, list(itertools.accumulate(lengths))).tolist()]
+def _split(keys: np.ndarray, lengths: list[int]) -> tuple[list[int], np.ndarray]:
+    """The bounds of each run of the sorted ``keys``, and each key less its run's first value.
 
-
-def _local(keys: np.ndarray, lengths: list[int], bounds: list[int]) -> np.ndarray:
-    """``keys`` less the first value of their run (``_bounds``); run i ends at bounds[i + 1]."""
+    Run i takes the ``lengths[i]`` values from s_i = sum(lengths[:i]) on,
+    as structure i's sites follow those of the structures before it.  The
+    bounds are 0, then where each run ends; a key of run i less s_i numbers
+    it within the run.
+    """
     if len(lengths) == 1:
-        return keys
-    return keys - np.repeat(_starts(lengths), np.diff(bounds))
+        return [0, keys.size], keys
+    bounds = [0, *np.searchsorted(keys, list(itertools.accumulate(lengths))).tolist()]
+    return bounds, keys - np.repeat(_starts(lengths), np.diff(bounds))
 
 
 def build_neighbor_lists(structures: list[CrystalStructure],
@@ -506,8 +505,7 @@ def build_neighbor_lists(structures: list[CrystalStructure],
     def nearest(p: _Pairs) -> list[NeighborList]:
         row, pick = _nearest(p.rows, p.first,
                              np.minimum(p.first[1:] - p.first[:-1], cfg.max_neighbors))
-        bounds = _bounds(row, p.n_sites)
-        src = _local(row, p.n_sites, bounds)
+        bounds, src = _split(row, p.n_sites)
         dst, dist, image = p.dst[pick], p.dist[pick], p.images[p.image[pick]]
         return [NeighborList(src=src[lo:hi], dst=dst[lo:hi], dist=dist[lo:hi], image=image[lo:hi])
                 for lo, hi in zip(bounds, bounds[1:])]
@@ -572,15 +570,12 @@ def candidate_lists(structures: list[CrystalStructure], cfg: NeighborConfig,
     def pruned(p: _Pairs) -> list[CandidateList]:
         keep = p.dist <= _kth_smallest(p.rows, cfg.max_neighbors)[p.src] + 2.0 * skin + slack
         src = p.src[keep]
-        bounds = _bounds(src, p.n_sites)
         n_candidates = np.bincount(src, minlength=sum(p.n_sites))
-        src = _local(src, p.n_sites, bounds).astype(np.int32)
-        dst = p.dst[keep].astype(np.int32)
+        bounds, src = _split(src, p.n_sites)
+        src, dst = src.astype(np.int32), p.dst[keep].astype(np.int32)
         image = p.images[p.image[keep]].astype(np.int32)
-        boundary = np.flatnonzero(p.dist[keep] > cfg.cutoff - skin - slack)
-        per_list = np.diff(bounds).tolist()
-        boundary_bounds = _bounds(boundary, per_list)
-        boundary = _local(boundary, per_list, boundary_bounds)
+        boundary_bounds, boundary = _split(
+            np.flatnonzero(p.dist[keep] > cfg.cutoff - skin - slack), np.diff(bounds).tolist())
         site_bounds = [0, *itertools.accumulate(p.n_sites)]
         return [CandidateList(
             structure=s, cfg=cfg, max_disp=max_disp, inv_lattice=inverses[i],

@@ -25,9 +25,9 @@ thread does both parts in turn, with the same results.
   candidate list holds its crystal, so a batch's views need nothing else.
 - Pretraining encodes view a of a batch on the calling thread and view b
   on the worker, forward and backward (``_twin_embeddings``).  Each view
-  records on its own tape and accumulates into its own gradients, which are
-  summed in a fixed order once both are done, so results never depend on
-  thread timing.
+  records on its own tape; view a accumulates into the weights' gradients
+  and view b into an alias's, which are added to them once both are done,
+  so results never depend on thread timing.
 - Inference (``export_embeddings``, ``evaluate`` and fine-tuning's
   validation and test predictions) splits its ordered crystals into two
   contiguous halves, one per thread (``_encode_halves``), and each half
@@ -387,18 +387,19 @@ def _twin_embeddings(worker, params: ModelParams, merged,
     """Projections of view a, on this thread, and of view b, on ``worker`` (if any).
 
     ``merged`` holds each view's (graph, segment ids).  Under a tape each
-    view records on a sub-tape of its own against an alias of ``params``,
-    and the tape gets one record.  Its backward walks both sub-tapes at
-    once, then adds the alias gradients into ``params``, b's first: the
-    order one reverse walk over a then b adds them in, so every gradient
-    is bit for bit that of a single tape.
+    view records on a sub-tape of its own, a against ``params`` and b, on
+    the other thread, against an alias of them, and the tape gets one
+    record.  Its backward walks both sub-tapes at once, then adds b's alias
+    gradients into ``params``: a + b has the bits of b + a, the order one
+    reverse walk over a then b adds them in, so every gradient is bit for
+    bit that of a single tape.
     """
     tape = active_tape()
-    aliases = [params, params] if tape is None else [alias_params(params) for _ in merged]
+    views = [params, params if tape is None else alias_params(params)]
     subs = [Tape(), Tape()]
 
     def embed(i):
-        p, (graph, seg) = aliases[i], merged[i]
+        p, (graph, seg) = views[i], merged[i]
         with contextlib.nullcontext() if tape is None else subs[i]:
             return project(p, encode(p, graph, seg, n_graphs))
 
@@ -406,10 +407,9 @@ def _twin_embeddings(worker, params: ModelParams, merged,
     if tape is not None:
         def backward(_):
             on_both_threads(worker, subs[0].walk, subs[1].walk)
-            for alias in reversed(aliases):
-                for real, t in zip(params.trainable(), alias.trainable()):
-                    if t.grad is not None:
-                        real.grad = t.grad if real.grad is None else real.grad + t.grad
+            for real, t in zip(params.trainable(), views[1].trainable()):
+                if t.grad is not None:
+                    real.grad = t.grad if real.grad is None else real.grad + t.grad
 
         # the loss reads both embeddings, so za has a gradient whenever zb has
         tape.record(za, backward)

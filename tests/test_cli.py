@@ -297,6 +297,24 @@ class TestCommands:
         assert "entry 'thin': cutoff 4.5 needs" in capsys.readouterr().err
         assert not (out / "graphs.jsonl").exists()
 
+    def test_featurize_names_a_cif_whose_image_count_overflows_a_float(
+            self, toy_dir, tmp_path, capsys):
+        # the one-site cell parses, of volume 1, but its inverse lattice squared is inf
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "toy_0000.cif").write_text((toy_dir / "toy_0000.cif").read_text())
+        (data / "huge.cif").write_text(
+            "data_huge\n_cell_length_a 1e-200\n_cell_length_b 1e100\n_cell_length_c 1e100\n"
+            "_cell_angle_alpha 90\n_cell_angle_beta 90\n_cell_angle_gamma 90\n"
+            "loop_\n_atom_site_label\n_atom_site_type_symbol\n_atom_site_fract_x\n"
+            "_atom_site_fract_y\n_atom_site_fract_z\nNa1 Na 0 0 0\n")
+        out = tmp_path / "feat"
+        code = main(["featurize", "--data-root", str(data), "--out-dir", str(out)] + tiny_args())
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: entry 'huge': cutoff 4.5 needs inf periodic images")
+        assert not (out / "graphs.jsonl").exists()
+
     @pytest.mark.parametrize("tag, value", [("a", "0"), ("a", "-4.0"), ("c", "-4.0")])
     def test_featurize_names_a_cif_with_a_non_positive_cell_length(
             self, toy_dir, tmp_path, capsys, tag, value):

@@ -389,13 +389,13 @@ class TestTwoPassSearch:
 
     @staticmethod
     def passes(monkeypatch, s, cfg):
-        """(images, source rows) of each dense-kernel call one search makes."""
+        """(images, searched sites) of each dense-kernel call one search makes."""
         calls = []
         dense = geometry._pairs_within
 
-        def counted(sites, image_carts, cols, images, rows, *args):
-            calls.append((images.shape[1], rows.ravel().tolist()))
-            return dense(sites, image_carts, cols, images, rows, *args)
+        def counted(sites, image_carts, cols, images, *args):
+            calls.append((images.shape[1], cols.ravel().tolist()))
+            return dense(sites, image_carts, cols, images, *args)
 
         monkeypatch.setattr(geometry, "_pairs_within", counted)
         _assert_same_list(build_neighbor_list(s, cfg), dense_neighbor_list(s, cfg))
@@ -591,7 +591,8 @@ class TestManyStructures:
         assert transient(400) < 1.1 * transient(20)
 
     @pytest.mark.parametrize("bad, index", [
-        ({1: "thin", 3: "flat"}, 1), ({1: "flat", 3: "thin"}, 1), ({4: "thin"}, 4)])
+        ({1: "thin", 3: "flat"}, 1), ({1: "flat", 3: "thin"}, 1), ({4: "thin"}, 4),
+        ({2: "huge", 3: "thin"}, 2), ({5: "nan"}, 5)])
     def test_the_first_bad_structure_in_order_raises_before_any_search(self, monkeypatch, bad,
                                                                        index):
         calls = []
@@ -600,8 +601,13 @@ class TestManyStructures:
                                 frac_coords=[[0.0, 0.0, 0.0]])
         flat = CrystalStructure(lattice=np.diag([1e-5, 1e-5, 1e-3]), atomic_numbers=[11],
                                 frac_coords=[[0.0, 0.0, 0.0]])
-        structures = [{"thin": thin, "flat": flat}[bad[i]] if i in bad else cubic(4.0 + i / 10)
-                      for i in range(6)]
+        # infinitely many images: the square of 1e200 overflows a float, and
+        # the inverse of a lattice with a subnormal axis holds inf and NaN
+        huge, nan = (CrystalStructure(lattice=np.diag(d), atomic_numbers=[11],
+                                      frac_coords=[[0.0, 0.0, 0.0]])
+                     for d in ([1e-200, 1e100, 1e100], [1e-310, 1e155, 1e155]))
+        structures = [{"thin": thin, "flat": flat, "huge": huge, "nan": nan}[bad[i]] if i in bad
+                      else cubic(4.0 + i / 10) for i in range(6)]
         for search in (build_neighbor_lists,
                        lambda structures, cfg: candidate_lists(structures, cfg, 0.05)):
             with pytest.raises(DegenerateCell) as info:

@@ -623,6 +623,10 @@ THIN = CrystalStructure(lattice=np.diag([5.0, 5.0, 1e-4]), atomic_numbers=[11],
                         frac_coords=[[0.0, 0.0, 0.0]])
 FLAT = CrystalStructure(lattice=np.diag([1e-5, 1e-5, 1e-3]), atomic_numbers=[11],
                         frac_coords=[[0.0, 0.0, 0.0]])
+# 1e-200 x 1e100 x 1e100 A, of volume 1, passes CrystalStructure, but its
+# inverse lattice squared overflows a float: infinitely many images
+HUGE = CrystalStructure(lattice=np.diag([1e-200, 1e100, 1e100]), atomic_numbers=[11],
+                        frac_coords=[[0.0, 0.0, 0.0]])
 
 
 def with_bad_entry(data, structure, entry_id="bad_cell"):
@@ -656,6 +660,15 @@ class TestErrorsNameTheEntry:
         params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=False)
         with pytest.raises(DegenerateCell, match="entry 'bad_cell': cutoff 4.5 needs"):
             export_embeddings(params, data, neighbor=NEIGHBOR, basis=BASIS)
+
+    def test_a_cell_whose_image_count_overflows_a_float(self):
+        data = with_bad_entry(gen_toy_dataset(3, seed=34), HUGE)
+        params = init_params(TINY, rng_for(0, _INIT), with_projector=False, with_head=False)
+        for run in (lambda: pipeline.entry_graphs(data.entries, NEIGHBOR, BASIS),
+                    lambda: export_embeddings(params, data, neighbor=NEIGHBOR, basis=BASIS)):
+            with pytest.raises(DegenerateCell,
+                               match="^entry 'bad_cell': cutoff 4.5 needs inf periodic images"):
+                run()
 
 
 def with_bad_cells(data, bad):
