@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -193,7 +193,7 @@ def graph_to_json(g: CrystalGraph, id: str | None = None) -> str:
         node_mask=g.node_mask.tolist(),
         edges=g.edges.tolist(),
         dist=g.dist.tolist(),
-        basis=asdict(g.basis),
+        basis={f.name: getattr(g.basis, f.name) for f in fields(GaussianBasis)},
         edge_mask=g.edge_mask.tolist(),
     )
     return json.dumps(record, separators=(",", ":"))

@@ -5,8 +5,8 @@ symmetry operator lists (``_space_group_symop_operation_xyz`` or the older
 ``_symmetry_equiv_pos_as_xyz``); everything else in the file is ignored.
 A file with no operator list gets the identity op, so every file has the
 same site merge and clash check.  A file holds one ``data_`` block, a
-``;``-delimited text field is one value, and a value may follow its tag
-on a later line.
+``;``-delimited text field is one value, a value may follow its tag on a
+later line, and each data name the reader uses may appear once.
 Structures are stored as a 3x3 lattice matrix (rows are the cell vectors
 a, b, c in angstrom) plus fractional coordinates wrapped into [0, 1).
 """
@@ -182,40 +182,80 @@ _UNCERTAINTY = re.compile(r"\(\d+\)$")
 
 def _parse_float(token: str, tag: str) -> float:
     try:
-        value = float(_UNCERTAINTY.sub("", token))
+        value = float(token)  # a token float reads holds no uncertainty to strip
     except ValueError:
-        raise CifParseError(f"cannot parse numeric value {token!r} for {tag}") from None
+        try:
+            value = float(_UNCERTAINTY.sub("", token))
+        except ValueError:
+            raise CifParseError(f"cannot parse numeric value {token!r} for {tag}") from None
     if not math.isfinite(value):
         raise CifParseError(f"non-finite numeric value {token!r} for {tag}")
     return value
+
+
+def _floats(tokens: list[str]) -> list[float] | None:
+    """``_parse_float`` of each token, or None if one of them would raise."""
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError:
+        try:
+            values = [float(_UNCERTAINTY.sub("", t)) for t in tokens]
+        except ValueError:
+            return None
+    return values if all(map(math.isfinite, values)) else None
 
 
 # a quoted value runs to the same quote or the end of the line; a bare one to whitespace
 _CIF_TOKEN = re.compile(r"""(['"])(.*?)(?:\1|$)|(\S+)""")
 
 
-def _cif_tokens(text: str):
-    """Yield (value, line_no, bare) for each CIF token.
+def _is_keyword(token: str) -> bool:
+    """Whether a bare token is a tag, ``loop_`` or a ``data_`` line; each holds a ``_``."""
+    lowered = token.lower()
+    return token[0] == "_" or lowered == "loop_" or lowered.startswith("data_")
 
-    A ``;``-delimited text field (``;`` in column 0 opens and closes it) is
-    one token; it and quoted values are never bare, so nothing in them
-    reads as a tag or a keyword.  ``#`` starts a comment outside text fields.
+
+def _cif_tokens(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Every CIF token's value, and (index, line number) of each keyword among them.
+
+    A keyword is a bare token ``_is_keyword`` accepts.  A ``;``-delimited
+    text field (``;`` in column 0 opens and closes it) is one token; it and
+    quoted values are never bare, so nothing in them reads as a keyword.
+    ``#`` ends a line outside text fields, even inside quotes.  A line with
+    no quote before its ``#`` is split on whitespace, which gives the
+    token regex's bare tokens, and only a line with a ``_`` can hold a
+    keyword.
     """
+    values: list[str] = []
+    keys: list[tuple[int, int]] = []
     lines = text.splitlines()
     i = 0
     while i < len(lines):
-        if lines[i].startswith(";"):
+        line = lines[i]
+        i += 1  # the line number of ``line``
+        if line[:1] == ";":
             start = i
-            i += 1
-            while i < len(lines) and not lines[i].startswith(";"):
+            while i < len(lines) and lines[i][:1] != ";":
                 i += 1
             if i == len(lines):
-                raise CifParseError(f"text field opened on line {start + 1} is never closed")
-            yield "\n".join([lines[start][1:], *lines[start + 1:i]]).strip(), start + 1, False
-        else:
-            for m in _CIF_TOKEN.finditer(lines[i].split("#", 1)[0]):
-                yield m.group(3) or m.group(2), i + 1, m.group(3) is not None
-        i += 1
+                raise CifParseError(f"text field opened on line {start} is never closed")
+            values.append("\n".join([line[1:], *lines[start:i]]).strip())
+            i += 1
+            continue
+        if "#" in line:
+            line = line[:line.index("#")]
+        if "'" in line or '"' in line:
+            for m in _CIF_TOKEN.finditer(line):
+                bare = m.group(3)
+                if bare is not None and _is_keyword(bare):
+                    keys.append((len(values), i))
+                values.append(m.group(2) if bare is None else bare)
+            continue
+        tokens = line.split()
+        if "_" in line:
+            keys += [(len(values) + j, i) for j, t in enumerate(tokens) if _is_keyword(t)]
+        values += tokens
+    return values, keys
 
 
 # type_symbol / label values carry decorations: "Na1", "Fe3+", "O2-"
@@ -223,7 +263,8 @@ _SYMBOL = re.compile(r"[A-Z][a-z]?")
 _LETTERS = re.compile(r"[A-Za-z]+")
 
 
-def _element_from_symbol(raw: str, line_no: int) -> int:
+def _element(raw: str) -> int | None:
+    """The atomic number a type_symbol or label value names, or None."""
     m = _SYMBOL.match(raw)
     if m and m.group() in SYMBOL_TO_Z:
         return SYMBOL_TO_Z[m.group()]
@@ -235,7 +276,7 @@ def _element_from_symbol(raw: str, line_no: int) -> int:
             return SYMBOL_TO_Z[cand]
         if cand[0] in SYMBOL_TO_Z and cand[:2] not in SYMBOL_TO_Z:
             return SYMBOL_TO_Z[cand[0]]
-    raise UnknownElementSymbol(f"unknown element symbol {raw!r} on line {line_no}")
+    return None
 
 
 _SYMOP_TERM = re.compile(
@@ -252,13 +293,14 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts forms like "x,y,z", "-x, y+1/2, -z", "1/2+x, x-y, z".  The
     rotation must be an integer matrix with determinant 1 or -1, so "x, x, z"
-    or "2x, y, z" is rejected.
+    or "2x, y, z" is rejected, and the translation must be finite.
     """
     parts = op.split(",")
     if len(parts) != 3:
         raise MalformedSymmetryOp(f"symmetry op {op!r} does not have 3 components")
-    rot = np.zeros((3, 3), dtype=np.float64)
-    trans = np.zeros(3, dtype=np.float64)
+    # Python floats: a number past float range adds up to inf or nan without a warning
+    rot = [[0.0] * 3 for _ in range(3)]
+    trans = [0.0] * 3
     axis = {"x": 0, "y": 1, "z": 2}
     for row, part in enumerate(parts):
         s = part.strip()
@@ -271,9 +313,9 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
                 raise MalformedSymmetryOp(f"cannot parse symmetry op {op!r} near {s[pos:]!r}")
             sign = -1.0 if m.group("sign") == "-" else 1.0
             if m.group("var1") is not None:
-                rot[row, axis[m.group("var1").lower()]] += sign * float(m.group("coef"))
+                rot[row][axis[m.group("var1").lower()]] += sign * float(m.group("coef"))
             elif m.group("var2") is not None:
-                rot[row, axis[m.group("var2").lower()]] += sign
+                rot[row][axis[m.group("var2").lower()]] += sign
             else:
                 value = float(m.group("num"))
                 if m.group("den") is not None:
@@ -283,8 +325,11 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
                     value /= den
                 trans[row] += sign * value
             pos = m.end()
+    rot, trans = np.array(rot), np.array(trans)
     if not (np.isfinite(rot).all() and np.array_equal(rot, np.round(rot))):
         raise MalformedSymmetryOp(f"symmetry op {op!r} has a non-integer rotation")
+    if not np.isfinite(trans).all():  # a number past float range, such as 1e400
+        raise MalformedSymmetryOp(f"symmetry op {op!r} has a non-finite translation")
     (a, b, c), (d, e, f), (g, h, i) = ([int(v) for v in r] for r in rot)
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if abs(det) != 1:
@@ -316,68 +361,128 @@ def _lattice_from_parameters(a, b, c, alpha, beta, gamma) -> np.ndarray:
     )
 
 
-def _scan_cif(text: str):
-    """One pass over the tokens: tag/value pairs plus all loops.
-
-    A tag takes the next token as its value, on its own line or a later
-    one, unless that token is a tag or keyword.  Returns (values, loops)
-    where loops is a list of (header_tags, rows, loop_line_no).  When a
-    loop's value count is not a multiple of its tag count its last row is
-    short; ``_find_loop`` rejects that in the loops the parser reads.  A
-    file holds one structure, so a second ``data_`` block is an error.
-    """
-    tokens = list(_cif_tokens(text))
-
-    def keyword(k: int) -> bool:
-        value, _, bare = tokens[k]
-        lowered = value.lower()
-        return bare and (value.startswith("_") or lowered == "loop_" or lowered.startswith("data_"))
-
-    values: dict[str, str] = {}
-    loops: list[tuple[list[str], list[list[str]], int]] = []
-    block_line = 0
-    k = 0
-    while k < len(tokens):
-        value, line_no, bare = tokens[k]
-        k += 1
-        if bare and value.lower().startswith("data_"):
-            if block_line:
-                raise CifParseError(f"second data block {value!r} on line {line_no}; the file "
-                                    f"holds one structure, opened on line {block_line}")
-            block_line = line_no
-        elif bare and value.lower() == "loop_":
-            header: list[str] = []
-            while k < len(tokens) and tokens[k][2] and tokens[k][0].startswith("_"):
-                header.append(tokens[k][0].lower())
-                k += 1
-            body: list[str] = []
-            while k < len(tokens) and not keyword(k):
-                body.append(tokens[k][0])
-                k += 1
-            width = len(header)
-            rows = [body[j:j + width] for j in range(0, len(body), width)] if width else []
-            loops.append((header, rows, line_no))
-        elif bare and value.startswith("_") and k < len(tokens) and not keyword(k):
-            values[value.lower()] = tokens[k][0]
-            k += 1
-    return values, loops
-
-
-def _find_loop(loops, wanted) -> tuple[list[str], list[list[str]], int]:
-    """The first loop with a tag ``wanted`` accepts, or ([], [], 0); rejects a short last row."""
-    for header, rows, line_no in loops:
-        if any(map(wanted, header)):
-            if rows and len(rows[-1]) != len(header):
-                n_values = len(header) * (len(rows) - 1) + len(rows[-1])
-                raise CifParseError(f"loop on line {line_no} has {n_values} values, "
-                                    f"not a multiple of its {len(header)} tags")
-            return header, rows, line_no
-    return [], [], 0
-
-
 # the current tag first: it wins in a loop that carries both
 _SYMOP_TAGS = ("_space_group_symop_operation_xyz", "_symmetry_equiv_pos_as_xyz")
 _IDENTITY_OP = (np.eye(3), np.zeros(3))
+_SITE_COLUMNS = tuple(f"_atom_site_{name}" for name in
+                      ("type_symbol", "label", "fract_x", "fract_y", "fract_z", "occupancy"))
+# the data names the parser reads: each may appear once in a file
+_READ_NAMES = frozenset(_CELL_TAGS + _SITE_COLUMNS + _SYMOP_TAGS)
+
+
+def _scan_cif(text: str):
+    """One pass over the keywords: tag/value pairs plus all loops.
+
+    A tag takes the next token as its value, on its own line or a later
+    one, unless that token is a keyword.  Returns (values, loops) where
+    loops is a list of (header_tags, body, loop_line_no) and ``body`` holds
+    the loop's values in order.  When a body's length is not a multiple of
+    its tag count its last row is short; ``_find_loop`` rejects that in the
+    loops the parser reads.  A file holds one structure, so a second
+    ``data_`` block is an error, and so is a name of ``_READ_NAMES`` that
+    appears twice, as a tag or in a loop header.
+    """
+    tokens, keys = _cif_tokens(text)
+    # an empty last keyword, which is no tag, ends the last value or loop body
+    keys.append((len(tokens), 0))
+    tokens.append("")
+    seen: dict[str, int] = {}
+
+    def read(tag: str, line_no: int) -> str:
+        name = tag.lower()
+        if name in _READ_NAMES:
+            if name in seen:
+                raise CifParseError(f"data name {name} is given twice, on lines "
+                                    f"{seen[name]} and {line_no}")
+            seen[name] = line_no
+        return name
+
+    values: dict[str, str] = {}
+    loops: list[tuple[list[str], list[str], int]] = []
+    block_line = 0
+    p = 0
+    while p < len(keys) - 1:
+        k, line_no = keys[p]
+        p += 1
+        token = tokens[k]
+        if token[0] == "_":
+            name = read(token, line_no)
+            if k + 1 < keys[p][0]:
+                values[name] = tokens[k + 1]
+        elif token.lower() == "loop_":
+            header: list[str] = []
+            start = k + 1
+            while keys[p][0] == start and tokens[start].startswith("_"):
+                header.append(read(tokens[start], keys[p][1]))
+                start += 1
+                p += 1
+            loops.append((header, tokens[start:keys[p][0]], line_no))
+        elif block_line:
+            raise CifParseError(f"second data block {token!r} on line {line_no}; the file "
+                                f"holds one structure, opened on line {block_line}")
+        else:
+            block_line = line_no
+    return values, loops
+
+
+def _find_loop(loops, wanted) -> tuple[list[str], list[str], int]:
+    """The first loop with a tag ``wanted`` accepts, or ([], [], 0); rejects a short last row."""
+    for header, body, line_no in loops:
+        if any(map(wanted, header)):
+            if len(body) % len(header):
+                raise CifParseError(f"loop on line {line_no} has {len(body)} values, "
+                                    f"not a multiple of its {len(header)} tags")
+            return header, body, line_no
+    return [], [], 0
+
+
+def _read_sites(header, body, atom_line):
+    """(atomic numbers, wrapped fractional coordinates, labels) of the atom_site loop's rows.
+
+    Reads the loop by columns.  A value the columns cannot take (a bad
+    number or symbol, a partial occupancy) is reported by
+    ``_raise_first_bad_row``.
+    """
+    c_type, c_label, c_x, c_y, c_z, c_occ = (
+        header.index(name) if name in header else None for name in _SITE_COLUMNS)
+    if c_x is None or c_y is None or c_z is None:
+        raise MissingAtomLoop("atom_site loop lacks _atom_site_fract_x/y/z")
+    if c_type is None and c_label is None:
+        raise MissingAtomLoop("atom_site loop lacks type_symbol and label columns")
+    if not body:
+        raise MissingAtomLoop("atom_site loop contains no rows")
+
+    width = len(header)
+    c_sym = c_label if c_type is None else c_type
+    symbols = body[c_sym::width]
+    labels = symbols if c_label is None else body[c_label::width]
+    fracs = [_floats(body[c::width]) for c in (c_x, c_y, c_z)]
+    occupancy = [1.0] if c_occ is None else _floats(body[c_occ::width])
+    number_of = {sym: _element(sym) for sym in set(symbols)}
+    if (None in number_of.values() or None in fracs or occupancy is None
+            or not all(abs(occ - 1.0) <= 1e-3 for occ in occupancy)):
+        _raise_first_bad_row(body, width, atom_line + width, c_sym, (c_x, c_y, c_z), c_occ)
+    numbers = np.array([number_of[sym] for sym in symbols], dtype=np.int64)
+    return numbers, wrap_frac(np.array(fracs, dtype=np.float64).T.copy()), labels
+
+
+def _raise_first_bad_row(body, width, header_end, c_sym, c_xyz, c_occ):
+    """Raise the error of the first row with a bad symbol, coordinate or occupancy.
+
+    Row ``k`` is taken to sit on line ``header_end + k + 1``, as when each
+    header tag and each row has a line of its own.
+    """
+    for k in range(len(body) // width):
+        row = body[k * width:(k + 1) * width]
+        line_no = header_end + k + 1
+        if _element(row[c_sym]) is None:
+            raise UnknownElementSymbol(f"unknown element symbol {row[c_sym]!r} on line {line_no}")
+        for c in c_xyz:
+            _parse_float(row[c], f"_atom_site_fract (line {line_no})")
+        if c_occ is not None:
+            occ = _parse_float(row[c_occ], f"_atom_site_occupancy (line {line_no})")
+            if abs(occ - 1.0) > 1e-3:
+                raise CifParseError(f"partial occupancy {occ} on line {line_no} is not supported")
 
 
 def parse_cif(text: str) -> CrystalStructure:
@@ -400,37 +505,16 @@ def parse_cif(text: str) -> CrystalStructure:
         cell.append(_parse_float(values[tag], tag))
     lattice = _lattice_from_parameters(*cell)
 
-    header, rows, atom_line = _find_loop(loops, lambda h: h.startswith("_atom_site_fract"))
+    header, body, atom_line = _find_loop(loops, lambda h: h.startswith("_atom_site_fract"))
     if not header:
         raise MissingAtomLoop("no atom_site loop with fractional coordinates found")
+    numbers, fracs, labels = _read_sites(header, body, atom_line)
 
-    c_type, c_label, c_x, c_y, c_z, c_occ = (
-        header.index(f"_atom_site_{name}") if f"_atom_site_{name}" in header else None
-        for name in ("type_symbol", "label", "fract_x", "fract_y", "fract_z", "occupancy"))
-    if c_x is None or c_y is None or c_z is None:
-        raise MissingAtomLoop("atom_site loop lacks _atom_site_fract_x/y/z")
-    if c_type is None and c_label is None:
-        raise MissingAtomLoop("atom_site loop lacks type_symbol and label columns")
-    if not rows:
-        raise MissingAtomLoop("atom_site loop contains no rows")
-
-    numbers, fracs, labels = [], [], []
-    for k, row in enumerate(rows):
-        line_no = atom_line + len(header) + k + 1
-        sym = row[c_type] if c_type is not None else row[c_label]
-        labels.append(row[c_label] if c_label is not None else sym)
-        numbers.append(_element_from_symbol(sym, line_no))
-        fracs.append([_parse_float(row[c], f"_atom_site_fract (line {line_no})") for c in (c_x, c_y, c_z)])
-        if c_occ is not None:
-            occ = _parse_float(row[c_occ], f"_atom_site_occupancy (line {line_no})")
-            if abs(occ - 1.0) > 1e-3:
-                raise CifParseError(f"partial occupancy {occ} on line {line_no} is not supported")
-    numbers = np.array(numbers, dtype=np.int64)
-    fracs = wrap_frac(np.array(fracs, dtype=np.float64))
-
-    header, rows, _ = _find_loop(loops, _SYMOP_TAGS.__contains__)
-    c_op = next((header.index(t) for t in _SYMOP_TAGS if t in header), None)
-    ops = [parse_symmetry_op(row[c_op]) for row in rows] or [_IDENTITY_OP]
+    header, body, _ = _find_loop(loops, _SYMOP_TAGS.__contains__)
+    ops = [_IDENTITY_OP]
+    if body:
+        c_op = next(header.index(t) for t in _SYMOP_TAGS if t in header)
+        ops = [parse_symmetry_op(op) for op in body[c_op::len(header)]]
     numbers, fracs = _expand_symmetry(lattice, numbers, fracs, ops, labels)
 
     try:
@@ -469,7 +553,8 @@ def _expand_symmetry(lattice, numbers, fracs, ops, labels):
         delta -= np.round(delta)
         cart = (delta.reshape(-1, 3) @ lattice).reshape(delta.shape)
         cart *= cart
-        near = np.sqrt(cart.sum(axis=2)) < SYMMETRY_DEDUP_TOL
+        # summed (x + y) + z, as numpy's sum over the last axis adds three terms
+        near = np.sqrt(cart[..., 0] + cart[..., 1] + cart[..., 2]) < SYMMETRY_DEDUP_TOL
         near &= np.arange(r1) < np.arange(r0, r1)[:, None]  # earlier images only
         if not near.any():
             continue

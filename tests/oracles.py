@@ -11,6 +11,9 @@ last bit.
 ``expand_symmetry_loop`` is the CIF parser's former symmetry expansion, a
 loop over (site, op) images that checks each against every kept image; the
 array code in ``structure_io`` must give its sites to the last bit.
+``cif_tokens`` and ``scan_cif`` are the CIF parser's former token-by-token
+scan, one tuple per token; the line-based scan in ``structure_io`` must
+return the same values and loops.
 ``segment_sum`` is ``np.add.at`` into zeros, the order every segment sum
 of the package must keep to the last bit.
 
@@ -28,6 +31,8 @@ gradients to the last bit.
 compares a tape's analytic gradients with central differences.
 """
 
+import re
+
 import numpy as np
 
 from xtalssl.autodiff import (
@@ -42,7 +47,7 @@ from xtalssl.autodiff import (
     _softplus,
 )
 from xtalssl.geometry import NeighborList, _axis_spans, _image_counts
-from xtalssl.structure_io import SYMMETRY_DEDUP_TOL, wrap_frac
+from xtalssl.structure_io import SYMMETRY_DEDUP_TOL, CifParseError, wrap_frac
 
 
 def supercell_neighbors(lattice, frac, cutoff, max_neighbors):
@@ -185,6 +190,79 @@ def expand_symmetry_loop(lattice, numbers, fracs, ops):
                 out_numbers.append(int(z))
                 out_fracs.append(pos)
     return np.array(out_numbers, dtype=np.int64), np.array(out_fracs, dtype=np.float64)
+
+
+_CIF_TOKEN = re.compile(r"""(['"])(.*?)(?:\1|$)|(\S+)""")
+
+
+def cif_tokens(text: str):
+    """Yield (value, line_no, bare) for each CIF token.
+
+    A ``;``-delimited text field (``;`` in column 0 opens and closes it) is
+    one token; it and quoted values are never bare, so nothing in them
+    reads as a tag or a keyword.  ``#`` starts a comment outside text fields.
+    """
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        if lines[i].startswith(";"):
+            start = i
+            i += 1
+            while i < len(lines) and not lines[i].startswith(";"):
+                i += 1
+            if i == len(lines):
+                raise CifParseError(f"text field opened on line {start + 1} is never closed")
+            yield "\n".join([lines[start][1:], *lines[start + 1:i]]).strip(), start + 1, False
+        else:
+            for m in _CIF_TOKEN.finditer(lines[i].split("#", 1)[0]):
+                yield m.group(3) or m.group(2), i + 1, m.group(3) is not None
+        i += 1
+
+
+def scan_cif(text: str):
+    """One pass over the tokens: tag/value pairs plus all loops.
+
+    A tag takes the next token as its value, on its own line or a later
+    one, unless that token is a tag or keyword.  Returns (values, loops)
+    where loops is a list of (header_tags, rows, loop_line_no).  When a
+    loop's value count is not a multiple of its tag count its last row is
+    short.  A second ``data_`` block is an error.
+    """
+    tokens = list(cif_tokens(text))
+
+    def keyword(k: int) -> bool:
+        value, _, bare = tokens[k]
+        lowered = value.lower()
+        return bare and (value.startswith("_") or lowered == "loop_" or lowered.startswith("data_"))
+
+    values: dict[str, str] = {}
+    loops: list[tuple[list[str], list[list[str]], int]] = []
+    block_line = 0
+    k = 0
+    while k < len(tokens):
+        value, line_no, bare = tokens[k]
+        k += 1
+        if bare and value.lower().startswith("data_"):
+            if block_line:
+                raise CifParseError(f"second data block {value!r} on line {line_no}; the file "
+                                    f"holds one structure, opened on line {block_line}")
+            block_line = line_no
+        elif bare and value.lower() == "loop_":
+            header: list[str] = []
+            while k < len(tokens) and tokens[k][2] and tokens[k][0].startswith("_"):
+                header.append(tokens[k][0].lower())
+                k += 1
+            body: list[str] = []
+            while k < len(tokens) and not keyword(k):
+                body.append(tokens[k][0])
+                k += 1
+            width = len(header)
+            rows = [body[j:j + width] for j in range(0, len(body), width)] if width else []
+            loops.append((header, rows, line_no))
+        elif bare and value.startswith("_") and k < len(tokens) and not keyword(k):
+            values[value.lower()] = tokens[k][0]
+            k += 1
+    return values, loops
 
 
 def segment_sum(x, index, n_rows):

@@ -71,3 +71,21 @@ def test_the_mixed_straggler_searches_its_whole_block_again(tmp_path, monkeypatc
     monkeypatch.setattr(geometry, "_pairs_within", counted)
     build_neighbor_lists([s], NeighborConfig())
     assert calls == [27, 125]
+
+
+def test_the_dressed_cell_parses_as_its_plain_twin(tmp_path):
+    # comments, quotes, a text field, a value on a later line, uncertainties,
+    # an occupancy column and decorated symbols change no bit of the structure
+    cli_chain.write_sym(str(tmp_path / "sym"))
+    assert sorted(p.name for p in (tmp_path / "sym").iterdir()) == [
+        "dressed.cif", "p-1.cif", "p-3.cif", "p21c.cif"]
+    ops = ["x, y, z", "-y, x-y, z", "-x+y, -x, z", "-x, -y, -z", "y, -x+y, -z", "x-y, x, -z"]
+    plain = {"plain": ((5.035, 5.035, 13.772, 90, 90, 120.0), ops,
+                       ["Fe1 Fe 0 0 0.35530", "O1 O 0.3059 0 0.25"])}
+    cli_chain.write_cifs(str(tmp_path / "plain"), plain)
+    got = parse_cif((tmp_path / "sym" / "dressed.cif").read_text())
+    want = parse_cif((tmp_path / "plain" / "plain.cif").read_text())
+    assert got.n_sites == 8
+    for name in ("lattice", "atomic_numbers", "frac_coords"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

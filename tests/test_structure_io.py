@@ -32,11 +32,13 @@ from xtalssl.structure_io import (
     split_dataset,
     structure_to_cif,
     wrap_frac,
+    _CIF_TOKEN,
     _expand_symmetry,
     _lattice_from_parameters,
+    _scan_cif,
 )
 
-from oracles import expand_symmetry_loop
+from oracles import expand_symmetry_loop, scan_cif
 
 CUBIC_NA = """
 data_na
@@ -289,6 +291,26 @@ class TestParseCif:
         s = parse_cif(CUBIC_NA.replace("Na1 Na ", "Na1 Na+ "))
         npt.assert_array_equal(s.atomic_numbers, [11])
 
+    def test_uncertainties_in_the_site_loop_are_stripped(self):
+        plain = CUBIC_NA + "Cl1 Cl 0.5 0.5 0.5\n"
+        text = plain.replace("Cl1 Cl 0.5 0.5 0.5", "Cl1 Cl 0.5(1) 0.5 0.5(12)")
+        assert_same_structure(parse_cif(text), parse_cif(plain))
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ("Na1 Na 0.0 bad 0.0\nQq1 Qq 0.5 0.5 0.5\n", CifParseError,
+         "cannot parse numeric value 'bad' for _atom_site_fract (line 15)"),
+        ("Na1 Qq 0.0 0.0 0.0\nCl1 Cl 0.5 bad 0.5\n", UnknownElementSymbol,
+         "unknown element symbol 'Qq' on line 15"),
+        ("Na1 Na 0.0 0.0 0.0\nCl1 Cl 0.5 0.5 inf\n", CifParseError,
+         "non-finite numeric value 'inf' for _atom_site_fract (line 16)"),
+    ], ids=["number-before-element", "element-before-number", "non-finite"])
+    def test_the_first_bad_row_names_the_error(self, rows, error, message):
+        # the site loop is read by columns; an error is the first row's, as
+        # when it was read one row at a time
+        text = CUBIC_NA.replace("Na1 Na 0.0 0.0 0.0\n", rows)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_cif(text)
+
     def test_round_trip_triclinic(self):
         lattice = np.array([[3.1, 0.0, 0.0], [1.0, 2.2, 0.0], [0.5, 0.45, 4.3]])
         s = CrystalStructure(lattice=lattice, atomic_numbers=[11, 17, 8],
@@ -331,6 +353,28 @@ class TestParseSymmetryOp:
     def test_hexagonal_rows_are_unimodular(self):
         rot, _ = parse_symmetry_op("-y, x-y, z")
         npt.assert_array_equal(rot, [[0, -1, 0], [1, -1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("op", ["x+1" + "0" * 400 + ",y,z",
+                                    "x, y+1" + "0" * 400 + "-1" + "0" * 400 + ", z"],
+                             ids=["inf", "nan"])
+    def test_rejects_a_translation_past_float_range(self, op):
+        # 1e400 reads as inf, and inf - inf as nan
+        with pytest.raises(MalformedSymmetryOp,
+                           match=f"^symmetry op {re.escape(repr(op))} has a non-finite translation$"):
+            parse_symmetry_op(op)
+
+    def test_rejects_coefficients_that_cancel_past_float_range(self):
+        # 1e400x - 1e400x reads as inf - inf: nan, not a rotation row of 0
+        op = "1" + "0" * 400 + "x-1" + "0" * 400 + "x, y, z"
+        with pytest.raises(MalformedSymmetryOp, match="has a non-integer rotation$"):
+            parse_symmetry_op(op)
+
+    def test_a_file_with_an_overflowing_translation_names_the_op(self):
+        # once wrap_frac warned "invalid value encountered in subtract" and the
+        # structure rejected its non-finite coordinates without naming the op
+        op = "x+1" + "0" * 400 + ", y, z"
+        with pytest.raises(MalformedSymmetryOp, match=f"^symmetry op '{re.escape(op)}' has a non-finite"):
+            parse_cif(ROCK_SALT.replace("'x+1/2, y+1/2, z'", f"'{op}'"))
 
 
 _OP_SETS = {
@@ -519,6 +563,154 @@ class TestOneBlock:
         path.write_text(TWO_BLOCKS, encoding="utf-8")
         with pytest.raises(CifParseError, match=f"^{re.escape(str(path))}: {message}$"):
             load_dataset(tmp_path)
+
+
+_READ_NAMES = ("_cell_length_a", "_cell_length_b", "_cell_length_c", "_cell_angle_alpha",
+               "_cell_angle_beta", "_cell_angle_gamma", "_atom_site_type_symbol",
+               "_atom_site_label", "_atom_site_fract_x", "_atom_site_fract_y",
+               "_atom_site_fract_z", "_atom_site_occupancy", "_space_group_symop_operation_xyz",
+               "_symmetry_equiv_pos_as_xyz")
+# tags, the other keywords, and values: bare, quoted, with quotes in mid-token or a comment
+_TAGS = ("_", "_publ_author_name", "_Publ_Note", "_CELL_LENGTH_B", "_Atom_Site_Fract_X",
+         *_READ_NAMES)
+_KEYWORDS = ("loop_", "LOOP_", "data_a", "Data_", *_TAGS)
+_VALUES = ("4.0", "0.5(3)", "Na1", "Cl", "x,y,z", "loop_x", "a_b", "O'Brien", 'say"s',
+           "'x, y, z'", '"-x, # y, z"', "'it''s'", "''", '"', "'open to the end",
+           "'_cell_length_c'", '"loop_"', "'data_q'", "#", "# a comment 'x'", "a#b", ";", "x;")
+_SPACES = st.sampled_from([" ", "  ", "\t", "\xa0"])
+
+
+def _joined(draw, pieces):
+    line = draw(st.sampled_from(["", " "]))
+    for piece in pieces:
+        line += piece + draw(_SPACES)
+    return line
+
+
+@st.composite
+def _cif_lines(draw):
+    """A ``;`` text field (closed, or left open), a loop, or a line of tokens."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        body = draw(st.lists(st.sampled_from(["", "text 'x", "_cell_length_a 5", "loop_",
+                                              "data_c", "# not a comment", " ;"]), max_size=3))
+        close = [draw(st.sampled_from([";", "; after the close"]))] if draw(st.integers(0, 9)) else []
+        return [draw(st.sampled_from([";", ";first line"])), *body, *close]
+    if kind < 4:
+        header = draw(st.lists(st.sampled_from(_TAGS), max_size=3))
+        rows = draw(st.lists(st.lists(st.sampled_from(_VALUES), max_size=4), max_size=4))
+        return [draw(st.sampled_from(["loop_", "LOOP_"])), *header,
+                *(_joined(draw, row) for row in rows)]
+    pieces = st.sampled_from(_KEYWORDS + _VALUES + _VALUES)
+    return [_joined(draw, draw(st.lists(pieces, max_size=6)))]
+
+
+def _once(lines):
+    """The lines with each read name that comes again as a piece renamed to an unread one."""
+    seen, out = set(), []
+    for line in lines:
+        words = re.split(r"(\s)", line)
+        for k, word in enumerate(words):
+            if word.lower() in _READ_NAMES:
+                if word.lower() in seen:
+                    words[k] = "_unread_name"
+                seen.add(word.lower())
+        out.append("".join(words))
+    return out
+
+
+def _rows(body, width):
+    return [body[j:j + width] for j in range(0, len(body), width)] if width else []
+
+
+class TestScan:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_cif_lines(), max_size=25), st.sampled_from(["\n", "\r\n"]))
+    def test_matches_the_token_by_token_scan(self, chunks, newline):
+        text = newline.join(_once([line for chunk in chunks for line in chunk]))
+        try:
+            values, loops = scan_cif(text)
+        except CifParseError as exc:
+            with pytest.raises(CifParseError, match=f"^{re.escape(str(exc))}$"):
+                _scan_cif(text)
+            return
+        got_values, got_loops = _scan_cif(text)
+        assert got_values == values
+        assert [(header, _rows(body, len(header)), line) for header, body, line in got_loops] \
+            == loops
+
+    def test_the_regex_and_str_split_agree_on_whitespace(self):
+        # so a line with no quote splits into the regex's bare tokens
+        chars = "".join(map(chr, range(0xD800))) + "".join(map(chr, range(0xE000, 0x110000)))
+        assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from(list("ab_;#.,(1") + [" ", "\t", "\xa0", "\x1f", "　"])))
+    def test_a_line_with_no_quote_splits_into_the_regex_tokens(self, line):
+        matches = list(_CIF_TOKEN.finditer(line))
+        assert all(m.group(3) is not None for m in matches)
+        assert line.split() == [m.group(3) for m in matches]
+
+
+class TestRepeatedNames:
+    """A data name the parser reads may appear once: as a tag or in one loop header."""
+
+    @pytest.mark.parametrize("tag", _READ_NAMES[:6])
+    def test_a_cell_parameter_given_twice(self, tag):
+        # once the later value won silently: a second _cell_length_a 9 gave a = 9
+        text = CUBIC_NA.replace("loop_", f"{tag} 9\nloop_")
+        first = 3 + _READ_NAMES.index(tag)
+        with pytest.raises(CifParseError,
+                           match=f"^data name {tag} is given twice, on lines {first} and 9$"):
+            parse_cif(text)
+
+    def test_names_that_differ_in_case_are_one_name(self):
+        text = CUBIC_NA.replace("loop_", "_CELL_Length_A 9\nloop_")
+        with pytest.raises(CifParseError,
+                           match="^data name _cell_length_a is given twice, on lines 3 and 9$"):
+            parse_cif(text)
+
+    @pytest.mark.parametrize("column", _READ_NAMES[6:12])
+    def test_an_atom_site_column_given_twice(self, column):
+        text = CUBIC_NA.replace("_atom_site_fract_z\nNa1 Na 0.0 0.0 0.0",
+                                "_atom_site_fract_z\n_atom_site_occupancy\nNa1 Na 0.0 0.0 0.0 1.0")
+        text += f"loop_\n{column}\nCl1\n"
+        first = 10 + ("_atom_site_label", "_atom_site_type_symbol", "_atom_site_fract_x",
+                      "_atom_site_fract_y", "_atom_site_fract_z",
+                      "_atom_site_occupancy").index(column)
+        with pytest.raises(CifParseError,
+                           match=f"^data name {column} is given twice, on lines {first} and 18$"):
+            parse_cif(text)
+
+    def test_a_second_atom_site_loop(self):
+        # once the second loop was ignored, and its Cl site with it
+        text = CUBIC_NA + "loop_\n" + CUBIC_NA.split("loop_\n", 1)[1].replace("Na", "Cl")
+        with pytest.raises(CifParseError, match="^data name _atom_site_label is given twice, "
+                                                "on lines 10 and 17$"):
+            parse_cif(text)
+
+    @pytest.mark.parametrize("tag", _READ_NAMES[12:])
+    def test_a_symmetry_tag_given_twice(self, tag):
+        text = ROCK_SALT.replace("_symmetry_equiv_pos_as_xyz", tag) + f"loop_\n{tag}\n'x, y, z'\n"
+        with pytest.raises(CifParseError,
+                           match=f"^data name {tag} is given twice, on lines 10 and 24$"):
+            parse_cif(text)
+
+    @pytest.mark.parametrize("loops", [
+        "loop_\n_space_group_symop_operation_xyz\n_symmetry_equiv_pos_as_xyz\n"
+        "'x, y, z' 'x, y, z'\n'-x, -y, -z' 'x, y, z'\n",
+        "loop_\n_space_group_symop_operation_xyz\n'x, y, z'\n'-x, -y, -z'\n"
+        "loop_\n_symmetry_equiv_pos_as_xyz\n'x, y, z'\n",
+    ], ids=["one-loop", "two-loops"])
+    def test_the_current_and_the_legacy_symmetry_tag_together(self, loops):
+        # the current tag's ops are the ones applied
+        one = CUBIC_NA.replace("Na1 Na 0.0 0.0 0.0", "Na1 Na 0.1 0.2 0.3")
+        s = parse_cif(one.replace("loop_\n_atom_site_label", f"{loops}loop_\n_atom_site_label"))
+        npt.assert_allclose(s.frac_coords, [[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]])
+
+    def test_a_name_the_parser_does_not_read_may_come_again(self):
+        text = CUBIC_NA.replace("loop_", "_publ_author_name A\n_publ_author_name B\nloop_", 1)
+        assert_same_structure(parse_cif(text), parse_cif(CUBIC_NA))
 
 
 def _write_cifs(tmp_path, names):

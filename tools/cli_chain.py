@@ -15,7 +15,13 @@ The toy CIFs are P1, which the parser expands by the identity op alone, so
 the symmetry step is the one that compares the expansion under real
 symmetry ops: the script writes a P-1, a P2_1/c and a P-3 cell (whose ops
 have x-y rows), each with sites on special positions whose images merge,
-into ``sym/`` before the chain starts.  The toy cells all have five sites,
+into ``sym/`` before the chain starts.  The toy and the other written
+CIFs are plain: one tag and value or one row to a line, ops in single
+quotes.  So ``sym/`` also gets a second P-3 cell written as CIF files
+from databases are: ``#`` comments, double-quoted values, a ``;`` text
+field, a cell value on the line after its tag, ``(n)`` uncertainties, an
+occupancy column of 1.0, decorated type symbols (``Fe3+``) and the
+``_space_group_symop_operation_xyz`` tag.  The toy cells all have five sites,
 so the last step is the one whose neighbor search mixes cell sizes: the
 script also writes two toy cells, a one-atom cell, a jittered 2 x 2 x 2 toy
 supercell, a 100-site triclinic cell and a straggler into ``mixed/``.  The
@@ -123,6 +129,43 @@ def _mixed_cifs() -> dict:
             for name, (cell, sites) in cells.items()}
 
 
+# P-3 Fe2O3-like, with Fe on the threefold axis
+DRESSED_CIF = """# a cell written as CIF files from databases are
+data_dressed
+_chemical_name_common "iron oxide, dressed"
+_publ_section_comment
+;
+A text field holds anything:
+_cell_length_a 99 is not a tag here
+;
+_cell_length_a
+5.0350(4)   # a value on the line after its tag
+_cell_length_b 5.0350(4)
+_cell_length_c 13.7720(9)
+_cell_angle_alpha 90
+_cell_angle_beta 90
+_cell_angle_gamma 120.0
+loop_
+_space_group_symop_id
+_space_group_symop_operation_xyz
+1 "x, y, z"
+2 "-y, x-y, z"
+3 "-x+y, -x, z"
+4 "-x, -y, -z"
+5 "y, -x+y, -z"
+6 "x-y, x, -z"
+loop_
+_atom_site_label
+_atom_site_type_symbol
+_atom_site_fract_x
+_atom_site_fract_y
+_atom_site_fract_z
+_atom_site_occupancy
+Fe1 Fe3+ 0 0 0.35530(2) 1.0
+O1 O2- 0.3059(3) 0 0.25 1.0  # general position
+"""
+
+
 def write_cifs(out_dir: str, cifs: dict) -> None:
     """One CIF per entry of ``cifs``, which take ``SYMMETRIC_CIFS``' form."""
     os.makedirs(out_dir)
@@ -131,6 +174,13 @@ def write_cifs(out_dir: str, cifs: dict) -> None:
                                 ops="\n".join(f"'{op}'" for op in ops))
         with open(os.path.join(out_dir, f"{name}.cif"), "w", encoding="utf-8") as fh:
             fh.write(text + "\n".join(sites) + "\n")
+
+
+def write_sym(out_dir: str) -> None:
+    """``SYMMETRIC_CIFS`` and the dressed cell, one CIF each."""
+    write_cifs(out_dir, SYMMETRIC_CIFS)
+    with open(os.path.join(out_dir, "dressed.cif"), "w", encoding="utf-8") as fh:
+        fh.write(DRESSED_CIF)
 
 
 STEPS = [
@@ -156,7 +206,7 @@ def run_chain(checkout: str, workdir: str, one_core: bool = False) -> None:
     """Every step from ``checkout`` in ``workdir``; with ``one_core``, each pinned to one CPU."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(checkout, "src"))
     os.makedirs(workdir)
-    write_cifs(os.path.join(workdir, "sym"), SYMMETRIC_CIFS)
+    write_sym(os.path.join(workdir, "sym"))
     write_cifs(os.path.join(workdir, "mixed"), _mixed_cifs())
     pin = None
     if one_core:
