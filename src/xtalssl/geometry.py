@@ -28,20 +28,25 @@ image translations with the same operands in the same order, so the lists
 are those of one dense pass over the whole block, bit for bit.
 
 The dense kernel (``_pairs_within``) has one job shape: a structure's
-sites, searched against themselves.  It works on blocks whose (structures,
-source rows, sites, images) arrays stay near ``BLOCK_ELEMENTS`` elements,
-the source rows being a block of each structure's own sites.  Small cells
-share a block: consecutive structures whose whole first passes fit one
-block, each padded to the block's largest site and image counts with NaN
-coordinates, which no cutoff admits (``_packed``).  Such a run of
-structures makes one kernel call per pass, and one call each of
-``_kth_smallest``, ``_per_source`` and ``_nearest``, with its sites
-numbered across its structures as ``view_neighbor_lists`` numbers them;
-the per-structure work left is a few scalars and two small products.  A
-structure larger than a block runs alone and the kernel takes its sites,
-as sources, in blocks of rows.  So a toy cell costs a fraction of a search
-of its own, and peak memory grows with the pairs of one run, not with
-sites squared times images, nor with the number of structures.
+sites, searched against themselves.  Small cells share one block of
+``BLOCK_ELEMENTS`` (structures, sites, sites, images) elements:
+consecutive structures whose whole first passes fit it, each padded to
+the block's largest site and image counts with NaN coordinates, which no
+cutoff admits (``_packed``).  Such a run of structures makes one kernel
+call per pass, and one call each of ``_kth_smallest``, ``_per_source``
+and ``_nearest``, with its sites numbered across its structures as
+``view_neighbor_lists`` numbers them; the per-structure work left is a
+few scalars and two small products.  A structure larger than a block runs
+alone, and the kernel screens it (``_screened``): its sites go into slabs
+of ``SLAB_SITES`` along the axis on which they spread widest, and only
+the sites of a slab whose bounding box, shifted by an image, lies within
+the pass's radius of a source get distances from it.  The screen is
+exact with no slack, since rounding is monotonic: the computed gap to a
+box is never more than the computed distance to a site in it.  So a toy
+cell costs a fraction of a search of its own, a large cell's cost follows
+the pairs near it more than sites squared times images, and peak memory
+grows with the pairs of one run, not with sites squared times images, nor
+with the number of structures.
 
 From the pairs found, one routine, ``_nearest``, decides which neighbors
 a source keeps and in which order, for the plain search and for every
@@ -103,12 +108,16 @@ MAX_IMAGES = 100_000
 # cells find their nearest within it
 FIRST_PASS_SCALE = 1.5
 
-# elements of each (structures, source rows, N sites, M images) array of the
-# dense kernel, whose source rows are a block of each structure's own N
-# sites; 512 KB of float64: small enough for one block's arrays to stay in
-# cache, large enough that 100-site cells take about ten blocks per pass and
-# that about twenty 5-site cells share one
+# elements of each (structures, N sites, N sites, M images) array of the
+# dense kernel, and of each block of the screen's arrays; 512 KB of float64:
+# small enough for one block's arrays to stay in cache, large enough that
+# about twenty 5-site cells share one
 BLOCK_ELEMENTS = 2 ** 16
+
+# sites per slab of the screen that searches a structure larger than one
+# block (``_screened``): a 100-site cell takes 4 slabs; 3 to 6 slabs took
+# about 0.6 of the dense kernel's time there, 2 slabs 0.8, one box 0.81
+SLAB_SITES = 25
 
 
 @dataclass(frozen=True)
@@ -246,8 +255,8 @@ def _packed(sites: list[int], images: list[int]):
     Job j searches its ``sites[j]`` sites against themselves in
     ``images[j]`` images.  A run's (jobs, sites, sites, images) array, each
     axis padded to the run's largest job, holds at most ``BLOCK_ELEMENTS``
-    elements, or the run is one job, which the kernel takes in blocks of
-    source rows.
+    elements, or the run is one job, which the kernel screens
+    (``_screened``).
     """
     start, shape = 0, (0, 0)
     for j, job in enumerate(zip(sites, images)):
@@ -309,36 +318,100 @@ def _pairs_within(sites: np.ndarray, image_carts: np.ndarray, cols: np.ndarray,
     image as rows of the tables and dst as a column of ``cols``; the
     zero-image self pair is left out.
 
-    The targets cart_j + image_m are built once per axis; the sources then
-    go through in blocks of rows whose (b, rows, N, M) arrays hold at most
-    ``BLOCK_ELEMENTS`` elements, or one row when a row holds more.  The
-    distance of atom j in image m from atom i is built axis by axis as
-    (cart_j + image_m) - cart_i, so neither a block nor its padding changes
-    a bit of it.
+    The distance of atom j in image m from atom i is built axis by axis as
+    (cart_j + image_m) - cart_i, so the padding changes no bit of it.  The
+    jobs' (b, N, N, M) arrays fit one block of ``BLOCK_ELEMENTS`` elements,
+    or the job is one structure larger than a block (``_packed``), which
+    ``_screened`` searches with the same arithmetic on fewer pairs.
     """
     (b, n), m = cols.shape, images.shape[1]
+    if b * n * n * m > BLOCK_ELEMENTS:
+        return _screened(sites[cols[0]], image_carts[images[0]], cols[0], images[0],
+                         int(zero[0, 0]), cutoffs[0])
     cart, image_carts = _taken(sites, cols), _taken(image_carts, images)
-    targets = [cart[:, None, :, a, None] + image_carts[:, None, None, :, a] for a in range(3)]
-    cut2 = np.multiply(cutoffs, cutoffs)[:, None, None, None]
-    jobs = np.arange(b)[:, None]
-    step = max(1, BLOCK_ELEMENTS // (b * n * m))
+    d2 = _sum_of_squares(lambda a: (cart[:, None, :, a, None] + image_carts[:, None, None, :, a],
+                                    cart[:, :, a, None, None]))
+    within = d2 <= np.multiply(cutoffs, cutoffs)[:, None, None, None]
+    i = np.arange(n)
+    within[np.arange(b)[:, None], i, i, zero] = False
+    flat = np.flatnonzero(within)
+    row, rest = np.divmod(flat, n * m)
+    dst, idx = np.divmod(rest, m)
+    if b > 1:  # a row's job, as an offset into the image table
+        idx += row // n * m
+    return cols.ravel()[row], dst, images.ravel()[idx], d2.ravel()[flat]
+
+
+def _screened(cart: np.ndarray, shifts: np.ndarray, cols: np.ndarray, images: np.ndarray,
+              zero: int, cutoff: float) -> tuple:
+    """``_pairs_within`` of one job, its (N, 3) sites ``cart`` in its (M, 3) images ``shifts``.
+
+    The sites go into slabs of ``SLAB_SITES`` or fewer, in order along the
+    cartesian axis on which they spread widest.  A (source, slab, image)
+    triple is kept when the source lies within the cutoff of the slab's
+    bounding box shifted by the image, and only the sites of kept triples
+    get distances, each with the dense kernel's operands in its order.  So
+    the screen is exact with no slack: per axis, rounding is monotonic, so
+    (lo + image) - cart_i <= (cart_j + image) - cart_i <= (hi + image) -
+    cart_i as computed for every site j of a box [lo, hi], the computed gap
+    to the box is at most |computed difference|, and so its square sum is
+    at most d^2, bit for bit.  No pair within the cutoff is dropped, and
+    each kept distance has the dense kernel's bits.
+
+    Sources go through in blocks whose (rows, slabs, M) gaps hold at most
+    ``BLOCK_ELEMENTS`` elements, and kept triples in blocks whose (triples,
+    slab sites) distances do, each at least one source row; one argsort
+    then restores the (src, dst, image) order.
+    """
+    n, m = len(cart), len(shifts)
+    cut2 = cutoff * cutoff
+    order = np.argsort(cart[:, np.argmax(np.ptp(cart, axis=0))], kind="stable")
+    n_slabs = -(-n // SLAB_SITES)
+    bounds = np.arange(n_slabs + 1) * n // n_slabs
+    sizes = np.diff(bounds)
+    width = int(sizes.max())
+    slab_of, col_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    slab_of[order] = np.repeat(np.arange(n_slabs), sizes)
+    col_of[order] = np.arange(n) - np.repeat(bounds[:-1], sizes)
+    # each slab's sites, padded with index n, which reads a NaN row
+    members = np.full((n_slabs, width), n)
+    members[slab_of, col_of] = np.arange(n)
+    sorted_cart = cart[order]
+    lo = np.minimum.reduceat(sorted_cart, bounds[:-1], axis=0)
+    hi = np.maximum.reduceat(sorted_cart, bounds[:-1], axis=0)
+    padded = np.concatenate([cart, _NAN_ROW])
+    # per axis: the (slabs, M) shifted box faces, and the (slabs * M, width)
+    # shifted slab sites, as the dense kernel's targets cart_j + image_m
+    lo_t = [lo[:, a, None] + shifts[:, a] for a in range(3)]
+    hi_t = [hi[:, a, None] + shifts[:, a] for a in range(3)]
+    targets = [(padded[members, a][:, None, :] + shifts[:, a, None]).reshape(-1, width)
+               for a in range(3)]
+    rows = max(1, BLOCK_ELEMENTS // (n_slabs * m))
+    step = max(BLOCK_ELEMENTS // width, n_slabs * m)
     parts = []
-    for start in range(0, n, step):
-        block, origin = cols[:, start:start + step], cart[:, start:start + step]
-        d2 = _sum_of_squares(lambda a: (targets[a], origin[:, :, a, None, None]))
-        within = d2 <= cut2
-        # the self pair: the block's row i is its job's site start + i
-        i = np.arange(block.shape[1])
-        within[jobs, i, start + i, zero] = False
-        flat = np.flatnonzero(within)
-        row, rest = np.divmod(flat, n * m)
-        dst, idx = np.divmod(rest, m)
-        if b > 1:  # a row's job, as an offset into the image table
-            idx += row // i.size * m
-        parts.append((block.ravel()[row], dst, images.ravel()[idx], d2.ravel()[flat]))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    for start in range(0, n, rows):
+        origin = cart[start:start + rows, :, None, None]
+        gap2 = None
+        for a in range(3):
+            g = np.maximum(lo_t[a] - origin[:, a], origin[:, a] - hi_t[a])
+            np.maximum(g, 0.0, out=g)
+            np.multiply(g, g, out=g)
+            gap2 = g if gap2 is None else np.add(gap2, g, out=gap2)
+        src, box = np.divmod(np.flatnonzero(gap2 <= cut2), n_slabs * m)
+        src += start
+        for first in range(0, src.size, step):
+            i, row = src[first:first + step], box[first:first + step]
+            d2 = _sum_of_squares(lambda a: (targets[a][row], cart[i, a, None]))
+            within = d2 <= cut2
+            own = np.flatnonzero(row == slab_of[i] * m + zero)
+            within[own, col_of[i[own]]] = False
+            k, col = np.divmod(np.flatnonzero(within), width)
+            slab, image = np.divmod(row[k], m)
+            parts.append((i[k], members[slab, col], image, d2[k, col]))
+    src, dst, image, d2 = (np.concatenate(p) for p in zip(*parts))
+    del parts  # the sort's arrays are built without the blocks' copies
+    order = np.argsort((src * n + dst) * m + image)
+    return cols[src[order]], dst[order], images[image[order]], d2[order]
 
 
 class _Pairs(NamedTuple):
@@ -380,9 +453,8 @@ def _search(structures: list[CrystalStructure], cells: _Cells, reach: float, k: 
     the whole block's translations, so every distance has the dense
     kernel's bits.
 
-    Each run makes one kernel call per pass (more only for a structure
-    larger than a block) and yields its ``_Pairs``; nothing of a run
-    outlives it but what the caller keeps of those.
+    Each run makes one kernel call per pass and yields its ``_Pairs``;
+    nothing of a run outlives it but what the caller keeps of those.
     """
     n = [s.n_sites for s in structures]
     radii = []  # per structure, the first pass's radius

@@ -436,12 +436,12 @@ def _find_loop(loops, wanted) -> tuple[list[str], list[str], int]:
     return [], [], 0
 
 
-def _read_sites(header, body, atom_line):
+def _read_sites(header, body, text):
     """(atomic numbers, wrapped fractional coordinates, labels) of the atom_site loop's rows.
 
     Reads the loop by columns.  A value the columns cannot take (a bad
     number or symbol, a partial occupancy) is reported by
-    ``_raise_first_bad_row``.
+    ``_raise_first_bad_row``, which finds its line in ``text``.
     """
     c_type, c_label, c_x, c_y, c_z, c_occ = (
         header.index(name) if name in header else None for name in _SITE_COLUMNS)
@@ -461,28 +461,50 @@ def _read_sites(header, body, atom_line):
     number_of = {sym: _element(sym) for sym in set(symbols)}
     if (None in number_of.values() or None in fracs or occupancy is None
             or not all(abs(occ - 1.0) <= 1e-3 for occ in occupancy)):
-        _raise_first_bad_row(body, width, atom_line + width, c_sym, (c_x, c_y, c_z), c_occ)
+        _raise_first_bad_row(text, width, c_sym, (c_x, c_y, c_z), c_occ)
     numbers = np.array([number_of[sym] for sym in symbols], dtype=np.int64)
     return numbers, wrap_frac(np.array(fracs, dtype=np.float64).T.copy()), labels
 
 
-def _raise_first_bad_row(body, width, header_end, c_sym, c_xyz, c_occ):
-    """Raise the error of the first row with a bad symbol, coordinate or occupancy.
+def _raise_first_bad_row(text, width, c_sym, c_xyz, c_occ):
+    """Raise the error of the first row of the atom_site loop with a bad symbol, coordinate or occupancy.
 
-    Row ``k`` is taken to sit on line ``header_end + k + 1``, as when each
-    header tag and each row has a line of its own.
+    It runs only when a row is bad, and scans ``text`` again for the loop
+    and the line each value is on; the error names the bad value's line.
     """
-    for k in range(len(body) // width):
-        row = body[k * width:(k + 1) * width]
-        line_no = header_end + k + 1
-        if _element(row[c_sym]) is None:
-            raise UnknownElementSymbol(f"unknown element symbol {row[c_sym]!r} on line {line_no}")
+    tokens, keys = _cif_tokens(text)
+    lines = _token_lines(text)
+    # _atom_site_fract_x is read once in a file, and its loop's rows follow the header
+    tag = next(k for k, _ in keys if tokens[k].lower() == "_atom_site_fract_x")
+    start = tag - c_xyz[0] + width
+    stop = next((k for k, _ in keys if k >= start), len(tokens))
+    for row in range(start, stop, width):
+        k = row + c_sym
+        if _element(tokens[k]) is None:
+            raise UnknownElementSymbol(f"unknown element symbol {tokens[k]!r} on line {lines[k]}")
         for c in c_xyz:
-            _parse_float(row[c], f"_atom_site_fract (line {line_no})")
+            _parse_float(tokens[row + c], f"_atom_site_fract (line {lines[row + c]})")
         if c_occ is not None:
-            occ = _parse_float(row[c_occ], f"_atom_site_occupancy (line {line_no})")
+            k = row + c_occ
+            occ = _parse_float(tokens[k], f"_atom_site_occupancy (line {lines[k]})")
             if abs(occ - 1.0) > 1e-3:
-                raise CifParseError(f"partial occupancy {occ} on line {line_no} is not supported")
+                raise CifParseError(f"partial occupancy {occ} on line {lines[k]} is not supported")
+
+
+def _token_lines(text: str) -> list[int]:
+    """The line number of each of ``_cif_tokens(text)``'s tokens; a text field's is its first line."""
+    lines = text.splitlines()
+    numbers: list[int] = []
+    i = 0
+    while i < len(lines):
+        end = i + 1
+        if lines[i][:1] == ";":  # a text field, which the parse found closed
+            while lines[end][:1] != ";":
+                end += 1
+            end += 1
+        numbers += [i + 1] * len(_cif_tokens("\n".join(lines[i:end]))[0])
+        i = end
+    return numbers
 
 
 def parse_cif(text: str) -> CrystalStructure:
@@ -505,10 +527,10 @@ def parse_cif(text: str) -> CrystalStructure:
         cell.append(_parse_float(values[tag], tag))
     lattice = _lattice_from_parameters(*cell)
 
-    header, body, atom_line = _find_loop(loops, lambda h: h.startswith("_atom_site_fract"))
+    header, body, _ = _find_loop(loops, lambda h: h.startswith("_atom_site_fract"))
     if not header:
         raise MissingAtomLoop("no atom_site loop with fractional coordinates found")
-    numbers, fracs, labels = _read_sites(header, body, atom_line)
+    numbers, fracs, labels = _read_sites(header, body, text)
 
     header, body, _ = _find_loop(loops, _SYMOP_TAGS.__contains__)
     ops = [_IDENTITY_OP]

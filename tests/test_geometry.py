@@ -209,10 +209,10 @@ def _assert_same_list(got, want):
 
 
 def _at_both_block_sizes(check):
-    """``check`` at the real block size, then again at one source row per dense-kernel block.
+    """``check`` at the real block size, then again at a block of one element.
 
-    Most cells the tests draw fit in one block, so the second run is the
-    one that crosses block boundaries.
+    Most cells the tests draw fit in one block; at the second size nearly
+    every cell takes the screen, one source row per block.
     """
     @functools.wraps(check)
     def run(*args, **kwargs):
@@ -444,7 +444,7 @@ class TestSourceBlocks:
     def test_skewed_cell_with_a_short_axis_equals_dense_oracle(self):
         # 100 sites at 11.7 A^3 each, like the benchmark's triclinic cells:
         # the 3.6 A axis needs 7 images at the cutoff, so the whole block has
-        # 63 and each block of the dense kernel holds 10 source rows
+        # 63, and the cell, larger than a block, takes the screen
         s = _random_cell([[3.6, 0.0, 0.0], [1.2, 18.0, 0.0], [-1.0, 2.5, 18.0]], 100, 7)
         cfg = NeighborConfig()
         n_images = math.prod(2 * c + 1 for c in _image_counts(_axis_spans(s.lattice), cfg.cutoff))
@@ -458,15 +458,17 @@ class TestSourceBlocks:
         lambda s: candidate_list(s, NeighborConfig(), 0.05),
     ], ids=["build_neighbor_list", "candidate_list"])
     def test_peak_memory_does_not_grow_with_sites_times_images(self, search):
-        # one dense pass would hold (320, 320, 27) float64 arrays, 22 MB each
-        s = _random_cell(15.66 * np.eye(3), 320, 0)
-        tracemalloc.start()
-        try:
-            search(s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # one dense pass would hold (320, 320, 27) float64 arrays, 22 MB each,
+        # and (1080, 1080, 27) ones, 252 MB each; both cells take the screen
+        for edge, n in ((15.66, 320), (1.5 * 15.66, 1080)):
+            s = _random_cell(edge * np.eye(3), n, 0)
+            tracemalloc.start()
+            try:
+                search(s)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, n
 
 
 @st.composite
@@ -519,7 +521,7 @@ class TestManyStructures:
         for s, nl in zip(structures, alone):
             _assert_same_arrays(nl, dense_neighbor_list(s, cfg), ("src", "dst", "dist", "image"))
         # the real block packs many small cells into one; a small one packs a
-        # few, and takes the larger cells in blocks of rows
+        # few, and screens the larger cells
         for block in (geometry.BLOCK_ELEMENTS, 2**12):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(geometry, "BLOCK_ELEMENTS", block)
@@ -615,6 +617,110 @@ class TestManyStructures:
             assert info.value.index == index
             assert str(info.value).startswith("cutoff 8.0 needs")
         assert calls == []
+
+
+@st.composite
+def screened_cells(draw):
+    """Cells larger than one block, built to strain the screen's slabs and boxes.
+
+    Skewed triclinic cells with a short axis; 3 x 3 x 3 supercells of the
+    toy cell, exact, whose distances tie at the 12th neighbor and whose
+    sites share coordinates on both sides of each slab boundary, or
+    jittered; and cells whose sites lie on a few planes across their
+    widest axis, so that many share the coordinate the slabs split.
+    """
+    kind = draw(st.sampled_from(["triclinic", "supercell", "jittered", "planes"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "triclinic":
+        lattice = [[draw(st.floats(3.2, 4.5)), 0.0, 0.0],
+                   [draw(st.floats(-2.0, 2.0)), draw(st.floats(14.0, 20.0)), 0.0],
+                   [draw(st.floats(-2.0, 2.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(14.0, 20.0))]]
+        return _random_cell(lattice, draw(st.integers(60, 110)), rng.integers(2**32))
+    if kind == "planes":
+        n = draw(st.integers(60, 100))
+        frac = rng.uniform(0.0, 1.0, (n, 3))
+        planes = draw(st.integers(2, 6))
+        frac[:, 0] = rng.integers(0, planes, n) / planes
+        lattice = np.diag([draw(st.floats(16.0, 20.0)), draw(st.floats(6.5, 8.0)),
+                           draw(st.floats(6.5, 8.0))])
+        return CrystalStructure(lattice=lattice, atomic_numbers=[6] * n, frac_coords=frac)
+    s = draw(toy_cells())
+    corners = np.array(list(itertools.product(range(3), repeat=3)))
+    frac = ((s.frac_coords[None] + corners[:, None]) / 3).reshape(-1, 3)
+    if kind == "jittered":
+        frac += rng.uniform(-0.005, 0.005, frac.shape)
+    return CrystalStructure(lattice=3 * s.lattice, atomic_numbers=np.tile(s.atomic_numbers, 27),
+                            frac_coords=frac)
+
+
+def _screened_sites(monkeypatch):
+    """The number of sites of each structure the screen searches, in order, from here on."""
+    sites = []
+    screen = geometry._screened
+
+    def counted(cart, *args):
+        sites.append(len(cart))
+        return screen(cart, *args)
+
+    monkeypatch.setattr(geometry, "_screened", counted)
+    return sites
+
+
+class TestSlabScreen:
+    """A structure larger than one block is screened by slab boxes, with the dense kernel's bits."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(screened_cells(), st.sampled_from([(8.0, 12), (6.0, 20), (10.0, 12)]),
+           st.booleans())
+    def test_lists_equal_the_dense_oracle_and_the_dense_path(self, s, config, with_toy):
+        cfg = NeighborConfig(*config)
+        structures = [toy_structure("Cs", "Ti", "O", 4.0), s] if with_toy else [s]
+        with pytest.MonkeyPatch.context() as mp:
+            screened = _screened_sites(mp)
+            alone = build_neighbor_list(s, cfg)
+            lists = build_neighbor_lists(structures, cfg)
+            candidates = [candidate_lists(structures, cfg, d) for d in (0.0, 0.05, 0.5)]
+        assert s.n_sites in screened
+        _assert_same_arrays(alone, dense_neighbor_list(s, cfg), ("src", "dst", "dist", "image"))
+        # a block this large takes every structure through the dense kernel
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "BLOCK_ELEMENTS", 2**40)
+            screened = _screened_sites(mp)
+            dense_lists = build_neighbor_lists(structures, cfg)
+            dense_candidates = [candidate_lists(structures, cfg, d) for d in (0.0, 0.05, 0.5)]
+        assert screened == []
+        _assert_same_arrays(alone, dense_lists[-1], ("src", "dst", "dist", "image"))
+        for nl, want in zip(lists, dense_lists):
+            _assert_same_arrays(nl, want, ("src", "dst", "dist", "image"))
+        for got, want in zip(candidates, dense_candidates):
+            for c, c_want in zip(got, want):
+                _assert_same_arrays(c, c_want, ("inv_lattice", "src", "dst", "image",
+                                                "n_candidates", "boundary", "counts",
+                                                "image_carts"))
+
+    def test_a_tric_sized_cell_takes_the_screen_and_toy_and_super40_cells_do_not(self,
+                                                                                 monkeypatch):
+        toy = toy_structure("Cs", "Ti", "O", 4.0)
+        corners = np.array(list(itertools.product([0, 1], repeat=3)))
+        frac = ((toy.frac_coords[None] + corners[:, None]) / 2).reshape(-1, 3)
+        super40 = CrystalStructure(
+            lattice=2 * toy.lattice, atomic_numbers=np.tile(toy.atomic_numbers, 8),
+            frac_coords=frac + np.random.default_rng(0).uniform(-0.005, 0.005, frac.shape))
+        # 100 sites at 11.7 A^3 each with a 3.6 A axis, as the tric workload's
+        tric = _random_cell([[3.6, 0.0, 0.0], [1.2, 18.0, 0.0], [-1.0, 2.5, 18.0]], 100, 7)
+        screened = _screened_sites(monkeypatch)
+        cfg = NeighborConfig()
+        for searches in ([toy], [super40], [toy, super40] * 3):
+            build_neighbor_lists(searches, cfg)
+            for s in searches:
+                build_neighbor_list(s, cfg)
+            for max_disp in (0.0, 0.05, 0.5):
+                candidate_lists(searches, cfg, max_disp)
+        assert screened == []
+        build_neighbor_list(tric, cfg)
+        build_neighbor_lists([toy, tric, super40], cfg)
+        candidate_lists([tric], cfg, 0.05)
+        assert screened == [100, 100, 100]
 
 
 class TestDenseKernelAgainstOracle:

@@ -311,6 +311,33 @@ class TestParseCif:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             parse_cif(text)
 
+    PACKED = ("data_packed\n"
+              "_cell_length_a 4.0 _cell_length_b 4.0 _cell_length_c 4.0\n"
+              "_cell_angle_alpha 90 _cell_angle_beta 90 _cell_angle_gamma 90\n"
+              "loop_\n"
+              "_atom_site_label _atom_site_type_symbol _atom_site_fract_x _atom_site_fract_y "
+              "_atom_site_fract_z\n"
+              "Na1 Na 0 0 0 Cl1 Cl 0.5 bad 0.5\n")
+
+    @pytest.mark.parametrize("text, error, message", [
+        (PACKED, CifParseError, "cannot parse numeric value 'bad' for _atom_site_fract (line 6)"),
+        (PACKED.replace("Cl1 Cl 0.5 bad", "Cl1 Cl\n0.5\nbad"), CifParseError,
+         "cannot parse numeric value 'bad' for _atom_site_fract (line 8)"),
+        (PACKED.replace("loop_", "_publ_section_comment\n;\ntwo\nlines\n;\nloop_")
+         .replace("Cl1 Cl", "Cl1 Qq"), UnknownElementSymbol,
+         "unknown element symbol 'Qq' on line 11"),
+        (PACKED + "_chemical_name_common 'x y'\nloop_\n_a\n1\n", CifParseError,
+         "cannot parse numeric value 'bad' for _atom_site_fract (line 6)"),
+        (PACKED.replace("_atom_site_fract_z\n", "_atom_site_fract_z _atom_site_occupancy\n")
+         .replace("0 0 0 Cl1", "0 0 0 1.0 Cl1").replace("bad 0.5", "0.5 0.5\n0.5"),
+         CifParseError, "partial occupancy 0.5 on line 7 is not supported"),
+    ], ids=["two-rows-on-a-line", "a-row-over-three-lines", "after-a-text-field", "more-after-the-loop",
+            "occupancy"])
+    def test_the_error_names_the_bad_values_line(self, text, error, message):
+        # rows and tags need not have lines of their own
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_cif(text)
+
     def test_round_trip_triclinic(self):
         lattice = np.array([[3.1, 0.0, 0.0], [1.0, 2.2, 0.0], [0.5, 0.45, 4.3]])
         s = CrystalStructure(lattice=lattice, atomic_numbers=[11, 17, 8],

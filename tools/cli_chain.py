@@ -27,8 +27,9 @@ script also writes two toy cells, a one-atom cell, a jittered 2 x 2 x 2 toy
 supercell, a 100-site triclinic cell and a straggler into ``mixed/``.  The
 straggler is a 7.5 A cube with 32 sites near its origin and one at its
 centre, whose nearest neighbors lie beyond its first-pass radius.  One
-search packs the small cells into one kernel block, takes the 100-site
-cell in blocks of rows, and searches the straggler's whole block again.
+search packs the small cells into one kernel block, screens the 100-site
+cell by slab boxes, and searches the straggler's whole block again, a pass
+larger than a block, which the screen also takes.
 
 Each step runs with ``OPENBLAS_NUM_THREADS=1``.  Current versions pin the
 BLAS to one thread inside each call anyway; the variable makes a checkout
